@@ -1,35 +1,19 @@
-"""Propagation kernel backends.
+"""Propagation kernels.
 
-The compiled Cython extension (``_core``) is used when it was built at
-install time; otherwise the NumPy implementation (``pure``) takes over.
-Both expose the same three functions with identical semantics:
+The NumPy implementation in ``pure`` is the only backend; this package
+re-exports its three functions:
 
 - ``expm_hermitian(h, t)``
 - ``sequence_product(hams, durations)``
 - ``weighted_population_integral(hams, durations, psi0, weights, samples_per_segment)``
 
-``BACKEND`` records which one is active. ``benchmarks/bench_kernels.py``
-times the two side by side.
+``BACKEND`` is always ``"pure"``.
 """
 
 from rydgate._kernels import pure
 
-try:
-    from rydgate._kernels import _core as _impl
+BACKEND = "pure"
 
-    BACKEND = "compiled"
-except ImportError:
-    _impl = pure
-    BACKEND = "pure"
-
-expm_hermitian = _impl.expm_hermitian
-sequence_product = _impl.sequence_product
-weighted_population_integral = _impl.weighted_population_integral
-
-
-def available_backends():
-    """Importable backends by name (always includes ``pure``)."""
-    backends = {"pure": pure}
-    if BACKEND == "compiled":
-        backends["compiled"] = _impl
-    return backends
+expm_hermitian = pure.expm_hermitian
+sequence_product = pure.sequence_product
+weighted_population_integral = pure.weighted_population_integral

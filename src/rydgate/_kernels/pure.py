@@ -1,14 +1,11 @@
 """NumPy implementations of the propagation kernels.
 
-These mirror the compiled extension in ``_core.pyx`` exactly; the package
-selects between the two at import time. All inputs are expected to be
-C-contiguous ``complex128`` / ``float64`` arrays (the public wrappers in
-:mod:`rydgate.statespace` and :mod:`rydgate.propagation` take care of that).
+All inputs are expected to be C-contiguous ``complex128`` / ``float64``
+arrays (the public wrappers in :mod:`rydgate.statespace` and
+:mod:`rydgate.propagation` take care of that).
 """
 
 import numpy as np
-
-name = "pure"
 
 
 def expm_hermitian(h, t):

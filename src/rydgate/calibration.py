@@ -125,6 +125,8 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
         If no admissible sign change exists in the bracket; the scanned
         (kappa, wrapped phi_c) table is attached for diagnosis.
     """
+    if not math.isfinite(target_phi):
+        raise ValueError(f"target_phi must be finite, got {target_phi}")
     k_lo, k_hi = bracket
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got {bracket}")

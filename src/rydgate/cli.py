@@ -49,6 +49,12 @@ def _positive(value, name):
     return value
 
 
+def _finite(value, name):
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _parse_config_file(path):
     values = {}
     try:
@@ -132,19 +138,27 @@ def _geometric_params(cfg):
     raise ConfigError("geometric protocol needs omega or v")
 
 
+def _blockade_params(omega, v):
+    if v is None:
+        raise ConfigError("blockade protocol needs v")
+    try:
+        return BlockadeProtocolParams(rabi=omega, v=v)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_simulate(cfg):
+    target_phi = _finite(cfg["target_phi"], "target-phi")
     if cfg["protocol"] == "geometric":
         params = _geometric_params(cfg)
         seq = geometric_sequence(params)
         omega = params.omega
     elif cfg["protocol"] == "blockade":
         omega = _positive(cfg["omega"], "omega")
-        if cfg["v"] is None:
-            raise ConfigError("blockade protocol needs v")
-        seq = blockade_pdp_sequence(BlockadeProtocolParams(rabi=omega, v=cfg["v"]))
+        seq = blockade_pdp_sequence(_blockade_params(omega, cfg["v"]))
     else:
         raise ConfigError(f"unknown protocol: {cfg['protocol']!r}")
-    report = analyze_gate(seq, target_phi=cfg["target_phi"])
+    report = analyze_gate(seq, target_phi=target_phi)
     payload = {"protocol": cfg["protocol"], **_report_payload(report, omega)}
     _emit(json.dumps(payload, indent=2) + "\n", cfg["output"])
     return 0
@@ -204,6 +218,7 @@ def cmd_calibrate(cfg):
 
 
 def cmd_compare(cfg):
+    target_phi = _finite(cfg["target_phi"], "target-phi")
     omega = _positive(cfg["omega"], "omega")
     geo = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
     blk = BlockadeProtocolParams(rabi=omega, v=_positive(cfg["blockade_v"], "blockade-v"))
@@ -212,7 +227,7 @@ def cmd_compare(cfg):
         ("blockade", blockade_pdp_sequence(blk)),
         ("geometric", geometric_sequence(geo)),
     ):
-        report = analyze_gate(seq, target_phi=cfg["target_phi"])
+        report = analyze_gate(seq, target_phi=target_phi)
         rows.append(
             name
             + ","
@@ -236,9 +251,7 @@ def cmd_robustness(cfg):
     if cfg["protocol"] == "geometric":
         protocol = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
     elif cfg["protocol"] == "blockade":
-        if cfg["v"] is None:
-            raise ConfigError("blockade protocol needs v")
-        protocol = BlockadeProtocolParams(rabi=omega, v=cfg["v"])
+        protocol = _blockade_params(omega, cfg["v"])
     else:
         raise ConfigError(f"unknown protocol: {cfg['protocol']!r}")
     try:

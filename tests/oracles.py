@@ -103,3 +103,43 @@ def controlled_flip_family(theta):
 def random_hermitian(rng, n=9, scale=1.0):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return np.ascontiguousarray(scale * (m + m.conj().T) / 2.0)
+
+
+def golden_section_fidelity(u, target_phi, iterations=100):
+    """Local-Z-compensated average gate fidelity by golden-section search.
+
+    The functional (|Tr M|^2 + Tr(M M^dag)) / 20 against
+    diag(1, 1, 1, e^{i target_phi}), with the qubit-2 angle maximized out in
+    closed form, leaves f(alpha) = |d00 + d10 e^{ia}| + |d01 + d11 e^{ia}| to
+    maximize over the qubit-1 angle. Its best point on a 256-point grid
+    brackets the maximum to one grid cell either side; golden-section search
+    narrows that bracket using values of f only.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    idx = [0, 1, 3, 4] if u.shape == (9, 9) else [0, 1, 2, 3]
+    block = u[np.ix_(idx, idx)]
+    d = np.diag(block) * np.array([1.0, 1.0, 1.0, np.exp(-1j * target_phi)])
+
+    def f(alpha):
+        ph = np.exp(1j * alpha)
+        return abs(d[0] + d[2] * ph) + abs(d[1] + d[3] * ph)
+
+    cell = 2 * np.pi / 256
+    grid = cell * np.arange(256)
+    values = np.abs(d[0] + d[2] * np.exp(1j * grid)) + np.abs(d[1] + d[3] * np.exp(1j * grid))
+    best = grid[np.argmax(values)]
+    lo, hi = best - cell, best + cell
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iterations):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = f(x2)
+    tr = max(f(best), f1, f2)
+    return min(1.0, (tr * tr + float(np.sum(np.abs(block) ** 2))) / 20.0)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import golden_section_fidelity
 
 from rydgate.analysis import (
     analyze_gate,
@@ -28,6 +29,7 @@ from rydgate.protocols import (
     blockade_pdp_sequence,
     geometric_sequence,
 )
+from rydgate.robustness import _perturbed_sequence
 from rydgate.statespace import COMPUTATIONAL_INDICES, expm_hermitian
 
 
@@ -162,6 +164,37 @@ class TestFidelity:
             dtype=complex,
         )
         assert np.max(np.abs(u - expected)) < 1e-10
+
+    @pytest.mark.parametrize("target_phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, target_phi):
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_cphase(np.eye(9, dtype=complex), target_phi)
+
+    def test_maximizer_matches_golden_section_oracle(self, rng):
+        cases = []
+        for kappa in np.linspace(0.2, 2.5, 200):
+            params = GeometricProtocolParams.from_omega(float(kappa), 1.0)
+            cases.append((sequence_unitary(geometric_sequence(params)), math.pi))
+        for params, build in (
+            (GeometricProtocolParams.from_omega(1.65, 1.0), geometric_sequence),
+            (BlockadeProtocolParams(rabi=1.0, v=100.0), blockade_pdp_sequence),
+        ):
+            nominal = build(params)
+            for eps_omega, eps_v in rng.normal(scale=0.02, size=(200, 2)):
+                seq = _perturbed_sequence(nominal, 1.0 + eps_omega, params.v * (1.0 + eps_v))
+                cases.append((sequence_unitary(seq), math.pi))
+        for _ in range(100):
+            q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+            cases.append((q, float(rng.uniform(-math.pi, math.pi))))
+        # Fully leaked |00>, |10> (or |01>, |11>): one term of f vanishes.
+        cases.append((_embed_diag([0.0, 1.0, 0.0, np.exp(0.3j)]), 0.0))
+        cases.append((_embed_diag([0.6, 0.0, 0.8j, 0.0]), 1.0))
+        # |difference| <= 1e-15 also bounds how far below the oracle it may fall.
+        worst = max(
+            abs(fidelity_cphase(u, target) - golden_section_fidelity(u, target))
+            for u, target in cases
+        )
+        assert worst <= 1e-15
 
 
 class TestActuationMetrics:

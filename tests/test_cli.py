@@ -218,6 +218,33 @@ class TestRobustnessCommand:
         assert "seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--target-phi", "nan"),
+        ("compare", "--omega", "1", "--kappa", "1.65", "--blockade-v", "100",
+         "--target-phi", "inf"),
+        ("calibrate", "--target-phi", "nan", "--bracket", "1.0", "2.5"),
+        ("simulate", "--protocol", "blockade", "--omega", "1", "--v", "nan"),
+        ("robustness", "--protocol", "blockade", "--omega", "1", "--v", "inf",
+         "--seed", "1", "--samples", "2"),
+    ],
+    ids=[
+        "simulate-target-nan",
+        "compare-target-inf",
+        "calibrate-target-nan",
+        "simulate-blockade-v-nan",
+        "robustness-blockade-v-inf",
+    ],
+)
+def test_non_finite_value_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
