@@ -1,11 +1,13 @@
 """Propagation kernels.
 
 The NumPy implementation in ``pure`` is the only backend; this package
-re-exports its three functions:
+re-exports its three functions, which take stacks (leading axes index
+gates or segments):
 
-- ``expm_hermitian(h, t)``
-- ``sequence_product(hams, durations)``
-- ``weighted_population_integral(hams, durations, psi0, weights, samples_per_segment)``
+- ``expm_hermitian(h, t)``: (..., n, n) with ``t`` over ``...`` -> (..., n, n)
+- ``sequence_product(hams, durations)``: (..., k, n, n), (..., k) -> (..., n, n)
+- ``weighted_population_integral(hams, durations, psi0, weights, samples_per_segment)``:
+  (k, n, n), (k,), (m, n) initial states, (n,) -> (m,) integrals
 
 ``BACKEND`` is always ``"pure"``.
 """

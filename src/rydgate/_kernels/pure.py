@@ -1,61 +1,50 @@
 """NumPy implementations of the propagation kernels.
 
-All inputs are expected to be C-contiguous ``complex128`` / ``float64``
-arrays (the public wrappers in :mod:`rydgate.statespace` and
-:mod:`rydgate.propagation` take care of that).
+Leading axes of every argument are batch axes: one broadcast
+``np.linalg.eigh`` diagonalises every matrix of a call.
 """
 
 import numpy as np
 
 
 def expm_hermitian(h, t):
-    """exp(-i*h*t) of a Hermitian matrix via spectral decomposition."""
+    """exp(-i*h*t) of (..., n, n) Hermitian matrices; ``t`` broadcasts over ``h.shape[:-2]``."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(w * (-1j * t))) @ v.conj().T
+    v_dagger = v.conj().swapaxes(-1, -2)
+    v *= np.exp(w * (-1j * np.asarray(t))[..., None])[..., None, :]  # in place: one stack fewer
+    return v @ v_dagger
 
 
 def sequence_product(hams, durations):
-    """Time-ordered propagator of piecewise-constant Hamiltonians.
+    """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
 
-    Parameters
-    ----------
-    hams : (k, n, n) complex array
-        Hermitian generator of each segment, first segment first.
-    durations : (k,) float array
-        Segment durations.
-
-    Returns
-    -------
-    (n, n) complex array
-        U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
+    ``hams`` (..., k, n, n) holds each gate's segment generators, first
+    segment first, and ``durations`` (..., k) their durations, broadcast
+    against ``hams.shape[:-2]``. Returns the (..., n, n) propagators.
     """
-    n = hams.shape[1]
-    u = np.eye(n, dtype=np.complex128)
-    for h, dt in zip(hams, durations):
-        u = expm_hermitian(h, dt) @ u
+    steps = expm_hermitian(hams, durations)
+    u = np.eye(hams.shape[-1], dtype=np.complex128)
+    for j in range(steps.shape[-3]):
+        u = steps[..., j, :, :] @ u
     return u
 
 
 def weighted_population_integral(hams, durations, psi0, weights, samples_per_segment):
-    """Trapezoidal time integral of a weighted population along a sequence.
+    """Trapezoidal time integrals of a weighted population along a sequence.
 
-    Propagates ``psi0`` through the piecewise-constant schedule and
-    accumulates the integral of sum_i weights[i]*|psi_i(t)|^2, sampling each
-    segment on a uniform grid of ``samples_per_segment`` intervals.
-
-    Returns
-    -------
-    (float, (n,) complex array)
-        The integral and the final state.
+    Propagates each of the (m, n) initial states ``psi0`` through the (k, n, n)
+    piecewise-constant schedule of (k,) ``durations`` and integrates
+    sum_i weights[i]*|psi_i(t)|^2, sampling each segment on a uniform grid
+    of ``samples_per_segment`` intervals. Returns the (m,) integrals.
     """
-    psi = np.asarray(psi0, dtype=np.complex128)
-    total = 0.0
-    for h, dur in zip(hams, durations):
-        w, v = np.linalg.eigh(h)
-        c = v.conj().T @ psi
-        ts = np.linspace(0.0, dur, samples_per_segment + 1)
-        amps = (np.exp(np.outer(ts, -1j * w)) * c) @ v.T
-        pops = np.abs(amps) ** 2 @ weights
-        total += float(np.trapezoid(pops, dx=dur / samples_per_segment))
-        psi = amps[-1]
-    return total, psi
+    psi = np.array(psi0, dtype=np.complex128)
+    total = np.zeros(psi.shape[0])
+    w, v = np.linalg.eigh(hams)
+    for wk, vk, dur in zip(w, v, durations):
+        phases = np.exp(np.outer(np.linspace(0.0, dur, samples_per_segment + 1), -1j * wk))
+        # One state at a time: an (m, samples + 1, n) stack is paged in afresh per call.
+        for i, c in enumerate(psi @ vk.conj()):
+            amps = (phases * c) @ vk.T
+            total[i] += np.trapezoid(np.abs(amps) ** 2 @ weights, dx=dur / samples_per_segment)
+            psi[i] = amps[-1]
+    return total

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate import _kernels
+from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import sequence_unitary
 from rydgate.statespace import (
     COMPUTATIONAL_INDICES,
@@ -134,29 +135,29 @@ def fidelity_cphase(u, target_phi, compensate=True):
     targets = np.array([1.0, 1.0, 1.0, np.exp(1j * target_phi)])
     c = np.conj(targets) * np.diag(block)  # order: 00, 01, 10, 11
 
-    if not compensate:
-        tr = abs(np.sum(c))
-        return (tr * tr + tr_mm) / 20.0
+    tr = abs(np.sum(c))
+    if compensate:
 
-    def best_trace(alpha):
-        ph = np.exp(1j * alpha)
-        return abs(c[0] + c[2] * ph) + abs(c[1] + c[3] * ph)
+        def best_trace(alpha):
+            ph = np.exp(1j * alpha)
+            return abs(c[0] + c[2] * ph) + abs(c[1] + c[3] * ph)
 
-    grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-    ph = np.exp(1j * grid)
-    coarse = grid[np.argmax(np.abs(c[0] + c[2] * ph) + np.abs(c[1] + c[3] * ph))]
-    step = grid[1] - grid[0]
-    # |a + b e^{ia}|^2 = |a|^2 + |b|^2 + 2 Re(conj(a) b e^{ia}); a pair whose
-    # amplitudes both vanish adds nothing to f.
-    terms = [
-        (abs(a) ** 2 + abs(b) ** 2, complex(np.conj(a) * b))
-        for a, b in ((c[0], c[2]), (c[1], c[3]))
-        if a != 0 or b != 0
-    ]
-    alpha = _newton_alpha(terms, float(coarse), coarse - step, coarse + step)
-    tr = max(best_trace(coarse), best_trace(alpha))
+        grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+        ph = np.exp(1j * grid)
+        coarse = grid[np.argmax(np.abs(c[0] + c[2] * ph) + np.abs(c[1] + c[3] * ph))]
+        step = grid[1] - grid[0]
+        # |a + b e^{ia}|^2 = |a|^2 + |b|^2 + 2 Re(conj(a) b e^{ia}); a pair whose
+        # amplitudes both vanish adds nothing to f.
+        terms = [
+            (abs(a) ** 2 + abs(b) ** 2, complex(np.conj(a) * b))
+            for a, b in ((c[0], c[2]), (c[1], c[3]))
+            if a != 0 or b != 0
+        ]
+        alpha = _newton_alpha(terms, float(coarse), coarse - step, coarse + step)
+        tr = max(best_trace(coarse), best_trace(alpha))
     fidelity = (tr * tr + tr_mm) / 20.0
-    if fidelity > 1.0 + 1e-9:
+    # Written so that a NaN functional (a non-finite propagator) fails too.
+    if not fidelity <= 1.0 + 1e-9:
         raise ValueError(f"fidelity functional out of range: {fidelity}")
     return min(1.0, fidelity)
 
@@ -181,15 +182,11 @@ def rydberg_time(sequence, initial_states=None, samples_per_segment=256):
     """
     if initial_states is None:
         initial_states = [basis_state(i // 3, i % 3) for i in COMPUTATIONAL_INDICES]
-    hams, durations = sequence.stacked_hamiltonians()
-    weights = rydberg_excitation_counts()
-    totals = [
-        _kernels.weighted_population_integral(
-            hams, durations, np.ascontiguousarray(psi, dtype=np.complex128),
-            weights, int(samples_per_segment),
-        )[0]
-        for psi in initial_states
-    ]
+    rows, durations = sequence.controls()
+    totals = _kernels.weighted_population_integral(
+        hamiltonians(rows), durations, np.array(initial_states, dtype=np.complex128),
+        rydberg_excitation_counts(), int(samples_per_segment),
+    )
     return float(np.mean(totals))
 
 

@@ -18,7 +18,7 @@ from rydgate.analysis import (
     phase_combination,
     phases_and_leakage,
 )
-from rydgate.propagation import sequence_unitary
+from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     BlockadeProtocolParams,
@@ -71,10 +71,15 @@ class BlockadeScanRecord:
     report: object
 
 
-def _propagate_geometric(kappa, omega):
-    seq = geometric_sequence(GeometricProtocolParams.from_omega(kappa, omega))
-    u = sequence_unitary(seq)
-    return seq, u, phases_and_leakage(u)
+def _geometric(kappa, omega):
+    return geometric_sequence(GeometricProtocolParams.from_omega(float(kappa), omega))
+
+
+def _geometric_batch(kappas, omega):
+    """(gate time, propagator) of the geometric gate at each kappa, in order."""
+    rows, durations = zip(*(_geometric(k, omega).controls() for k in kappas))
+    durations = np.array(durations)
+    return zip(durations.sum(axis=-1).tolist(), batch_unitaries(np.array(rows), durations))
 
 
 def sweep_kappa(k_min, k_max, n, omega=1.0):
@@ -87,15 +92,15 @@ def sweep_kappa(k_min, k_max, n, omega=1.0):
         raise ValueError(f"need 0 < k_min < k_max, got ({k_min}, {k_max})")
     if n < 2:
         raise ValueError(f"need at least 2 sweep points, got {n}")
+    kappas = np.linspace(k_min, k_max, int(n))
     records = []
-    for kappa in np.linspace(k_min, k_max, int(n)):
-        kappa = float(kappa)
-        seq, u, extraction = _propagate_geometric(kappa, omega)
+    for kappa, (gate_time, u) in zip(kappas.tolist(), _geometric_batch(kappas, omega)):
+        extraction = phases_and_leakage(u)
         records.append(
             SweepRecord(
                 kappa=kappa,
                 v_over_omega=1.0 / kappa,
-                gate_time_omega_over_pi=seq.total_duration * omega / math.pi,
+                gate_time_omega_over_pi=gate_time * omega / math.pi,
                 phi_c_wrapped=controlled_phase(extraction.phases),
                 phi_c_unwrapped=phase_combination(extraction.phases),
                 leakage_max=extraction.leakage_max,
@@ -105,9 +110,8 @@ def sweep_kappa(k_min, k_max, n, omega=1.0):
     return records
 
 
-def _phase_error(kappa, omega, target_phi):
-    _, _, extraction = _propagate_geometric(kappa, omega)
-    return wrap_angle(controlled_phase(extraction.phases) - target_phi)
+def _phase_error(u, target_phi):
+    return wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target_phi)
 
 
 def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, tol=1e-6):
@@ -125,13 +129,18 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
         If no admissible sign change exists in the bracket; the scanned
         (kappa, wrapped phi_c) table is attached for diagnosis.
     """
-    if not math.isfinite(target_phi):
-        raise ValueError(f"target_phi must be finite, got {target_phi}")
+    for name, value in (("target_phi", target_phi), ("seed_kappa", seed_kappa)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     k_lo, k_hi = bracket
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got {bracket}")
+
+    def error_at(kappa):
+        return _phase_error(sequence_unitary(_geometric(kappa, omega)), target_phi)
+
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
-    errors = [_phase_error(float(k), omega, target_phi) for k in kappas]
+    errors = [_phase_error(u, target_phi) for _, u in _geometric_batch(kappas, omega)]
     scan = tuple(
         (float(k), wrap_angle(e + target_phi)) for k, e in zip(kappas, errors)
     )
@@ -154,10 +163,10 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
     lo, hi = min(candidates, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed_kappa))
 
     if lo != hi:
-        e_lo = _phase_error(lo, omega, target_phi)
+        e_lo = error_at(lo)
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
-            e_mid = _phase_error(mid, omega, target_phi)
+            e_mid = error_at(mid)
             if e_mid == 0.0:
                 lo = hi = mid
                 break
@@ -167,15 +176,14 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
                 hi = mid
     kappa_star = 0.5 * (lo + hi)
 
-    residual = _phase_error(kappa_star, omega, target_phi)
+    residual = error_at(kappa_star)
     if abs(residual) > tol:
         raise CalibrationError(
             f"bisection stalled: |wrapped error| = {abs(residual):.3e} > {tol:g} "
             f"at kappa = {kappa_star}",
             scan=scan,
         )
-    seq = geometric_sequence(GeometricProtocolParams.from_omega(kappa_star, omega))
-    report = analyze_gate(seq, target_phi=target_phi)
+    report = analyze_gate(_geometric(kappa_star, omega), target_phi=target_phi)
     return CalibrationResult(kappa_star=kappa_star, report=report, scan=scan)
 
 

@@ -49,12 +49,6 @@ def _positive(value, name):
     return value
 
 
-def _finite(value, name):
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return value
-
-
 def _parse_config_file(path):
     values = {}
     try:
@@ -141,14 +135,10 @@ def _geometric_params(cfg):
 def _blockade_params(omega, v):
     if v is None:
         raise ConfigError("blockade protocol needs v")
-    try:
-        return BlockadeProtocolParams(rabi=omega, v=v)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return BlockadeProtocolParams(rabi=omega, v=v)
 
 
 def cmd_simulate(cfg):
-    target_phi = _finite(cfg["target_phi"], "target-phi")
     if cfg["protocol"] == "geometric":
         params = _geometric_params(cfg)
         seq = geometric_sequence(params)
@@ -158,17 +148,14 @@ def cmd_simulate(cfg):
         seq = blockade_pdp_sequence(_blockade_params(omega, cfg["v"]))
     else:
         raise ConfigError(f"unknown protocol: {cfg['protocol']!r}")
-    report = analyze_gate(seq, target_phi=target_phi)
+    report = analyze_gate(seq, target_phi=cfg["target_phi"])
     payload = {"protocol": cfg["protocol"], **_report_payload(report, omega)}
     _emit(json.dumps(payload, indent=2) + "\n", cfg["output"])
     return 0
 
 
 def cmd_sweep(cfg):
-    try:
-        records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"], omega=cfg["omega"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"], omega=cfg["omega"])
     lines = [SWEEP_HEADER]
     for r in records:
         lines.append(
@@ -191,8 +178,6 @@ def cmd_sweep(cfg):
 
 def cmd_calibrate(cfg):
     bracket = cfg["bracket"]
-    if bracket is None:
-        raise ConfigError("missing required option: bracket")
     try:
         result = calibrate_kappa(
             cfg["target_phi"],
@@ -200,8 +185,6 @@ def cmd_calibrate(cfg):
             omega=cfg["omega"],
             seed_kappa=cfg["seed_kappa"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     except CalibrationError as exc:
         sys.stderr.write(f"calibration failed: {exc}\n")
         sys.stderr.write("kappa,phi_c_wrapped_rad\n")
@@ -218,7 +201,6 @@ def cmd_calibrate(cfg):
 
 
 def cmd_compare(cfg):
-    target_phi = _finite(cfg["target_phi"], "target-phi")
     omega = _positive(cfg["omega"], "omega")
     geo = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
     blk = BlockadeProtocolParams(rabi=omega, v=_positive(cfg["blockade_v"], "blockade-v"))
@@ -227,7 +209,7 @@ def cmd_compare(cfg):
         ("blockade", blockade_pdp_sequence(blk)),
         ("geometric", geometric_sequence(geo)),
     ):
-        report = analyze_gate(seq, target_phi=target_phi)
+        report = analyze_gate(seq, target_phi=cfg["target_phi"])
         rows.append(
             name
             + ","
@@ -254,17 +236,14 @@ def cmd_robustness(cfg):
         protocol = _blockade_params(omega, cfg["v"])
     else:
         raise ConfigError(f"unknown protocol: {cfg['protocol']!r}")
-    try:
-        noise = NoiseModel.for_interaction(
-            v=protocol.v,
-            r0=_positive(cfg["r0"], "r0"),
-            sigma_omega_rel=cfg["sigma_omega_rel"],
-            sigma_r_rel=cfg["sigma_r_rel"],
-            seed=cfg["seed"],
-        )
-        stats = monte_carlo_fidelity(protocol, noise, cfg["samples"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    noise = NoiseModel.for_interaction(
+        v=protocol.v,
+        r0=_positive(cfg["r0"], "r0"),
+        sigma_omega_rel=cfg["sigma_omega_rel"],
+        sigma_r_rel=cfg["sigma_r_rel"],
+        seed=cfg["seed"],
+    )
+    stats = monte_carlo_fidelity(protocol, noise, cfg["samples"])
     payload = {
         "protocol": cfg["protocol"],
         "seed": cfg["seed"],
@@ -336,55 +315,35 @@ HANDLERS = {
 }
 
 
+COMMAND_HELP = {
+    "simulate": "simulate one gate protocol and print its report",
+    "sweep": "characterize the geometric protocol over a kappa range",
+    "calibrate": "find kappa giving a target controlled phase",
+    "compare": "blockade vs geometric protocol at equal Rabi frequency",
+    "robustness": "Monte-Carlo fidelity under parameter noise",
+}
+
+#: argparse settings of the flags not parsed by their schema type.
+FLAG_SETTINGS = {
+    "config": {"help": "key = value config file; flags override it"},
+    "output": {"help": "output path ('-' or omitted: stdout)"},
+    "protocol": {"choices": ("geometric", "blockade")},
+    "bracket": {"type": float, "nargs": 2, "metavar": ("LO", "HI")},
+}
+
+
 def build_parser():
+    """One subcommand per schema, one ``--flag-name`` per schema key."""
     parser = argparse.ArgumentParser(
         prog="rydgate",
         description="Two-atom Rydberg gate simulator and calibration toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--output", help="output path ('-' or omitted: stdout)")
-        return p
-
-    p = add("simulate", "simulate one gate protocol and print its report")
-    p.add_argument("--protocol", choices=("geometric", "blockade"))
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--target-phi", type=float, dest="target_phi")
-
-    p = add("sweep", "characterize the geometric protocol over a kappa range")
-    p.add_argument("--kappa-min", type=float, dest="kappa_min")
-    p.add_argument("--kappa-max", type=float, dest="kappa_max")
-    p.add_argument("--n", type=int)
-    p.add_argument("--omega", type=float)
-
-    p = add("calibrate", "find kappa giving a target controlled phase")
-    p.add_argument("--target-phi", type=float, dest="target_phi")
-    p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--omega", type=float)
-    p.add_argument("--seed-kappa", type=float, dest="seed_kappa")
-
-    p = add("compare", "blockade vs geometric protocol at equal Rabi frequency")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--blockade-v", type=float, dest="blockade_v")
-    p.add_argument("--target-phi", type=float, dest="target_phi")
-
-    p = add("robustness", "Monte-Carlo fidelity under parameter noise")
-    p.add_argument("--protocol", choices=("geometric", "blockade"))
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--sigma-omega-rel", type=float, dest="sigma_omega_rel")
-    p.add_argument("--sigma-r-rel", type=float, dest="sigma_r_rel")
-    p.add_argument("--r0", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-
+    for command, schema in SCHEMAS.items():
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
+        for key, (parse, _, _) in schema.items():
+            settings = FLAG_SETTINGS.get(key, {"type": parse})
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **settings)
     return parser
 
 
@@ -393,7 +352,7 @@ def main(argv=None):
     try:
         cfg = _merge(args, SCHEMAS[args.command])
         return HANDLERS[args.command](cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and every rejected value
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

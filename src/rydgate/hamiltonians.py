@@ -12,6 +12,10 @@ With a symmetric drive the full 9x9 Hamiltonian decomposes into invariant
 blocks {|00>}, {|01>,|0r>}, {|10>,|r0>}, {|11>,|B>,|rr>} and the dark state
 (|1r>-|r1>)/sqrt(2), where |B> = (|1r>+|r1>)/sqrt(2). ``h_block_01`` and
 ``h_block_11`` build the small blocks directly.
+
+The full Hamiltonian is linear in the seven columns of a control row,
+(Omega1 cos phi1, Omega1 sin phi1, Delta1, Omega2 cos phi2, Omega2 sin phi2,
+Delta2, V): ``hamiltonians`` contracts a stack of rows with ``OPERATORS``.
 """
 
 import cmath
@@ -53,10 +57,6 @@ class DriveParams:
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
         object.__setattr__(self, "phase", wrap_angle(self.phase))
 
-    def scaled(self, factor):
-        """Same drive with the Rabi frequency multiplied by ``factor``."""
-        return DriveParams(self.rabi * factor, self.detuning, self.phase)
-
 
 @dataclass(frozen=True)
 class RydbergParams:
@@ -87,13 +87,41 @@ class CouplingSpec:
         _require_finite(self.j, "j")
 
 
-def _single_atom_drive(drive):
-    a = np.zeros((3, 3), dtype=np.complex128)
-    if drive is not None:
-        a[Level.G1, Level.RYD] = 0.5 * drive.rabi * cmath.exp(1j * drive.phase)
-        a[Level.RYD, Level.G1] = np.conj(a[Level.G1, Level.RYD])
-        a[Level.RYD, Level.RYD] = drive.detuning
-    return a
+# Per-atom operators of the three drive columns: the two quadratures of the
+# |1>-|r> coupling and the Rydberg projector |r><r|.
+_ATOM = np.zeros((3, 3, 3), dtype=np.complex128)
+_ATOM[:2, Level.G1, Level.RYD] = 0.5, 0.5j
+_ATOM[:2, Level.RYD, Level.G1] = 0.5, -0.5j
+_ATOM[2, Level.RYD, Level.RYD] = 1.0
+#: (7, 9, 9) Hermitian operators, one per control-row column; the last is |rr><rr|.
+OPERATORS = np.stack(
+    [kron(op, np.eye(3)) for op in _ATOM]
+    + [kron(np.eye(3), op) for op in _ATOM]
+    + [kron(_ATOM[2], _ATOM[2])]
+)
+OPERATORS.flags.writeable = False
+#: Control-row columns proportional to a Rabi frequency, and the V column.
+RABI_COLUMNS = (0, 1, 3, 4)
+V_COLUMN = 6
+
+
+def control_row(drive1, drive2, ryd):
+    """(7,) control row of per-atom drives (``None``: undriven) and interaction."""
+    row = []
+    for d in (drive1, drive2):
+        if d is None:
+            row += (0.0, 0.0, 0.0)
+        else:
+            row += (d.rabi * math.cos(d.phase), d.rabi * math.sin(d.phase), d.detuning)
+    return np.array(row + [ryd.v])
+
+
+def hamiltonians(controls):
+    """Hamiltonians of a (..., 7) stack of control rows, shape (..., 9, 9)."""
+    # einsum on real views stays out of BLAS, whose threaded gemm on a large
+    # stack leaves OpenBLAS worker threads spinning on the other CPUs.
+    real = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
+    return real.view(np.complex128)
 
 
 def h_full(drive1, drive2, ryd):
@@ -110,10 +138,7 @@ def h_full(drive1, drive2, ryd):
     -------
     (9, 9) complex Hermitian array
     """
-    h = kron(_single_atom_drive(drive1), np.eye(3)) + kron(np.eye(3), _single_atom_drive(drive2))
-    rr = basis_index(Level.RYD, Level.RYD)
-    h[rr, rr] += ryd.v
-    return h
+    return hamiltonians(control_row(drive1, drive2, ryd))
 
 
 def h_block_01(drive2):
@@ -179,6 +204,12 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
 _SM = _SP.conj().T
+#: Direct-coupling operators per unit J, built once like ``OPERATORS``.
+_DIRECT = {
+    CouplingKind.XY: np.kron(_SX, _SX) + np.kron(_SY, _SY),
+    CouplingKind.ZZ: 0.25 * np.kron(_SZ, _SZ),
+    CouplingKind.PM: np.kron(_SP, _SM) + np.kron(_SM, _SP),
+}
 
 
 def h_direct(spec):
@@ -186,15 +217,9 @@ def h_direct(spec):
 
     XY: J*(sx sx + sy sy); ZZ: (J/4)*sz sz; PM: J*(s+ s- + s- s+).
     """
-    if spec.kind is CouplingKind.XY:
-        h = spec.j * (np.kron(_SX, _SX) + np.kron(_SY, _SY))
-    elif spec.kind is CouplingKind.ZZ:
-        h = 0.25 * spec.j * np.kron(_SZ, _SZ)
-    elif spec.kind is CouplingKind.PM:
-        h = spec.j * (np.kron(_SP, _SM) + np.kron(_SM, _SP))
-    else:
+    if spec.kind not in _DIRECT:
         raise ValueError(f"unknown coupling kind: {spec.kind!r}")
-    return h.astype(np.complex128)
+    return spec.j * _DIRECT[spec.kind]
 
 
 def symmetric_block_projectors():

@@ -6,6 +6,10 @@ is the exact spectral-decomposition exponential. Laser-phase jumps between
 segments are represented as distinct segments with different stored phases,
 not as instantaneous kicks. A second-order midpoint stepper
 (``sampled_unitary``) covers time-varying controls.
+
+Every propagation goes through ``batch_unitaries``, which hands stacks of
+control rows to the kernel ``CHUNK`` gates at a time: memory stays bounded,
+and a gate's propagator does not depend on the batch it is in.
 """
 
 import math
@@ -14,8 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rydgate import _kernels
-from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
-from rydgate.statespace import DIM
+from rydgate.hamiltonians import DriveParams, RydbergParams, control_row, h_full, hamiltonians
+
+#: Gates per kernel call in ``batch_unitaries``: small enough that each stack
+#: (41 KB at four segments) is reused by the allocator, not paged in afresh.
+CHUNK = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -59,28 +66,31 @@ class PulseSequence:
     def total_duration(self):
         return sum(seg.duration for seg in self.segments)
 
-    def stacked_hamiltonians(self):
-        """(k, 9, 9) Hamiltonian stack and (k,) durations, kernel-ready."""
-        hams = np.ascontiguousarray(
-            np.stack([seg.hamiltonian() for seg in self.segments])
-        )
-        durations = np.ascontiguousarray(
-            [seg.duration for seg in self.segments], dtype=np.float64
-        )
-        return hams, durations
+    def controls(self):
+        """(k, 7) control rows and (k,) durations, kernel-ready."""
+        rows = np.array([control_row(s.drive1, s.drive2, s.ryd) for s in self.segments])
+        return rows, np.array([s.duration for s in self.segments])
 
 
 def segment_unitary(segment):
     """Exact propagator exp(-i*H*duration) of one segment."""
-    return _kernels.expm_hermitian(
-        np.ascontiguousarray(segment.hamiltonian()), segment.duration
-    )
+    return sequence_unitary(PulseSequence((segment,)))
+
+
+def batch_unitaries(controls, durations):
+    """Yield the propagator of each of n gates given as (n, k, 7) control
+    rows and (n, k) segment durations, or (k,) shared by all gates."""
+    durations = np.broadcast_to(durations, controls.shape[:-1])
+    for start in range(0, len(controls), CHUNK):
+        chunk = slice(start, start + CHUNK)
+        yield from _kernels.sequence_product(hamiltonians(controls[chunk]), durations[chunk])
 
 
 def sequence_unitary(sequence):
     """Time-ordered product U = U_k ... U_2 U_1 over the whole schedule."""
-    hams, durations = sequence.stacked_hamiltonians()
-    return _kernels.sequence_product(hams, durations)
+    rows, durations = sequence.controls()
+    (u,) = batch_unitaries(rows[None], durations)
+    return u
 
 
 @dataclass(frozen=True)
@@ -88,8 +98,9 @@ class SampledControls:
     """Controls sampled on a uniform time grid, with constant interaction.
 
     ``times`` is the grid 0, dt, ..., duration; ``drive1``/``drive2`` hold one
-    (rabi, detuning, phase) row per grid point. Phase samples are plain reals
-    (not re-wrapped), so ramps interpolate linearly across grid refinement.
+    finite (rabi >= 0, detuning, phase) row per grid point. Phase samples are
+    plain reals (not re-wrapped), so ramps interpolate linearly across grid
+    refinement.
     """
 
     times: np.ndarray
@@ -113,6 +124,8 @@ class SampledControls:
         for name, d in (("drive1", d1), ("drive2", d2)):
             if d.shape != (times.size, 3):
                 raise ValueError(f"{name} must have shape (n_times, 3), got {d.shape}")
+            if not (np.all(np.isfinite(d)) and np.all(d[:, 0] >= 0)):
+                raise ValueError(f"{name} samples must be finite, with rabi >= 0")
         if not math.isfinite(self.v):
             raise ValueError(f"v must be finite, got {self.v}")
         object.__setattr__(self, "times", times)
@@ -154,18 +167,13 @@ class SampledControls:
 
 
 def _midpoint_product(controls):
-    mid1 = 0.5 * (controls.drive1[:-1] + controls.drive1[1:])
-    mid2 = 0.5 * (controls.drive2[:-1] + controls.drive2[1:])
-    ryd = RydbergParams(controls.v)
-    hams = np.empty((mid1.shape[0], DIM, DIM), dtype=np.complex128)
-    for i in range(mid1.shape[0]):
-        hams[i] = h_full(
-            DriveParams(rabi=mid1[i, 0], detuning=mid1[i, 1], phase=mid1[i, 2]),
-            DriveParams(rabi=mid2[i, 0], detuning=mid2[i, 1], phase=mid2[i, 2]),
-            ryd,
-        )
-    durations = np.full(mid1.shape[0], controls.dt, dtype=np.float64)
-    return _kernels.sequence_product(np.ascontiguousarray(hams), durations)
+    columns = []
+    for d in (controls.drive1, controls.drive2):
+        rabi, detuning, phase = (0.5 * (d[:-1] + d[1:])).T
+        columns += [rabi * np.cos(phase), rabi * np.sin(phase), detuning]
+    rows = np.column_stack(columns + [np.full(len(rabi), controls.v)])
+    (u,) = batch_unitaries(rows[None], controls.dt)
+    return u
 
 
 def sampled_unitary(controls, tol=1e-8, max_halvings=12):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate.analysis import controlled_phase, fidelity_cphase, phases_and_leakage
-from rydgate.hamiltonians import RydbergParams
-from rydgate.propagation import PulseSegment, PulseSequence, sequence_unitary
+from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
+from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
@@ -41,8 +41,10 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if self.sigma_omega_rel < 0 or self.sigma_r_rel < 0:
-            raise ValueError("noise spreads must be >= 0")
+        for name in ("sigma_omega_rel", "sigma_r_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (math.isfinite(self.r0) and self.r0 > 0):
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if not math.isfinite(self.c6):
@@ -53,10 +55,14 @@ class NoiseModel:
     @classmethod
     def for_interaction(cls, v, r0, sigma_omega_rel, sigma_r_rel, seed):
         """Choose C6 so the nominal spacing r0 reproduces interaction v."""
+        try:
+            c6 = v * r0**6
+        except OverflowError:
+            raise ValueError(f"c6 = v * r0**6 must be finite, got an overflow at r0 = {r0}") from None
         return cls(
             sigma_omega_rel=sigma_omega_rel,
             sigma_r_rel=sigma_r_rel,
-            c6=v * r0**6,
+            c6=c6,
             r0=r0,
             seed=seed,
         )
@@ -81,7 +87,10 @@ def v_of_spacing(c6, r):
     """Van der Waals interaction V = C6 / r^6."""
     if not r > 0:
         raise ValueError(f"spacing must be positive, got {r}")
-    return c6 / r**6
+    try:
+        return c6 / r**6
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"spacing {r} is out of range: r**6 over- or underflows") from None
 
 
 def _nominal_sequence(protocol):
@@ -97,18 +106,18 @@ def _sample_eps(seed, index):
     return rng.standard_normal(), rng.standard_normal()
 
 
-def _perturbed_sequence(nominal, omega_factor, v):
-    ryd = RydbergParams(v)
-    segments = tuple(
-        PulseSegment(
-            duration=seg.duration,
-            drive1=None if seg.drive1 is None else seg.drive1.scaled(omega_factor),
-            drive2=None if seg.drive2 is None else seg.drive2.scaled(omega_factor),
-            ryd=ryd,
-        )
-        for seg in nominal.segments
-    )
-    return PulseSequence(segments)
+def _perturbed_controls(rows, omega_factors, v):
+    """(n, k, 7) control rows of n noisy copies of the nominal (k, 7) ``rows``.
+
+    Gate i has its Rabi frequencies scaled by ``omega_factors[i]`` and its
+    interaction set to ``v[i]``; durations, detunings and phases stay nominal.
+    """
+    if not (np.all(omega_factors >= 0) and np.all(np.isfinite(v))):
+        raise ValueError("noise draws must give Rabi factors >= 0 and a finite V")
+    controls = np.repeat(rows[None], len(v), axis=0)
+    controls[..., RABI_COLUMNS] *= omega_factors[:, None, None]
+    controls[..., V_COLUMN] = v[:, None]
+    return controls
 
 
 def monte_carlo_fidelity(protocol, noise, n_samples):
@@ -135,14 +144,16 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     nominal = _nominal_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
 
+    eps = np.array([_sample_eps(noise.seed, i) for i in range(n_samples)])
+    spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
+    v = np.array([v_of_spacing(noise.c6, r) for r in spacings.tolist()])
+    rows, durations = nominal.controls()
+    controls = _perturbed_controls(rows, 1.0 + noise.sigma_omega_rel * eps[:, 0], v)
+    gates = batch_unitaries(controls, durations)
+
     fidelities = np.empty(n_samples)
     phase_errors = np.empty(n_samples)
-    for i in range(n_samples):
-        eps_omega, eps_r = _sample_eps(noise.seed, i)
-        omega_factor = 1.0 + noise.sigma_omega_rel * eps_omega
-        r_sample = noise.r0 * (1.0 + noise.sigma_r_rel * eps_r)
-        seq = _perturbed_sequence(nominal, omega_factor, v_of_spacing(noise.c6, r_sample))
-        u = sequence_unitary(seq)
+    for i, u in enumerate(gates):
         fidelities[i] = fidelity_cphase(u, target)
         phase_errors[i] = abs(
             wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import golden_section_fidelity
 
+from rydgate import _kernels
 from rydgate.analysis import (
     analyze_gate,
     controlled_phase,
@@ -21,16 +22,17 @@ from rydgate.hamiltonians import (
     DriveParams,
     RydbergParams,
     h_direct,
+    hamiltonians,
 )
-from rydgate.propagation import PulseSegment, PulseSequence, sequence_unitary
+from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, sequence_unitary
 from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
     blockade_pdp_sequence,
     geometric_sequence,
 )
-from rydgate.robustness import _perturbed_sequence
-from rydgate.statespace import COMPUTATIONAL_INDICES, expm_hermitian
+from rydgate.robustness import _perturbed_controls
+from rydgate.statespace import COMPUTATIONAL_INDICES, expm_hermitian, rydberg_excitation_counts
 
 
 def _embed_diag(values):
@@ -170,6 +172,14 @@ class TestFidelity:
         with pytest.raises(ValueError, match="finite"):
             fidelity_cphase(np.eye(9, dtype=complex), target_phi)
 
+    def test_non_finite_unitary_rejected(self):
+        # min(1, nan) is 1: without the check a NaN gate reads as perfect.
+        u = np.eye(9, dtype=complex)
+        u[4, 4] = np.nan
+        for compensate in (True, False):
+            with pytest.raises(ValueError, match="out of range"):
+                fidelity_cphase(u, math.pi, compensate=compensate)
+
     def test_maximizer_matches_golden_section_oracle(self, rng):
         cases = []
         for kappa in np.linspace(0.2, 2.5, 200):
@@ -179,10 +189,10 @@ class TestFidelity:
             (GeometricProtocolParams.from_omega(1.65, 1.0), geometric_sequence),
             (BlockadeProtocolParams(rabi=1.0, v=100.0), blockade_pdp_sequence),
         ):
-            nominal = build(params)
-            for eps_omega, eps_v in rng.normal(scale=0.02, size=(200, 2)):
-                seq = _perturbed_sequence(nominal, 1.0 + eps_omega, params.v * (1.0 + eps_v))
-                cases.append((sequence_unitary(seq), math.pi))
+            rows, durations = build(params).controls()
+            eps = rng.normal(scale=0.02, size=(200, 2))
+            controls = _perturbed_controls(rows, 1.0 + eps[:, 0], params.v * (1.0 + eps[:, 1]))
+            cases.extend((u, math.pi) for u in batch_unitaries(controls, durations))
         for _ in range(100):
             q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
             cases.append((q, float(rng.uniform(-math.pi, math.pi))))
@@ -233,6 +243,18 @@ class TestActuationMetrics:
         assert rydberg_time(seq, samples_per_segment=512) == pytest.approx(
             math.pi / (4 * omega), rel=1e-6
         )
+
+    def test_population_integral_per_state_and_input_untouched(self):
+        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        hams = hamiltonians(rows)
+        psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
+        before = psi0.copy()
+        weights = rydberg_excitation_counts()
+        totals = _kernels.weighted_population_integral(hams, durations, psi0, weights, 16)
+        assert np.array_equal(psi0, before)
+        for psi, total in zip(before, totals):
+            (alone,) = _kernels.weighted_population_integral(hams, durations, psi[None], weights, 16)
+            assert alone == pytest.approx(total, rel=1e-14)
 
 
 class TestGateReport:

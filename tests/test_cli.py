@@ -229,6 +229,12 @@ class TestRobustnessCommand:
         ("simulate", "--protocol", "blockade", "--omega", "1", "--v", "nan"),
         ("robustness", "--protocol", "blockade", "--omega", "1", "--v", "inf",
          "--seed", "1", "--samples", "2"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--sigma-r-rel", "inf", "--seed", "1", "--samples", "3"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--sigma-omega-rel", "nan", "--seed", "1", "--samples", "3"),
+        ("calibrate", "--target-phi", "-3.14159265358979", "--bracket", "1.0", "2.5",
+         "--seed-kappa", "nan"),
     ],
     ids=[
         "simulate-target-nan",
@@ -236,6 +242,9 @@ class TestRobustnessCommand:
         "calibrate-target-nan",
         "simulate-blockade-v-nan",
         "robustness-blockade-v-inf",
+        "robustness-sigma-r-inf",
+        "robustness-sigma-omega-nan",
+        "calibrate-seed-kappa-nan",
     ],
 )
 def test_non_finite_value_exits_two(capsys, argv):
@@ -243,6 +252,41 @@ def test_non_finite_value_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--protocol", "geometric", "--kappa", "1e-310", "--omega", "1"),
+        ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--v", "1e308"),
+        ("compare", "--omega", "1", "--kappa", "1e-310", "--blockade-v", "100"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1e-310", "--omega", "1",
+         "--seed", "1", "--samples", "2"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--r0", "1e100", "--seed", "1", "--samples", "2"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--r0", "1e-60", "--seed", "1", "--samples", "2"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--sigma-r-rel", "1e60", "--seed", "1", "--samples", "2"),
+        ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+         "--sigma-omega-rel", "200", "--seed", "1", "--samples", "3"),
+    ],
+    ids=[
+        "simulate-v-overflows",
+        "simulate-duration-underflows",
+        "compare-v-overflows",
+        "robustness-v-overflows",
+        "robustness-c6-overflows",
+        "robustness-spacing-underflows",
+        "robustness-spacing-overflows",
+        "robustness-negative-rabi-draw",
+    ],
+)
+def test_out_of_range_value_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestConfigFile:

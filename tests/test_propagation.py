@@ -13,14 +13,18 @@ from rydgate.hamiltonians import (
     symmetric_block_projectors,
 )
 from rydgate.propagation import (
+    CHUNK,
     ConvergenceError,
     PulseSegment,
     PulseSequence,
     SampledControls,
+    batch_unitaries,
     sampled_unitary,
     segment_unitary,
     sequence_unitary,
 )
+from rydgate.protocols import GeometricProtocolParams, geometric_sequence
+from rydgate.robustness import _perturbed_controls
 from rydgate.statespace import basis_index, rydberg_excitation_counts, unitarity_defect
 
 
@@ -148,6 +152,26 @@ class TestSequenceUnitary:
                 assert np.max(np.abs(u @ p - p @ u)) < 1e-10
 
 
+class TestBatchUnitaries:
+    def test_chunking_never_changes_bits(self, rng):
+        n = 2 * CHUNK + 5
+        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        eps = rng.normal(scale=0.02, size=(n, 2))
+        controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        batch = list(batch_unitaries(controls, durations))
+        assert len(batch) == n
+        for i, u in enumerate(batch):
+            (alone,) = batch_unitaries(controls[i : i + 1], durations)
+            assert np.array_equal(u, alone), i
+
+    def test_per_gate_durations(self, rng):
+        segs = [random_segment(rng) for _ in range(6)]
+        seqs = [PulseSequence(tuple(segs[:3])), PulseSequence(tuple(segs[3:]))]
+        rows, durations = zip(*(seq.controls() for seq in seqs))
+        for u, seq in zip(batch_unitaries(np.array(rows), np.array(durations)), seqs):
+            assert np.array_equal(u, sequence_unitary(seq))
+
+
 class TestSampledControls:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="uniformly"):
@@ -157,6 +181,13 @@ class TestSampledControls:
                 drive2=np.zeros((3, 3)),
                 v=0.0,
             )
+
+    @pytest.mark.parametrize("index, value", [((1, 0), -0.5), ((2, 1), np.nan), ((0, 2), np.inf)])
+    def test_sample_validation(self, index, value):
+        drive = np.ones((3, 3))
+        drive[index] = value
+        with pytest.raises(ValueError, match="finite, with rabi >= 0"):
+            SampledControls(times=np.array([0.0, 0.1, 0.2]), drive1=np.ones((3, 3)), drive2=drive, v=0.0)
 
     def test_constant_controls_match_segment_unitary(self):
         omega, delta, phase, v = 1.2, -0.4, 0.3, 2.0
