@@ -7,11 +7,24 @@ Leading axes of every argument are batch axes: one broadcast
 import numpy as np
 
 
+def _eigenphases(w, t):
+    """Phases w*t of eigenvalues ``w`` over times ``t`` (broadcast together).
+
+    Raises ValueError where w*t overflows, before NumPy would warn and turn
+    the propagator into NaN.
+    """
+    with np.errstate(over="ignore"):
+        wt = w * t
+    if not np.isfinite(wt).all():
+        raise ValueError("an eigenphase w*t overflows: the interaction strength times the duration is out of range")
+    return wt
+
+
 def expm_hermitian(h, t):
     """exp(-i*h*t) of (..., n, n) Hermitian matrices; ``t`` broadcasts over ``h.shape[:-2]``."""
     w, v = np.linalg.eigh(h)
     v_dagger = v.conj().swapaxes(-1, -2)
-    v *= np.exp(w * (-1j * np.asarray(t))[..., None])[..., None, :]  # in place: one stack fewer
+    v *= np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))[..., None, :]  # in place: one stack fewer
     return v @ v_dagger
 
 
@@ -40,6 +53,7 @@ def weighted_population_integral(hams, durations, psi0, weights, samples_per_seg
     psi = np.array(psi0, dtype=np.complex128)
     total = np.zeros(psi.shape[0])
     w, v = np.linalg.eigh(hams)
+    _eigenphases(w, durations[:, None])  # each segment's largest |w*t|
     for wk, vk, dur in zip(w, v, durations):
         phases = np.exp(np.outer(np.linspace(0.0, dur, samples_per_segment + 1), -1j * wk))
         # One state at a time: an (m, samples + 1, n) stack is paged in afresh per call.

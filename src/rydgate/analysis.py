@@ -10,9 +10,15 @@ reported both raw ("unwrapped", range (-4*pi, 4*pi)) and wrapped into
 (-pi, pi] with the branch point -pi mapped to +pi. Including phi_00 makes
 the same functional correct for direct-coupling gates where |00> is not
 stationary; it vanishes for the Rydberg protocols where |00> is decoupled.
+
+Stacks. ``phases_and_leakage`` and ``fidelity_cphase`` take one 9x9 (or
+4x4) unitary or a (..., 9, 9) stack of them, such as a chunk from
+``propagation.batch_unitaries``; sweeps, scans and Monte-Carlo runs
+characterize one chunk per call. One gate is a stack of shape () and gives
+Python scalars; a stack gives arrays over its leading axes, and each gate's
+entries carry the same bits as the gate passed alone.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,58 +27,80 @@ import numpy as np
 from rydgate import _kernels
 from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import sequence_unitary
-from rydgate.statespace import (
-    COMPUTATIONAL_INDICES,
-    basis_state,
-    rydberg_excitation_counts,
-    wrap_angle,
-)
+from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 #: Below this diagonal-amplitude magnitude the extracted phase is meaningless
 #: (the evolution is far from cyclic for that basis state).
 RELIABLE_AMPLITUDE = 0.5
 
-#: Safety cap on Newton steps in the local-Z refinement of fidelity_cphase;
-#: starting at most one grid cell (2*pi/256) from the maximum, it stops after
-#: one to six steps on sweep, noisy and random gates.
-_NEWTON_STEPS = 16
+#: The 256-point grid of qubit-1 angles that seeds the local-Z maximizer of
+#: fidelity_cphase, and its phasors e^{i*alpha}.
+_GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+_PHASORS = np.exp(1j * _GRID)
+_CELL = _GRID[1]
+
+#: rydberg_time's defaults: the four computational product states, and the
+#: number of Rydberg excitations of each basis state.
+_COMPUTATIONAL_STATES = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
+_EXCITATIONS = rydberg_excitation_counts()
+
+#: Indices of the computational states |00>, |01>, |10>, |11>, per matrix size.
+_INDICES = {9: np.array(COMPUTATIONAL_INDICES), 4: np.arange(4)}
 
 
-def _computational_indices(u):
-    if u.shape == (9, 9):
-        return COMPUTATIONAL_INDICES
-    if u.shape == (4, 4):
-        return (0, 1, 2, 3)
-    raise ValueError(f"expected a 9x9 or 4x4 unitary, got shape {u.shape}")
+def _stack(u):
+    """``u`` as a complex (..., n, n) stack, and the computational indices for n = 9 or 4."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape[-2:] not in ((9, 9), (4, 4)):
+        raise ValueError(f"expected a 9x9 or 4x4 unitary or a stack of them, got shape {u.shape}")
+    return u, _INDICES[u.shape[-1]]
+
+
+def _unstack(values):
+    """A Python scalar for one gate (a stack of shape ()), the array for a stack."""
+    return values.tolist() if values.ndim == 0 else values
+
+
+def _per_state(values):
+    """Split (..., 4) values into their four computational states, 00 to 11."""
+    if values.ndim == 1:
+        return tuple(values.tolist())
+    return tuple(np.moveaxis(values, -1, 0))
 
 
 @dataclass(frozen=True)
 class PhaseExtraction:
-    """Diagonal phases and leakage per computational state (00, 01, 10, 11)."""
+    """Diagonal phases and leakage per computational state (00, 01, 10, 11).
+
+    Each field holds four per-state entries: Python floats (bools for
+    ``reliable``) for one gate, arrays over the stack's leading axes for a
+    stack of gates; ``leakage_max`` is the largest leakage of each gate.
+    """
 
     phases: tuple
     leakage: tuple
     reliable: tuple
-
-    @property
-    def leakage_max(self):
-        return max(self.leakage)
+    leakage_max: float
 
 
 def phases_and_leakage(u):
     """Extract phi_b = arg(<b|U|b>) and leak_b = 1 - |<b|U|b>|^2 per state.
 
+    ``u`` is one 9x9 (or 4x4) unitary or a (..., 9, 9) stack of them.
     States whose diagonal amplitude has magnitude below 0.5 are flagged
     unreliable instead of raising: their phase is still reported but should
     not be trusted.
     """
-    u = np.asarray(u)
-    idx = _computational_indices(u)
-    amps = [complex(u[i, i]) for i in idx]
-    phases = tuple(math.atan2(a.imag, a.real) for a in amps)
-    leakage = tuple(min(1.0, max(0.0, 1.0 - abs(a) ** 2)) for a in amps)
-    reliable = tuple(abs(a) >= RELIABLE_AMPLITUDE for a in amps)
-    return PhaseExtraction(phases=phases, leakage=leakage, reliable=reliable)
+    u, idx = _stack(u)
+    amps = u[..., idx, idx]
+    magnitude = np.hypot(amps.real, amps.imag)
+    leakage = np.maximum(1.0 - magnitude**2, 0.0)
+    return PhaseExtraction(
+        phases=_per_state(np.arctan2(amps.imag, amps.real)),
+        leakage=_per_state(leakage),
+        reliable=_per_state(magnitude >= RELIABLE_AMPLITUDE),
+        leakage_max=_unstack(leakage.max(axis=-1)),
+    )
 
 
 def phase_combination(phases):
@@ -86,33 +114,38 @@ def controlled_phase(phases):
     return wrap_angle(phase_combination(phases))
 
 
-def _newton_alpha(terms, alpha, lo, hi):
-    """Refine a maximum of f(alpha) = sum_k sqrt(A_k + 2 Re(z_k e^{i alpha})).
+def _trace(c, phasors):
+    """f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| for (..., m) phasors e^{ia}."""
+    pairs = np.abs(c[..., :2, None] + c[..., 2:, None] * phasors[..., None, :])
+    return pairs[..., 0, :] + pairs[..., 1, :]
 
-    Takes Newton steps on the closed-form f' and f'' from ``alpha`` and stops
-    where f is not concave, where a step would leave (lo, hi), where the step
-    no longer changes alpha or no longer shrinks (rounding makes it cycle
-    between neighbouring floats), or at a cusp of one term.
+
+def _local_z_angle(c):
+    """The qubit-1 angle that maximizes f, for each gate of the stack.
+
+    Starts at the best of the 256 grid points and takes two Newton steps on
+    the closed-form f' and f'' of f(a) = sum_k sqrt(A_k + 2 Re(z_k e^{ia})),
+    with |a_k + b_k e^{ia}|^2 = A_k + 2 Re(z_k e^{ia}). Where the steps give
+    NaN (a cusp of one term) or leave the grid cell, the grid point is kept.
     """
-    last = math.inf
-    for _ in range(_NEWTON_STEPS):
-        d1 = d2 = 0.0
-        for big_a, z in terms:
-            w = z * cmath.exp(1j * alpha)
-            g = big_a + 2.0 * w.real
-            if g <= 0.0:
-                return alpha
-            h = math.sqrt(g)
-            d1 -= w.imag / h
-            d2 -= w.real / h + w.imag * w.imag / (h * g)
-        if not d2 < 0.0:
-            return alpha
-        step = d1 / d2
-        new = alpha - step
-        if not (lo < new < hi and abs(step) < last) or new == alpha:
-            return alpha
-        alpha, last = new, abs(step)
-    return alpha
+    coarse = _GRID[np.argmax(_trace(c, _PHASORS), axis=-1)]
+    a, b = c[..., :2], c[..., 2:]
+    big_a = np.abs(a) ** 2 + np.abs(b) ** 2
+    # A pair whose amplitudes both vanish adds nothing to f; A = 1 keeps its
+    # derivative terms at exactly zero.
+    big_a[big_a == 0.0] = 1.0
+    z = np.conj(a) * b
+    alpha = coarse
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            w = z * np.exp(1j * alpha)[..., None]
+            h = np.sqrt(big_a + 2.0 * w.real)
+            q = w / h
+            # f' = -sum Im(w)/h and f'' = -sum (Re(w)/h + Im(w)^2/h^3).
+            d1 = q.imag.sum(axis=-1)
+            d2 = (q.real + q.imag * q.imag / h).sum(axis=-1)
+            alpha = alpha - d1 / d2
+    return np.where(np.abs(alpha - coarse) < _CELL, alpha, coarse)
 
 
 def fidelity_cphase(u, target_phi, compensate=True):
@@ -124,42 +157,29 @@ def fidelity_cphase(u, target_phi, compensate=True):
     freedom is removed by maximizing over the two local angles (Pedersen,
     Moller & Molmer, Phys. Lett. A 367, 47 (2007)): the qubit-2 angle
     maximizes out exactly, leaving a 1-D search over the qubit-1 angle
-    (coarse grid, then Newton steps inside the best grid cell).
+    (a 256-point grid, then two Newton steps inside the best grid cell).
+
+    ``u`` is one 9x9 (or 4x4) unitary, which gives a Python float, or a
+    (..., 9, 9) stack, which gives an array over its leading axes;
+    ``target_phi`` is a number or broadcasts over those axes.
     """
-    if not math.isfinite(target_phi):
+    if not np.isfinite(target_phi).all():
         raise ValueError(f"target_phi must be finite, got {target_phi}")
-    u = np.asarray(u, dtype=np.complex128)
-    idx = _computational_indices(u)
-    block = u[np.ix_(idx, idx)]
-    tr_mm = float(np.sum(np.abs(block) ** 2))
-    targets = np.array([1.0, 1.0, 1.0, np.exp(1j * target_phi)])
-    c = np.conj(targets) * np.diag(block)  # order: 00, 01, 10, 11
-
-    tr = abs(np.sum(c))
+    u, idx = _stack(u)
+    # C order, so that each sum below adds in the same order for every gate.
+    block = np.ascontiguousarray(u[..., idx[:, None], idx])
+    tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
+    c = block.diagonal(axis1=-2, axis2=-1).copy()  # order: 00, 01, 10, 11
+    c[..., 3] *= np.conj(np.exp(1j * np.asarray(target_phi)))
     if compensate:
-
-        def best_trace(alpha):
-            ph = np.exp(1j * alpha)
-            return abs(c[0] + c[2] * ph) + abs(c[1] + c[3] * ph)
-
-        grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-        ph = np.exp(1j * grid)
-        coarse = grid[np.argmax(np.abs(c[0] + c[2] * ph) + np.abs(c[1] + c[3] * ph))]
-        step = grid[1] - grid[0]
-        # |a + b e^{ia}|^2 = |a|^2 + |b|^2 + 2 Re(conj(a) b e^{ia}); a pair whose
-        # amplitudes both vanish adds nothing to f.
-        terms = [
-            (abs(a) ** 2 + abs(b) ** 2, complex(np.conj(a) * b))
-            for a, b in ((c[0], c[2]), (c[1], c[3]))
-            if a != 0 or b != 0
-        ]
-        alpha = _newton_alpha(terms, float(coarse), coarse - step, coarse + step)
-        tr = max(best_trace(coarse), best_trace(alpha))
+        tr = _trace(c, np.exp(1j * _local_z_angle(c))[..., None])[..., 0]
+    else:
+        tr = np.abs(c.sum(axis=-1))
     fidelity = (tr * tr + tr_mm) / 20.0
     # Written so that a NaN functional (a non-finite propagator) fails too.
-    if not fidelity <= 1.0 + 1e-9:
-        raise ValueError(f"fidelity functional out of range: {fidelity}")
-    return min(1.0, fidelity)
+    if not (fidelity <= 1.0 + 1e-9).all():
+        raise ValueError(f"fidelity functional out of range: {np.max(fidelity)}")
+    return _unstack(np.minimum(fidelity, 1.0))
 
 
 def pulse_area(sequence):
@@ -181,11 +201,10 @@ def rydberg_time(sequence, initial_states=None, samples_per_segment=256):
     computational product states.
     """
     if initial_states is None:
-        initial_states = [basis_state(i // 3, i % 3) for i in COMPUTATIONAL_INDICES]
+        initial_states = _COMPUTATIONAL_STATES
     rows, durations = sequence.controls()
     totals = _kernels.weighted_population_integral(
-        hamiltonians(rows), durations, np.array(initial_states, dtype=np.complex128),
-        rydberg_excitation_counts(), int(samples_per_segment),
+        hamiltonians(rows), durations, initial_states, _EXCITATIONS, int(samples_per_segment)
     )
     return float(np.mean(totals))
 

@@ -76,10 +76,11 @@ def _geometric(kappa, omega):
 
 
 def _geometric_batch(kappas, omega):
-    """(gate time, propagator) of the geometric gate at each kappa, in order."""
+    """Gate times (n,) of the geometric gate at each kappa, and its
+    propagators in chunk stacks, in order."""
     rows, durations = zip(*(_geometric(k, omega).controls() for k in kappas))
     durations = np.array(durations)
-    return zip(durations.sum(axis=-1).tolist(), batch_unitaries(np.array(rows), durations))
+    return durations.sum(axis=-1), batch_unitaries(np.array(rows), durations)
 
 
 def sweep_kappa(k_min, k_max, n, omega=1.0):
@@ -93,21 +94,19 @@ def sweep_kappa(k_min, k_max, n, omega=1.0):
     if n < 2:
         raise ValueError(f"need at least 2 sweep points, got {n}")
     kappas = np.linspace(k_min, k_max, int(n))
-    records = []
-    for kappa, (gate_time, u) in zip(kappas.tolist(), _geometric_batch(kappas, omega)):
+    gate_times, chunks = _geometric_batch(kappas, omega)
+    wrapped, unwrapped, leakage, fidelity = [], [], [], []
+    for u in chunks:
         extraction = phases_and_leakage(u)
-        records.append(
-            SweepRecord(
-                kappa=kappa,
-                v_over_omega=1.0 / kappa,
-                gate_time_omega_over_pi=gate_time * omega / math.pi,
-                phi_c_wrapped=controlled_phase(extraction.phases),
-                phi_c_unwrapped=phase_combination(extraction.phases),
-                leakage_max=extraction.leakage_max,
-                fidelity_cz=fidelity_cphase(u, math.pi),
-            )
-        )
-    return records
+        wrapped.append(controlled_phase(extraction.phases))
+        unwrapped.append(phase_combination(extraction.phases))
+        leakage.append(extraction.leakage_max)
+        fidelity.append(fidelity_cphase(u, math.pi))
+    columns = (np.concatenate(c).tolist() for c in (wrapped, unwrapped, leakage, fidelity))
+    return [
+        SweepRecord(kappa, 1.0 / kappa, gate_time * omega / math.pi, *values)
+        for kappa, gate_time, *values in zip(kappas.tolist(), gate_times.tolist(), *columns)
+    ]
 
 
 def _phase_error(u, target_phi):
@@ -140,7 +139,8 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
         return _phase_error(sequence_unitary(_geometric(kappa, omega)), target_phi)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
-    errors = [_phase_error(u, target_phi) for _, u in _geometric_batch(kappas, omega)]
+    _, chunks = _geometric_batch(kappas, omega)
+    errors = np.concatenate([_phase_error(u, target_phi) for u in chunks]).tolist()
     scan = tuple(
         (float(k), wrap_angle(e + target_phi)) for k, e in zip(kappas, errors)
     )

@@ -8,8 +8,9 @@ not as instantaneous kicks. A second-order midpoint stepper
 (``sampled_unitary``) covers time-varying controls.
 
 Every propagation goes through ``batch_unitaries``, which hands stacks of
-control rows to the kernel ``CHUNK`` gates at a time: memory stays bounded,
-and a gate's propagator does not depend on the batch it is in.
+control rows to the kernel ``CHUNK`` gates at a time and yields each
+chunk's propagators as one stack: memory stays bounded, and a gate's
+propagator does not depend on the batch it is in.
 """
 
 import math
@@ -78,19 +79,24 @@ def segment_unitary(segment):
 
 
 def batch_unitaries(controls, durations):
-    """Yield the propagator of each of n gates given as (n, k, 7) control
-    rows and (n, k) segment durations, or (k,) shared by all gates."""
+    """Propagators of n gates, yielded in order as (<= CHUNK, 9, 9) stacks.
+
+    The gates are given as (n, k, 7) control rows and (n, k) segment
+    durations, or (k,) durations shared by all gates. Every stack holds
+    CHUNK gates except a shorter last one; characterize each stack whole
+    with ``phases_and_leakage`` and ``fidelity_cphase``.
+    """
     durations = np.broadcast_to(durations, controls.shape[:-1])
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
-        yield from _kernels.sequence_product(hamiltonians(controls[chunk]), durations[chunk])
+        yield _kernels.sequence_product(hamiltonians(controls[chunk]), durations[chunk])
 
 
 def sequence_unitary(sequence):
     """Time-ordered product U = U_k ... U_2 U_1 over the whole schedule."""
     rows, durations = sequence.controls()
-    (u,) = batch_unitaries(rows[None], durations)
-    return u
+    (gates,) = batch_unitaries(rows[None], durations)
+    return gates[0]
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,8 @@ def _midpoint_product(controls):
         rabi, detuning, phase = (0.5 * (d[:-1] + d[1:])).T
         columns += [rabi * np.cos(phase), rabi * np.sin(phase), detuning]
     rows = np.column_stack(columns + [np.full(len(rabi), controls.v)])
-    (u,) = batch_unitaries(rows[None], controls.dt)
-    return u
+    (gates,) = batch_unitaries(rows[None], controls.dt)
+    return gates[0]
 
 
 def sampled_unitary(controls, tol=1e-8, max_halvings=12):

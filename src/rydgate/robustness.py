@@ -149,15 +149,11 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     v = np.array([v_of_spacing(noise.c6, r) for r in spacings.tolist()])
     rows, durations = nominal.controls()
     controls = _perturbed_controls(rows, 1.0 + noise.sigma_omega_rel * eps[:, 0], v)
-    gates = batch_unitaries(controls, durations)
-
-    fidelities = np.empty(n_samples)
-    phase_errors = np.empty(n_samples)
-    for i, u in enumerate(gates):
-        fidelities[i] = fidelity_cphase(u, target)
-        phase_errors[i] = abs(
-            wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)
-        )
+    fidelities, phase_errors = [], []
+    for u in batch_unitaries(controls, durations):
+        fidelities.append(fidelity_cphase(u, target))
+        phase_errors.append(np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)))
+    fidelities, phase_errors = np.concatenate(fidelities), np.concatenate(phase_errors)
 
     # Shifting by the first sample is mathematically a no-op for the spread
     # but keeps identical samples (zero-noise runs) at exactly zero std.

@@ -24,7 +24,13 @@ from rydgate.hamiltonians import (
     h_direct,
     hamiltonians,
 )
-from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, sequence_unitary
+from rydgate.propagation import (
+    CHUNK,
+    PulseSegment,
+    PulseSequence,
+    batch_unitaries,
+    sequence_unitary,
+)
 from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
@@ -192,19 +198,50 @@ class TestFidelity:
             rows, durations = build(params).controls()
             eps = rng.normal(scale=0.02, size=(200, 2))
             controls = _perturbed_controls(rows, 1.0 + eps[:, 0], params.v * (1.0 + eps[:, 1]))
-            cases.extend((u, math.pi) for u in batch_unitaries(controls, durations))
+            cases.extend((u, math.pi) for chunk in batch_unitaries(controls, durations) for u in chunk)
         for _ in range(100):
             q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
             cases.append((q, float(rng.uniform(-math.pi, math.pi))))
         # Fully leaked |00>, |10> (or |01>, |11>): one term of f vanishes.
         cases.append((_embed_diag([0.0, 1.0, 0.0, np.exp(0.3j)]), 0.0))
         cases.append((_embed_diag([0.6, 0.0, 0.8j, 0.0]), 1.0))
+        oracle = np.array([golden_section_fidelity(u, target) for u, target in cases])
+        per_gate = np.array([fidelity_cphase(u, target) for u, target in cases])
+        us, targets = zip(*cases)
+        stacked = fidelity_cphase(np.array(us), np.array(targets))
         # |difference| <= 1e-15 also bounds how far below the oracle it may fall.
-        worst = max(
-            abs(fidelity_cphase(u, target) - golden_section_fidelity(u, target))
-            for u, target in cases
-        )
-        assert worst <= 1e-15
+        for got in (per_gate, stacked):
+            assert np.max(np.abs(got - oracle)) <= 1e-15
+
+
+class TestStacks:
+    def test_stack_gives_the_bits_of_its_gates(self, rng):
+        n = 2 * CHUNK + 5
+        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        eps = rng.normal(scale=0.02, size=(n, 2))
+        controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        chunks = list(batch_unitaries(controls, durations))
+        assert [len(chunk) for chunk in chunks] == [CHUNK, CHUNK, 5]
+        z = rng.normal(size=(7, 9, 9)) + 1j * rng.normal(size=(7, 9, 9))
+        randoms = np.linalg.qr(z)[0]
+        for stack in (*chunks, randoms, np.concatenate([*chunks, randoms])):
+            extraction = phases_and_leakage(stack)
+            fidelities = [fidelity_cphase(stack, math.pi, compensate=flag) for flag in (True, False)]
+            for i, u in enumerate(stack):
+                alone = phases_and_leakage(u)
+                for field in ("phases", "leakage", "reliable"):
+                    assert tuple(x[i] for x in getattr(extraction, field)) == getattr(alone, field)
+                assert extraction.leakage_max[i] == alone.leakage_max
+                for got, flag in zip(fidelities, (True, False)):
+                    assert got[i] == fidelity_cphase(u, math.pi, compensate=flag)
+
+    def test_one_gate_gives_python_scalars(self):
+        u = sequence_unitary(geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)))
+        extraction = phases_and_leakage(u)
+        assert {type(x) for x in extraction.phases + extraction.leakage} == {float}
+        assert {type(x) for x in extraction.reliable} == {bool}
+        assert type(extraction.leakage_max) is float
+        assert type(fidelity_cphase(u, math.pi)) is float
 
 
 class TestActuationMetrics:

@@ -259,6 +259,7 @@ def test_non_finite_value_exits_two(capsys, argv):
     [
         ("simulate", "--protocol", "geometric", "--kappa", "1e-310", "--omega", "1"),
         ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--v", "1e308"),
+        ("simulate", "--protocol", "blockade", "--omega", "1", "--v", "1e308"),
         ("compare", "--omega", "1", "--kappa", "1e-310", "--blockade-v", "100"),
         ("robustness", "--protocol", "geometric", "--kappa", "1e-310", "--omega", "1",
          "--seed", "1", "--samples", "2"),
@@ -274,6 +275,7 @@ def test_non_finite_value_exits_two(capsys, argv):
     ids=[
         "simulate-v-overflows",
         "simulate-duration-underflows",
+        "simulate-phase-overflows",
         "compare-v-overflows",
         "robustness-v-overflows",
         "robustness-c6-overflows",

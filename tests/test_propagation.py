@@ -158,17 +158,18 @@ class TestBatchUnitaries:
         rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
         eps = rng.normal(scale=0.02, size=(n, 2))
         controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
-        batch = list(batch_unitaries(controls, durations))
+        batch = np.concatenate(list(batch_unitaries(controls, durations)))
         assert len(batch) == n
         for i, u in enumerate(batch):
-            (alone,) = batch_unitaries(controls[i : i + 1], durations)
+            ((alone,),) = batch_unitaries(controls[i : i + 1], durations)
             assert np.array_equal(u, alone), i
 
     def test_per_gate_durations(self, rng):
         segs = [random_segment(rng) for _ in range(6)]
         seqs = [PulseSequence(tuple(segs[:3])), PulseSequence(tuple(segs[3:]))]
         rows, durations = zip(*(seq.controls() for seq in seqs))
-        for u, seq in zip(batch_unitaries(np.array(rows), np.array(durations)), seqs):
+        (batch,) = batch_unitaries(np.array(rows), np.array(durations))
+        for u, seq in zip(batch, seqs):
             assert np.array_equal(u, sequence_unitary(seq))
 
 
