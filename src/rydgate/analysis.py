@@ -44,16 +44,23 @@ _CELL = _GRID[1]
 _COMPUTATIONAL_STATES = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
 _EXCITATIONS = rydberg_excitation_counts()
 
-#: Indices of the computational states |00>, |01>, |10>, |11>, per matrix size.
-_INDICES = {9: np.array(COMPUTATIONAL_INDICES), 4: np.arange(4)}
+
+
+def _layout(n, indices):
+    """The computational states' indices and, per state, the other rows of its column."""
+    return np.array(indices), np.array([[j for j in range(n) if j != b] for b in indices])
+
+
+#: Per matrix size: the layout of the states |00>, |01>, |10>, |11>.
+_LAYOUTS = {9: _layout(9, COMPUTATIONAL_INDICES), 4: _layout(4, range(4))}
 
 
 def _stack(u):
-    """``u`` as a complex (..., n, n) stack, and the computational indices for n = 9 or 4."""
+    """``u`` as a complex (..., n, n) stack, and its layout for n = 9 or 4."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape[-2:] not in ((9, 9), (4, 4)):
         raise ValueError(f"expected a 9x9 or 4x4 unitary or a stack of them, got shape {u.shape}")
-    return u, _INDICES[u.shape[-1]]
+    return u, _LAYOUTS[u.shape[-1]]
 
 
 def _unstack(values):
@@ -84,21 +91,24 @@ class PhaseExtraction:
 
 
 def phases_and_leakage(u):
-    """Extract phi_b = arg(<b|U|b>) and leak_b = 1 - |<b|U|b>|^2 per state.
+    """Extract phi_b = arg(<b|U|b>) and leak_b = sum_{j != b} |<j|U|b>|^2 per state.
 
-    ``u`` is one 9x9 (or 4x4) unitary or a (..., 9, 9) stack of them.
-    States whose diagonal amplitude has magnitude below 0.5 are flagged
-    unreliable instead of raising: their phase is still reported but should
-    not be trusted.
+    ``u`` is one 9x9 (or 4x4) unitary or a (..., 9, 9) stack of them. For a
+    unitary, leak_b equals 1 - |<b|U|b>|^2, but summing the off-diagonal
+    weight of column b keeps full precision where that difference cancels
+    (|<b|U|b>| close to 1). States whose diagonal amplitude has magnitude
+    below 0.5 are flagged unreliable instead of raising: their phase is
+    still reported but should not be trusted.
     """
-    u, idx = _stack(u)
+    u, (idx, others) = _stack(u)
     amps = u[..., idx, idx]
-    magnitude = np.hypot(amps.real, amps.imag)
-    leakage = np.maximum(1.0 - magnitude**2, 0.0)
+    # (..., 4, n - 1) in C order: each gate's sums add in the same order.
+    off_diagonal = np.ascontiguousarray(u[..., others, idx[:, None]])
+    leakage = np.minimum((np.abs(off_diagonal) ** 2).sum(axis=-1), 1.0)
     return PhaseExtraction(
         phases=_per_state(np.arctan2(amps.imag, amps.real)),
         leakage=_per_state(leakage),
-        reliable=_per_state(magnitude >= RELIABLE_AMPLITUDE),
+        reliable=_per_state(np.abs(amps) >= RELIABLE_AMPLITUDE),
         leakage_max=_unstack(leakage.max(axis=-1)),
     )
 
@@ -165,7 +175,7 @@ def fidelity_cphase(u, target_phi, compensate=True):
     """
     if not np.isfinite(target_phi).all():
         raise ValueError(f"target_phi must be finite, got {target_phi}")
-    u, idx = _stack(u)
+    u, (idx, _) = _stack(u)
     # C order, so that each sum below adds in the same order for every gate.
     block = np.ascontiguousarray(u[..., idx[:, None], idx])
     tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)

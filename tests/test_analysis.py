@@ -48,6 +48,14 @@ def _embed_diag(values):
     return u
 
 
+def _mix_01_and_0r(amp, out):
+    """Identity with |01> -> amp|01> + out|0r>, completed to the unitary
+    block [[amp, -conj(out)], [out, conj(amp)]] on (|01>, |0r>)."""
+    u = np.eye(9, dtype=complex)
+    u[1:3, 1:3] = [[amp, -np.conj(out)], [out, np.conj(amp)]]
+    return u
+
+
 class TestPhasesAndLeakage:
     def test_identity(self):
         extraction = phases_and_leakage(np.eye(9, dtype=complex))
@@ -62,10 +70,19 @@ class TestPhasesAndLeakage:
         assert extraction.leakage_max == pytest.approx(0.0, abs=1e-15)
 
     def test_small_amplitude_flagged_unreliable(self):
-        u = _embed_diag([1.0, 0.4j, 1.0, 1.0])
+        u = _mix_01_and_0r(0.4j, math.sqrt(1 - 0.16))
         extraction = phases_and_leakage(u)
         assert extraction.reliable == (True, False, True, True)
         assert extraction.leakage[1] == pytest.approx(1 - 0.16)
+
+    def test_small_leakage_keeps_full_precision(self):
+        # 1 - |<01|U|01>|^2 = 1 - cos^2(theta) cancels to 8 digits here; the
+        # off-diagonal column weight is sin^2(theta) to the last bit.
+        theta = 1e-4
+        u = _mix_01_and_0r(math.cos(theta), math.sin(theta))
+        extraction = phases_and_leakage(u)
+        assert extraction.leakage == (0.0, math.sin(theta) ** 2, 0.0, 0.0)
+        assert extraction.leakage_max == math.sin(theta) ** 2
 
     def test_rejects_odd_shapes(self):
         with pytest.raises(ValueError, match="9x9 or 4x4"):
