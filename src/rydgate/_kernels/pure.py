@@ -8,11 +8,7 @@ import numpy as np
 
 
 def _eigenphases(w, t):
-    """Phases w*t of eigenvalues ``w`` over times ``t`` (broadcast together).
-
-    Raises ValueError where w*t overflows, before NumPy would warn and turn
-    the propagator into NaN.
-    """
+    """w*t, raising ValueError where it overflows, before NumPy would warn."""
     with np.errstate(over="ignore"):
         wt = w * t
     if not np.isfinite(wt).all():

@@ -11,12 +11,8 @@ reported both raw ("unwrapped", range (-4*pi, 4*pi)) and wrapped into
 the same functional correct for direct-coupling gates where |00> is not
 stationary; it vanishes for the Rydberg protocols where |00> is decoupled.
 
-Stacks. ``phases_and_leakage`` and ``fidelity_cphase`` take one 9x9 (or
-4x4) unitary or a (..., 9, 9) stack of them, such as a chunk from
-``propagation.batch_unitaries``; sweeps, scans and Monte-Carlo runs
-characterize one chunk per call. One gate is a stack of shape () and gives
-Python scalars; a stack gives arrays over its leading axes, and each gate's
-entries carry the same bits as the gate passed alone.
+``phases_and_leakage`` and ``fidelity_cphase`` take one unitary, giving Python
+scalars, or a (..., 9, 9) stack, giving each gate the bits it gets alone.
 """
 
 import math
@@ -33,56 +29,39 @@ from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts,
 #: (the evolution is far from cyclic for that basis state).
 RELIABLE_AMPLITUDE = 0.5
 
-#: The 256-point grid of qubit-1 angles that seeds the local-Z maximizer of
-#: fidelity_cphase, and its phasors e^{i*alpha}.
+#: Qubit-1 angles that seed the local-Z maximizer, and their phasors.
 _GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
 _PHASORS = np.exp(1j * _GRID)
-_CELL = _GRID[1]
 
-#: rydberg_time's defaults: the four computational product states, and the
-#: number of Rydberg excitations of each basis state.
+#: rydberg_time's initial states and weights.
 _COMPUTATIONAL_STATES = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
 _EXCITATIONS = rydberg_excitation_counts()
 
-
-
-def _layout(n, indices):
-    """The computational states' indices and, per state, the other rows of its column."""
-    return np.array(indices), np.array([[j for j in range(n) if j != b] for b in indices])
-
-
-#: Per matrix size: the layout of the states |00>, |01>, |10>, |11>.
-_LAYOUTS = {9: _layout(9, COMPUTATIONAL_INDICES), 4: _layout(4, range(4))}
+#: Per matrix size: the indices of |00>, |01>, |10>, |11>; the other rows of their columns.
+_INDICES = {n: np.array(idx) for n, idx in ((9, COMPUTATIONAL_INDICES), (4, range(4)))}
+_OTHERS = {n: np.array([[j for j in range(n) if j != b] for b in idx]) for n, idx in _INDICES.items()}
 
 
 def _stack(u):
-    """``u`` as a complex (..., n, n) stack, and its layout for n = 9 or 4."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape[-2:] not in ((9, 9), (4, 4)):
         raise ValueError(f"expected a 9x9 or 4x4 unitary or a stack of them, got shape {u.shape}")
-    return u, _LAYOUTS[u.shape[-1]]
+    return u, _INDICES[u.shape[-1]]
 
 
 def _unstack(values):
-    """A Python scalar for one gate (a stack of shape ()), the array for a stack."""
+    """A Python scalar for one gate, the array for a stack."""
     return values.tolist() if values.ndim == 0 else values
 
 
 def _per_state(values):
-    """Split (..., 4) values into their four computational states, 00 to 11."""
-    if values.ndim == 1:
-        return tuple(values.tolist())
-    return tuple(np.moveaxis(values, -1, 0))
+    """Four per-state entries of (..., 4) values: scalars for one gate, arrays for a stack."""
+    return tuple(values.tolist() if values.ndim == 1 else np.moveaxis(values, -1, 0))
 
 
 @dataclass(frozen=True)
 class PhaseExtraction:
-    """Diagonal phases and leakage per computational state (00, 01, 10, 11).
-
-    Each field holds four per-state entries: Python floats (bools for
-    ``reliable``) for one gate, arrays over the stack's leading axes for a
-    stack of gates; ``leakage_max`` is the largest leakage of each gate.
-    """
+    """Diagonal phases and leakage per state (00, 01, 10, 11); arrays over a stack's gates."""
 
     phases: tuple
     leakage: tuple
@@ -93,17 +72,15 @@ class PhaseExtraction:
 def phases_and_leakage(u):
     """Extract phi_b = arg(<b|U|b>) and leak_b = sum_{j != b} |<j|U|b>|^2 per state.
 
-    ``u`` is one 9x9 (or 4x4) unitary or a (..., 9, 9) stack of them. For a
-    unitary, leak_b equals 1 - |<b|U|b>|^2, but summing the off-diagonal
-    weight of column b keeps full precision where that difference cancels
-    (|<b|U|b>| close to 1). States whose diagonal amplitude has magnitude
+    For a unitary, leak_b = 1 - |<b|U|b>|^2, a difference that would cancel
+    where leakage is small. States whose diagonal amplitude has magnitude
     below 0.5 are flagged unreliable instead of raising: their phase is
     still reported but should not be trusted.
     """
-    u, (idx, others) = _stack(u)
+    u, idx = _stack(u)
     amps = u[..., idx, idx]
-    # (..., 4, n - 1) in C order: each gate's sums add in the same order.
-    off_diagonal = np.ascontiguousarray(u[..., others, idx[:, None]])
+    # In C order, so that each gate's sums add in the same order.
+    off_diagonal = np.ascontiguousarray(u[..., _OTHERS[u.shape[-1]], idx[:, None]])
     leakage = np.minimum((np.abs(off_diagonal) ** 2).sum(axis=-1), 1.0)
     return PhaseExtraction(
         phases=_per_state(np.arctan2(amps.imag, amps.real)),
@@ -131,19 +108,12 @@ def _trace(c, phasors):
 
 
 def _local_z_angle(c):
-    """The qubit-1 angle that maximizes f, for each gate of the stack.
-
-    Starts at the best of the 256 grid points and takes two Newton steps on
-    the closed-form f' and f'' of f(a) = sum_k sqrt(A_k + 2 Re(z_k e^{ia})),
-    with |a_k + b_k e^{ia}|^2 = A_k + 2 Re(z_k e^{ia}). Where the steps give
-    NaN (a cusp of one term) or leave the grid cell, the grid point is kept.
-    """
+    """Qubit-1 angle maximizing f: two Newton steps from the best grid point,
+    which is kept where they give NaN (a cusp) or leave its grid cell."""
     coarse = _GRID[np.argmax(_trace(c, _PHASORS), axis=-1)]
     a, b = c[..., :2], c[..., 2:]
     big_a = np.abs(a) ** 2 + np.abs(b) ** 2
-    # A pair whose amplitudes both vanish adds nothing to f; A = 1 keeps its
-    # derivative terms at exactly zero.
-    big_a[big_a == 0.0] = 1.0
+    big_a[big_a == 0.0] = 1.0  # a vanished pair has w = 0: its terms stay 0, not 0/0
     z = np.conj(a) * b
     alpha = coarse
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,11 +121,12 @@ def _local_z_angle(c):
             w = z * np.exp(1j * alpha)[..., None]
             h = np.sqrt(big_a + 2.0 * w.real)
             q = w / h
+            # f = sum h, with h^2 = |a + b e^{ia}|^2 = A + 2 Re(w), w = z e^{ia}:
             # f' = -sum Im(w)/h and f'' = -sum (Re(w)/h + Im(w)^2/h^3).
             d1 = q.imag.sum(axis=-1)
             d2 = (q.real + q.imag * q.imag / h).sum(axis=-1)
             alpha = alpha - d1 / d2
-    return np.where(np.abs(alpha - coarse) < _CELL, alpha, coarse)
+    return np.where(np.abs(alpha - coarse) < _GRID[1], alpha, coarse)
 
 
 def fidelity_cphase(u, target_phi, compensate=True):
@@ -167,24 +138,21 @@ def fidelity_cphase(u, target_phi, compensate=True):
     freedom is removed by maximizing over the two local angles (Pedersen,
     Moller & Molmer, Phys. Lett. A 367, 47 (2007)): the qubit-2 angle
     maximizes out exactly, leaving a 1-D search over the qubit-1 angle
-    (a 256-point grid, then two Newton steps inside the best grid cell).
-
-    ``u`` is one 9x9 (or 4x4) unitary, which gives a Python float, or a
-    (..., 9, 9) stack, which gives an array over its leading axes;
-    ``target_phi`` is a number or broadcasts over those axes.
+    (a 256-point grid, then two Newton steps). For a stack of gates,
+    ``target_phi`` broadcasts over its leading axes.
     """
     if not np.isfinite(target_phi).all():
         raise ValueError(f"target_phi must be finite, got {target_phi}")
-    u, (idx, _) = _stack(u)
-    # C order, so that each sum below adds in the same order for every gate.
+    u, idx = _stack(u)
+    # In C order, so that each gate's sums add in the same order.
     block = np.ascontiguousarray(u[..., idx[:, None], idx])
     tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
     c = block.diagonal(axis1=-2, axis2=-1).copy()  # order: 00, 01, 10, 11
     c[..., 3] *= np.conj(np.exp(1j * np.asarray(target_phi)))
+
+    tr = np.abs(c.sum(axis=-1))
     if compensate:
         tr = _trace(c, np.exp(1j * _local_z_angle(c))[..., None])[..., 0]
-    else:
-        tr = np.abs(c.sum(axis=-1))
     fidelity = (tr * tr + tr_mm) / 20.0
     # Written so that a NaN functional (a non-finite propagator) fails too.
     if not (fidelity <= 1.0 + 1e-9).all():

@@ -76,8 +76,7 @@ def _geometric(kappa, omega):
 
 
 def _geometric_batch(kappas, omega):
-    """Gate times (n,) of the geometric gate at each kappa, and its
-    propagators in chunk stacks, in order."""
+    """Gate times (n,) and propagator chunks of the geometric gate at each kappa."""
     rows, durations = zip(*(_geometric(k, omega).controls() for k in kappas))
     durations = np.array(durations)
     return durations.sum(axis=-1), batch_unitaries(np.array(rows), durations)
@@ -140,20 +139,17 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
     _, chunks = _geometric_batch(kappas, omega)
-    errors = np.concatenate([_phase_error(u, target_phi) for u in chunks]).tolist()
+    errors = np.concatenate([_phase_error(u, target_phi) for u in chunks])
     scan = tuple(
-        (float(k), wrap_angle(e + target_phi)) for k, e in zip(kappas, errors)
+        (float(k), wrap_angle(e + target_phi)) for k, e in zip(kappas, errors.tolist())
     )
 
-    candidates = []
-    for i in range(len(kappas) - 1):
-        e0, e1 = errors[i], errors[i + 1]
-        if e0 == 0.0:
-            candidates.append((float(kappas[i]), float(kappas[i])))
-        elif e0 * e1 < 0 and abs(e1 - e0) < math.pi:
-            candidates.append((float(kappas[i]), float(kappas[i + 1])))
-    if errors[-1] == 0.0:
-        candidates.append((float(kappas[-1]), float(kappas[-1])))
+    # Scan points on target, and sign changes that do not jump the branch cut,
+    # in scan order.
+    crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
+    ends = [(i, i) for i in np.flatnonzero(errors == 0.0)]
+    ends = sorted(ends + [(i, i + 1) for i in np.flatnonzero(crossing)])
+    candidates = [(float(kappas[i]), float(kappas[j])) for i, j in ends]
     if not candidates:
         raise CalibrationError(
             f"no sign change of the wrapped phase error in bracket ({k_lo}, {k_hi}) "

@@ -8,9 +8,8 @@ not as instantaneous kicks. A second-order midpoint stepper
 (``sampled_unitary``) covers time-varying controls.
 
 Every propagation goes through ``batch_unitaries``, which hands stacks of
-control rows to the kernel ``CHUNK`` gates at a time and yields each
-chunk's propagators as one stack: memory stays bounded, and a gate's
-propagator does not depend on the batch it is in.
+control rows to the kernel and yields one stack per ``CHUNK`` gates: memory
+stays bounded, and a gate's propagator does not depend on the batch it is in.
 """
 
 import math
@@ -79,13 +78,8 @@ def segment_unitary(segment):
 
 
 def batch_unitaries(controls, durations):
-    """Propagators of n gates, yielded in order as (<= CHUNK, 9, 9) stacks.
-
-    The gates are given as (n, k, 7) control rows and (n, k) segment
-    durations, or (k,) durations shared by all gates. Every stack holds
-    CHUNK gates except a shorter last one; characterize each stack whole
-    with ``phases_and_leakage`` and ``fidelity_cphase``.
-    """
+    """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as
+    (n, k, 7) control rows and (n, k) segment durations, or (k,) shared by all."""
     durations = np.broadcast_to(durations, controls.shape[:-1])
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
