@@ -12,7 +12,7 @@ the same functional correct for direct-coupling gates where |00> is not
 stationary; it vanishes for the Rydberg protocols where |00> is decoupled.
 
 ``phases_and_leakage`` and ``fidelity_cphase`` take one unitary, giving Python
-scalars, or a (..., 9, 9) stack, giving each gate the bits it gets alone.
+scalars, or a (..., 9, 9) stack, giving arrays with the bits of one call per gate.
 """
 
 import math

@@ -249,16 +249,13 @@ class TestStacks:
                 for field in ("phases", "leakage", "reliable"):
                     assert tuple(x[i] for x in getattr(extraction, field)) == getattr(alone, field)
                 assert extraction.leakage_max[i] == alone.leakage_max
+                # One gate gives Python scalars, not NumPy ones.
+                assert {type(x) for x in alone.phases + alone.leakage} == {float}
+                assert {type(x) for x in alone.reliable} == {bool}
+                assert type(alone.leakage_max) is float
                 for got, flag in zip(fidelities, (True, False)):
-                    assert got[i] == fidelity_cphase(u, math.pi, compensate=flag)
-
-    def test_one_gate_gives_python_scalars(self):
-        u = sequence_unitary(geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)))
-        extraction = phases_and_leakage(u)
-        assert {type(x) for x in extraction.phases + extraction.leakage} == {float}
-        assert {type(x) for x in extraction.reliable} == {bool}
-        assert type(extraction.leakage_max) is float
-        assert type(fidelity_cphase(u, math.pi)) is float
+                    single = fidelity_cphase(u, math.pi, compensate=flag)
+                    assert type(single) is float and got[i] == single
 
 
 class TestActuationMetrics:
