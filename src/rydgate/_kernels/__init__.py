@@ -7,7 +7,9 @@ gates or segments):
 - ``expm_hermitian(h, t)``: (..., n, n) with ``t`` over ``...`` -> (..., n, n)
 - ``sequence_product(hams, durations)``: (..., k, n, n), (..., k) -> (..., n, n)
 - ``weighted_population_integral(hams, durations, psi0, weights, samples_per_segment)``:
-  (k, n, n), (k,), (m, n) initial states, (n,) -> (m,) integrals
+  (k, n, n), (k,), (m, n) initial states, (n,) -> (m,) integrals by the
+  trapezoid rule on ``samples_per_segment`` intervals per segment, summed in
+  closed form in each segment's eigenbasis (no sampled states)
 
 ``BACKEND`` is always ``"pure"``.
 """

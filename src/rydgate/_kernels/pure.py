@@ -38,23 +38,45 @@ def sequence_product(hams, durations):
     return u
 
 
+def _trapezoid_factor(w, h, n):
+    """h*D_n(y_jk), y_jk = (w_j - w_k)*h: the trapezoid rule's weight for the beat
+    e^{i(w_j - w_k)t} sampled on n intervals of width h. ``w`` holds each
+    segment's eigenvalues, (k, d), and ``h`` its step, (k,); returns (k, d, d).
+
+    D_n(y) = sum_{s=0..n} e^{isy} - (1 + e^{iny})/2 = e^{inr} sin(nr)/tan(r), with
+    r = y/2 reduced modulo pi into [-pi/2, pi/2): D_n has period 2*pi in y, and
+    a beat that aliases onto the grid (y near 2*pi*m) takes the limit D_n = n
+    there instead of a quotient of two rounding errors.
+    """
+    h = h[:, None, None]
+    half_y = 0.5 * (w[:, :, None] - w[:, None, :]) * h
+    r = np.remainder(half_y + 0.5 * np.pi, np.pi) - 0.5 * np.pi
+    d = np.divide(np.sin(n * r), np.tan(r), out=np.full_like(r, n), where=r != 0)
+    return h * d * np.exp(1j * n * r)
+
+
 def weighted_population_integral(hams, durations, psi0, weights, samples_per_segment):
     """Trapezoidal time integrals of a weighted population along a sequence.
 
     Propagates each of the (m, n) initial states ``psi0`` through the (k, n, n)
     piecewise-constant schedule of (k,) ``durations`` and integrates
-    sum_i weights[i]*|psi_i(t)|^2, sampling each segment on a uniform grid
-    of ``samples_per_segment`` intervals. Returns the (m,) integrals.
+    sum_i weights[i]*|psi_i(t)|^2 by the trapezoid rule on a uniform grid of
+    ``samples_per_segment`` intervals per segment. Returns the (m,) integrals.
+
+    The sum is taken in closed form, not by sampling: in each segment's
+    eigenbasis, with c = V^dag psi and G = V^dag diag(weights) V, the population
+    is sum_jk conj(c_j) G_jk c_k e^{i(w_j - w_k)t}, and the trapezoid rule
+    weighs each beat by ``_trapezoid_factor``.
     """
-    psi = np.array(psi0, dtype=np.complex128)
-    total = np.zeros(psi.shape[0])
     w, v = np.linalg.eigh(hams)
-    _eigenphases(w, durations[:, None])  # each segment's largest |w*t|
-    for wk, vk, dur in zip(w, v, durations):
-        phases = np.exp(np.outer(np.linspace(0.0, dur, samples_per_segment + 1), -1j * wk))
-        # One state at a time: an (m, samples + 1, n) stack is paged in afresh per call.
-        for i, c in enumerate(psi @ vk.conj()):
-            amps = (phases * c) @ vk.T
-            total[i] += np.trapezoid(np.abs(amps) ** 2 @ weights, dx=dur / samples_per_segment)
-            psi[i] = amps[-1]
+    steps = np.exp(-1j * _eigenphases(w, durations[:, None]))
+    v_dagger = v.conj().swapaxes(-1, -2)
+    kernels = _trapezoid_factor(w, durations / samples_per_segment, samples_per_segment)
+    kernels *= v_dagger @ (weights[:, None] * v)
+    psi = np.asarray(psi0, dtype=np.complex128)
+    total = np.zeros(psi.shape[0])
+    for vk, kernel, step in zip(v, kernels, steps):
+        c = psi @ vk.conj()
+        total += ((c.conj() @ kernel) * c).sum(axis=-1).real
+        psi = (c * step) @ vk.T
     return total

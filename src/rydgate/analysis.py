@@ -16,6 +16,7 @@ scalars, or a (..., 9, 9) stack, giving arrays with the bits of one call per gat
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,19 +171,32 @@ def pulse_area(sequence):
     return area
 
 
+def _sample_count(samples_per_segment):
+    """The trapezoid's intervals per segment: an integer >= 1, or ValueError."""
+    try:
+        n = operator.index(samples_per_segment)
+        if n >= 1:
+            return n
+    except TypeError:
+        pass
+    raise ValueError(f"samples_per_segment must be an integer >= 1, got {samples_per_segment!r}")
+
+
 def rydberg_time(sequence, initial_states=None, samples_per_segment=256):
     """Time-integrated Rydberg occupation, averaged over initial states.
 
-    Single excitation counts once and the doubly-excited state twice; the
-    integrand is sampled on ``samples_per_segment`` uniform intervals per
-    segment (trapezoidal rule). Defaults to averaging over the four
-    computational product states.
+    Single excitation counts once and the doubly-excited state twice. The
+    integral is the trapezoid rule on ``samples_per_segment`` uniform
+    intervals per segment (an integer >= 1), summed in closed form in each
+    segment's eigenbasis, so its cost does not grow with the sample count.
+    Defaults to averaging over the four computational product states.
     """
+    n = _sample_count(samples_per_segment)
     if initial_states is None:
         initial_states = _COMPUTATIONAL_STATES
     rows, durations = sequence.controls()
     totals = _kernels.weighted_population_integral(
-        hamiltonians(rows), durations, initial_states, _EXCITATIONS, int(samples_per_segment)
+        hamiltonians(rows), durations, initial_states, _EXCITATIONS, n
     )
     return float(np.mean(totals))
 
@@ -212,8 +226,10 @@ def analyze_gate(sequence, target_phi=math.pi, samples_per_segment=256):
     """Propagate a schedule and assemble its :class:`GateReport`.
 
     ``target_phi`` sets the controlled-phase target for the fidelity figure
-    (pi, i.e. a CZ gate, by default).
+    (pi, i.e. a CZ gate, by default); ``samples_per_segment`` is passed to
+    :func:`rydberg_time`.
     """
+    _sample_count(samples_per_segment)
     u = sequence_unitary(sequence)
     extraction = phases_and_leakage(u)
     return GateReport(

@@ -143,3 +143,22 @@ def golden_section_fidelity(u, target_phi, iterations=100):
             f2 = f(x2)
     tr = max(f(best), f1, f2)
     return min(1.0, (tr * tr + float(np.sum(np.abs(block) ** 2))) / 20.0)
+
+
+def sampled_population_integral(hams, durations, psi0, weights, samples_per_segment):
+    """Trapezoidal integrals of sum_i weights[i]*|psi_i(t)|^2 by sampling.
+
+    Each of the (m, n) states ``psi0`` is propagated on its own through the
+    (k, n, n) piecewise-constant schedule: every segment is sampled at
+    ``samples_per_segment + 1`` equally spaced times, and the populations are
+    integrated with ``np.trapezoid``. Returns the (m,) integrals.
+    """
+    total = np.zeros(len(psi0))
+    for i, psi in enumerate(np.array(psi0, dtype=np.complex128)):
+        for h, t in zip(hams, durations):
+            w, v = np.linalg.eigh(h)
+            times = np.linspace(0.0, t, samples_per_segment + 1)
+            amps = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)) @ v.T
+            total[i] += np.trapezoid(np.abs(amps) ** 2 @ weights, dx=t / samples_per_segment)
+            psi = amps[-1]
+    return total

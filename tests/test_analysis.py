@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import golden_section_fidelity
+from oracles import golden_section_fidelity, sampled_population_integral
 
 from rydgate import _kernels
 from rydgate.analysis import (
@@ -306,6 +306,88 @@ class TestActuationMetrics:
         for psi, total in zip(before, totals):
             (alone,) = _kernels.weighted_population_integral(hams, durations, psi[None], weights, 16)
             assert alone == pytest.approx(total, rel=1e-14)
+
+
+#: A generic two-atom segment: both atoms driven off resonance, with interaction.
+_GENERIC = PulseSegment(
+    duration=1.3,
+    drive1=DriveParams(1.0, 0.3, 0.4),
+    drive2=DriveParams(0.8, -0.2, 1.1),
+    ryd=RydbergParams(2.5),
+)
+
+#: Geometric gates over kappa in [0.5, 2.5] and blockade gates over V in [10, 1280], at Omega = 1.
+_PROTOCOL_GATES = [
+    *(geometric_sequence(GeometricProtocolParams.from_omega(k, 1.0)) for k in np.linspace(0.5, 2.5, 100)),
+    *(blockade_pdp_sequence(BlockadeProtocolParams(1.0, v)) for v in np.geomspace(10, 1280, 100)),
+]
+
+
+def _integrals(segments, samples):
+    """(kernel, sampled oracle) integrals from the computational states of a schedule."""
+    rows, durations = PulseSequence(tuple(segments)).controls()
+    hams = hamiltonians(rows)
+    args = (hams, durations, np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
+    return _kernels.weighted_population_integral(*args), sampled_population_integral(*args)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestRydbergTimeKernel:
+    """The closed-form trapezoid sum against the sampled trapezoid it replaces."""
+
+    def test_matches_sampled_oracle_on_protocol_gates(self):
+        for i, seq in enumerate(_PROTOCOL_GATES):
+            for samples in (256, 1, 2, 3, 16) if i % 10 == 0 else (256,):
+                got, want = _integrals(seq.segments, samples)
+                assert _rel_err(got, want) < 1e-13, (i, samples)
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("m", [1, 3, 7, 40])
+    def test_beat_aliasing_onto_the_grid(self, samples, m):
+        # Atom 1 alone is driven at V = 0, so its dressed levels are split by
+        # the generalized Rabi frequency; at this duration that gap times the
+        # step duration/samples is 2*pi*m, and the beat repeats at every sample.
+        rabi, detuning = 1.0, 0.5
+        duration = 2 * math.pi * m * samples / math.hypot(rabi, detuning)
+        aliased = PulseSegment(duration, DriveParams(rabi, detuning, 0.2), None, RydbergParams(0.0))
+        got, want = _integrals((_GENERIC, aliased), samples)
+        assert _rel_err(got, want) < 1e-10
+
+    @pytest.mark.parametrize("samples", [1, 3, 256])
+    def test_undriven_segment(self, samples):
+        # H = 0: every gap is 0, and the segment adds duration * <psi|W|psi>.
+        idle = PulseSegment(1.7, None, None, RydbergParams(0.0))
+        got, want = _integrals((_GENERIC, idle), samples)
+        assert _rel_err(got, want) < 1e-13
+        before, _ = _integrals((_GENERIC,), samples)
+        u = sequence_unitary(PulseSequence((_GENERIC,)))[:, list(COMPUTATIONAL_INDICES)]
+        held = 1.7 * rydberg_excitation_counts() @ np.abs(u) ** 2
+        np.testing.assert_allclose(got, before + held, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("samples", [1, 3, 256])
+    def test_degenerate_eigenvalues(self, samples):
+        # Equal drives on both atoms at V = 0: levels l_a + l_b pair up with l_b + l_a.
+        drive = DriveParams(1.2, 0.4, 0.7)
+        symmetric = PulseSegment(2.1, drive, drive, RydbergParams(0.0))
+        (h,) = hamiltonians(PulseSequence((symmetric,)).controls()[0])
+        assert np.min(np.diff(np.linalg.eigvalsh(h))) < 1e-12
+        got, want = _integrals((_GENERIC, symmetric), samples)
+        assert _rel_err(got, want) < 1e-13
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.7, float("nan"), "256", None])
+    @pytest.mark.parametrize("func", [rydberg_time, analyze_gate])
+    def test_samples_per_segment_must_be_a_positive_integer(self, func, samples):
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        with pytest.raises(ValueError, match="samples_per_segment"):
+            func(seq, samples_per_segment=samples)
+
+    def test_integer_like_sample_counts_accepted(self):
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        sixteen = rydberg_time(seq, samples_per_segment=16)
+        assert rydberg_time(seq, samples_per_segment=np.int64(16)) == sixteen
 
 
 class TestGateReport:
