@@ -25,26 +25,8 @@ from rydgate.calibration import (
     calibrate_kappa,
     sweep_kappa,
 )
-from rydgate.hamiltonians import (
-    CouplingKind,
-    CouplingSpec,
-    DriveParams,
-    RydbergParams,
-    h_block_01,
-    h_block_11,
-    h_blockade_eff,
-    h_direct,
-    h_full,
-)
-from rydgate.propagation import (
-    ConvergenceError,
-    PulseSegment,
-    PulseSequence,
-    SampledControls,
-    sampled_unitary,
-    segment_unitary,
-    sequence_unitary,
-)
+from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
+from rydgate.propagation import PulseSegment, PulseSequence, sequence_unitary
 from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
@@ -59,7 +41,7 @@ from rydgate.robustness import (
     monte_carlo_fidelity,
     v_of_spacing,
 )
-from rydgate.statespace import Level, basis_index, basis_state, expm_hermitian, kron
+from rydgate.statespace import Level, basis_index
 
 __version__ = "0.1.0"
 
@@ -68,9 +50,6 @@ __all__ = [
     "BlockadeProtocolParams",
     "CalibrationError",
     "CalibrationResult",
-    "ConvergenceError",
-    "CouplingKind",
-    "CouplingSpec",
     "DriveParams",
     "FidelityStats",
     "GateReport",
@@ -80,32 +59,22 @@ __all__ = [
     "PulseSegment",
     "PulseSequence",
     "RydbergParams",
-    "SampledControls",
     "SweepRecord",
     "analyze_gate",
     "basis_index",
-    "basis_state",
     "blockade_invariance_scan",
     "blockade_pdp_sequence",
     "calibrate_kappa",
     "controlled_phase",
-    "expm_hermitian",
     "fidelity_cphase",
     "gate_time_blockade",
     "gate_time_geometric",
     "geometric_sequence",
-    "h_block_01",
-    "h_block_11",
-    "h_blockade_eff",
-    "h_direct",
     "h_full",
-    "kron",
     "monte_carlo_fidelity",
     "phases_and_leakage",
     "pulse_area",
     "rydberg_time",
-    "sampled_unitary",
-    "segment_unitary",
     "sequence_unitary",
     "sweep_kappa",
     "v_of_spacing",

@@ -9,7 +9,12 @@ gates or segments):
 - ``weighted_population_integral(hams, durations, psi0, weights, samples_per_segment)``:
   (k, n, n), (k,), (m, n) initial states, (n,) -> (m,) integrals by the
   trapezoid rule on ``samples_per_segment`` intervals per segment, summed in
-  closed form in each segment's eigenbasis (no sampled states)
+  closed form in each segment's eigenbasis (no sampled states);
+  ``analysis.rydberg_time`` passes ``analysis.RYDBERG_TIME_SAMPLES``
+
+The kernels assume Hermitian matrices, as ``hamiltonians.hamiltonians``
+builds them, and do not check it; an eigenphase w*t that overflows raises
+``ValueError``.
 
 ``BACKEND`` is always ``"pure"``.
 """

@@ -7,16 +7,16 @@ local-phase-invariant combination
     phi_c = phi_11 + phi_00 - phi_10 - phi_01,
 
 reported both raw ("unwrapped", range (-4*pi, 4*pi)) and wrapped into
-(-pi, pi] with the branch point -pi mapped to +pi. Including phi_00 makes
-the same functional correct for direct-coupling gates where |00> is not
-stationary; it vanishes for the Rydberg protocols where |00> is decoupled.
+(-pi, pi] with the branch point -pi mapped to +pi. Including phi_00 keeps
+the combination free of local Z and global phases for gates where |00> is
+not stationary; it vanishes for the Rydberg protocols where |00> is decoupled.
 
-``phases_and_leakage`` and ``fidelity_cphase`` take one unitary, giving Python
-scalars, or a (..., 9, 9) stack, giving arrays with the bits of one call per gate.
+``phases_and_leakage`` and ``fidelity_cphase`` take one 9x9 unitary, giving
+Python scalars, or a (..., 9, 9) stack, giving arrays with the bits of one call
+per gate.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +34,23 @@ RELIABLE_AMPLITUDE = 0.5
 _GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
 _PHASORS = np.exp(1j * _GRID)
 
+#: Trapezoid intervals per segment of ``rydberg_time``.
+RYDBERG_TIME_SAMPLES = 256
+
 #: rydberg_time's initial states and weights.
 _COMPUTATIONAL_STATES = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
 _EXCITATIONS = rydberg_excitation_counts()
 
-#: Per matrix size: the indices of |00>, |01>, |10>, |11>; the other rows of their columns.
-_INDICES = {n: np.array(idx) for n, idx in ((9, COMPUTATIONAL_INDICES), (4, range(4)))}
-_OTHERS = {n: np.array([[j for j in range(n) if j != b] for b in idx]) for n, idx in _INDICES.items()}
+#: The indices of |00>, |01>, |10>, |11>, and the other rows of their columns.
+_INDICES = np.array(COMPUTATIONAL_INDICES)
+_OTHERS = np.array([[j for j in range(9) if j != b] for b in COMPUTATIONAL_INDICES])
 
 
 def _stack(u):
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape[-2:] not in ((9, 9), (4, 4)):
-        raise ValueError(f"expected a 9x9 or 4x4 unitary or a stack of them, got shape {u.shape}")
-    return u, _INDICES[u.shape[-1]]
+    if u.shape[-2:] != (9, 9):
+        raise ValueError(f"expected a 9x9 unitary or a stack of them, got shape {u.shape}")
+    return u
 
 
 def _unstack(values):
@@ -78,10 +81,10 @@ def phases_and_leakage(u):
     below 0.5 are flagged unreliable instead of raising: their phase is
     still reported but should not be trusted.
     """
-    u, idx = _stack(u)
-    amps = u[..., idx, idx]
+    u = _stack(u)
+    amps = u[..., _INDICES, _INDICES]
     # In C order, so that each gate's sums add in the same order.
-    off_diagonal = np.ascontiguousarray(u[..., _OTHERS[u.shape[-1]], idx[:, None]])
+    off_diagonal = np.ascontiguousarray(u[..., _OTHERS, _INDICES[:, None]])
     leakage = np.minimum((np.abs(off_diagonal) ** 2).sum(axis=-1), 1.0)
     return PhaseExtraction(
         phases=_per_state(np.arctan2(amps.imag, amps.real)),
@@ -144,9 +147,9 @@ def fidelity_cphase(u, target_phi, compensate=True):
     """
     if not np.isfinite(target_phi).all():
         raise ValueError(f"target_phi must be finite, got {target_phi}")
-    u, idx = _stack(u)
+    u = _stack(u)
     # In C order, so that each gate's sums add in the same order.
-    block = np.ascontiguousarray(u[..., idx[:, None], idx])
+    block = np.ascontiguousarray(u[..., _INDICES[:, None], _INDICES])
     tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
     c = block.diagonal(axis1=-2, axis2=-1).copy()  # order: 00, 01, 10, 11
     c[..., 3] *= np.conj(np.exp(1j * np.asarray(target_phi)))
@@ -171,32 +174,17 @@ def pulse_area(sequence):
     return area
 
 
-def _sample_count(samples_per_segment):
-    """The trapezoid's intervals per segment: an integer >= 1, or ValueError."""
-    try:
-        n = operator.index(samples_per_segment)
-        if n >= 1:
-            return n
-    except TypeError:
-        pass
-    raise ValueError(f"samples_per_segment must be an integer >= 1, got {samples_per_segment!r}")
-
-
-def rydberg_time(sequence, initial_states=None, samples_per_segment=256):
-    """Time-integrated Rydberg occupation, averaged over initial states.
+def rydberg_time(sequence):
+    """Time-integrated Rydberg occupation, averaged over the four computational
+    product states.
 
     Single excitation counts once and the doubly-excited state twice. The
-    integral is the trapezoid rule on ``samples_per_segment`` uniform
-    intervals per segment (an integer >= 1), summed in closed form in each
-    segment's eigenbasis, so its cost does not grow with the sample count.
-    Defaults to averaging over the four computational product states.
+    integral is the trapezoid rule on ``RYDBERG_TIME_SAMPLES`` uniform
+    intervals per segment, summed in closed form in each segment's eigenbasis.
     """
-    n = _sample_count(samples_per_segment)
-    if initial_states is None:
-        initial_states = _COMPUTATIONAL_STATES
     rows, durations = sequence.controls()
     totals = _kernels.weighted_population_integral(
-        hamiltonians(rows), durations, initial_states, _EXCITATIONS, n
+        hamiltonians(rows), durations, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     return float(np.mean(totals))
 
@@ -222,14 +210,12 @@ class GateReport:
             raise ValueError(f"fidelity out of [0, 1]: {self.fidelity}")
 
 
-def analyze_gate(sequence, target_phi=math.pi, samples_per_segment=256):
+def analyze_gate(sequence, target_phi=math.pi):
     """Propagate a schedule and assemble its :class:`GateReport`.
 
     ``target_phi`` sets the controlled-phase target for the fidelity figure
-    (pi, i.e. a CZ gate, by default); ``samples_per_segment`` is passed to
-    :func:`rydberg_time`.
+    (pi, i.e. a CZ gate, by default).
     """
-    _sample_count(samples_per_segment)
     u = sequence_unitary(sequence)
     extraction = phases_and_leakage(u)
     return GateReport(
@@ -241,5 +227,5 @@ def analyze_gate(sequence, target_phi=math.pi, samples_per_segment=256):
         fidelity=fidelity_cphase(u, target_phi),
         gate_time=sequence.total_duration,
         pulse_area=pulse_area(sequence),
-        rydberg_time=rydberg_time(sequence, samples_per_segment=samples_per_segment),
+        rydberg_time=rydberg_time(sequence),
     )

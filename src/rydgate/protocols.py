@@ -25,6 +25,11 @@ CZ_KAPPA_SEED = 1.65
 GEOMETRIC_SEGMENT_PHASES = (0.0, -math.pi / 2, 0.0, -math.pi / 2)
 
 
+def _require_positive(value, name):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class GeometricProtocolParams:
     """Weak-interaction protocol parameters: kappa = Omega/V and V."""
@@ -33,17 +38,18 @@ class GeometricProtocolParams:
     v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not (math.isfinite(self.v) and self.v > 0):
-            raise ValueError(f"v must be positive, got {self.v}")
+        _require_positive(self.kappa, "kappa")
+        _require_positive(self.v, "v")
 
     @classmethod
     def from_omega(cls, kappa, omega):
         """Build from (kappa, Omega) instead of (kappa, V)."""
-        if not (math.isfinite(omega) and omega > 0):
-            raise ValueError(f"omega must be positive, got {omega}")
-        return cls(kappa=kappa, v=omega / kappa)
+        _require_positive(kappa, "kappa")
+        _require_positive(omega, "omega")
+        v = omega / kappa
+        if not math.isfinite(v):
+            raise ValueError(f"v = omega/kappa overflows: omega {omega}, kappa {kappa}")
+        return cls(kappa=kappa, v=v)
 
     @property
     def omega(self):
@@ -63,8 +69,7 @@ class BlockadeProtocolParams:
     v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rabi) and self.rabi > 0):
-            raise ValueError(f"rabi must be positive, got {self.rabi}")
+        _require_positive(self.rabi, "rabi")
         if not math.isfinite(self.v):
             raise ValueError(f"v must be finite, got {self.v}")
 
@@ -109,15 +114,12 @@ def gate_time_geometric(kappa, omega):
     Strictly increasing in kappa at fixed Omega: from 2*pi/Omega at
     kappa = 1/sqrt(48) up to 4*pi/Omega as kappa -> infinity (V -> 0).
     """
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive, got {omega}")
+    _require_positive(kappa, "kappa")
+    _require_positive(omega, "omega")
     return 8 * math.pi / (omega * math.sqrt(4 + 1 / (4 * kappa * kappa)))
 
 
 def gate_time_blockade(omega):
     """Total blockade-protocol duration 4*pi/Omega, independent of V."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive, got {omega}")
+    _require_positive(omega, "omega")
     return 4 * math.pi / omega

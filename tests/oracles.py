@@ -1,9 +1,16 @@
 """Independent reference implementations used only to check the package.
 
 Nothing here may call into the code paths it verifies: the integrator walks
-the Schroedinger equation with classical RK4 steps, and the matrix builders
-assemble elements from explicit selection rules instead of tensor products.
+the Schroedinger equation with classical RK4 steps, the two-atom Hamiltonian
+is assembled element by element from selection rules instead of tensor
+products, and the invariant blocks and projectors of a symmetric drive are
+written out in the symmetric basis. Drives and interactions are read by
+attribute (``rabi``, ``detuning``, ``phase``; ``v``), so the package's
+parameter objects can be passed in.
 """
+
+import cmath
+import math
 
 import numpy as np
 
@@ -37,17 +44,6 @@ def rk4_unitary(h, t, tol=1e-10, n_start=64, max_doublings=14):
             return cur
         prev = cur
     raise AssertionError(f"RK4 oracle did not converge to {tol} within {n} steps")
-
-
-def kron_by_index_formula(a, b):
-    """(a kron b)[3i+k, 3j+l] = a[i,j]*b[k,l] via explicit double loops."""
-    out = np.zeros((9, 9), dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    out[3 * i + k, 3 * j + l] = a[i, j] * b[k, l]
-    return out
 
 
 def two_atom_hamiltonian_by_rules(drive1, drive2, v):
@@ -116,8 +112,7 @@ def golden_section_fidelity(u, target_phi, iterations=100):
     narrows that bracket using values of f only.
     """
     u = np.asarray(u, dtype=np.complex128)
-    idx = [0, 1, 3, 4] if u.shape == (9, 9) else [0, 1, 2, 3]
-    block = u[np.ix_(idx, idx)]
+    block = u[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])]
     d = np.diag(block) * np.array([1.0, 1.0, 1.0, np.exp(-1j * target_phi)])
 
     def f(alpha):
@@ -162,3 +157,100 @@ def sampled_population_integral(hams, durations, psi0, weights, samples_per_segm
             total[i] += np.trapezoid(np.abs(amps) ** 2 @ weights, dx=t / samples_per_segment)
             psi = amps[-1]
     return total
+
+
+def hermiticity_defect(m):
+    """Largest entrywise magnitude of m - m^dagger."""
+    m = np.asarray(m)
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+
+def unitarity_defect(u):
+    """Largest entrywise magnitude of u^dagger u - identity."""
+    u = np.asarray(u)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def symmetric_rr_state():
+    """(|1r> + |r1>)/sqrt(2), the drive-coupled (bright) single-excitation state."""
+    psi = np.zeros(9, dtype=np.complex128)
+    psi[[5, 7]] = 1 / math.sqrt(2)  # |1r>, |r1>
+    return psi
+
+
+def antisymmetric_rr_state():
+    """(|1r> - |r1>)/sqrt(2), dark under any symmetric drive."""
+    psi = np.zeros(9, dtype=np.complex128)
+    psi[[5, 7]] = 1 / math.sqrt(2), -1 / math.sqrt(2)  # |1r>, |r1>
+    return psi
+
+
+def h_block_01(drive2):
+    """Single-excitation block over {|01>, |0r>}: atom 1 idle, atom 2 driven."""
+    om = 0.5 * drive2.rabi * cmath.exp(1j * drive2.phase)
+    return np.array([[0.0, om], [np.conj(om), drive2.detuning]], dtype=np.complex128)
+
+
+def h_block_11(drive, ryd):
+    """Double-occupation block over {|11>, |B>, |rr>} for a symmetric drive.
+
+    |B> = (|1r>+|r1>)/sqrt(2); the ladder couplings are sqrt(2)/2 * Omega
+    e^{i phi} and the diagonal reads (0, Delta, V + 2*Delta).
+    """
+    g = (math.sqrt(2) / 2) * drive.rabi * cmath.exp(1j * drive.phase)
+    return np.array(
+        [
+            [0.0, g, 0.0],
+            [np.conj(g), drive.detuning, g],
+            [0.0, np.conj(g), ryd.v + 2 * drive.detuning],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def symmetric_block_projectors():
+    """Projectors onto the invariant subspaces of any symmetric drive.
+
+    Returns a dict keyed by '00', '01', '10', '11', 'antisym'. Basis indices
+    are 3*atom1 + atom2 with level codes |0>, |1>, |r> = 0, 1, 2.
+    """
+
+    def from_states(states):
+        return sum(np.outer(s, s.conj()) for s in states)
+
+    e = np.eye(9, dtype=np.complex128)
+    return {
+        "00": from_states([e[0]]),
+        "01": from_states([e[1], e[2]]),
+        "10": from_states([e[3], e[6]]),
+        "11": from_states([e[4], symmetric_rr_state(), e[8]]),
+        "antisym": from_states([antisymmetric_rr_state()]),
+    }
+
+
+_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_SP = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
+_SM = _SP.conj().T
+_DIRECT = {
+    "xy": np.kron(_SX, _SX) + np.kron(_SY, _SY),
+    "zz": 0.25 * np.kron(_SZ, _SZ),
+    "pm": np.kron(_SP, _SM) + np.kron(_SM, _SP),
+}
+
+
+def h_direct(kind, j):
+    """Direct-coupling two-qubit Hamiltonian on {|00>, |01>, |10>, |11>}.
+
+    ``kind`` "xy": J*(sx sx + sy sy); "zz": (J/4)*sz sz; "pm": J*(s+ s- + s- s+).
+    """
+    return j * _DIRECT[kind]
+
+
+def embed_two_qubit(u4):
+    """9x9 unitary acting as the 4x4 ``u4`` on |00>, |01>, |10>, |11> and as
+    the identity on every state with a Rydberg excitation."""
+    u = np.eye(9, dtype=np.complex128)
+    u[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = u4
+    return u

@@ -13,7 +13,17 @@ import math
 import numpy as np
 import pytest
 from conftest import random_segment
-from oracles import controlled_flip_family, rk4_unitary
+from oracles import (
+    antisymmetric_rr_state,
+    controlled_flip_family,
+    embed_two_qubit,
+    h_block_11,
+    h_direct,
+    hermiticity_defect,
+    rk4_unitary,
+    symmetric_block_projectors,
+    unitarity_defect,
+)
 
 from rydgate.analysis import (
     analyze_gate,
@@ -23,28 +33,14 @@ from rydgate.analysis import (
 )
 from rydgate.calibration import blockade_invariance_scan, calibrate_kappa, sweep_kappa
 from rydgate.cli import main as cli_main
-from rydgate.hamiltonians import (
-    CouplingKind,
-    CouplingSpec,
-    DriveParams,
-    RydbergParams,
-    h_block_11,
-    h_direct,
-    h_full,
-    symmetric_block_projectors,
-)
-from rydgate.propagation import SampledControls, _midpoint_product, segment_unitary
+from rydgate._kernels import expm_hermitian
+from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
+from rydgate.propagation import PulseSequence, sequence_unitary
 from rydgate.protocols import (
     GeometricProtocolParams,
     gate_time_blockade,
     gate_time_geometric,
     geometric_sequence,
-)
-from rydgate.statespace import (
-    antisymmetric_rr_state,
-    expm_hermitian,
-    hermiticity_defect,
-    unitarity_defect,
 )
 
 # Frozen regression anchors (see module docstring).
@@ -122,12 +118,12 @@ def test_direct_coupling_gates():
     # printed cos/i*sin controlled-flip matrix for J < 0, and on its complex
     # conjugate (theta -> -theta) for J > 0.
     t = math.pi / 4
-    u_neg = expm_hermitian(h_direct(CouplingSpec(CouplingKind.XY, -1.0)), t)
+    u_neg = expm_hermitian(h_direct("xy", -1.0), t)
     assert np.max(np.abs(u_neg - controlled_flip_family(math.pi / 2))) < 1e-10
-    u_pos = expm_hermitian(h_direct(CouplingSpec(CouplingKind.XY, 1.0)), t)
+    u_pos = expm_hermitian(h_direct("xy", 1.0), t)
     assert np.max(np.abs(u_pos - controlled_flip_family(-math.pi / 2))) < 1e-10
 
-    u_zz = expm_hermitian(h_direct(CouplingSpec(CouplingKind.ZZ, 1.0)), math.pi)
+    u_zz = embed_two_qubit(expm_hermitian(h_direct("zz", 1.0), math.pi))
     phi_c = controlled_phase(phases_and_leakage(u_zz).phases)
     assert abs(abs(phi_c) - math.pi) < 1e-10
     assert fidelity_cphase(u_zz, math.pi) == pytest.approx(1.0, abs=1e-12)
@@ -168,21 +164,9 @@ def test_propagator_oracles():
     rng = np.random.default_rng(777)
     for _ in range(50):
         seg = random_segment(rng)
-        u = segment_unitary(seg)
-        assert np.max(np.abs(u - rk4_unitary(seg.hamiltonian(), seg.duration))) < 1e-8
-
-    def d1(t):
-        return (1.0 + 0.4 * math.sin(2.0 * t), -0.5 + 0.2 * t, 0.3 * math.cos(1.1 * t))
-
-    def d2(t):
-        return (0.9 + 0.3 * math.cos(1.6 * t), 0.2 - 0.1 * t, -0.2 * math.sin(1.9 * t))
-
-    base = SampledControls.from_functions(d1, d2, v=1.2, duration=2.0, n_steps=64)
-    fine = base.refined()
-    finer = fine.refined()
-    diff_coarse = np.max(np.abs(_midpoint_product(base) - _midpoint_product(fine)))
-    diff_fine = np.max(np.abs(_midpoint_product(fine) - _midpoint_product(finer)))
-    assert 3.2 < diff_coarse / diff_fine < 4.4
+        u = sequence_unitary(PulseSequence((seg,)))
+        h = h_full(seg.drive1, seg.drive2, seg.ryd)
+        assert np.max(np.abs(u - rk4_unitary(h, seg.duration))) < 1e-8
 
 
 @criterion("gate time falls monotonically toward 2 pi/Omega as V grows")

@@ -1,30 +1,24 @@
-"""Tests for the two-atom Hamiltonian builders and reference couplings."""
+"""Tests for the two-atom Hamiltonian builder against reference blocks and couplings."""
 
 import math
 
 import numpy as np
 import pytest
 from conftest import random_drive
-from oracles import controlled_flip_family, two_atom_hamiltonian_by_rules
-
-from rydgate.hamiltonians import (
-    CouplingKind,
-    CouplingSpec,
-    DriveParams,
-    RydbergParams,
+from oracles import (
+    antisymmetric_rr_state,
+    controlled_flip_family,
     h_block_01,
     h_block_11,
-    h_blockade_eff,
     h_direct,
-    h_full,
-    symmetric_block_projectors,
-)
-from rydgate.statespace import (
-    antisymmetric_rr_state,
-    expm_hermitian,
     hermiticity_defect,
+    symmetric_block_projectors,
     symmetric_rr_state,
+    two_atom_hamiltonian_by_rules,
 )
+
+from rydgate._kernels import expm_hermitian
+from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
 
 
 class TestDriveParams:
@@ -151,88 +145,29 @@ class TestBlock11:
             assert gap == pytest.approx(math.sqrt(4 * omega**2 + v**2 / 4), abs=1e-10)
 
 
-class TestBlockadeEffective:
-    def test_resonant_matrix(self):
-        model = h_blockade_eff(DriveParams(1.0, 0.0, 0.0))
-        assert np.array_equal(model.matrix, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        assert model.theta11 == pytest.approx(math.pi / 2)
-
-    def test_theta_from_equal_rabi_and_detuning(self):
-        model = h_blockade_eff(DriveParams(1.0, 1.0, 0.0))
-        assert model.theta11 == pytest.approx(math.pi / 4)
-        assert np.allclose(np.diag(model.matrix), [1.0, 0.0])
-
-    def test_explicit_theta_override(self):
-        model = h_blockade_eff(DriveParams(1.0, 1.0, 0.0), theta11=0.3)
-        assert model.theta11 == 0.3
-        assert model.b_state[4] == pytest.approx(math.sin(0.15))
-
-    def test_mixed_state_composition(self):
-        phase = 0.7
-        model = h_blockade_eff(DriveParams(2.0, 1.5, phase))
-        theta = math.atan2(2.0, 1.5)
-        b = model.b_state
-        assert b[4] == pytest.approx(math.sin(theta / 2) * np.exp(-2j * phase))
-        assert b[8] == pytest.approx(math.cos(theta / 2))
-        assert abs(np.vdot(b, b) - 1) < 1e-12
-
-    def test_dynamics_disagree_with_exact_strong_interaction_block(self):
-        # Comparison check, not an equivalence: from |11> the exact
-        # strong-interaction dynamics is a near-complete two-level transfer
-        # to the bright state at angular frequency sqrt(2)*(Omega/2), while
-        # this model caps the transfer probability at 1/2 and runs at Omega.
-        omega = 1.0
-        v = 1000.0
-        d = DriveParams(omega, 0.0, 0.0)
-        exact = h_block_11(d, RydbergParams(v))
-        times = np.linspace(0.0, 2 * math.pi / omega, 400)
-
-        from_11_exact = []
-        for t in times:
-            u = expm_hermitian(exact, t)
-            from_11_exact.append(abs(u[1, 0]) ** 2)  # |<bright|U|11>|^2
-
-        model = h_blockade_eff(d)
-        overlap = model.b_state[4]  # <b|11>
-        from_11_model = []
-        for t in times:
-            u = expm_hermitian(model.matrix, t)
-            from_11_model.append(abs(u[0, 1] * overlap) ** 2)
-
-        peak_exact = max(from_11_exact)
-        peak_model = max(from_11_model)
-        assert peak_exact > 0.99
-        assert peak_model == pytest.approx(0.5, abs=0.01)
-        # Couplings differ by sqrt(2) (Omega/sqrt(2) exact vs Omega here), so
-        # the exact transfer peaks sqrt(2) later than the model's.
-        t_peak_exact = times[int(np.argmax(from_11_exact))]
-        t_peak_model = times[int(np.argmax(from_11_model))]
-        assert t_peak_exact / t_peak_model == pytest.approx(math.sqrt(2), rel=0.02)
-
-
 class TestHDirect:
     def test_zz_diagonal(self):
-        h = h_direct(CouplingSpec(CouplingKind.ZZ, 1.0))
+        h = h_direct("zz", 1.0)
         assert np.array_equal(h, np.diag([0.25, -0.25, -0.25, 0.25]).astype(complex))
 
     def test_xy_entries(self):
-        h = h_direct(CouplingSpec(CouplingKind.XY, 1.0))
+        h = h_direct("xy", 1.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = expected[2, 1] = 2.0
         assert np.array_equal(h, expected)
 
     def test_pm_is_half_xy(self):
-        xy = h_direct(CouplingSpec(CouplingKind.XY, 1.0))
-        pm = h_direct(CouplingSpec(CouplingKind.PM, 2.0))
+        xy = h_direct("xy", 1.0)
+        pm = h_direct("pm", 2.0)
         assert np.array_equal(xy, pm)
 
     def test_xy_evolution_is_controlled_flip_family(self):
         # exp(-i H t) realizes the cos/i*sin block with theta = -2*J*t: the
         # positive-theta member of the family is reached with J*t < 0.
         j, t = 1.0, 0.37
-        u = expm_hermitian(h_direct(CouplingSpec(CouplingKind.XY, j)), t)
+        u = expm_hermitian(h_direct("xy", j), t)
         assert np.max(np.abs(u - controlled_flip_family(-2 * j * t))) < 1e-10
-        u_neg = expm_hermitian(h_direct(CouplingSpec(CouplingKind.XY, -j)), t)
+        u_neg = expm_hermitian(h_direct("xy", -j), t)
         assert np.max(np.abs(u_neg - controlled_flip_family(2 * j * t))) < 1e-10
 
 

@@ -1,8 +1,13 @@
-"""Packaging contract: NumPy is the only runtime dependency."""
+"""Packaging contract: NumPy is the only runtime dependency, the public names
+are a fixed list, and the README's library example runs."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import rydgate
 
@@ -13,6 +18,43 @@ import rydgate
 loaded = {name.split(".")[0] for name in set(sys.modules) - before}
 print(rydgate.BACKEND, sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "rydgate"}))
 """
+
+PUBLIC_NAMES = [
+    "BACKEND",
+    "BlockadeProtocolParams",
+    "CalibrationError",
+    "CalibrationResult",
+    "DriveParams",
+    "FidelityStats",
+    "GateReport",
+    "GeometricProtocolParams",
+    "Level",
+    "NoiseModel",
+    "PulseSegment",
+    "PulseSequence",
+    "RydbergParams",
+    "SweepRecord",
+    "analyze_gate",
+    "basis_index",
+    "blockade_invariance_scan",
+    "blockade_pdp_sequence",
+    "calibrate_kappa",
+    "controlled_phase",
+    "fidelity_cphase",
+    "gate_time_blockade",
+    "gate_time_geometric",
+    "geometric_sequence",
+    "h_full",
+    "monte_carlo_fidelity",
+    "phases_and_leakage",
+    "pulse_area",
+    "rydberg_time",
+    "sequence_unitary",
+    "sweep_kappa",
+    "v_of_spacing",
+]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_import_loads_only_numpy():
@@ -25,3 +67,21 @@ def test_import_loads_only_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "pure []"
+
+
+def test_public_names_are_pinned_and_resolve():
+    # A name added to or dropped from the public surface must be added here too.
+    assert sorted(rydgate.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(rydgate, name) is not None, name
+
+
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"## Library example\n\n```python\n(.*?)```", README.read_text(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    report_line, kappa_line = out.getvalue().splitlines()
+    controlled_phase, fidelity, gate_time = map(float, report_line.split())
+    assert abs(controlled_phase) > 3.0 and fidelity > 0.99 and gate_time > 0
+    assert round(float(kappa_line), 4) == 1.6451

@@ -59,6 +59,15 @@ class TestGeometricSequence:
         with pytest.raises(ValueError):
             GeometricProtocolParams.from_omega(1.65, omega=0.0)
 
+    @pytest.mark.parametrize("kappa", [0.0, -0.0])
+    def test_from_omega_rejects_kappa_before_dividing(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            GeometricProtocolParams.from_omega(kappa, 1.0)
+
+    def test_from_omega_reports_an_overflowing_v(self):
+        with pytest.raises(ValueError, match="omega/kappa overflows"):
+            GeometricProtocolParams.from_omega(5e-324, 1.0)
+
 
 class TestBlockadeSequence:
     def test_durations_and_drive_masks(self):
