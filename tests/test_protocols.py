@@ -97,6 +97,38 @@ class TestBlockadeSequence:
         assert seq_a.segments[0].ryd.v != seq_b.segments[0].ryd.v
 
 
+#: Every entry point that takes a positive, finite parameter, with the name
+#: its error message gives.
+_POSITIVE_PARAMETERS = {
+    "geometric-kappa": ("kappa", lambda x: GeometricProtocolParams(kappa=x, v=1.0)),
+    "geometric-v": ("v", lambda x: GeometricProtocolParams(kappa=1.0, v=x)),
+    "from_omega-kappa": ("kappa", lambda x: GeometricProtocolParams.from_omega(x, 1.0)),
+    "from_omega-omega": ("omega", lambda x: GeometricProtocolParams.from_omega(1.0, x)),
+    "blockade-rabi": ("rabi", lambda x: BlockadeProtocolParams(rabi=x, v=100.0)),
+    "gate_time_geometric-kappa": ("kappa", lambda x: gate_time_geometric(x, 1.0)),
+    "gate_time_geometric-omega": ("omega", lambda x: gate_time_geometric(1.0, x)),
+    "gate_time_blockade-omega": ("omega", lambda x: gate_time_blockade(x)),
+}
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("site", sorted(_POSITIVE_PARAMETERS))
+    def test_non_positive_or_non_finite_rejected_by_name(self, site, value):
+        name, call = _POSITIVE_PARAMETERS[site]
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+            call(value)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_blockade_v_must_be_finite(self, v):
+        with pytest.raises(ValueError, match=f"^v must be finite, got {v}$"):
+            BlockadeProtocolParams(rabi=1.0, v=v)
+
+    def test_blockade_v_may_be_zero_or_negative(self):
+        for v in (0.0, -5.0):
+            assert BlockadeProtocolParams(rabi=1.0, v=v).v == v
+
+
 class TestGateTimes:
     def test_reference_values_in_pi_over_omega(self):
         # The closed form gives 3.9549 at kappa = 1.65 and 3.9496 at 1.56;
