@@ -2,11 +2,13 @@
 
 The controlled phase is not assumed monotone in kappa: calibration first
 scans the bracket on a fixed 200-point grid, keeps the sign-change interval
-of the wrapped phase error nearest the seed, and then bisects. Everything
-here is deterministic: identical inputs give bit-identical tables.
+of the wrapped phase error nearest the seed, and then bisects. Sweeps and the
+scan batch rows from ``geometric_controls``; each bisection step builds one
+``geometric_sequence``. Identical inputs give bit-identical tables.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +26,15 @@ from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
     blockade_pdp_sequence,
+    geometric_controls,
     geometric_sequence,
 )
 from rydgate.statespace import wrap_angle
 
-#: Grid size of the pre-bisection scan in calibrate_kappa.
+#: Grid size of calibrate_kappa's pre-bisection scan, and the largest
+#: |wrapped phase error| it accepts at kappa*.
 CALIBRATION_SCAN_POINTS = 200
+CALIBRATION_TOLERANCE = 1e-6
 
 
 class CalibrationError(RuntimeError):
@@ -75,27 +80,22 @@ def _geometric(kappa, omega):
     return geometric_sequence(GeometricProtocolParams.from_omega(float(kappa), omega))
 
 
-def _geometric_batch(kappas, omega):
-    """Gate times (n,) and propagator chunks of the geometric gate at each kappa."""
-    rows, durations = zip(*(_geometric(k, omega).controls() for k in kappas))
-    durations = np.array(durations)
-    return durations.sum(axis=-1), batch_unitaries(np.array(rows), durations)
-
-
 def sweep_kappa(k_min, k_max, n, omega=1.0):
     """Characterize the geometric protocol on n uniformly spaced kappa values.
 
     Fidelity is measured against a CZ gate (target phase pi). Records come
     back ordered by kappa.
     """
-    if not (0 < k_min < k_max):
-        raise ValueError(f"need 0 < k_min < k_max, got ({k_min}, {k_max})")
+    if not (0 < k_min < k_max < math.inf):
+        raise ValueError(f"need finite 0 < k_min < k_max, got ({k_min}, {k_max})")
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"need at least 2 sweep points, got {n}")
-    kappas = np.linspace(k_min, k_max, int(n))
-    gate_times, chunks = _geometric_batch(kappas, omega)
+    kappas = np.linspace(k_min, k_max, n)
+    rows, durations = geometric_controls(kappas, omega)
+    gate_times = durations.sum(axis=-1)
     wrapped, unwrapped, leakage, fidelity = [], [], [], []
-    for u in chunks:
+    for u in batch_unitaries(rows, durations):
         extraction = phases_and_leakage(u)
         wrapped.append(controlled_phase(extraction.phases))
         unwrapped.append(phase_combination(extraction.phases))
@@ -112,33 +112,34 @@ def _phase_error(u, target_phi):
     return wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target_phi)
 
 
-def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, tol=1e-6):
+def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     """Find kappa* where the geometric protocol's controlled phase hits target.
 
     A 200-point scan over ``bracket`` locates sign changes of the wrapped
     error wrap(phi_c(kappa) - target); intervals whose endpoints differ by
     more than pi are branch-cut jumps and are skipped. The admissible
     interval nearest ``seed_kappa`` is bisected down to width 1e-10, which
-    leaves the wrapped error far below ``tol``.
+    leaves the wrapped error far below ``CALIBRATION_TOLERANCE``.
 
     Raises
     ------
     CalibrationError
-        If no admissible sign change exists in the bracket; the scanned
+        If no admissible sign change exists in the bracket, or the wrapped
+        error at kappa* exceeds ``CALIBRATION_TOLERANCE``; the scanned
         (kappa, wrapped phi_c) table is attached for diagnosis.
     """
     for name, value in (("target_phi", target_phi), ("seed_kappa", seed_kappa)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     k_lo, k_hi = bracket
-    if not (0 < k_lo < k_hi):
-        raise ValueError(f"need 0 < k_lo < k_hi, got {bracket}")
+    if not (0 < k_lo < k_hi < math.inf):
+        raise ValueError(f"need finite 0 < k_lo < k_hi, got {bracket}")
 
     def error_at(kappa):
         return _phase_error(sequence_unitary(_geometric(kappa, omega)), target_phi)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
-    _, chunks = _geometric_batch(kappas, omega)
+    chunks = batch_unitaries(*geometric_controls(kappas, omega))
     errors = np.concatenate([_phase_error(u, target_phi) for u in chunks])
     scan = tuple(
         (float(k), wrap_angle(e + target_phi)) for k, e in zip(kappas, errors.tolist())
@@ -173,9 +174,9 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED, to
     kappa_star = 0.5 * (lo + hi)
 
     residual = error_at(kappa_star)
-    if abs(residual) > tol:
+    if abs(residual) > CALIBRATION_TOLERANCE:
         raise CalibrationError(
-            f"bisection stalled: |wrapped error| = {abs(residual):.3e} > {tol:g} "
+            f"bisection stalled: |wrapped error| = {abs(residual):.3e} > {CALIBRATION_TOLERANCE:g} "
             f"at kappa = {kappa_star}",
             scan=scan,
         )

@@ -18,8 +18,7 @@ from rydgate.protocols import (
     CZ_KAPPA_SEED,
     BlockadeProtocolParams,
     GeometricProtocolParams,
-    blockade_pdp_sequence,
-    geometric_sequence,
+    protocol_sequence,
 )
 from rydgate.robustness import NoiseModel, monte_carlo_fidelity
 
@@ -32,10 +31,6 @@ COMPARE_HEADER = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
 def _fmt(x):
     """12-significant-digit decimal rendering used in all CSV output."""
     return format(float(x), ".12g")
@@ -43,9 +38,9 @@ def _fmt(x):
 
 def _positive(value, name):
     if value is None:
-        raise ConfigError(f"missing required option: {name}")
+        raise ValueError(f"missing required option: {name}")
     if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -58,11 +53,11 @@ def _parse_config_file(path):
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, raw = line.partition("=")
                 values[key.strip()] = raw.strip()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -72,7 +67,7 @@ def _merge(args, schema):
     file_values = _parse_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     resolved = {}
     for key, (parse, default, required) in schema.items():
         if raw.get(key) is not None:
@@ -80,13 +75,11 @@ def _merge(args, schema):
         elif key in file_values:
             try:
                 resolved[key] = parse(file_values[key])
-            except ConfigError:
-                raise
             except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
+                raise ValueError(f"config key {key}: {exc}") from exc
         else:
             if required and default is None:
-                raise ConfigError(f"missing required option: {key.replace('_', '-')}")
+                raise ValueError(f"missing required option: {key.replace('_', '-')}")
             resolved[key] = default
     return resolved
 
@@ -94,7 +87,7 @@ def _merge(args, schema):
 def _parse_bracket(text):
     parts = text.split()
     if len(parts) != 2:
-        raise ConfigError(f"bracket needs two numbers, got {text!r}")
+        raise ValueError(f"bracket needs two numbers, got {text!r}")
     return [float(parts[0]), float(parts[1])]
 
 
@@ -121,34 +114,31 @@ def _report_payload(report, omega):
     }
 
 
-def _geometric_params(cfg):
+def _protocol(cfg):
+    """Protocol parameters and Rabi frequency of ``simulate`` and ``robustness``."""
+    omega, v = cfg["omega"], cfg["v"]
+    if cfg["protocol"] == "blockade":
+        omega = _positive(omega, "omega")
+        if v is None:
+            raise ValueError("blockade protocol needs v")
+        return BlockadeProtocolParams(rabi=omega, v=v), omega
+    if cfg["protocol"] != "geometric":
+        raise ValueError(f"unknown protocol: {cfg['protocol']!r}")
     kappa = _positive(cfg["kappa"], "kappa")
-    if cfg["omega"] is not None and cfg["v"] is not None:
-        raise ConfigError("give either omega or v for the geometric protocol, not both")
-    if cfg["omega"] is not None:
-        return GeometricProtocolParams.from_omega(kappa, _positive(cfg["omega"], "omega"))
-    if cfg["v"] is not None:
-        return GeometricProtocolParams(kappa=kappa, v=_positive(cfg["v"], "v"))
-    raise ConfigError("geometric protocol needs omega or v")
-
-
-def _blockade_params(omega, v):
-    if v is None:
-        raise ConfigError("blockade protocol needs v")
-    return BlockadeProtocolParams(rabi=omega, v=v)
+    if omega is not None and v is not None:
+        raise ValueError("give either omega or v for the geometric protocol, not both")
+    if omega is not None:
+        params = GeometricProtocolParams.from_omega(kappa, _positive(omega, "omega"))
+    elif v is not None:
+        params = GeometricProtocolParams(kappa=kappa, v=_positive(v, "v"))
+    else:
+        raise ValueError("geometric protocol needs omega or v")
+    return params, params.omega
 
 
 def cmd_simulate(cfg):
-    if cfg["protocol"] == "geometric":
-        params = _geometric_params(cfg)
-        seq = geometric_sequence(params)
-        omega = params.omega
-    elif cfg["protocol"] == "blockade":
-        omega = _positive(cfg["omega"], "omega")
-        seq = blockade_pdp_sequence(_blockade_params(omega, cfg["v"]))
-    else:
-        raise ConfigError(f"unknown protocol: {cfg['protocol']!r}")
-    report = analyze_gate(seq, target_phi=cfg["target_phi"])
+    params, omega = _protocol(cfg)
+    report = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
     payload = {"protocol": cfg["protocol"], **_report_payload(report, omega)}
     _emit(json.dumps(payload, indent=2) + "\n", cfg["output"])
     return 0
@@ -205,11 +195,8 @@ def cmd_compare(cfg):
     geo = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
     blk = BlockadeProtocolParams(rabi=omega, v=_positive(cfg["blockade_v"], "blockade-v"))
     rows = []
-    for name, seq in (
-        ("blockade", blockade_pdp_sequence(blk)),
-        ("geometric", geometric_sequence(geo)),
-    ):
-        report = analyze_gate(seq, target_phi=cfg["target_phi"])
+    for name, params in (("blockade", blk), ("geometric", geo)):
+        report = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
         rows.append(
             name
             + ","
@@ -229,13 +216,7 @@ def cmd_compare(cfg):
 
 
 def cmd_robustness(cfg):
-    omega = _positive(cfg["omega"], "omega")
-    if cfg["protocol"] == "geometric":
-        protocol = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
-    elif cfg["protocol"] == "blockade":
-        protocol = _blockade_params(omega, cfg["v"])
-    else:
-        raise ConfigError(f"unknown protocol: {cfg['protocol']!r}")
+    protocol, _ = _protocol(cfg)
     noise = NoiseModel.for_interaction(
         v=protocol.v,
         r0=_positive(cfg["r0"], "r0"),
@@ -352,7 +333,7 @@ def main(argv=None):
     try:
         cfg = _merge(args, SCHEMAS[args.command])
         return HANDLERS[args.command](cfg)
-    except ValueError as exc:  # ConfigError and every rejected value
+    except ValueError as exc:  # every rejected option or value
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -9,12 +9,17 @@ phase at kappa ~ 1.65 (toggling by +pi/2 would put it near kappa ~ 1.33).
 
 Blockade protocol: resonant pi pulse on atom 1, 2*pi pulse on atom 2, pi
 pulse on atom 1, total 4*pi/Omega regardless of V.
+
+Only this module turns protocol parameters into schedules: one gate of either
+protocol (``protocol_sequence``), or kernel-ready rows of geometric gates.
 """
 
 import math
 from dataclasses import dataclass
 
-from rydgate.hamiltonians import DriveParams, RydbergParams
+import numpy as np
+
+from rydgate.hamiltonians import RABI_COLUMNS, DriveParams, RydbergParams
 from rydgate.propagation import PulseSegment, PulseSequence
 
 #: Default calibration seed: ratio Omega/V at which the geometric protocol
@@ -106,6 +111,32 @@ def blockade_pdp_sequence(params):
             PulseSegment(duration=pi_time, drive1=drive, drive2=None, ryd=ryd),
         )
     )
+
+
+def protocol_sequence(params):
+    """Pulse schedule of geometric or blockade protocol parameters."""
+    if isinstance(params, GeometricProtocolParams):
+        return geometric_sequence(params)
+    if isinstance(params, BlockadeProtocolParams):
+        return blockade_pdp_sequence(params)
+    raise TypeError(f"unsupported protocol parameters: {params!r}")
+
+
+# Rows of the geometric schedule at Omega = V = 1. A row is linear in
+# (Omega, V): Omega scales the Rabi columns, V the detunings and the V column.
+_UNIT_ROWS, _ = geometric_sequence(GeometricProtocolParams(kappa=1.0, v=1.0)).controls()
+
+
+def geometric_controls(kappas, omega):
+    """(n, 4, 7) control rows and (n, 4) durations of the geometric gate at
+    each of n kappas: ``geometric_sequence(GeometricProtocolParams.from_omega(
+    kappa, omega)).controls()`` bit for bit, without building a sequence."""
+    params = [GeometricProtocolParams.from_omega(float(k), omega) for k in kappas]
+    rows = _UNIT_ROWS * np.array([p.v for p in params])[:, None, None]
+    omegas = np.array([p.omega for p in params])[:, None, None]
+    rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas
+    durations = np.array([p.segment_duration for p in params])[:, None]
+    return rows, np.repeat(durations, len(_UNIT_ROWS), axis=1)
 
 
 def gate_time_geometric(kappa, omega):

@@ -21,12 +21,7 @@ import numpy as np
 from rydgate.analysis import controlled_phase, fidelity_cphase, phases_and_leakage
 from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
 from rydgate.propagation import batch_unitaries, sequence_unitary
-from rydgate.protocols import (
-    BlockadeProtocolParams,
-    GeometricProtocolParams,
-    blockade_pdp_sequence,
-    geometric_sequence,
-)
+from rydgate.protocols import protocol_sequence
 from rydgate.statespace import wrap_angle
 
 
@@ -93,14 +88,6 @@ def v_of_spacing(c6, r):
         raise ValueError(f"spacing {r} is out of range: r**6 over- or underflows") from None
 
 
-def _nominal_sequence(protocol):
-    if isinstance(protocol, GeometricProtocolParams):
-        return geometric_sequence(protocol)
-    if isinstance(protocol, BlockadeProtocolParams):
-        return blockade_pdp_sequence(protocol)
-    raise TypeError(f"unsupported protocol parameters: {protocol!r}")
-
-
 def _sample_eps(seed, index):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
     return rng.standard_normal(), rng.standard_normal()
@@ -141,7 +128,7 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
             f"noise model interaction c6/r0^6 = {noise.v_nominal} does not match "
             f"the protocol's nominal V = {v_nom}"
         )
-    nominal = _nominal_sequence(protocol)
+    nominal = protocol_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
 
     eps = np.array([_sample_eps(noise.seed, i) for i in range(n_samples)])

@@ -2,15 +2,32 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from rydgate import calibration
 from rydgate.calibration import (
     CalibrationError,
     blockade_invariance_scan,
     calibrate_kappa,
     sweep_kappa,
 )
+from rydgate.propagation import PulseSequence
 from rydgate.protocols import gate_time_geometric
+
+
+@pytest.fixture
+def sequences_built(monkeypatch):
+    """Count of PulseSequence objects built while the test runs."""
+    built = []
+    check = PulseSequence.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PulseSequence, "__post_init__", counting)
+    return built
 
 
 class TestSweepKappa:
@@ -19,6 +36,25 @@ class TestSweepKappa:
             sweep_kappa(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             sweep_kappa(0.5, 1.0, 1)
+
+    @pytest.mark.parametrize("k_max", [math.inf, math.nan])
+    def test_bounds_must_be_finite(self, k_max):
+        with pytest.raises(ValueError, match=r"^need finite 0 < k_min < k_max, got \(0\.2, "):
+            sweep_kappa(0.2, k_max, 3)
+
+    def test_point_count_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            sweep_kappa(0.2, 2.5, 2.7)
+        with pytest.raises(TypeError):
+            sweep_kappa(0.2, 2.5, 3.0)
+
+    def test_point_count_accepts_numpy_integers(self):
+        assert sweep_kappa(0.2, 2.5, np.int64(3)) == sweep_kappa(0.2, 2.5, 3)
+        assert len(sweep_kappa(0.2, 2.5, np.int32(4))) == 4
+
+    def test_builds_no_pulse_sequence(self, sequences_built):
+        assert len(sweep_kappa(0.2, 2.5, 50)) == 50
+        assert sequences_built == []
 
     def test_deterministic(self):
         a = sweep_kappa(1.2, 2.0, 9)
@@ -79,6 +115,24 @@ class TestCalibrateKappa:
             seed_kappa=first.kappa_star,
         )
         assert again.kappa_star == pytest.approx(first.kappa_star, abs=1e-6)
+
+    @pytest.mark.parametrize("bracket", [(1.0, math.inf), (1.0, math.nan)])
+    def test_bracket_must_be_finite(self, bracket):
+        with pytest.raises(ValueError, match=r"^need finite 0 < k_lo < k_hi, got \(1\.0, "):
+            calibrate_kappa(-math.pi, bracket)
+
+    def test_scan_builds_no_pulse_sequence_per_kappa(self, sequences_built):
+        calibrate_kappa(-math.pi, (1.0, 2.5))
+        # Bisection from a 1/199-wide interval to width 1e-10 takes 27 steps;
+        # with its first endpoint, the residual and the report that is 30
+        # sequences, none for the 200 scan points.
+        assert len(sequences_built) == 30
+
+    def test_residual_above_tolerance_is_reported(self, monkeypatch):
+        monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)
+        with pytest.raises(CalibrationError, match="^bisection stalled") as excinfo:
+            calibrate_kappa(-math.pi, (1.0, 2.5))
+        assert len(excinfo.value.scan) == calibration.CALIBRATION_SCAN_POINTS
 
     def test_failure_attaches_scan_table(self):
         with pytest.raises(CalibrationError) as excinfo:

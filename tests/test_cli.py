@@ -2,10 +2,14 @@
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from rydgate.cli import COMPARE_HEADER, SWEEP_HEADER, main
+from rydgate.cli import COMPARE_HEADER, SWEEP_HEADER, main, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +223,33 @@ class TestRobustnessCommand:
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("simulate", "--protocol", "blockade", "--omega", "1"), "blockade protocol needs v"),
+        (("robustness", "--protocol", "blockade", "--omega", "1", "--seed", "1"),
+         "blockade protocol needs v"),
+        (("simulate", "--protocol", "geometric", "--kappa", "1.65"),
+         "geometric protocol needs omega or v"),
+        (("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1", "--v", "1"),
+         "give either omega or v for the geometric protocol, not both"),
+        (("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1", "--v", "1",
+          "--seed", "1", "--samples", "2"),
+         "give either omega or v for the geometric protocol, not both"),
+    ],
+    ids=[
+        "simulate-blockade-no-v",
+        "robustness-blockade-no-v",
+        "simulate-geometric-no-omega-or-v",
+        "simulate-geometric-omega-and-v",
+        "robustness-geometric-omega-and-v",
+    ],
+)
+def test_inconsistent_protocol_options_exit_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
@@ -235,6 +266,8 @@ class TestRobustnessCommand:
          "--sigma-omega-rel", "nan", "--seed", "1", "--samples", "3"),
         ("calibrate", "--target-phi", "-3.14159265358979", "--bracket", "1.0", "2.5",
          "--seed-kappa", "nan"),
+        ("sweep", "--kappa-min", "0.2", "--kappa-max", "inf", "--n", "3"),
+        ("calibrate", "--target-phi", "-3.14159265358979", "--bracket", "1.0", "inf"),
     ],
     ids=[
         "simulate-target-nan",
@@ -245,6 +278,8 @@ class TestRobustnessCommand:
         "robustness-sigma-r-inf",
         "robustness-sigma-omega-nan",
         "calibrate-seed-kappa-nan",
+        "sweep-kappa-max-inf",
+        "calibrate-bracket-inf",
     ],
 )
 def test_non_finite_value_exits_two(capsys, argv):
@@ -335,7 +370,35 @@ class TestConfigFile:
         assert b"\r" not in raw
         assert raw.decode("utf-8").split("\n")[0] == SWEEP_HEADER
 
+    def test_malformed_bracket_names_its_key(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("target_phi = -3.14159265358979\nbracket = 1.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: config key bracket: bracket needs two numbers, got '1.0'\n"
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--bogus", "1"])
         assert excinfo.value.code == 2
+
+
+class TestRun:
+    """``run`` is the ``rydgate`` console script: ``main`` on ``sys.argv``."""
+
+    def test_success_exits_zero(self, capsys, monkeypatch):
+        argv = ["rydgate", "compare", "--omega", "1", "--kappa", "1.65", "--blockade-v", "100"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as excinfo:
+            run()
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / "compare.csv").read_text(encoding="utf-8")
+
+    def test_rejected_value_exits_two(self, capsys, monkeypatch):
+        argv = ["rydgate", "sweep", "--kappa-min", "0.2", "--kappa-max", "inf", "--n", "3"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as excinfo:
+            run()
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")

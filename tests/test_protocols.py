@@ -12,7 +12,9 @@ from rydgate.protocols import (
     blockade_pdp_sequence,
     gate_time_blockade,
     gate_time_geometric,
+    geometric_controls,
     geometric_sequence,
+    protocol_sequence,
 )
 
 
@@ -67,6 +69,60 @@ class TestGeometricSequence:
     def test_from_omega_reports_an_overflowing_v(self):
         with pytest.raises(ValueError, match="omega/kappa overflows"):
             GeometricProtocolParams.from_omega(5e-324, 1.0)
+
+
+def _sequence_controls(kappas, omega):
+    """Rows and durations of one ``geometric_sequence`` per kappa, stacked."""
+    rows, durations = zip(
+        *(geometric_sequence(GeometricProtocolParams.from_omega(float(k), omega)).controls()
+          for k in kappas)
+    )
+    return np.array(rows), np.array(durations)
+
+
+class TestGeometricControls:
+    @pytest.mark.parametrize(
+        "k_min, k_max", [(0.2, 2.5), (1.0, 2.5)], ids=["sweep-grid", "calibration-grid"]
+    )
+    def test_scan_grids_match_sequences_bit_for_bit(self, k_min, k_max):
+        kappas = np.linspace(k_min, k_max, 200)
+        rows, durations = geometric_controls(kappas, 1.0)
+        want_rows, want_durations = _sequence_controls(kappas, 1.0)
+        assert rows.shape == (200, 4, 7) and durations.shape == (200, 4)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert durations.tobytes() == want_durations.tobytes()
+
+    def test_random_pairs_match_sequences_bit_for_bit(self, rng):
+        # 40 random Omega times 500 random kappa, each over twelve decades.
+        # Durations taken from np.hypot instead of math.hypot differ in the
+        # last bit for about one pair in a thousand or two, so they fail here.
+        for omega in 10.0 ** rng.uniform(-6, 6, 40):
+            kappas = 10.0 ** rng.uniform(-6, 6, 500)
+            rows, durations = geometric_controls(kappas, float(omega))
+            want_rows, want_durations = _sequence_controls(kappas, float(omega))
+            assert rows.tobytes() == want_rows.tobytes(), omega
+            assert durations.tobytes() == want_durations.tobytes(), omega
+
+    def test_empty_batch(self):
+        rows, durations = geometric_controls([], 1.0)
+        assert rows.shape == (0, 4, 7) and durations.shape == (0, 4)
+
+    @pytest.mark.parametrize("kappas", [[1.0, 0.0], [1.0, math.nan], [math.inf]])
+    def test_each_kappa_is_validated(self, kappas):
+        with pytest.raises(ValueError, match="^kappa must be positive"):
+            geometric_controls(kappas, 1.0)
+
+
+class TestProtocolSequence:
+    def test_dispatches_on_the_parameter_type(self):
+        geo = GeometricProtocolParams.from_omega(1.65, 1.0)
+        blk = BlockadeProtocolParams(rabi=1.0, v=100.0)
+        assert protocol_sequence(geo) == geometric_sequence(geo)
+        assert protocol_sequence(blk) == blockade_pdp_sequence(blk)
+
+    def test_unknown_parameter_type_rejected(self):
+        with pytest.raises(TypeError, match="unsupported protocol parameters"):
+            protocol_sequence((1.65, 1.0))
 
 
 class TestBlockadeSequence:
