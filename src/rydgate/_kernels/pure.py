@@ -24,16 +24,16 @@ def expm_hermitian(h, t):
     return v @ v_dagger
 
 
-def sequence_product(hams, durations):
+def sequence_product(hams, durations, order):
     """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
 
-    ``hams`` (..., k, n, n) holds each gate's segment generators, first
-    segment first, and ``durations`` (..., k) their durations, broadcast
-    against ``hams.shape[:-2]``. Returns the (..., n, n) propagators.
+    ``hams`` (..., d, n, n) holds each gate's distinct segment generators, ``durations``
+    (..., d) their durations, broadcast against ``hams.shape[:-2]``, and ``order`` each
+    segment's index into them, first segment first. Returns the (..., n, n) propagators.
     """
     steps = expm_hermitian(hams, durations)
     u = np.eye(hams.shape[-1], dtype=np.complex128)
-    for j in range(steps.shape[-3]):
+    for j in order:
         u = steps[..., j, :, :] @ u
     return u
 
@@ -55,11 +55,12 @@ def _trapezoid_factor(w, h, n):
     return h * d * np.exp(1j * n * r)
 
 
-def weighted_population_integral(hams, durations, psi0, weights, samples_per_segment):
+def weighted_population_integral(hams, durations, order, psi0, weights, samples_per_segment):
     """Trapezoidal time integrals of a weighted population along a sequence.
 
-    Propagates each of the (m, n) initial states ``psi0`` through the (k, n, n)
-    piecewise-constant schedule of (k,) ``durations`` and integrates
+    Propagates each of the (m, n) initial states ``psi0`` through the schedule
+    whose segment j is generated by ``hams[order[j]]`` for ``durations[order[j]]``
+    ((d, n, n) and (d,): the distinct segments) and integrates
     sum_i weights[i]*|psi_i(t)|^2 by the trapezoid rule on a uniform grid of
     ``samples_per_segment`` intervals per segment. Returns the (m,) integrals.
 
@@ -75,8 +76,8 @@ def weighted_population_integral(hams, durations, psi0, weights, samples_per_seg
     kernels *= v_dagger @ (weights[:, None] * v)
     psi = np.asarray(psi0, dtype=np.complex128)
     total = np.zeros(psi.shape[0])
-    for vk, kernel, step in zip(v, kernels, steps):
-        c = psi @ vk.conj()
-        total += ((c.conj() @ kernel) * c).sum(axis=-1).real
-        psi = (c * step) @ vk.T
+    for j in order:
+        c = psi @ v[j].conj()
+        total += ((c.conj() @ kernels[j]) * c).sum(axis=-1).real
+        psi = (c * steps[j]) @ v[j].T
     return total

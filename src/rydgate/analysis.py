@@ -23,7 +23,7 @@ import numpy as np
 
 from rydgate import _kernels
 from rydgate.hamiltonians import hamiltonians
-from rydgate.propagation import sequence_unitary
+from rydgate.propagation import distinct_segments, sequence_unitary
 from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 #: Below this diagonal-amplitude magnitude the extracted phase is meaningless
@@ -180,11 +180,12 @@ def rydberg_time(sequence):
 
     Single excitation counts once and the doubly-excited state twice. The
     integral is the trapezoid rule on ``RYDBERG_TIME_SAMPLES`` uniform
-    intervals per segment, summed in closed form in each segment's eigenbasis.
+    intervals per segment, summed in closed form in each distinct segment's eigenbasis.
     """
     rows, durations = sequence.controls()
+    rows, durations, order = distinct_segments(rows[None], durations[None])
     totals = _kernels.weighted_population_integral(
-        hamiltonians(rows), durations, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
+        hamiltonians(rows[0]), durations[0], order, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     return float(np.mean(totals))
 

@@ -277,7 +277,7 @@ SCHEMAS = {
         **_COMMON,
         "protocol": (str, None, True),
         "kappa": (float, None, False),
-        "omega": (float, None, True),
+        "omega": (float, None, False),
         "v": (float, None, False),
         "sigma_omega_rel": (float, 0.0, False),
         "sigma_r_rel": (float, 0.0, False),

@@ -9,6 +9,8 @@ not as instantaneous kicks.
 Every propagation goes through ``batch_unitaries``, which hands stacks of
 control rows to the kernel and yields one stack per ``CHUNK`` gates: memory
 stays bounded, and a gate's propagator does not depend on the batch it is in.
+A segment that repeats an earlier one in every gate of a batch (geometric
+A B A B, blockade A B A) is diagonalised once: identical bytes, identical bits.
 """
 
 import math
@@ -60,13 +62,27 @@ class PulseSequence:
         return rows, np.array([s.duration for s in self.segments])
 
 
+def distinct_segments(controls, durations):
+    """The distinct segments of n gates' (n, k, 7) control rows and (n, k) durations.
+
+    Segment j repeats an earlier one when its row and duration have the same
+    bytes in every gate (-0.0 is not 0.0). Returns the (n, d, 7) rows and (n, d)
+    durations of the d distinct segments, and the k-tuple ``order`` of each
+    segment's index into them."""
+    first, order = {}, []
+    for row, t in zip(controls.swapaxes(0, 1), durations.T):
+        order.append(first.setdefault(row.tobytes() + t.tobytes(), len(first)))
+    keep = [order.index(i) for i in range(len(first))]
+    return controls[:, keep], durations[:, keep], tuple(order)
+
+
 def batch_unitaries(controls, durations):
     """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as
     (n, k, 7) control rows and (n, k) segment durations, or (k,) shared by all."""
-    durations = np.broadcast_to(durations, controls.shape[:-1])
+    controls, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
-        yield _kernels.sequence_product(hamiltonians(controls[chunk]), durations[chunk])
+        yield _kernels.sequence_product(hamiltonians(controls[chunk]), durations[chunk], order)
 
 
 def sequence_unitary(sequence):

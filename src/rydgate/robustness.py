@@ -10,10 +10,14 @@ parameters - control errors perturb the physics, not the program.
 Reproducibility: sample i draws from a PCG64 generator seeded with
 SeedSequence((seed, i)), taking eps_Omega then eps_R as standard normals.
 Per-sample substreams make results independent of evaluation order, so
-parallel execution cannot change them.
+parallel execution cannot change them. ``_noise_draws`` seeds all i at once:
+the SeedSequence hash runs on an index array in uint32 arithmetic, PCG64's
+seeding in Python ints, and one generator set to each state draws the pair.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +92,56 @@ def v_of_spacing(c6, r):
         raise ValueError(f"spacing {r} is out of range: r**6 over- or underflows") from None
 
 
-def _sample_eps(seed, index):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-    return rng.standard_normal(), rng.standard_normal()
+#: SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's LCG
+#: multiplier (pcg64.h), as Python ints: NumPy integer scalars warn where they wrap.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32, _MASK128 = 0xCA01F9DD, 0x4973F715, 2**32 - 1, 2**128 - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hasher(const, mult):
+    """NumPy SeedSequence's running hash: a call xors with the constant, steps it
+    (times ``mult`` mod 2**32), multiplies by it and xorshifts; uint32 arrays in."""
+
+    def hash_(value):
+        nonlocal const
+        value, const = value ^ const, const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hash_
+
+
+def _seed_states(seed, indices):
+    """(n, 4) Python-int rows of ``SeedSequence((seed, i)).generate_state(4, np.uint64)``
+    for each index 0 <= i < 2**32: one 32-bit entropy word for i, one or two for seed."""
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.zeros((4, len(indices)), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = indices
+    hash_a = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_a(word) for word in entropy]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = _MIX_L * pool[dst] - _MIX_R * hash_a(pool[src])
+        pool[dst] = mixed ^ (mixed >> 16)
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hash_b(pool[k % 4]) for k in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").tolist()
+
+
+def _noise_draws(seed, indices):
+    """(n, 2) draws (eps_Omega, eps_R): for each of the n ``indices`` i < 2**32, the first
+    two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((len(indices), 2))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(draws, _seed_states(operator.index(seed), indices)):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+        bit_generator.state = state
+        rng.standard_normal(out=row)
+    return draws
 
 
 def _perturbed_controls(rows, omega_factors, v):
@@ -115,13 +166,18 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     noise-induced degradation. ``noise.c6 / noise.r0**6`` must reproduce the
     protocol's nominal interaction strength.
 
+    ``n_samples`` is an integer in [1, 2**32).
+
     Returns
     -------
     FidelityStats
         Deterministic for a given (protocol, noise, n_samples).
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    if isinstance(n_samples, bool):
+        raise TypeError(f"n_samples must be an integer, got {n_samples}")
+    n_samples = operator.index(n_samples)
+    if not 1 <= n_samples < 2**32:
+        raise ValueError(f"n_samples must be in [1, 2**32), got {n_samples}")
     v_nom = protocol.v
     if abs(noise.v_nominal - v_nom) > 1e-9 * max(1.0, abs(v_nom)):
         raise ValueError(
@@ -131,7 +187,7 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     nominal = protocol_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
 
-    eps = np.array([_sample_eps(noise.seed, i) for i in range(n_samples)])
+    eps = _noise_draws(noise.seed, np.arange(n_samples))
     spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
     v = np.array([v_of_spacing(noise.c6, r) for r in spacings.tolist()])
     rows, durations = nominal.controls()
@@ -146,7 +202,7 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     # but keeps identical samples (zero-noise runs) at exactly zero std.
     std = float(np.std(fidelities - fidelities[0], ddof=1)) if n_samples > 1 else 0.0
     return FidelityStats(
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         mean_fidelity=float(np.mean(fidelities)),
         std_fidelity=std,
         percentiles=tuple(float(p) for p in np.percentile(fidelities, [1, 5, 50, 95, 99])),

@@ -159,6 +159,13 @@ def sampled_population_integral(hams, durations, psi0, weights, samples_per_segm
     return total
 
 
+def sample_eps(seed, index):
+    """(eps_Omega, eps_R) of Monte-Carlo sample ``index``: the first two standard
+    normals of a fresh PCG64 generator seeded with ``SeedSequence((seed, index))``."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+    return rng.standard_normal(), rng.standard_normal()
+
+
 def hermiticity_defect(m):
     """Largest entrywise magnitude of m - m^dagger."""
     m = np.asarray(m)

@@ -297,10 +297,11 @@ class TestActuationMetrics:
         psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
         before = psi0.copy()
         weights = rydberg_excitation_counts()
-        totals = _kernels.weighted_population_integral(hams, durations, psi0, weights, 16)
+        order = range(len(durations))
+        totals = _kernels.weighted_population_integral(hams, durations, order, psi0, weights, 16)
         assert np.array_equal(psi0, before)
         for psi, total in zip(before, totals):
-            (alone,) = _kernels.weighted_population_integral(hams, durations, psi[None], weights, 16)
+            (alone,) = _kernels.weighted_population_integral(hams, durations, order, psi[None], weights, 16)
             assert alone == pytest.approx(total, rel=1e-14)
 
 
@@ -323,8 +324,9 @@ def _integrals(segments, samples):
     """(kernel, sampled oracle) integrals from the computational states of a schedule."""
     rows, durations = PulseSequence(tuple(segments)).controls()
     hams = hamiltonians(rows)
-    args = (hams, durations, np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
-    return _kernels.weighted_population_integral(*args), sampled_population_integral(*args)
+    states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
+    got = _kernels.weighted_population_integral(hams, durations, range(len(durations)), *states)
+    return got, sampled_population_integral(hams, durations, *states)
 
 
 def _rel_err(got, want):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from rydgate.cli import COMPARE_HEADER, SWEEP_HEADER, main, run
+from rydgate.protocols import GeometricProtocolParams
+from rydgate.robustness import NoiseModel, monte_carlo_fidelity
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,6 +208,42 @@ class TestRobustnessCommand:
         assert payload["seed"] == 42
         assert payload["n_samples"] == 50
         assert set(payload["percentiles"]) == {"p1", "p5", "p50", "p95", "p99"}
+
+    def test_geometric_gate_from_kappa_and_v(self, capsys):
+        code, out, err = run_cli(
+            capsys, "robustness", "--protocol", "geometric", "--kappa", "1.65", "--v", "1",
+            "--sigma-omega-rel", "0.01", "--seed", "1", "--samples", "3",
+        )
+        assert (code, err) == (0, "")
+        protocol = GeometricProtocolParams(kappa=1.65, v=1.0)
+        noise = NoiseModel.for_interaction(v=1.0, r0=1.0, sigma_omega_rel=0.01, sigma_r_rel=0.0, seed=1)
+        stats = monte_carlo_fidelity(protocol, noise, 3)
+        payload = json.loads(out)
+        assert payload["n_samples"] == 3
+        assert payload["mean_fidelity"] == stats.mean_fidelity
+        assert payload["std_fidelity"] == stats.std_fidelity
+        assert list(payload["percentiles"].values()) == list(stats.percentiles)
+        assert payload["mean_abs_phase_error"] == stats.mean_abs_phase_error
+
+    def test_blockade_gate_still_needs_omega(self, capsys):
+        code, out, err = run_cli(
+            capsys, "robustness", "--protocol", "blockade", "--v", "100", "--seed", "1", "--samples", "3"
+        )
+        assert (code, out, err) == (2, "", "error: missing required option: omega\n")
+
+    def test_oversized_sample_count_is_config_error(self, capsys, monkeypatch):
+        # Rejected before the nominal gate is built or a draw is allocated.
+        def no_work(*args):
+            raise AssertionError("work started before the sample count was checked")
+
+        monkeypatch.setattr("rydgate.robustness.protocol_sequence", no_work)
+        monkeypatch.setattr("rydgate.robustness._noise_draws", no_work)
+        code, out, err = run_cli(
+            capsys, "robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+            "--seed", "1", "--samples", "4294967296",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: n_samples must be in [1, 2**32), got 4294967296\n"
 
     def test_missing_seed_is_config_error(self, capsys):
         code, _, err = run_cli(

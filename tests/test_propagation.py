@@ -7,18 +7,26 @@ import pytest
 from conftest import random_segment
 from oracles import rk4_unitary, symmetric_block_projectors, unitarity_defect
 
+from rydgate import _kernels
 from rydgate._kernels import expm_hermitian
-from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
+from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
+from rydgate.hamiltonians import DriveParams, RydbergParams, h_full, hamiltonians
 from rydgate.propagation import (
     CHUNK,
     PulseSegment,
     PulseSequence,
     batch_unitaries,
+    distinct_segments,
     sequence_unitary,
 )
-from rydgate.protocols import GeometricProtocolParams, geometric_sequence
+from rydgate.protocols import (
+    BlockadeProtocolParams,
+    GeometricProtocolParams,
+    blockade_pdp_sequence,
+    geometric_sequence,
+)
 from rydgate.robustness import _perturbed_controls
-from rydgate.statespace import basis_index
+from rydgate.statespace import COMPUTATIONAL_INDICES, basis_index, rydberg_excitation_counts
 
 
 def _segment_unitary(segment):
@@ -174,3 +182,70 @@ class TestBatchUnitaries:
         (batch,) = batch_unitaries(np.array(rows), np.array(durations))
         for u, seq in zip(batch, seqs):
             assert np.array_equal(u, sequence_unitary(seq))
+
+
+def _product_per_segment(rows, durations):
+    """U_k ... U_1 from one ``expm_hermitian`` call per segment, nothing shared."""
+    u = np.eye(9, dtype=np.complex128)
+    for h, t in zip(hamiltonians(rows), durations):
+        u = expm_hermitian(h, t) @ u
+    return u
+
+
+def _rydberg_time_per_segment(sequence):
+    """``rydberg_time`` with every segment diagonalised on its own."""
+    rows, durations = sequence.controls()
+    states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
+    totals = _kernels.weighted_population_integral(
+        hamiltonians(rows), durations, range(len(durations)), states, rydberg_excitation_counts(),
+        RYDBERG_TIME_SAMPLES,
+    )
+    return float(np.mean(totals))
+
+
+_DRIVE = DriveParams(1.0, 0.0, 0.3)
+_OTHER = DriveParams(0.7, 0.4, -1.2)
+
+
+class TestDistinctSegments:
+    """A segment repeated in every gate is diagonalised once, with the same bits."""
+
+    def _check_sequence(self, sequence, order):
+        rows, durations = sequence.controls()
+        assert distinct_segments(rows[None], durations[None])[2] == order
+        assert np.array_equal(sequence_unitary(sequence), _product_per_segment(rows, durations))
+        assert rydberg_time(sequence) == _rydberg_time_per_segment(sequence)
+
+    def test_protocol_gates_repeat_their_segments(self):
+        geo = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        self._check_sequence(geo, (0, 1, 0, 1))
+        self._check_sequence(blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0)), (0, 1, 0))
+
+    def test_hand_made_sequence_without_repeats(self, rng):
+        self._check_sequence(PulseSequence(tuple(random_segment(rng) for _ in range(5))), (0, 1, 2, 3, 4))
+
+    def test_equal_rows_with_different_durations_are_distinct(self):
+        ryd = RydbergParams(2.0)
+        segments = [PulseSegment(t, _DRIVE, _OTHER, ryd) for t in (1.0, 2.0, 1.0)]
+        self._check_sequence(PulseSequence(tuple(segments)), (0, 1, 0))
+
+    def test_signed_zeros_are_distinct(self):
+        negative = DriveParams(1.0, -0.0, 0.3)
+        ryd = RydbergParams(2.0)
+        sequence = PulseSequence(tuple(PulseSegment(1.3, d, _OTHER, ryd) for d in (_DRIVE, negative, _DRIVE)))
+        rows, _ = sequence.controls()
+        assert np.array_equal(rows[0], rows[1]) and rows[0].tobytes() != rows[1].tobytes()
+        self._check_sequence(sequence, (0, 1, 0))
+
+    def test_one_gate_breaking_the_pattern(self, rng):
+        n, odd = 2 * CHUNK + 3, CHUNK + 1
+        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        eps = rng.normal(scale=0.02, size=(n, 2))
+        controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        controls[odd, 2, 2] = 0.01  # a detuning on atom 1 in the third segment
+        assert distinct_segments(controls, np.broadcast_to(durations, (n, 4)))[2] == (0, 1, 2, 1)
+        batch = np.concatenate(list(batch_unitaries(controls, durations)))
+        for i, u in enumerate(batch):
+            ((alone,),) = batch_unitaries(controls[i : i + 1], durations)
+            assert np.array_equal(u, alone), i
+            assert np.array_equal(u, _product_per_segment(controls[i], durations)), i

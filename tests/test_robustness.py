@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from oracles import sample_eps
 
 from rydgate.protocols import BlockadeProtocolParams, GeometricProtocolParams
 from rydgate.robustness import (
     FidelityStats,
     NoiseModel,
+    _noise_draws,
     monte_carlo_fidelity,
     v_of_spacing,
 )
@@ -75,13 +78,39 @@ class TestMonteCarlo:
     def test_per_sample_substreams_depend_only_on_seed_and_index(self):
         # This is what makes parallel evaluation safe: draws never depend on
         # how many samples run or in which order they are visited.
-        from rydgate.robustness import _sample_eps
+        forward = _noise_draws(9, np.arange(8))
+        backward = _noise_draws(9, np.arange(8)[::-1])
+        assert np.array_equal(forward, backward[::-1])
+        assert np.array_equal(_noise_draws(9, np.arange(4)), forward[:4])
+        assert np.array_equal(_noise_draws(9, [3]), forward[3:4])
+        assert not np.any(_noise_draws(10, np.arange(8)) == forward)
 
-        forward = [_sample_eps(9, i) for i in range(8)]
-        backward = [_sample_eps(9, i) for i in reversed(range(8))]
-        assert forward == list(reversed(backward))
-        assert _sample_eps(9, 3) == forward[3]
-        assert _sample_eps(10, 3) != forward[3]
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1])
+    def test_draws_match_a_fresh_seed_sequence_per_sample(self, seed):
+        # 800 indices per seed, 5,600 (seed, i) pairs in all, bit for bit.
+        indices = [*range(400), *range(2**32 - 400, 2**32)]
+        want = np.array([sample_eps(seed, i) for i in indices])
+        got = _noise_draws(seed, np.array(indices, dtype=np.uint32))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n_samples", [0, -1, 2**32])
+    def test_sample_count_out_of_range_rejected(self, n_samples):
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        with pytest.raises(ValueError, match=r"^n_samples must be in \[1, 2\*\*32\), got "):
+            monte_carlo_fidelity(protocol, _noise(v=protocol.v), n_samples)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 3.0, True, "3"])
+    def test_sample_count_must_be_an_integer(self, n_samples):
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        with pytest.raises(TypeError):
+            monte_carlo_fidelity(protocol, _noise(v=protocol.v), n_samples)
+
+    def test_sample_count_accepts_numpy_integers(self):
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        noise = _noise(v=protocol.v, sigma_omega=0.02, seed=7)
+        stats = monte_carlo_fidelity(protocol, noise, np.int64(5))
+        assert stats == monte_carlo_fidelity(protocol, noise, 5)
+        assert type(stats.n_samples) is int
 
     def test_doubling_samples_moves_mean_within_three_standard_errors(self):
         protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
