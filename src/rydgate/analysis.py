@@ -30,9 +30,9 @@ from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts,
 #: (the evolution is far from cyclic for that basis state).
 RELIABLE_AMPLITUDE = 0.5
 
-#: Qubit-1 angles that seed the local-Z maximizer, and their phasors.
+#: Qubit-1 angles that seed the local-Z maximizer, and twice their cosines and sines.
 _GRID = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-_PHASORS = np.exp(1j * _GRID)
+_TWO_COS, _TWO_SIN = 2.0 * np.cos(_GRID), 2.0 * np.sin(_GRID)
 
 #: Trapezoid intervals per segment of ``rydberg_time``.
 RYDBERG_TIME_SAMPLES = 256
@@ -105,21 +105,23 @@ def controlled_phase(phases):
     return wrap_angle(phase_combination(phases))
 
 
-def _trace(c, phasors):
-    """f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| for (..., m) phasors e^{ia}."""
-    pairs = np.abs(c[..., :2, None] + c[..., 2:, None] * phasors[..., None, :])
-    return pairs[..., 0, :] + pairs[..., 1, :]
+def _grid_index(big_a, z):
+    """Index of the ``_GRID`` angle maximizing f = sum sqrt(A + 2 Re(z e^{ia})) over the pairs
+    of ``_local_z_angle``, in real arithmetic: h^2 is clamped at 0, which rounding can cross."""
+    h = z.real[..., None] * _TWO_COS - z.imag[..., None] * _TWO_SIN
+    h += big_a[..., None]
+    np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+    return np.argmax(h[..., 0, :] + h[..., 1, :], axis=-1)
 
 
 def _local_z_angle(c):
     """Qubit-1 angle maximizing f: two Newton steps from the best grid point,
     which is kept where they give NaN (a cusp) or leave its grid cell."""
-    coarse = _GRID[np.argmax(_trace(c, _PHASORS), axis=-1)]
     a, b = c[..., :2], c[..., 2:]
     big_a = np.abs(a) ** 2 + np.abs(b) ** 2
-    big_a[big_a == 0.0] = 1.0  # a vanished pair has w = 0: its terms stay 0, not 0/0
     z = np.conj(a) * b
-    alpha = coarse
+    alpha = coarse = _GRID[_grid_index(big_a, z)]
+    big_a[big_a == 0.0] = 1.0  # a vanished pair has w = 0: its terms stay 0, not 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):
             w = z * np.exp(1j * alpha)[..., None]
@@ -152,11 +154,14 @@ def fidelity_cphase(u, target_phi, compensate=True):
     block = np.ascontiguousarray(u[..., _INDICES[:, None], _INDICES])
     tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
     c = block.diagonal(axis1=-2, axis2=-1).copy()  # order: 00, 01, 10, 11
-    c[..., 3] *= np.conj(np.exp(1j * np.asarray(target_phi)))
+    # Not in place: NumPy rounds an in-place product of one element unlike longer ones.
+    c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
 
     tr = np.abs(c.sum(axis=-1))
     if compensate:
-        tr = _trace(c, np.exp(1j * _local_z_angle(c))[..., None])[..., 0]
+        # f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| at the maximizing angle a.
+        pairs = np.abs(c[..., :2] + c[..., 2:] * np.exp(1j * _local_z_angle(c))[..., None])
+        tr = pairs[..., 0] + pairs[..., 1]
     fidelity = (tr * tr + tr_mm) / 20.0
     # Written so that a NaN functional (a non-finite propagator) fails too.
     if not (fidelity <= 1.0 + 1e-9).all():

@@ -10,9 +10,10 @@ parameters - control errors perturb the physics, not the program.
 Reproducibility: sample i draws from a PCG64 generator seeded with
 SeedSequence((seed, i)), taking eps_Omega then eps_R as standard normals.
 Per-sample substreams make results independent of evaluation order, so
-parallel execution cannot change them. ``_noise_draws`` seeds all i at once:
-the SeedSequence hash runs on an index array in uint32 arithmetic, PCG64's
-seeding in Python ints, and one generator set to each state draws the pair.
+parallel execution cannot change them. ``_noise_draws`` seeds a block of i at
+once: the SeedSequence hash runs on an index array in uint32 arithmetic, PCG64's
+seeding in Python ints, and one generator set to each state draws the pair. Only
+each sample's fidelity and phase error (16 B) outlive its ``SAMPLE_BLOCK``.
 """
 
 import itertools
@@ -48,7 +49,9 @@ class NoiseModel:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if not math.isfinite(self.c6):
             raise ValueError(f"c6 must be finite, got {self.c6}")
-        if int(self.seed) != self.seed or not 0 <= int(self.seed) < 2**64:
+        if isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an integer, got {self.seed}")
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @classmethod
@@ -80,6 +83,10 @@ class FidelityStats:
     std_fidelity: float
     percentiles: tuple  # (p1, p5, p50, p95, p99)
     mean_abs_phase_error: float
+
+
+#: Samples drawn, perturbed and propagated together in ``monte_carlo_fidelity``.
+SAMPLE_BLOCK = 4096
 
 
 def v_of_spacing(c6, r):
@@ -158,6 +165,13 @@ def _perturbed_controls(rows, omega_factors, v):
     return controls
 
 
+def _noisy_controls(rows, noise, indices):
+    """(n, k, 7) control rows of the Monte-Carlo samples ``indices`` of the nominal (k, 7) ``rows``."""
+    eps = _noise_draws(noise.seed, indices)
+    v = [v_of_spacing(noise.c6, r) for r in (noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])).tolist()]
+    return _perturbed_controls(rows, 1.0 + noise.sigma_omega_rel * eps[:, 0], np.array(v))
+
+
 def monte_carlo_fidelity(protocol, noise, n_samples):
     """Fidelity statistics of a protocol under Rabi and spacing noise.
 
@@ -187,16 +201,16 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     nominal = protocol_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
 
-    eps = _noise_draws(noise.seed, np.arange(n_samples))
-    spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
-    v = np.array([v_of_spacing(noise.c6, r) for r in spacings.tolist()])
     rows, durations = nominal.controls()
-    controls = _perturbed_controls(rows, 1.0 + noise.sigma_omega_rel * eps[:, 0], v)
-    fidelities, phase_errors = [], []
-    for u in batch_unitaries(controls, durations):
-        fidelities.append(fidelity_cphase(u, target))
-        phase_errors.append(np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)))
-    fidelities, phase_errors = np.concatenate(fidelities), np.concatenate(phase_errors)
+    fidelities, phase_errors = np.empty(n_samples), np.empty(n_samples)
+    stop = 0
+    for block in range(0, n_samples, SAMPLE_BLOCK):
+        indices = np.arange(block, min(block + SAMPLE_BLOCK, n_samples))
+        # A block's rows die with its generator, before the next block is drawn.
+        for u in batch_unitaries(_noisy_controls(rows, noise, indices), durations):
+            start, stop = stop, stop + len(u)
+            fidelities[start:stop] = fidelity_cphase(u, target)
+            phase_errors[start:stop] = np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target))
 
     # Shifting by the first sample is mathematically a no-op for the spread
     # but keeps identical samples (zero-noise runs) at exactly zero std.

@@ -159,6 +159,13 @@ def sampled_population_integral(hams, durations, psi0, weights, samples_per_segm
     return total
 
 
+def grid_argmax(c, grid):
+    """Index of the ``grid`` angle a maximizing f(a) = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}|
+    for (..., 4) diagonals c ordered 00, 01, 10, 11, evaluated on complex phasors with ``abs``."""
+    pairs = np.abs(c[..., :2, None] + c[..., 2:, None] * np.exp(1j * grid))
+    return np.argmax(pairs[..., 0, :] + pairs[..., 1, :], axis=-1)
+
+
 def sample_eps(seed, index):
     """(eps_Omega, eps_R) of Monte-Carlo sample ``index``: the first two standard
     normals of a fresh PCG64 generator seeded with ``SeedSequence((seed, index))``."""

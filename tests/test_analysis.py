@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import embed_two_qubit, golden_section_fidelity, h_direct, sampled_population_integral
+from oracles import embed_two_qubit, golden_section_fidelity, grid_argmax, h_direct, sampled_population_integral
 
 from rydgate import _kernels
 from rydgate.analysis import (
+    _GRID,
+    _grid_index,
     analyze_gate,
     controlled_phase,
     fidelity_cphase,
@@ -227,6 +229,55 @@ class TestFidelity:
             assert np.max(np.abs(got - oracle)) <= 1e-15
 
 
+def _grid_index_of(c):
+    a, b = c[..., :2], c[..., 2:]
+    return _grid_index(np.abs(a) ** 2 + np.abs(b) ** 2, np.conj(a) * b)
+
+
+def _vanishing_pairs(rng, n):
+    """(256 n, 4) diagonals of magnitude < 1 whose pair (c00, c10) vanishes, up to
+    rounding, at each grid angle in turn."""
+    c = rng.uniform(0.0, 1.0, (256, n, 4)) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (256, n, 4)))
+    c[..., 2] = -c[..., 0] * np.exp(-1j * _GRID)[:, None]
+    return c.reshape(-1, 4)
+
+
+class TestLocalZGrid:
+    """The real-arithmetic grid of the local-Z maximizer against the complex-phasor oracle."""
+
+    def test_matches_the_phasor_oracle_on_random_diagonals(self, rng):
+        # Near-unit magnitudes, as on working gates, and magnitudes in [0, 1].
+        magnitudes = np.concatenate([1.0 - rng.exponential(1e-3, (6400, 4)), rng.uniform(0.0, 1.0, (6400, 4))])
+        c = magnitudes * np.exp(1j * rng.uniform(0.0, 2 * math.pi, magnitudes.shape))
+        assert np.array_equal(_grid_index_of(c), grid_argmax(c, _GRID))
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [0.0, 0.6 + 0.1j, 0.0, -0.3j],  # the pair (c00, c10) is zero
+            [0.0, 0.0, 0.0, 0.0],  # both pairs are zero: f is flat
+            [0.8, 0.0, 0.0, 0.0],  # f is flat and nonzero
+            [0.6 - 0.2j, 0.3j, -0.6 + 0.2j, 0.5],  # c10 = -c00: zero at grid angle 0
+            [0.6 - 0.2j, 0.6 - 0.2j, 0.7j, 0.7j],  # equal pairs
+            [0.3 + 0.4j, 0.3 + 0.4j, -0.3 - 0.4j, -0.3 - 0.4j],  # equal pairs, both zero at 0
+        ],
+    )
+    def test_degenerate_diagonals(self, c):
+        c = np.array(c, dtype=complex)
+        assert _grid_index_of(c) == grid_argmax(c, _GRID)
+        assert math.isfinite(fidelity_cphase(_embed_diag(c), 0.0))
+
+    def test_clamp_keeps_nan_out_of_a_vanishing_pair(self, rng):
+        # pytest turns RuntimeWarnings into errors, so a sqrt of a rounded-negative
+        # h^2 fails here; these cases do round below 0 before the clamp.
+        c = _vanishing_pairs(rng, 40)
+        a, b = c[:, 0], c[:, 2]
+        h2 = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * (np.conj(a) * b * np.exp(1j * _GRID.repeat(40))).real
+        assert np.any(h2 < 0.0)
+        assert np.array_equal(_grid_index_of(c), grid_argmax(c, _GRID))
+        assert np.isfinite(fidelity_cphase(np.array([_embed_diag(x) for x in c[:512]]), 1.0)).all()
+
+
 class TestStacks:
     def test_stack_gives_the_bits_of_its_gates(self, rng):
         n = 2 * CHUNK + 5
@@ -239,7 +290,9 @@ class TestStacks:
         randoms = np.linalg.qr(z)[0]
         for stack in (*chunks, randoms, np.concatenate([*chunks, randoms])):
             extraction = phases_and_leakage(stack)
-            fidelities = [fidelity_cphase(stack, math.pi, compensate=flag) for flag in (True, False)]
+            # A target off pi rounds its phasor product differently on a short stack.
+            cases = [(target, flag) for target in (math.pi, 2.1) for flag in (True, False)]
+            fidelities = [fidelity_cphase(stack, target, compensate=flag) for target, flag in cases]
             for i, u in enumerate(stack):
                 alone = phases_and_leakage(u)
                 for field in ("phases", "leakage", "reliable"):
@@ -249,8 +302,8 @@ class TestStacks:
                 assert {type(x) for x in alone.phases + alone.leakage} == {float}
                 assert {type(x) for x in alone.reliable} == {bool}
                 assert type(alone.leakage_max) is float
-                for got, flag in zip(fidelities, (True, False)):
-                    single = fidelity_cphase(u, math.pi, compensate=flag)
+                for got, (target, flag) in zip(fidelities, cases):
+                    single = fidelity_cphase(u, target, compensate=flag)
                     assert type(single) is float and got[i] == single
 
 

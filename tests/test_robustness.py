@@ -1,11 +1,14 @@
 """Tests for the Monte-Carlo parameter-noise machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import sample_eps
 
+from rydgate import propagation, robustness
+from rydgate.calibration import sweep_kappa
 from rydgate.protocols import BlockadeProtocolParams, GeometricProtocolParams
 from rydgate.robustness import (
     FidelityStats,
@@ -50,6 +53,21 @@ class TestNoiseModel:
             NoiseModel(0.0, 0.0, 1.0, 0.0, 0)
         with pytest.raises(ValueError):
             NoiseModel(0.0, 0.0, 1.0, 1.0, -1)
+
+    @pytest.mark.parametrize("seed", [3.0, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError):
+            _noise(v=1.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
+            _noise(v=1.0, seed=seed)
+
+    def test_seed_accepts_numpy_integers(self):
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        stats = monte_carlo_fidelity(protocol, _noise(v=protocol.v, sigma_omega=0.02, seed=np.uint64(2**64 - 1)), 3)
+        assert stats == monte_carlo_fidelity(protocol, _noise(v=protocol.v, sigma_omega=0.02, seed=2**64 - 1), 3)
 
     def test_mismatched_interaction_rejected(self):
         protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
@@ -154,6 +172,43 @@ class TestMonteCarlo:
         noise = _noise(v=protocol.v, sigma_omega=0.01, seed=2024)
         stats = monte_carlo_fidelity(protocol, noise, 2000)
         assert 1.0 - stats.mean_fidelity == pytest.approx(ANCHOR_MEAN_INFIDELITY, abs=1e-9)
+
+
+class TestBlocks:
+    """Samples run in blocks of ``SAMPLE_BLOCK`` and gates in chunks of ``CHUNK``."""
+
+    # 49 is a multiple of the patched block, 50 is not, and 5 is less than one.
+    @pytest.mark.parametrize("n_samples", [5, 49, 50])
+    def test_chunk_and_block_boundaries_never_change_results(self, monkeypatch, n_samples):
+        protocols = (GeometricProtocolParams.from_omega(1.65, 1.0), BlockadeProtocolParams(rabi=1.0, v=20.0))
+
+        def run():
+            noisy = [_noise(v=p.v, sigma_omega=0.02, sigma_r=0.01, seed=11) for p in protocols]
+            return [monte_carlo_fidelity(p, noise, n_samples) for p, noise in zip(protocols, noisy)]
+
+        want, want_sweep = run(), sweep_kappa(0.2, 2.5, 40)
+        monkeypatch.setattr(propagation, "CHUNK", 3)
+        monkeypatch.setattr(robustness, "SAMPLE_BLOCK", 7)
+        assert run() == want
+        assert sweep_kappa(0.2, 2.5, 40) == want_sweep
+
+    def test_memory_grows_only_by_the_kept_results(self):
+        # Only the fidelities and phase errors (16 B per sample) outlive a block;
+        # allow twice that per extra sample. The exact percentiles need them all.
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        noise = _noise(v=protocol.v, sigma_omega=0.01, sigma_r=0.005, seed=3)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                monte_carlo_fidelity(protocol, noise, n_samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = robustness.SAMPLE_BLOCK
+        one, four = peak(block), peak(4 * block)
+        assert four - one <= 32 * 3 * block
 
 
 #: Mean infidelity of the geometric protocol at kappa = 1.65 under 1 percent
