@@ -150,17 +150,17 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
     ends = [(i, i) for i in np.flatnonzero(errors == 0.0)]
     ends = sorted(ends + [(i, i + 1) for i in np.flatnonzero(crossing)])
-    candidates = [(float(kappas[i]), float(kappas[j])) for i, j in ends]
-    if not candidates:
+    if not ends:
         raise CalibrationError(
             f"no sign change of the wrapped phase error in bracket ({k_lo}, {k_hi}) "
             f"for target {target_phi:.6f} rad",
             scan=scan,
         )
-    lo, hi = min(candidates, key=lambda c: abs(0.5 * (c[0] + c[1]) - seed_kappa))
+    i, j = min(ends, key=lambda e: abs(0.5 * (kappas[e[0]] + kappas[e[1]]) - seed_kappa))
+    lo, hi = float(kappas[i]), float(kappas[j])
 
     if lo != hi:
-        e_lo = error_at(lo)
+        e_lo = errors[i]
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             e_mid = error_at(mid)
@@ -173,14 +173,14 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
                 hi = mid
     kappa_star = 0.5 * (lo + hi)
 
-    residual = error_at(kappa_star)
+    report = analyze_gate(_geometric(kappa_star, omega), target_phi=target_phi)
+    residual = wrap_angle(report.controlled_phase - target_phi)
     if abs(residual) > CALIBRATION_TOLERANCE:
         raise CalibrationError(
             f"bisection stalled: |wrapped error| = {abs(residual):.3e} > {CALIBRATION_TOLERANCE:g} "
             f"at kappa = {kappa_star}",
             scan=scan,
         )
-    report = analyze_gate(_geometric(kappa_star, omega), target_phi=target_phi)
     return CalibrationResult(kappa_star=kappa_star, report=report, scan=scan)
 
 

@@ -8,6 +8,7 @@ numbers carry 12 significant digits and lines end in LF. Exit codes:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -36,6 +37,10 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
+#: Default of an option that has none and must be given.
+REQUIRED = object()
+
+
 def _positive(value, name):
     if value is None:
         raise ValueError(f"missing required option: {name}")
@@ -61,15 +66,15 @@ def _parse_config_file(path):
     return values
 
 
-def _merge(args, schema):
-    """Resolve each schema key from flags, then config file, then default."""
+def _merge(args, options):
+    """Resolve each option from flags, then config file, then default."""
     raw = vars(args)
     file_values = _parse_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(schema)
+    unknown = set(file_values) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     resolved = {}
-    for key, (parse, default, required) in schema.items():
+    for key, (parse, default) in options.items():
         if raw.get(key) is not None:
             resolved[key] = raw[key]
         elif key in file_values:
@@ -77,9 +82,9 @@ def _merge(args, schema):
                 resolved[key] = parse(file_values[key])
             except ValueError as exc:
                 raise ValueError(f"config key {key}: {exc}") from exc
+        elif default is REQUIRED:
+            raise ValueError(f"missing required option: {key.replace('_', '-')}")
         else:
-            if required and default is None:
-                raise ValueError(f"missing required option: {key.replace('_', '-')}")
             resolved[key] = default
     return resolved
 
@@ -91,12 +96,26 @@ def _parse_bracket(text):
     return [float(parts[0]), float(parts[1])]
 
 
-def _emit(text, output):
-    if output and output != "-":
+def _write(text, output):
+    if not output or output == "-":
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {output}: {exc}") from exc
+
+
+def _emit_csv(header, rows, output):
+    """Write ``header`` and one line per row; numbers at 12 significant digits."""
+    lines = [header]
+    lines += [",".join(x if isinstance(x, str) else _fmt(x) for x in row) for row in rows]
+    _write("\n".join(lines) + "\n", output)
+
+
+def _emit_json(payload, output):
+    _write(json.dumps(payload, indent=2) + "\n", output)
 
 
 def _report_payload(report, omega):
@@ -137,43 +156,25 @@ def _protocol(cfg):
 
 
 def cmd_simulate(cfg):
+    """simulate one gate protocol and print its report"""
     params, omega = _protocol(cfg)
     report = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
-    payload = {"protocol": cfg["protocol"], **_report_payload(report, omega)}
-    _emit(json.dumps(payload, indent=2) + "\n", cfg["output"])
+    _emit_json({"protocol": cfg["protocol"], **_report_payload(report, omega)}, cfg["output"])
     return 0
 
 
 def cmd_sweep(cfg):
+    """characterize the geometric protocol over a kappa range"""
     records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"], omega=cfg["omega"])
-    lines = [SWEEP_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    r.kappa,
-                    r.v_over_omega,
-                    r.gate_time_omega_over_pi,
-                    r.phi_c_wrapped,
-                    r.phi_c_unwrapped,
-                    r.leakage_max,
-                    r.fidelity_cz,
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", cfg["output"])
+    _emit_csv(SWEEP_HEADER, map(dataclasses.astuple, records), cfg["output"])
     return 0
 
 
 def cmd_calibrate(cfg):
-    bracket = cfg["bracket"]
+    """find kappa giving a target controlled phase"""
     try:
         result = calibrate_kappa(
-            cfg["target_phi"],
-            (bracket[0], bracket[1]),
-            omega=cfg["omega"],
-            seed_kappa=cfg["seed_kappa"],
+            cfg["target_phi"], tuple(cfg["bracket"]), omega=cfg["omega"], seed_kappa=cfg["seed_kappa"]
         )
     except CalibrationError as exc:
         sys.stderr.write(f"calibration failed: {exc}\n")
@@ -186,122 +187,67 @@ def cmd_calibrate(cfg):
         "target_phi": cfg["target_phi"],
         "report": _report_payload(result.report, cfg["omega"]),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg["output"])
+    _emit_json(payload, cfg["output"])
     return 0
 
 
 def cmd_compare(cfg):
+    """blockade vs geometric protocol at equal Rabi frequency"""
     omega = _positive(cfg["omega"], "omega")
     geo = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
     blk = BlockadeProtocolParams(rabi=omega, v=_positive(cfg["blockade_v"], "blockade-v"))
     rows = []
     for name, params in (("blockade", blk), ("geometric", geo)):
-        report = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
-        rows.append(
-            name
-            + ","
-            + ",".join(
-                _fmt(x)
-                for x in (
-                    report.gate_time,
-                    report.gate_time * omega / math.pi,
-                    report.fidelity,
-                    report.pulse_area,
-                    report.rydberg_time,
-                )
-            )
-        )
-    _emit("\n".join([COMPARE_HEADER] + rows) + "\n", cfg["output"])
+        r = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
+        rows.append((name, r.gate_time, r.gate_time * omega / math.pi, r.fidelity, r.pulse_area, r.rydberg_time))
+    _emit_csv(COMPARE_HEADER, rows, cfg["output"])
     return 0
 
 
 def cmd_robustness(cfg):
+    """Monte-Carlo fidelity under parameter noise"""
     protocol, _ = _protocol(cfg)
+    # Spacing noise is relative, so the nominal spacing only sets C6: any r0 gives
+    # the same V = C6 / (r0 (1 + eps_R))**6, and at r0 = 1, C6 = V exactly.
     noise = NoiseModel.for_interaction(
-        v=protocol.v,
-        r0=_positive(cfg["r0"], "r0"),
-        sigma_omega_rel=cfg["sigma_omega_rel"],
-        sigma_r_rel=cfg["sigma_r_rel"],
-        seed=cfg["seed"],
+        v=protocol.v, r0=1.0, seed=cfg["seed"],
+        sigma_omega_rel=cfg["sigma_omega_rel"], sigma_r_rel=cfg["sigma_r_rel"],
     )
     stats = monte_carlo_fidelity(protocol, noise, cfg["samples"])
     payload = {
         "protocol": cfg["protocol"],
         "seed": cfg["seed"],
-        "n_samples": stats.n_samples,
-        "mean_fidelity": stats.mean_fidelity,
-        "std_fidelity": stats.std_fidelity,
+        **dataclasses.asdict(stats),
         "percentiles": dict(zip(("p1", "p5", "p50", "p95", "p99"), stats.percentiles)),
-        "mean_abs_phase_error": stats.mean_abs_phase_error,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg["output"])
+    _emit_json(payload, cfg["output"])
     return 0
 
 
-_COMMON = {
-    "config": (str, None, False),
-    "output": (str, None, False),
-}
+#: Options as ``(parse, default)`` pairs: ``parse`` is the flag's type and reads
+#: a config-file value. ``_COMMON`` are every command's options.
+_COMMON = {"config": (str, None), "output": (str, None)}
+_PROTOCOL = {"protocol": (str, REQUIRED), "kappa": (float, None), "omega": (float, None), "v": (float, None)}
 
-SCHEMAS = {
-    "simulate": {
-        **_COMMON,
-        "protocol": (str, None, True),
-        "kappa": (float, None, False),
-        "omega": (float, None, False),
-        "v": (float, None, False),
-        "target_phi": (float, math.pi, False),
-    },
-    "sweep": {
-        **_COMMON,
-        "kappa_min": (float, None, True),
-        "kappa_max": (float, None, True),
-        "n": (int, None, True),
-        "omega": (float, 1.0, False),
-    },
-    "calibrate": {
-        **_COMMON,
-        "target_phi": (float, None, True),
-        "bracket": (_parse_bracket, None, True),
-        "omega": (float, 1.0, False),
-        "seed_kappa": (float, CZ_KAPPA_SEED, False),
-    },
-    "compare": {
-        **_COMMON,
-        "omega": (float, None, True),
-        "kappa": (float, None, True),
-        "blockade_v": (float, None, True),
-        "target_phi": (float, math.pi, False),
-    },
-    "robustness": {
-        **_COMMON,
-        "protocol": (str, None, True),
-        "kappa": (float, None, False),
-        "omega": (float, None, False),
-        "v": (float, None, False),
-        "sigma_omega_rel": (float, 0.0, False),
-        "sigma_r_rel": (float, 0.0, False),
-        "r0": (float, 1.0, False),
-        "seed": (int, None, True),
-        "samples": (int, 1000, False),
-    },
-}
-
-HANDLERS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "calibrate": cmd_calibrate,
-    "compare": cmd_compare,
-    "robustness": cmd_robustness,
-}
-
-
-COMMAND_HELP = {
-    "simulate": "simulate one gate protocol and print its report",
-    "sweep": "characterize the geometric protocol over a kappa range",
-    "calibrate": "find kappa giving a target controlled phase",
-    "compare": "blockade vs geometric protocol at equal Rabi frequency",
-    "robustness": "Monte-Carlo fidelity under parameter noise",
+#: Each command's handler, whose docstring is its help, and its options in flag order.
+COMMANDS = {
+    "simulate": (cmd_simulate, {**_COMMON, **_PROTOCOL, "target_phi": (float, math.pi)}),
+    "sweep": (cmd_sweep, {
+        **_COMMON, "kappa_min": (float, REQUIRED), "kappa_max": (float, REQUIRED), "n": (int, REQUIRED),
+        "omega": (float, 1.0),
+    }),
+    "calibrate": (cmd_calibrate, {
+        **_COMMON, "target_phi": (float, REQUIRED), "bracket": (_parse_bracket, REQUIRED),
+        "omega": (float, 1.0), "seed_kappa": (float, CZ_KAPPA_SEED),
+    }),
+    "compare": (cmd_compare, {
+        **_COMMON, "omega": (float, REQUIRED), "kappa": (float, REQUIRED), "blockade_v": (float, REQUIRED),
+        "target_phi": (float, math.pi),
+    }),
+    "robustness": (cmd_robustness, {
+        **_COMMON, **_PROTOCOL, "sigma_omega_rel": (float, 0.0), "sigma_r_rel": (float, 0.0),
+        "seed": (int, REQUIRED), "samples": (int, 1000),
+    }),
 }
 
 #: argparse settings of the flags not parsed by their schema type.
@@ -314,15 +260,15 @@ FLAG_SETTINGS = {
 
 
 def build_parser():
-    """One subcommand per schema, one ``--flag-name`` per schema key."""
+    """One subcommand per command, one ``--flag-name`` per option."""
     parser = argparse.ArgumentParser(
         prog="rydgate",
         description="Two-atom Rydberg gate simulator and calibration toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, schema in SCHEMAS.items():
-        p = sub.add_parser(command, help=COMMAND_HELP[command])
-        for key, (parse, _, _) in schema.items():
+    for command, (handler, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        for key, (parse, _) in options.items():
             settings = FLAG_SETTINGS.get(key, {"type": parse})
             p.add_argument("--" + key.replace("_", "-"), dest=key, **settings)
     return parser
@@ -330,9 +276,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    handler, options = COMMANDS[args.command]
     try:
-        cfg = _merge(args, SCHEMAS[args.command])
-        return HANDLERS[args.command](cfg)
+        return handler(_merge(args, options))
     except ValueError as exc:  # every rejected option or value
         sys.stderr.write(f"error: {exc}\n")
         return 2

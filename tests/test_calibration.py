@@ -124,9 +124,9 @@ class TestCalibrateKappa:
     def test_scan_builds_no_pulse_sequence_per_kappa(self, sequences_built):
         calibrate_kappa(-math.pi, (1.0, 2.5))
         # Bisection from a 1/199-wide interval to width 1e-10 takes 27 steps;
-        # with its first endpoint, the residual and the report that is 30
-        # sequences, none for the 200 scan points.
-        assert len(sequences_built) == 30
+        # with the report, whose phase is the residual, that is 28 sequences,
+        # none for the 200 scan points or the scanned first endpoint.
+        assert len(sequences_built) == 28
 
     def test_residual_above_tolerance_is_reported(self, monkeypatch):
         monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)

@@ -54,6 +54,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(0.0, 0.0, 1.0, 1.0, -1)
 
+    def test_c6_overflow_is_rejected(self):
+        with pytest.raises(ValueError, match="c6"):
+            _noise(v=1.0, r0=1e100)
+
+    def test_spacing_underflow_is_rejected(self):
+        noise = _noise(v=1.0, sigma_r=0.005, r0=1e-60)
+        with pytest.raises(ValueError, match="spacing"):
+            monte_carlo_fidelity(GeometricProtocolParams(kappa=1.65, v=1.0), noise, 2)
+
     @pytest.mark.parametrize("seed", [3.0, True, "3"])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(TypeError):
