@@ -25,8 +25,7 @@ from rydgate.calibration import (
     calibrate_kappa,
     sweep_kappa,
 )
-from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
-from rydgate.propagation import PulseSegment, PulseSequence, sequence_unitary
+from rydgate.propagation import DriveParams, PulseSegment, PulseSequence, sequence_unitary
 from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
@@ -58,7 +57,6 @@ __all__ = [
     "NoiseModel",
     "PulseSegment",
     "PulseSequence",
-    "RydbergParams",
     "SweepRecord",
     "analyze_gate",
     "basis_index",
@@ -70,7 +68,6 @@ __all__ = [
     "gate_time_blockade",
     "gate_time_geometric",
     "geometric_sequence",
-    "h_full",
     "monte_carlo_fidelity",
     "phases_and_leakage",
     "pulse_area",

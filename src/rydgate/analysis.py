@@ -187,8 +187,7 @@ def rydberg_time(sequence):
     integral is the trapezoid rule on ``RYDBERG_TIME_SAMPLES`` uniform
     intervals per segment, summed in closed form in each distinct segment's eigenbasis.
     """
-    rows, durations = sequence.controls()
-    rows, durations, order = distinct_segments(rows[None], durations[None])
+    rows, durations, order = distinct_segments(sequence.controls[None], sequence.durations[None])
     totals = _kernels.weighted_population_integral(
         hamiltonians(rows[0]), durations[0], order, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
     )

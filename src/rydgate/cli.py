@@ -4,7 +4,7 @@ Every command reads its parameters from flags, optionally merged over a
 plain ``key = value`` config file (flags win). Output goes to stdout or to
 ``--output``; identical configurations produce byte-identical output. CSV
 numbers carry 12 significant digits and lines end in LF. Exit codes:
-0 success, 2 configuration error, 3 numerical non-convergence.
+0 success, 2 configuration error or unallocatable count, 3 numerical non-convergence.
 """
 
 import argparse
@@ -279,7 +279,7 @@ def main(argv=None):
     handler, options = COMMANDS[args.command]
     try:
         return handler(_merge(args, options))
-    except ValueError as exc:  # every rejected option or value
+    except (ValueError, MemoryError) as exc:  # a rejected value, or a count too large to allocate
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

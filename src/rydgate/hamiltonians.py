@@ -1,4 +1,4 @@
-"""Hamiltonian builders for the two-atom Rydberg system.
+"""The operator basis of the two-atom Rydberg Hamiltonian.
 
 The drive on atom k couples ``|1>_k`` to ``|r>_k`` with Rabi frequency Omega,
 detuning Delta and laser phase phi; the matrix-element convention is
@@ -15,47 +15,12 @@ blocks {|00>}, {|01>,|0r>}, {|10>,|r0>}, {|11>,|B>,|rr>} and the dark state
 The full Hamiltonian is linear in the seven columns of a control row,
 (Omega1 cos phi1, Omega1 sin phi1, Delta1, Omega2 cos phi2, Omega2 sin phi2,
 Delta2, V): ``hamiltonians`` contracts a stack of rows with ``OPERATORS``.
+Schedules and their rows live in ``rydgate.propagation``.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.statespace import Level, wrap_angle
-
-
-def _require_finite(value, name):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class DriveParams:
-    """Per-atom laser drive: Rabi frequency, detuning and phase (radians)."""
-
-    rabi: float
-    detuning: float = 0.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(self.rabi, "rabi")
-        _require_finite(self.detuning, "detuning")
-        _require_finite(self.phase, "phase")
-        if self.rabi < 0:
-            raise ValueError(f"rabi must be >= 0, got {self.rabi}")
-        object.__setattr__(self, "phase", wrap_angle(self.phase))
-
-
-@dataclass(frozen=True)
-class RydbergParams:
-    """Rydberg-Rydberg interaction strength V (angular frequency, signed)."""
-
-    v: float
-
-    def __post_init__(self):
-        _require_finite(self.v, "v")
-
+from rydgate.statespace import Level
 
 # Per-atom operators of the three drive columns: the two quadratures of the
 # |1>-|r> coupling and the Rydberg projector |r><r|.
@@ -75,17 +40,6 @@ RABI_COLUMNS = (0, 1, 3, 4)
 V_COLUMN = 6
 
 
-def control_row(drive1, drive2, ryd):
-    """(7,) control row of per-atom drives (``None``: undriven) and interaction."""
-    row = []
-    for d in (drive1, drive2):
-        if d is None:
-            row += (0.0, 0.0, 0.0)
-        else:
-            row += (d.rabi * math.cos(d.phase), d.rabi * math.sin(d.phase), d.detuning)
-    return np.array(row + [ryd.v])
-
-
 def hamiltonians(controls):
     """Hamiltonians of a (..., 7) stack of control rows, shape (..., 9, 9)."""
     # einsum on real views stays out of BLAS, whose threaded gemm on a large
@@ -93,19 +47,3 @@ def hamiltonians(controls):
     real = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
     return real.view(np.complex128)
 
-
-def h_full(drive1, drive2, ryd):
-    """Full two-atom Hamiltonian with per-atom drives and Rydberg interaction.
-
-    Parameters
-    ----------
-    drive1, drive2 : DriveParams or None
-        Laser drive on each atom; ``None`` means the atom is not driven.
-    ryd : RydbergParams
-        Interaction strength of the doubly-excited state.
-
-    Returns
-    -------
-    (9, 9) complex Hermitian array
-    """
-    return hamiltonians(control_row(drive1, drive2, ryd))

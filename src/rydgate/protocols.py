@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.hamiltonians import RABI_COLUMNS, DriveParams, RydbergParams
-from rydgate.propagation import PulseSegment, PulseSequence
+from rydgate.hamiltonians import RABI_COLUMNS
+from rydgate.propagation import DriveParams, PulseSegment, PulseSequence
 
 #: Default calibration seed: ratio Omega/V at which the geometric protocol
 #: realizes a controlled phase of magnitude pi.
@@ -81,14 +81,13 @@ class BlockadeProtocolParams:
 
 def geometric_sequence(params):
     """Four-segment phase-toggled schedule of the geometric protocol."""
-    ryd = RydbergParams(params.v)
     t = params.segment_duration
     segments = tuple(
         PulseSegment(
             duration=t,
             drive1=DriveParams(params.omega, -params.v / 2, phase),
             drive2=DriveParams(params.omega, -params.v / 2, phase),
-            ryd=ryd,
+            v=params.v,
         )
         for phase in GEOMETRIC_SEGMENT_PHASES
     )
@@ -101,14 +100,13 @@ def blockade_pdp_sequence(params):
     The schedule itself is independent of V; the interaction only enters the
     Hamiltonian during propagation.
     """
-    ryd = RydbergParams(params.v)
     drive = DriveParams(params.rabi, 0.0, 0.0)
     pi_time = math.pi / params.rabi
     return PulseSequence(
         (
-            PulseSegment(duration=pi_time, drive1=drive, drive2=None, ryd=ryd),
-            PulseSegment(duration=2 * pi_time, drive1=None, drive2=drive, ryd=ryd),
-            PulseSegment(duration=pi_time, drive1=drive, drive2=None, ryd=ryd),
+            PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
+            PulseSegment(duration=2 * pi_time, drive1=None, drive2=drive, v=params.v),
+            PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
         )
     )
 
@@ -124,13 +122,13 @@ def protocol_sequence(params):
 
 # Rows of the geometric schedule at Omega = V = 1. A row is linear in
 # (Omega, V): Omega scales the Rabi columns, V the detunings and the V column.
-_UNIT_ROWS, _ = geometric_sequence(GeometricProtocolParams(kappa=1.0, v=1.0)).controls()
+_UNIT_ROWS = geometric_sequence(GeometricProtocolParams(kappa=1.0, v=1.0)).controls
 
 
 def geometric_controls(kappas, omega):
-    """(n, 4, 7) control rows and (n, 4) durations of the geometric gate at
-    each of n kappas: ``geometric_sequence(GeometricProtocolParams.from_omega(
-    kappa, omega)).controls()`` bit for bit, without building a sequence."""
+    """(n, 4, 7) control rows and (n, 4) durations of the geometric gate at each of
+    n kappas, bit for bit the ``controls`` and ``durations`` of ``geometric_sequence(
+    GeometricProtocolParams.from_omega(kappa, omega))``, without building a sequence."""
     params = [GeometricProtocolParams.from_omega(float(k), omega) for k in kappas]
     rows = _UNIT_ROWS * np.array([p.v for p in params])[:, None, None]
     omegas = np.array([p.omega for p in params])[:, None, None]

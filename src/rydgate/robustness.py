@@ -91,8 +91,8 @@ SAMPLE_BLOCK = 4096
 
 def v_of_spacing(c6, r):
     """Van der Waals interaction V = C6 / r^6."""
-    if not r > 0:
-        raise ValueError(f"spacing must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"spacing must be positive and finite, got {r}")
     try:
         return c6 / r**6
     except (OverflowError, ZeroDivisionError):
@@ -157,19 +157,23 @@ def _perturbed_controls(rows, omega_factors, v):
     Gate i has its Rabi frequencies scaled by ``omega_factors[i]`` and its
     interaction set to ``v[i]``; durations, detunings and phases stay nominal.
     """
-    if not (np.all(omega_factors >= 0) and np.all(np.isfinite(v))):
-        raise ValueError("noise draws must give Rabi factors >= 0 and a finite V")
     controls = np.repeat(rows[None], len(v), axis=0)
-    controls[..., RABI_COLUMNS] *= omega_factors[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN, rejected below
+        controls[..., RABI_COLUMNS] *= omega_factors[:, None, None]
     controls[..., V_COLUMN] = v[:, None]
+    if not (np.all(omega_factors >= 0) and np.all(np.isfinite(controls))):
+        raise ValueError("noise draws must give Rabi factors >= 0 and finite Rabi frequencies and V")
     return controls
 
 
 def _noisy_controls(rows, noise, indices):
     """(n, k, 7) control rows of the Monte-Carlo samples ``indices`` of the nominal (k, 7) ``rows``."""
     eps = _noise_draws(noise.seed, indices)
-    v = [v_of_spacing(noise.c6, r) for r in (noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])).tolist()]
-    return _perturbed_controls(rows, 1.0 + noise.sigma_omega_rel * eps[:, 0], np.array(v))
+    with np.errstate(over="ignore"):  # an infinite factor or spacing is rejected below
+        omega_factors = 1.0 + noise.sigma_omega_rel * eps[:, 0]
+        spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
+    v = [v_of_spacing(noise.c6, r) for r in spacings.tolist()]
+    return _perturbed_controls(rows, omega_factors, np.array(v))
 
 
 def monte_carlo_fidelity(protocol, noise, n_samples):
@@ -201,13 +205,12 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     nominal = protocol_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
 
-    rows, durations = nominal.controls()
     fidelities, phase_errors = np.empty(n_samples), np.empty(n_samples)
     stop = 0
     for block in range(0, n_samples, SAMPLE_BLOCK):
         indices = np.arange(block, min(block + SAMPLE_BLOCK, n_samples))
         # A block's rows die with its generator, before the next block is drawn.
-        for u in batch_unitaries(_noisy_controls(rows, noise, indices), durations):
+        for u in batch_unitaries(_noisy_controls(nominal.controls, noise, indices), nominal.durations):
             start, stop = stop, stop + len(u)
             fidelities[start:stop] = fidelity_cphase(u, target)
             phase_errors[start:stop] = np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target))

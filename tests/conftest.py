@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rydgate.hamiltonians import DriveParams, RydbergParams
-from rydgate.propagation import PulseSegment
+from rydgate.propagation import DriveParams, PulseSegment
 
 
 @pytest.fixture
@@ -24,5 +23,5 @@ def random_segment(rng, max_duration=2.0):
         duration=float(rng.uniform(0.1, max_duration)),
         drive1=maybe(),
         drive2=maybe(),
-        ryd=RydbergParams(float(rng.uniform(-3.0, 3.0))),
+        v=float(rng.uniform(-3.0, 3.0)),
     )

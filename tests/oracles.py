@@ -4,15 +4,21 @@ Nothing here may call into the code paths it verifies: the integrator walks
 the Schroedinger equation with classical RK4 steps, the two-atom Hamiltonian
 is assembled element by element from selection rules instead of tensor
 products, and the invariant blocks and projectors of a symmetric drive are
-written out in the symmetric basis. Drives and interactions are read by
-attribute (``rabi``, ``detuning``, ``phase``; ``v``), so the package's
-parameter objects can be passed in.
+written out in the symmetric basis. Drives are read by attribute (``rabi``,
+``detuning``, ``phase``), so the package's ``DriveParams`` can be passed in.
+
+``h_full`` is the one exception: it is the package's own Hamiltonian of one
+segment, lowered by ``PulseSequence`` and assembled by ``hamiltonians``, kept
+here because only the tests call it and check it against the oracles.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from rydgate.hamiltonians import hamiltonians
+from rydgate.propagation import PulseSegment, PulseSequence
 
 
 def rk4_unitary(h, t, tol=1e-10, n_start=64, max_doublings=14):
@@ -80,6 +86,13 @@ def two_atom_hamiltonian_by_rules(drive1, drive2, v):
                         element += v
                     out[3 * a + b, 3 * c + d] = element
     return out
+
+
+def h_full(drive1, drive2, v):
+    """(9, 9) Hamiltonian of one segment with drives ``drive1``, ``drive2``
+    (``DriveParams`` or None: undriven) and interaction ``v``, from the package."""
+    (h,) = hamiltonians(PulseSequence((PulseSegment(1.0, drive1, drive2, v),)).controls)
+    return h
 
 
 def controlled_flip_family(theta):
@@ -205,7 +218,7 @@ def h_block_01(drive2):
     return np.array([[0.0, om], [np.conj(om), drive2.detuning]], dtype=np.complex128)
 
 
-def h_block_11(drive, ryd):
+def h_block_11(drive, v):
     """Double-occupation block over {|11>, |B>, |rr>} for a symmetric drive.
 
     |B> = (|1r>+|r1>)/sqrt(2); the ladder couplings are sqrt(2)/2 * Omega
@@ -216,7 +229,7 @@ def h_block_11(drive, ryd):
         [
             [0.0, g, 0.0],
             [np.conj(g), drive.detuning, g],
-            [0.0, np.conj(g), ryd.v + 2 * drive.detuning],
+            [0.0, np.conj(g), v + 2 * drive.detuning],
         ],
         dtype=np.complex128,
     )

@@ -19,6 +19,7 @@ from oracles import (
     embed_two_qubit,
     h_block_11,
     h_direct,
+    h_full,
     hermiticity_defect,
     rk4_unitary,
     symmetric_block_projectors,
@@ -34,8 +35,7 @@ from rydgate.analysis import (
 from rydgate.calibration import blockade_invariance_scan, calibrate_kappa, sweep_kappa
 from rydgate.cli import main as cli_main
 from rydgate._kernels import expm_hermitian
-from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
-from rydgate.propagation import PulseSequence, sequence_unitary
+from rydgate.propagation import DriveParams, PulseSequence, sequence_unitary
 from rydgate.protocols import (
     GeometricProtocolParams,
     gate_time_blockade,
@@ -140,7 +140,7 @@ def test_structural_invariants():
         phase = float(rng.uniform(-math.pi, math.pi))
         v = float(rng.uniform(-4.0, 4.0))
         d = DriveParams(omega, delta, phase)
-        h = h_full(d, d, RydbergParams(v))
+        h = h_full(d, d, v)
 
         assert hermiticity_defect(h) <= 1e-12
         u = expm_hermitian(h, float(rng.uniform(0.1, 3.0)))
@@ -151,7 +151,7 @@ def test_structural_invariants():
 
         v_pos = abs(v) + 0.1
         d_res = DriveParams(omega, -v_pos / 2, phase)
-        block = h_block_11(d_res, RydbergParams(v_pos))
+        block = h_block_11(d_res, v_pos)
         dark_combo = np.array([1.0, 0.0, -np.exp(-2j * phase)]) / math.sqrt(2)
         assert np.max(np.abs(block @ dark_combo)) <= 1e-12
         eigs = np.sort(np.linalg.eigvalsh(block))
@@ -165,7 +165,7 @@ def test_propagator_oracles():
     for _ in range(50):
         seg = random_segment(rng)
         u = sequence_unitary(PulseSequence((seg,)))
-        h = h_full(seg.drive1, seg.drive2, seg.ryd)
+        h = h_full(seg.drive1, seg.drive2, seg.v)
         assert np.max(np.abs(u - rk4_unitary(h, seg.duration))) < 1e-8
 
 

@@ -18,9 +18,10 @@ from rydgate.analysis import (
     pulse_area,
     rydberg_time,
 )
-from rydgate.hamiltonians import DriveParams, RydbergParams, hamiltonians
+from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import (
     CHUNK,
+    DriveParams,
     PulseSegment,
     PulseSequence,
     batch_unitaries,
@@ -210,10 +211,10 @@ class TestFidelity:
             (GeometricProtocolParams.from_omega(1.65, 1.0), geometric_sequence),
             (BlockadeProtocolParams(rabi=1.0, v=100.0), blockade_pdp_sequence),
         ):
-            rows, durations = build(params).controls()
+            seq = build(params)
             eps = rng.normal(scale=0.02, size=(200, 2))
-            controls = _perturbed_controls(rows, 1.0 + eps[:, 0], params.v * (1.0 + eps[:, 1]))
-            cases.extend((u, math.pi) for chunk in batch_unitaries(controls, durations) for u in chunk)
+            controls = _perturbed_controls(seq.controls, 1.0 + eps[:, 0], params.v * (1.0 + eps[:, 1]))
+            cases.extend((u, math.pi) for chunk in batch_unitaries(controls, seq.durations) for u in chunk)
         for _ in range(100):
             q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
             cases.append((q, float(rng.uniform(-math.pi, math.pi))))
@@ -281,10 +282,10 @@ class TestLocalZGrid:
 class TestStacks:
     def test_stack_gives_the_bits_of_its_gates(self, rng):
         n = 2 * CHUNK + 5
-        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
         eps = rng.normal(scale=0.02, size=(n, 2))
-        controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
-        chunks = list(batch_unitaries(controls, durations))
+        controls = _perturbed_controls(seq.controls, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        chunks = list(batch_unitaries(controls, seq.durations))
         assert [len(chunk) for chunk in chunks] == [CHUNK, CHUNK, 5]
         z = rng.normal(size=(7, 9, 9)) + 1j * rng.normal(size=(7, 9, 9))
         randoms = np.linalg.qr(z)[0]
@@ -321,7 +322,7 @@ class TestActuationMetrics:
 
     def test_rydberg_time_zero_without_drive(self):
         seq = PulseSequence(
-            (PulseSegment(duration=2.0, drive1=None, drive2=None, ryd=RydbergParams(3.0)),)
+            (PulseSegment(duration=2.0, drive1=None, drive2=None, v=3.0),)
         )
         assert rydberg_time(seq) == pytest.approx(0.0, abs=1e-15)
 
@@ -336,7 +337,7 @@ class TestActuationMetrics:
                     duration=math.pi / omega,
                     drive1=DriveParams(omega, 0.0, 0.0),
                     drive2=None,
-                    ryd=RydbergParams(0.0),
+                    v=0.0,
                 ),
             )
         )
@@ -345,8 +346,8 @@ class TestActuationMetrics:
         )
 
     def test_population_integral_per_state_and_input_untouched(self):
-        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
-        hams = hamiltonians(rows)
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        hams, durations = hamiltonians(seq.controls), seq.durations
         psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
         before = psi0.copy()
         weights = rydberg_excitation_counts()
@@ -363,7 +364,7 @@ _GENERIC = PulseSegment(
     duration=1.3,
     drive1=DriveParams(1.0, 0.3, 0.4),
     drive2=DriveParams(0.8, -0.2, 1.1),
-    ryd=RydbergParams(2.5),
+    v=2.5,
 )
 
 #: Geometric gates over kappa in [0.5, 2.5] and blockade gates over V in [10, 1280], at Omega = 1.
@@ -375,8 +376,8 @@ _PROTOCOL_GATES = [
 
 def _integrals(segments, samples):
     """(kernel, sampled oracle) integrals from the computational states of a schedule."""
-    rows, durations = PulseSequence(tuple(segments)).controls()
-    hams = hamiltonians(rows)
+    seq = PulseSequence(tuple(segments))
+    hams, durations = hamiltonians(seq.controls), seq.durations
     states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
     got = _kernels.weighted_population_integral(hams, durations, range(len(durations)), *states)
     return got, sampled_population_integral(hams, durations, *states)
@@ -403,14 +404,14 @@ class TestRydbergTimeKernel:
         # step duration/samples is 2*pi*m, and the beat repeats at every sample.
         rabi, detuning = 1.0, 0.5
         duration = 2 * math.pi * m * samples / math.hypot(rabi, detuning)
-        aliased = PulseSegment(duration, DriveParams(rabi, detuning, 0.2), None, RydbergParams(0.0))
+        aliased = PulseSegment(duration, DriveParams(rabi, detuning, 0.2), None, 0.0)
         got, want = _integrals((_GENERIC, aliased), samples)
         assert _rel_err(got, want) < 1e-10
 
     @pytest.mark.parametrize("samples", [1, 3, 256])
     def test_undriven_segment(self, samples):
         # H = 0: every gap is 0, and the segment adds duration * <psi|W|psi>.
-        idle = PulseSegment(1.7, None, None, RydbergParams(0.0))
+        idle = PulseSegment(1.7, None, None, 0.0)
         got, want = _integrals((_GENERIC, idle), samples)
         assert _rel_err(got, want) < 1e-13
         before, _ = _integrals((_GENERIC,), samples)
@@ -422,8 +423,8 @@ class TestRydbergTimeKernel:
     def test_degenerate_eigenvalues(self, samples):
         # Equal drives on both atoms at V = 0: levels l_a + l_b pair up with l_b + l_a.
         drive = DriveParams(1.2, 0.4, 0.7)
-        symmetric = PulseSegment(2.1, drive, drive, RydbergParams(0.0))
-        (h,) = hamiltonians(PulseSequence((symmetric,)).controls()[0])
+        symmetric = PulseSegment(2.1, drive, drive, 0.0)
+        (h,) = hamiltonians(PulseSequence((symmetric,)).controls)
         assert np.min(np.diff(np.linalg.eigvalsh(h))) < 1e-12
         got, want = _integrals((_GENERIC, symmetric), samples)
         assert _rel_err(got, want) < 1e-13

@@ -117,6 +117,14 @@ class TestSweep:
         assert float(row[0]) == pytest.approx(0.144)
         assert float(row[2]) < 2.0
 
+    def test_unallocatable_count_exits_two(self, capsys):
+        # 10**15 points of 8 B is 7 PiB, beyond any address space: the allocation fails at once.
+        code, out, err = run_cli(
+            capsys, "sweep", "--kappa-min", "0.2", "--kappa-max", "2.5", "--n", "1000000000000000"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invalid_range_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--kappa-min", "2.0", "--kappa-max", "1.0", "--n", "5"
@@ -244,6 +252,15 @@ class TestRobustnessCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: n_samples must be in [1, 2**32), got 4294967296\n"
+
+    @pytest.mark.parametrize("flag", ["--sigma-omega-rel", "--sigma-r-rel"])
+    def test_overflowing_spread_is_one_error_line(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
+            flag, "1e308", "--seed", "1", "--samples", "200",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_missing_seed_is_config_error(self, capsys):
         code, _, err = run_cli(

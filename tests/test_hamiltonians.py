@@ -11,6 +11,7 @@ from oracles import (
     h_block_01,
     h_block_11,
     h_direct,
+    h_full,
     hermiticity_defect,
     symmetric_block_projectors,
     symmetric_rr_state,
@@ -18,7 +19,7 @@ from oracles import (
 )
 
 from rydgate._kernels import expm_hermitian
-from rydgate.hamiltonians import DriveParams, RydbergParams, h_full
+from rydgate.propagation import DriveParams, PulseSegment
 
 
 class TestDriveParams:
@@ -33,27 +34,27 @@ class TestDriveParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             DriveParams(math.nan)
-        with pytest.raises(ValueError):
-            RydbergParams(math.inf)
+        with pytest.raises(ValueError, match="^v must be finite, got inf$"):
+            PulseSegment(1.0, None, None, math.inf)
 
 
 class TestHFull:
     def test_interaction_only(self):
-        h = h_full(None, None, RydbergParams(5.0))
+        h = h_full(None, None, 5.0)
         expected = np.zeros((9, 9))
         expected[8, 8] = 5.0
         assert np.array_equal(h, expected)
 
     def test_symmetric_drive_coefficients(self):
         d = DriveParams(1.0, 0.0, 0.0)
-        h = h_full(d, d, RydbergParams(0.0))
+        h = h_full(d, d, 0.0)
         assert h[1, 2] == pytest.approx(0.5)  # <01|H|0r>
         assert h[2, 1] == pytest.approx(0.5)
         assert hermiticity_defect(h) == 0.0
 
     def test_matches_term_by_term_oracle(self):
         d = DriveParams(2.0, -3.0, math.pi / 4)
-        h = h_full(d, d, RydbergParams(7.0))
+        h = h_full(d, d, 7.0)
         expected = two_atom_hamiltonian_by_rules(
             (2.0, -3.0, math.pi / 4), (2.0, -3.0, math.pi / 4), 7.0
         )
@@ -64,7 +65,7 @@ class TestHFull:
             d1 = random_drive(rng) if rng.uniform() < 0.8 else None
             d2 = random_drive(rng) if rng.uniform() < 0.8 else None
             v = float(rng.uniform(-5, 5))
-            h = h_full(d1, d2, RydbergParams(v))
+            h = h_full(d1, d2, v)
             expected = two_atom_hamiltonian_by_rules(
                 None if d1 is None else (d1.rabi, d1.detuning, d1.phase),
                 None if d2 is None else (d2.rabi, d2.detuning, d2.phase),
@@ -74,7 +75,7 @@ class TestHFull:
 
     def test_hermitian_over_random_draws(self, rng):
         for _ in range(100):
-            h = h_full(random_drive(rng), random_drive(rng), RydbergParams(float(rng.uniform(-5, 5))))
+            h = h_full(random_drive(rng), random_drive(rng), float(rng.uniform(-5, 5)))
             assert hermiticity_defect(h) <= 1e-12
 
 
@@ -90,14 +91,14 @@ class TestBlock01:
     def test_equals_h_full_restriction(self, rng):
         for _ in range(25):
             d = random_drive(rng)
-            full = h_full(d, d, RydbergParams(float(rng.uniform(-5, 5))))
+            full = h_full(d, d, float(rng.uniform(-5, 5)))
             block = full[np.ix_((1, 2), (1, 2))]
             assert np.max(np.abs(h_block_01(d) - block)) < 1e-12
 
 
 class TestBlock11:
     def test_resonant_coefficients(self):
-        h = h_block_11(DriveParams(1.0, 0.0, 0.0), RydbergParams(0.0))
+        h = h_block_11(DriveParams(1.0, 0.0, 0.0), 0.0)
         g = math.sqrt(2) / 2
         assert h[0, 1] == pytest.approx(g)
         assert h[1, 2] == pytest.approx(g)
@@ -113,13 +114,13 @@ class TestBlock11:
         for _ in range(25):
             d = random_drive(rng)
             v = float(rng.uniform(-5, 5))
-            full = h_full(d, d, RydbergParams(v))
+            full = h_full(d, d, v)
             restricted = basis.conj().T @ full @ basis
-            assert np.max(np.abs(h_block_11(d, RydbergParams(v)) - restricted)) < 1e-12
+            assert np.max(np.abs(h_block_11(d, v) - restricted)) < 1e-12
 
     def test_dark_combination_at_half_negative_detuning(self):
         v = 2.3
-        h = h_block_11(DriveParams(1.1, -v / 2, 0.0), RydbergParams(v))
+        h = h_block_11(DriveParams(1.1, -v / 2, 0.0), v)
         assert np.allclose(np.diag(h).real, [0.0, -v / 2, 0.0], atol=1e-15)
         dark = np.array([1.0, 0.0, -1.0]) / math.sqrt(2)
         assert np.max(np.abs(h @ dark)) < 1e-15
@@ -128,7 +129,7 @@ class TestBlock11:
         for _ in range(25):
             omega = float(rng.uniform(0.2, 3.0))
             v = float(rng.uniform(0.2, 6.0))
-            h = h_block_11(DriveParams(omega, -v / 2, 0.0), RydbergParams(v))
+            h = h_block_11(DriveParams(omega, -v / 2, 0.0), v)
             s = math.sqrt(4 * omega**2 + v**2 / 4)
             eigs = np.sort(np.linalg.eigvalsh(h))
             expected = np.sort([-v / 4 - s / 2, 0.0, -v / 4 + s / 2])
@@ -139,7 +140,7 @@ class TestBlock11:
             omega = float(rng.uniform(0.1, 3.0))
             v = float(rng.uniform(0.1, 8.0))
             phase = float(rng.uniform(-math.pi, math.pi))
-            h = h_block_11(DriveParams(omega, -v / 2, phase), RydbergParams(v))
+            h = h_block_11(DriveParams(omega, -v / 2, phase), v)
             eigs = np.sort(np.linalg.eigvalsh(h))
             gap = eigs[-1] - eigs[0]
             assert gap == pytest.approx(math.sqrt(4 * omega**2 + v**2 / 4), abs=1e-10)
@@ -175,13 +176,13 @@ class TestSymmetricBlockStructure:
     def test_projectors_commute_with_h_full(self, rng):
         for _ in range(100):
             d = random_drive(rng)
-            h = h_full(d, d, RydbergParams(float(rng.uniform(-5, 5))))
+            h = h_full(d, d, float(rng.uniform(-5, 5)))
             for p in symmetric_block_projectors().values():
                 assert np.max(np.abs(h @ p - p @ h)) < 1e-12
 
     def test_antisymmetric_state_is_detuning_eigenvector(self, rng):
         for _ in range(100):
             d = random_drive(rng)
-            h = h_full(d, d, RydbergParams(float(rng.uniform(-5, 5))))
+            h = h_full(d, d, float(rng.uniform(-5, 5)))
             a = antisymmetric_rr_state()
             assert np.max(np.abs(h @ a - d.detuning * a)) < 1e-12

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "NoiseModel",
     "PulseSegment",
     "PulseSequence",
-    "RydbergParams",
     "SweepRecord",
     "analyze_gate",
     "basis_index",
@@ -44,7 +43,6 @@ PUBLIC_NAMES = [
     "gate_time_blockade",
     "gate_time_geometric",
     "geometric_sequence",
-    "h_full",
     "monte_carlo_fidelity",
     "phases_and_leakage",
     "pulse_area",

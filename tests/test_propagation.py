@@ -1,18 +1,26 @@
-"""Tests for segment, sequence and batched propagators."""
+"""Tests for schedules, their lowering to control rows, and the propagators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import random_segment
-from oracles import rk4_unitary, symmetric_block_projectors, unitarity_defect
+from oracles import (
+    h_full,
+    rk4_unitary,
+    symmetric_block_projectors,
+    two_atom_hamiltonian_by_rules,
+    unitarity_defect,
+)
 
 from rydgate import _kernels
 from rydgate._kernels import expm_hermitian
 from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
-from rydgate.hamiltonians import DriveParams, RydbergParams, h_full, hamiltonians
+from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import (
     CHUNK,
+    DriveParams,
     PulseSegment,
     PulseSequence,
     batch_unitaries,
@@ -35,7 +43,7 @@ def _segment_unitary(segment):
 
 
 def _segment_hamiltonian(segment):
-    return h_full(segment.drive1, segment.drive2, segment.ryd)
+    return h_full(segment.drive1, segment.drive2, segment.v)
 
 
 def _split(segment, fraction=0.5):
@@ -43,13 +51,13 @@ def _split(segment, fraction=0.5):
         duration=segment.duration * fraction,
         drive1=segment.drive1,
         drive2=segment.drive2,
-        ryd=segment.ryd,
+        v=segment.v,
     )
     second = PulseSegment(
         duration=segment.duration * (1 - fraction),
         drive1=segment.drive1,
         drive2=segment.drive2,
-        ryd=segment.ryd,
+        v=segment.v,
     )
     return first, second
 
@@ -57,7 +65,12 @@ def _split(segment, fraction=0.5):
 class TestPulseTypes:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
-            PulseSegment(duration=0.0, drive1=None, drive2=None, ryd=RydbergParams(1.0))
+            PulseSegment(duration=0.0, drive1=None, drive2=None, v=1.0)
+
+    def test_non_finite_interaction_rejected(self):
+        for v in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="^v must be finite"):
+                PulseSegment(duration=1.0, drive1=None, drive2=None, v=v)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -70,9 +83,51 @@ class TestPulseTypes:
         )
 
 
+def _drive_tuple(drive):
+    return None if drive is None else (drive.rabi, drive.detuning, drive.phase)
+
+
+class TestLowering:
+    """A sequence lowers its segments once, when built, to read-only rows."""
+
+    def test_rows_and_durations_are_read_only(self, rng):
+        seq = PulseSequence(tuple(random_segment(rng) for _ in range(3)))
+        for array in (seq.controls, seq.durations):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.controls = np.zeros((3, 7))
+
+    def test_rows_give_the_rule_built_hamiltonians(self, rng):
+        segments = tuple(random_segment(rng) for _ in range(40))
+        seq = PulseSequence(segments)
+        assert seq.controls.shape == (40, 7) and seq.durations.shape == (40,)
+        assert seq.durations.tolist() == [s.duration for s in segments]
+        for h, s in zip(hamiltonians(seq.controls), segments):
+            want = two_atom_hamiltonian_by_rules(_drive_tuple(s.drive1), _drive_tuple(s.drive2), s.v)
+            assert np.max(np.abs(h - want)) < 1e-15
+
+    def test_replace_lowers_again(self, rng):
+        seq = PulseSequence(tuple(random_segment(rng) for _ in range(3)))
+        other = PulseSequence(tuple(random_segment(rng) for _ in range(2)))
+        replaced = dataclasses.replace(seq, segments=other.segments)
+        assert replaced == other
+        assert np.array_equal(replaced.controls, other.controls)
+        assert np.array_equal(replaced.durations, other.durations)
+        assert seq.controls.shape == (3, 7)
+
+    def test_equality_and_hash_follow_the_segments(self, rng):
+        segments = [random_segment(rng) for _ in range(3)]
+        a, b = PulseSequence(tuple(segments)), PulseSequence(list(segments))
+        assert a.controls is not b.controls
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PulseSequence(tuple(segments[:2]))
+        assert "controls" not in repr(a) and "durations" not in repr(a)
+
+
 class TestSegmentUnitary:
     def test_trivial_segment_is_identity(self):
-        seg = PulseSegment(duration=2.5, drive1=None, drive2=None, ryd=RydbergParams(0.0))
+        seg = PulseSegment(duration=2.5, drive1=None, drive2=None, v=0.0)
         assert np.max(np.abs(_segment_unitary(seg) - np.eye(9))) < 1e-14
 
     def test_resonant_pi_pulse_on_atom_one(self):
@@ -81,7 +136,7 @@ class TestSegmentUnitary:
             duration=math.pi / omega,
             drive1=DriveParams(omega, 0.0, 0.0),
             drive2=None,
-            ryd=RydbergParams(4.0),
+            v=4.0,
         )
         u = _segment_unitary(seg)
         src = basis_index(1, 0)
@@ -156,7 +211,7 @@ class TestSequenceUnitary:
                 duration=float(rng.uniform(0.3, 2.0)),
                 drive1=d,
                 drive2=d,
-                ryd=RydbergParams(float(rng.uniform(-3, 3))),
+                v=float(rng.uniform(-3, 3)),
             )
             u = _segment_unitary(seg)
             for p in symmetric_block_projectors().values():
@@ -166,9 +221,10 @@ class TestSequenceUnitary:
 class TestBatchUnitaries:
     def test_chunking_never_changes_bits(self, rng):
         n = 2 * CHUNK + 5
-        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        durations = seq.durations
         eps = rng.normal(scale=0.02, size=(n, 2))
-        controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        controls = _perturbed_controls(seq.controls, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
         batch = np.concatenate(list(batch_unitaries(controls, durations)))
         assert len(batch) == n
         for i, u in enumerate(batch):
@@ -178,7 +234,7 @@ class TestBatchUnitaries:
     def test_per_gate_durations(self, rng):
         segs = [random_segment(rng) for _ in range(6)]
         seqs = [PulseSequence(tuple(segs[:3])), PulseSequence(tuple(segs[3:]))]
-        rows, durations = zip(*(seq.controls() for seq in seqs))
+        rows, durations = [seq.controls for seq in seqs], [seq.durations for seq in seqs]
         (batch,) = batch_unitaries(np.array(rows), np.array(durations))
         for u, seq in zip(batch, seqs):
             assert np.array_equal(u, sequence_unitary(seq))
@@ -194,7 +250,7 @@ def _product_per_segment(rows, durations):
 
 def _rydberg_time_per_segment(sequence):
     """``rydberg_time`` with every segment diagonalised on its own."""
-    rows, durations = sequence.controls()
+    rows, durations = sequence.controls, sequence.durations
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = _kernels.weighted_population_integral(
         hamiltonians(rows), durations, range(len(durations)), states, rydberg_excitation_counts(),
@@ -211,7 +267,7 @@ class TestDistinctSegments:
     """A segment repeated in every gate is diagonalised once, with the same bits."""
 
     def _check_sequence(self, sequence, order):
-        rows, durations = sequence.controls()
+        rows, durations = sequence.controls, sequence.durations
         assert distinct_segments(rows[None], durations[None])[2] == order
         assert np.array_equal(sequence_unitary(sequence), _product_per_segment(rows, durations))
         assert rydberg_time(sequence) == _rydberg_time_per_segment(sequence)
@@ -225,23 +281,22 @@ class TestDistinctSegments:
         self._check_sequence(PulseSequence(tuple(random_segment(rng) for _ in range(5))), (0, 1, 2, 3, 4))
 
     def test_equal_rows_with_different_durations_are_distinct(self):
-        ryd = RydbergParams(2.0)
-        segments = [PulseSegment(t, _DRIVE, _OTHER, ryd) for t in (1.0, 2.0, 1.0)]
+        segments = [PulseSegment(t, _DRIVE, _OTHER, 2.0) for t in (1.0, 2.0, 1.0)]
         self._check_sequence(PulseSequence(tuple(segments)), (0, 1, 0))
 
     def test_signed_zeros_are_distinct(self):
         negative = DriveParams(1.0, -0.0, 0.3)
-        ryd = RydbergParams(2.0)
-        sequence = PulseSequence(tuple(PulseSegment(1.3, d, _OTHER, ryd) for d in (_DRIVE, negative, _DRIVE)))
-        rows, _ = sequence.controls()
+        sequence = PulseSequence(tuple(PulseSegment(1.3, d, _OTHER, 2.0) for d in (_DRIVE, negative, _DRIVE)))
+        rows = sequence.controls
         assert np.array_equal(rows[0], rows[1]) and rows[0].tobytes() != rows[1].tobytes()
         self._check_sequence(sequence, (0, 1, 0))
 
     def test_one_gate_breaking_the_pattern(self, rng):
         n, odd = 2 * CHUNK + 3, CHUNK + 1
-        rows, durations = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls()
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        durations = seq.durations
         eps = rng.normal(scale=0.02, size=(n, 2))
-        controls = _perturbed_controls(rows, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        controls = _perturbed_controls(seq.controls, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
         controls[odd, 2, 2] = 0.01  # a detuning on atom 1 in the third segment
         assert distinct_segments(controls, np.broadcast_to(durations, (n, 4)))[2] == (0, 1, 2, 1)
         batch = np.concatenate(list(batch_unitaries(controls, durations)))

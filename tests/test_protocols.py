@@ -30,7 +30,7 @@ class TestGeometricSequence:
             assert seg.drive1.rabi == pytest.approx(1.65)
             assert seg.drive1.detuning == pytest.approx(-0.5)
             assert seg.drive1.phase == pytest.approx(phase)
-            assert seg.ryd.v == 1.0
+            assert seg.v == 1.0
         assert GEOMETRIC_SEGMENT_PHASES == (0.0, -math.pi / 2, 0.0, -math.pi / 2)
 
     def test_total_duration_matches_closed_form(self):
@@ -73,11 +73,8 @@ class TestGeometricSequence:
 
 def _sequence_controls(kappas, omega):
     """Rows and durations of one ``geometric_sequence`` per kappa, stacked."""
-    rows, durations = zip(
-        *(geometric_sequence(GeometricProtocolParams.from_omega(float(k), omega)).controls()
-          for k in kappas)
-    )
-    return np.array(rows), np.array(durations)
+    seqs = [geometric_sequence(GeometricProtocolParams.from_omega(float(k), omega)) for k in kappas]
+    return np.array([s.controls for s in seqs]), np.array([s.durations for s in seqs])
 
 
 class TestGeometricControls:
@@ -150,7 +147,7 @@ class TestBlockadeSequence:
             assert a.duration == b.duration
             assert a.drive1 == b.drive1
             assert a.drive2 == b.drive2
-        assert seq_a.segments[0].ryd.v != seq_b.segments[0].ryd.v
+        assert seq_a.segments[0].v != seq_b.segments[0].v
 
 
 #: Every entry point that takes a positive, finite parameter, with the name

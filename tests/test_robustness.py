@@ -9,11 +9,12 @@ from oracles import sample_eps
 
 from rydgate import propagation, robustness
 from rydgate.calibration import sweep_kappa
-from rydgate.protocols import BlockadeProtocolParams, GeometricProtocolParams
+from rydgate.protocols import BlockadeProtocolParams, GeometricProtocolParams, geometric_sequence
 from rydgate.robustness import (
     FidelityStats,
     NoiseModel,
     _noise_draws,
+    _perturbed_controls,
     monte_carlo_fidelity,
     v_of_spacing,
 )
@@ -57,6 +58,24 @@ class TestNoiseModel:
     def test_c6_overflow_is_rejected(self):
         with pytest.raises(ValueError, match="c6"):
             _noise(v=1.0, r0=1e100)
+
+    @pytest.mark.parametrize("spread", ["sigma_omega", "sigma_r"])
+    def test_overflowing_spread_is_rejected_without_a_warning(self, spread):
+        # 1 + 1e308 * eps overflows for |eps| > 1.8; pytest turns a warning into an error.
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        with pytest.raises(ValueError):
+            monte_carlo_fidelity(protocol, _noise(v=protocol.v, **{spread: 1e308}), 200)
+
+    def test_non_finite_draws_are_rejected(self):
+        rows = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls
+        with pytest.raises(ValueError, match="finite"):
+            _perturbed_controls(rows, np.array([1.0, math.inf]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):  # a finite factor times Omega = 1e10 overflows
+            _perturbed_controls(rows * 1e10, np.array([1e300]), np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            _perturbed_controls(rows, np.array([1.0]), np.array([math.inf]))
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            v_of_spacing(1.0, math.inf)
 
     def test_spacing_underflow_is_rejected(self):
         noise = _noise(v=1.0, sigma_r=0.005, r0=1e-60)
