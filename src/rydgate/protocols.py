@@ -128,13 +128,23 @@ _UNIT_ROWS = geometric_sequence(GeometricProtocolParams(kappa=1.0, v=1.0)).contr
 def geometric_controls(kappas, omega):
     """(n, 4, 7) control rows and (n, 4) durations of the geometric gate at each of
     n kappas, bit for bit the ``controls`` and ``durations`` of ``geometric_sequence(
-    GeometricProtocolParams.from_omega(kappa, omega))``, without building a sequence."""
-    params = [GeometricProtocolParams.from_omega(float(k), omega) for k in kappas]
-    rows = _UNIT_ROWS * np.array([p.v for p in params])[:, None, None]
-    omegas = np.array([p.omega for p in params])[:, None, None]
-    rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas
-    durations = np.array([p.segment_duration for p in params])[:, None]
-    return rows, np.repeat(durations, len(_UNIT_ROWS), axis=1)
+    GeometricProtocolParams.from_omega(kappa, omega))``, without building either.
+
+    V = Omega/kappa and Omega = kappa*V round as in the dataclass; a duration takes
+    ``math.hypot`` per gate, because ``np.hypot`` can differ in the last bit.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = omega / kappas
+    valid = np.isfinite(kappas) & (kappas > 0) & np.isfinite(v) & (v > 0)
+    if not valid.all():
+        # A bad omega fails the first kappa; the dataclass raises its own error.
+        GeometricProtocolParams.from_omega(float(kappas[np.argmin(valid)]), omega)
+    omegas = kappas * v
+    rows = _UNIT_ROWS * v[:, None, None]
+    rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas[:, None, None]
+    durations = [2 * math.pi / math.hypot(2 * w, x / 2) for w, x in zip(omegas.tolist(), v.tolist())]
+    return rows, np.repeat(np.array(durations)[:, None], len(_UNIT_ROWS), axis=1)
 
 
 def gate_time_geometric(kappa, omega):

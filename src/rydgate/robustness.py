@@ -93,10 +93,15 @@ def v_of_spacing(c6, r):
     """Van der Waals interaction V = C6 / r^6."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"spacing must be positive and finite, got {r}")
+    if not math.isfinite(c6):
+        raise ValueError(f"c6 must be finite, got {c6}")
     try:
-        return c6 / r**6
+        v = c6 / r**6
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"spacing {r} is out of range: r**6 over- or underflows") from None
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"spacing {r} is out of range: r**6 or c6 / r**6 over- or underflows")
+    return v
 
 
 #: SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's LCG
@@ -176,6 +181,32 @@ def _noisy_controls(rows, noise, indices):
     return _perturbed_controls(rows, omega_factors, np.array(v))
 
 
+def _summary(fidelities, phase_errors):
+    """FidelityStats of per-sample fidelities and |phase errors| with no temporary of
+    their length: the spread is summed ``SAMPLE_BLOCK`` samples at a time, and the
+    percentiles partition ``fidelities`` in place, after the mean has been taken."""
+    n = len(fidelities)
+
+    def exact_sum(f):
+        """Correctly rounded sum of f(fidelities - fidelities[0]): blocking never changes a bit."""
+        blocks = (f(fidelities[i : i + SAMPLE_BLOCK] - fidelities[0]).tolist() for i in range(0, n, SAMPLE_BLOCK))
+        return math.fsum(itertools.chain.from_iterable(blocks))
+
+    # Shifting by the first sample is mathematically a no-op for the spread but
+    # keeps identical samples (zero-noise runs) at exactly zero std.
+    shifted_mean = exact_sum(lambda d: d) / n
+    std = math.sqrt(exact_sum(lambda d: (d - shifted_mean) ** 2) / (n - 1)) if n > 1 else 0.0
+    mean = float(np.mean(fidelities))
+    percentiles = np.percentile(fidelities, [1, 5, 50, 95, 99], overwrite_input=True)
+    return FidelityStats(
+        n_samples=n,
+        mean_fidelity=mean,
+        std_fidelity=std,
+        percentiles=tuple(percentiles.tolist()),
+        mean_abs_phase_error=float(np.mean(phase_errors)),
+    )
+
+
 def monte_carlo_fidelity(protocol, noise, n_samples):
     """Fidelity statistics of a protocol under Rabi and spacing noise.
 
@@ -215,13 +246,4 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
             fidelities[start:stop] = fidelity_cphase(u, target)
             phase_errors[start:stop] = np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target))
 
-    # Shifting by the first sample is mathematically a no-op for the spread
-    # but keeps identical samples (zero-noise runs) at exactly zero std.
-    std = float(np.std(fidelities - fidelities[0], ddof=1)) if n_samples > 1 else 0.0
-    return FidelityStats(
-        n_samples=n_samples,
-        mean_fidelity=float(np.mean(fidelities)),
-        std_fidelity=std,
-        percentiles=tuple(float(p) for p in np.percentile(fidelities, [1, 5, 50, 95, 99])),
-        mean_abs_phase_error=float(np.mean(phase_errors)),
-    )
+    return _summary(fidelities, phase_errors)

@@ -95,6 +95,24 @@ def h_full(drive1, drive2, v):
     return h
 
 
+def bisect_root(f, lo, hi, f_lo, width=1e-10):
+    """Final bracket (lo, hi) of bisecting [lo, hi] down to ``width``, where
+    f_lo = f(lo) and f(hi) have opposite signs; lo == hi where f hits 0 exactly.
+
+    The loop the package's kappa calibration ran before its root solver.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid, mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def controlled_flip_family(theta):
     """Two-qubit matrix diag-embedded [[cos, i sin], [i sin, cos]] inner block."""
     c, s = np.cos(theta), np.sin(theta)

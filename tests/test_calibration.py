@@ -1,9 +1,11 @@
 """Tests for kappa sweeps, calibration and the blockade invariance scan."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import bisect_root
 
 from rydgate import calibration
 from rydgate.calibration import (
@@ -14,6 +16,7 @@ from rydgate.calibration import (
 )
 from rydgate.propagation import PulseSequence
 from rydgate.protocols import gate_time_geometric
+from rydgate.statespace import wrap_angle
 
 
 @pytest.fixture
@@ -123,10 +126,11 @@ class TestCalibrateKappa:
 
     def test_scan_builds_no_pulse_sequence_per_kappa(self, sequences_built):
         calibrate_kappa(-math.pi, (1.0, 2.5))
-        # Bisection from a 1/199-wide interval to width 1e-10 takes 27 steps;
-        # with the report, whose phase is the residual, that is 28 sequences,
-        # none for the 200 scan points or the scanned first endpoint.
-        assert len(sequences_built) == 28
+        # The root solver takes 4 steps from the 1/199-wide interval here
+        # (bisection took 27); with the report, whose phase is the residual,
+        # that is 5 sequences, none for the 200 scan points or the scanned
+        # interval ends.
+        assert len(sequences_built) <= 5
 
     def test_residual_above_tolerance_is_reported(self, monkeypatch):
         monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)
@@ -143,6 +147,78 @@ class TestCalibrateKappa:
         assert kappas[0] == pytest.approx(2.5)
         assert kappas[-1] == pytest.approx(3.0)
         assert all(math.isfinite(phi) for _, phi in scan)
+
+
+def _calibration(target_phi, bracket, omega=1.0, **kwargs):
+    try:
+        return calibrate_kappa(target_phi, bracket, omega, **kwargs)
+    except CalibrationError as exc:
+        return exc
+
+
+def _bisection_calibration(target_phi, bracket, omega=1.0, **kwargs):
+    """The calibration with its root solver replaced by the oracle's bisection, as
+    it ran before the solver, and the oracle's final (lo, hi) brackets."""
+    brackets = []
+
+    def bisection(f, a, b, f_a, f_b):
+        lo, hi = bisect_root(f, a, b, f_a)
+        brackets.append((lo, hi))
+        return 0.5 * (lo + hi)
+
+    with mock.patch.object(calibration, "_anderson_bjorck", bisection):
+        return _calibration(target_phi, bracket, omega, **kwargs), brackets
+
+
+#: 25 targets over the circle; the bracket (1.0, 2.5) reaches 14 of them.
+ORACLE_TARGETS = np.linspace(-math.pi, math.pi, 25).tolist()
+
+
+class TestRootSolverAgainstBisection:
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    @pytest.mark.parametrize(
+        "bracket, failures", [((1.0, 2.5), 11), ((0.2, 2.5), 0), ((0.5, 3.0), 0)]
+    )
+    def test_same_outcomes_and_kappa_inside_the_final_bracket(self, bracket, failures, omega):
+        failed = 0
+        for target in ORACLE_TARGETS:
+            new = _calibration(target, bracket, omega)
+            old, brackets = _bisection_calibration(target, bracket, omega)
+            assert type(new) is type(old), target
+            if isinstance(old, CalibrationError):
+                assert str(new) == str(old) and new.scan == old.scan
+                failed += 1
+                continue
+            assert new.scan == old.scan
+            ((lo, hi),) = brackets
+            assert lo <= new.kappa_star <= hi, target
+            assert abs(wrap_angle(new.report.controlled_phase - target)) <= 1e-13, target
+        assert failed == failures
+
+    def test_target_on_a_scan_point_takes_no_solver_step(self, sequences_built):
+        record = sweep_kappa(1.0, 2.5, calibration.CALIBRATION_SCAN_POINTS)[80]
+        args = (record.phi_c_wrapped, (1.0, 2.5))
+        result = calibrate_kappa(*args, seed_kappa=record.kappa)
+        assert result.kappa_star == record.kappa
+        assert len(sequences_built) == 1  # the report
+        old, brackets = _bisection_calibration(*args, seed_kappa=record.kappa)
+        assert old.kappa_star == result.kappa_star and brackets == []
+
+    def test_midpoint_when_the_chord_leaves_the_bracket(self):
+        # Against f(0) = -1e300 the chord crosses zero at b in floating point,
+        # so the first two steps take midpoints until a point left of the root
+        # replaces it.
+        points = []
+
+        def f(x):
+            points.append(x)
+            return x - 0.3
+
+        x = calibration._anderson_bjorck(f, 0.0, 1.0, -1e300, 0.7)
+        assert points[:2] == [0.5, 0.25]
+        assert abs(f(x)) <= calibration.ROOT_ERROR_STOP
+        lo, hi = bisect_root(f, 0.0, 1.0, -1e300)
+        assert lo <= x <= hi
 
 
 class TestBlockadeInvarianceScan:

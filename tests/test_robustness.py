@@ -41,6 +41,13 @@ class TestVOfSpacing:
         with pytest.raises(ValueError, match="spacing"):
             v_of_spacing(1.0, -2.0)
 
+    def test_rejects_an_interaction_that_overflows(self):
+        # 0.01**6 is finite; c6 / 1e-12 is not.
+        with pytest.raises(ValueError, match="^spacing 0.01 is out of range"):
+            v_of_spacing(1e300, 0.01)
+        with pytest.raises(ValueError, match="^c6 must be finite"):
+            v_of_spacing(math.inf, 1.0)
+
 
 class TestNoiseModel:
     def test_for_interaction_round_trip(self):
@@ -221,8 +228,9 @@ class TestBlocks:
         assert sweep_kappa(0.2, 2.5, 40) == want_sweep
 
     def test_memory_grows_only_by_the_kept_results(self):
-        # Only the fidelities and phase errors (16 B per sample) outlive a block;
-        # allow twice that per extra sample. The exact percentiles need them all.
+        # Only the fidelities and phase errors (16 B per sample) outlive a block.
+        # At these sizes a block's gates set the peak; the constant covers what
+        # the allocator keeps between runs.
         protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
         noise = _noise(v=protocol.v, sigma_omega=0.01, sigma_r=0.005, seed=3)
 
@@ -236,7 +244,33 @@ class TestBlocks:
 
         block = robustness.SAMPLE_BLOCK
         one, four = peak(block), peak(4 * block)
-        assert four - one <= 32 * 3 * block
+        assert four - one <= 16 * 3 * block + 2**17
+
+    def test_statistics_add_no_temporary_of_the_sample_count(self):
+        # Above some 10**5 samples the statistics, not a block, would set the
+        # peak of a run; there too the samples themselves (16 B each) may be
+        # all that grows. An n-length difference or copy would add 8 B each.
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                fidelities = np.linspace(1.0, 0.99, n_samples)
+                robustness._summary(fidelities, np.zeros(n_samples))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 2**15, 2**17
+        peak(small)  # first-call allocations
+        assert peak(large) - peak(small) <= 16 * (large - small) + 2**16
+
+    def test_statistics_match_numpy(self, rng):
+        fidelities = rng.uniform(0.98, 1.0, 3 * robustness.SAMPLE_BLOCK + 5)
+        phase_errors = rng.uniform(0.0, 0.1, len(fidelities))
+        stats = robustness._summary(fidelities.copy(), phase_errors)
+        assert stats.mean_fidelity == np.mean(fidelities)
+        assert stats.std_fidelity == pytest.approx(np.std(fidelities, ddof=1), rel=1e-13)
+        assert stats.percentiles == tuple(np.percentile(fidelities, [1, 5, 50, 95, 99]).tolist())
+        assert stats.mean_abs_phase_error == np.mean(phase_errors)
 
 
 #: Mean infidelity of the geometric protocol at kappa = 1.65 under 1 percent
