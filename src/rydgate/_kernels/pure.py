@@ -29,13 +29,15 @@ def sequence_product(hams, durations, order):
 
     ``hams`` (..., d, n, n) holds each gate's distinct segment generators, ``durations``
     (..., d) their durations, broadcast against ``hams.shape[:-2]``, and ``order`` each
-    segment's index into them, first segment first. Returns the (..., n, n) propagators.
+    segment's index into them, first segment first. Returns the (..., n, n) propagators,
+    a new array: the product starts from the first segment's step, not from the identity.
     """
     steps = expm_hermitian(hams, durations)
-    u = np.eye(hams.shape[-1], dtype=np.complex128)
-    for j in order:
+    first, *rest = order
+    u = steps[..., first, :, :]
+    for j in rest:
         u = steps[..., j, :, :] @ u
-    return u
+    return u if rest else u.copy()
 
 
 def _trapezoid_factor(w, h, n):

@@ -73,6 +73,12 @@ class PhaseExtraction:
     leakage_max: float
 
 
+def _phases(u):
+    """The ``phases`` of ``phases_and_leakage(u)`` alone, for callers that need no leakage."""
+    amps = _stack(u)[..., _INDICES, _INDICES]
+    return _per_state(np.arctan2(amps.imag, amps.real))
+
+
 def phases_and_leakage(u):
     """Extract phi_b = arg(<b|U|b>) and leak_b = sum_{j != b} |<j|U|b>|^2 per state.
 
@@ -82,14 +88,13 @@ def phases_and_leakage(u):
     still reported but should not be trusted.
     """
     u = _stack(u)
-    amps = u[..., _INDICES, _INDICES]
     # In C order, so that each gate's sums add in the same order.
     off_diagonal = np.ascontiguousarray(u[..., _OTHERS, _INDICES[:, None]])
     leakage = np.minimum((np.abs(off_diagonal) ** 2).sum(axis=-1), 1.0)
     return PhaseExtraction(
-        phases=_per_state(np.arctan2(amps.imag, amps.real)),
+        phases=_phases(u),
         leakage=_per_state(leakage),
-        reliable=_per_state(np.abs(amps) >= RELIABLE_AMPLITUDE),
+        reliable=_per_state(np.abs(u[..., _INDICES, _INDICES]) >= RELIABLE_AMPLITUDE),
         leakage_max=_unstack(leakage.max(axis=-1)),
     )
 

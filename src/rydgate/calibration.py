@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate.analysis import (
+    _phases,
     analyze_gate,
     controlled_phase,
     fidelity_cphase,
@@ -148,7 +149,7 @@ def _anderson_bjorck(f, a, b, f_a, f_b):
 
 
 def _phase_error(u, target_phi):
-    return wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target_phi)
+    return wrap_angle(controlled_phase(_phases(u)) - target_phi)
 
 
 def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):

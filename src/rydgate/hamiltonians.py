@@ -14,8 +14,11 @@ blocks {|00>}, {|01>,|0r>}, {|10>,|r0>}, {|11>,|B>,|rr>} and the dark state
 
 The full Hamiltonian is linear in the seven columns of a control row,
 (Omega1 cos phi1, Omega1 sin phi1, Delta1, Omega2 cos phi2, Omega2 sin phi2,
-Delta2, V): ``hamiltonians`` contracts a stack of rows with ``OPERATORS``.
-Schedules and their rows live in ``rydgate.propagation``.
+Delta2, V), with ``OPERATORS`` as the basis. Each of its 162 real entries is
+fed by at most one column, except the |rr> diagonal Delta1 + Delta2 + V, so
+``hamiltonians`` gathers each entry's column from a table derived from
+``OPERATORS`` instead of contracting with all seven. Schedules and their rows
+live in ``rydgate.propagation``.
 """
 
 import numpy as np
@@ -39,11 +42,29 @@ OPERATORS.flags.writeable = False
 RABI_COLUMNS = (0, 1, 3, 4)
 V_COLUMN = 6
 
+# The gather table over the 162 floats of a Hamiltonian's real view: the first column
+# feeding each entry (0 where none does) and its coefficient (0.0 there).
+_REAL = OPERATORS.view(np.float64).reshape(7, 162)
+_COLUMN = np.argmax(_REAL != 0, axis=0)
+_COEFFICIENT = _REAL[_COLUMN, np.arange(162)]
+# The |rr> diagonal, the one entry more than one column feeds (each with coefficient
+# 1), and the columns it adds to its gathered Delta1: Delta2, then V.
+(_RR,) = np.flatnonzero(np.count_nonzero(_REAL, axis=0) > 1).tolist()
+_RR_ADDED = np.flatnonzero(_REAL[:, _RR])[1:].tolist()
+
 
 def hamiltonians(controls):
     """Hamiltonians of a (..., 7) stack of control rows, shape (..., 9, 9)."""
-    # einsum on real views stays out of BLAS, whose threaded gemm on a large
-    # stack leaves OpenBLAS worker threads spinning on the other CPUs.
-    real = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
-    return real.view(np.complex128)
-
+    # Bit-equal to the contraction with OPERATORS in column order, for finite rows,
+    # and, unlike a matrix product, never in BLAS, whose threaded gemm on a large
+    # stack leaves OpenBLAS worker threads spinning on the other CPUs. The rows are
+    # flattened to 2-D so that the |rr> adds run on one strided column, which NumPy
+    # starts faster than a strided 2-D block.
+    rows = controls.reshape(-1, 7)
+    real = np.take(rows, _COLUMN, axis=-1)
+    real *= _COEFFICIENT
+    rr = real[:, _RR]
+    for column in _RR_ADDED:
+        rr += rows[:, column]
+    real += 0.0  # the contraction's sums start at +0.0, so a -0.0 product reads 0.0
+    return real.view(np.complex128).reshape(controls.shape[:-1] + (9, 9))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.analysis import controlled_phase, fidelity_cphase, phases_and_leakage
+from rydgate.analysis import _phases, controlled_phase, fidelity_cphase
 from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
 from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import protocol_sequence
@@ -234,7 +234,7 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
             f"the protocol's nominal V = {v_nom}"
         )
     nominal = protocol_sequence(protocol)
-    target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
+    target = controlled_phase(_phases(sequence_unitary(nominal)))
 
     fidelities, phase_errors = np.empty(n_samples), np.empty(n_samples)
     stop = 0
@@ -244,6 +244,6 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
         for u in batch_unitaries(_noisy_controls(nominal.controls, noise, indices), nominal.durations):
             start, stop = stop, stop + len(u)
             fidelities[start:stop] = fidelity_cphase(u, target)
-            phase_errors[start:stop] = np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target))
+            phase_errors[start:stop] = np.abs(wrap_angle(controlled_phase(_phases(u)) - target))
 
     return _summary(fidelities, phase_errors)

@@ -7,18 +7,26 @@ products, and the invariant blocks and projectors of a symmetric drive are
 written out in the symmetric basis. Drives are read by attribute (``rabi``,
 ``detuning``, ``phase``), so the package's ``DriveParams`` can be passed in.
 
-``h_full`` is the one exception: it is the package's own Hamiltonian of one
+``h_full`` is one exception: it is the package's own Hamiltonian of one
 segment, lowered by ``PulseSequence`` and assembled by ``hamiltonians``, kept
 here because only the tests call it and check it against the oracles.
+``sequence_product_from_identity`` is another: it exponentiates with the
+package's ``expm_hermitian`` and checks only how the steps are multiplied. So
+is ``quadrature_fidelity_moments``, which propagates and scores the gates of
+its own noise rows with the package and checks the noise model and statistics.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from rydgate.hamiltonians import hamiltonians
-from rydgate.propagation import PulseSegment, PulseSequence
+from rydgate._kernels import expm_hermitian
+from rydgate.analysis import controlled_phase, fidelity_cphase, phases_and_leakage
+from rydgate.hamiltonians import OPERATORS, hamiltonians
+from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, sequence_unitary
+from rydgate.protocols import protocol_sequence
 
 
 def rk4_unitary(h, t, tol=1e-10, n_start=64, max_doublings=14):
@@ -93,6 +101,25 @@ def h_full(drive1, drive2, v):
     (``DriveParams`` or None: undriven) and interaction ``v``, from the package."""
     (h,) = hamiltonians(PulseSequence((PulseSegment(1.0, drive1, drive2, v),)).controls)
     return h
+
+
+def hamiltonians_by_einsum(controls):
+    """(..., 9, 9) Hamiltonians of (..., 7) control rows, contracted with all seven
+    ``OPERATORS`` in column order on real views: the reference ``hamiltonians``'
+    gather must match bit for bit."""
+    real = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
+    return real.view(np.complex128)
+
+
+def sequence_product_from_identity(hams, durations, order):
+    """The identity times each step exp(-i*h_j*t_j) in ``order``, first segment
+    first: the reference ``sequence_product``, which starts from the first step,
+    must match bit for bit."""
+    steps = expm_hermitian(hams, durations)
+    u = np.eye(hams.shape[-1], dtype=np.complex128)
+    for j in order:
+        u = steps[..., j, :, :] @ u
+    return u
 
 
 def bisect_root(f, lo, hi, f_lo, width=1e-10):
@@ -195,6 +222,37 @@ def grid_argmax(c, grid):
     for (..., 4) diagonals c ordered 00, 01, 10, 11, evaluated on complex phasors with ``abs``."""
     pairs = np.abs(c[..., :2, None] + c[..., 2:, None] * np.exp(1j * grid))
     return np.argmax(pairs[..., 0, :] + pairs[..., 1, :], axis=-1)
+
+
+@functools.cache
+def quadrature_fidelity_moments(protocol, sigma_omega, sigma_r, r0=1.0):
+    """Mean, variance and fourth central moment of the fidelity under the noise
+    model, by a tensor rule over (eps_Omega, eps_R) in units of their spreads: the
+    16-node Gauss-Hermite rule on eps_Omega and the Gaussian-weighted trapezoid rule
+    on 257 points of [-8, 8] on eps_R, which converges geometrically for a smooth
+    integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+
+    The perturbed rows are built here, not by the package's noise functions; the
+    propagation and the fidelity are the package's. The Rabi columns (Omega cos phi,
+    Omega sin phi of each atom: 0, 1, 3, 4 of the row) are scaled by
+    1 + sigma_Omega*x, and V = C6/r^6 is set at r = r0*(1 + sigma_R*y).
+    """
+    nominal = protocol_sequence(protocol)
+    target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
+    x, x_weights = np.polynomial.hermite_e.hermegauss(16)
+    y = np.linspace(-8.0, 8.0, 257)
+    y_weights = (y[1] - y[0]) * np.exp(-0.5 * y**2)
+    y_weights[[0, -1]] *= 0.5
+    weights = np.outer(x_weights, y_weights).ravel() / (2 * math.pi)
+    assert abs(weights.sum() - 1.0) < 1e-13
+    c6 = protocol.v * r0**6
+    rows = np.repeat(nominal.controls[None], len(weights), axis=0)
+    rows[..., [0, 1, 3, 4]] *= np.repeat(1.0 + sigma_omega * x, len(y))[:, None, None]
+    rows[..., 6] = c6 / np.tile(r0 * (1.0 + sigma_r * y), len(x))[:, None] ** 6
+    fidelities = np.concatenate([fidelity_cphase(u, target) for u in batch_unitaries(rows, nominal.durations)])
+    mean = weights @ fidelities
+    deviations = fidelities - mean
+    return mean, weights @ deviations**2, weights @ deviations**4
 
 
 def sample_eps(seed, index):

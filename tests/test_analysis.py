@@ -10,6 +10,7 @@ from rydgate import _kernels
 from rydgate.analysis import (
     _GRID,
     _grid_index,
+    _phases,
     analyze_gate,
     controlled_phase,
     fidelity_cphase,
@@ -306,6 +307,30 @@ class TestStacks:
                 for got, (target, flag) in zip(fidelities, cases):
                     single = fidelity_cphase(u, target, compensate=flag)
                     assert type(single) is float and got[i] == single
+
+    def test_phases_alone_give_the_bits_of_the_full_extraction(self, rng):
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        eps = rng.normal(scale=0.02, size=(CHUNK + 3, 2))
+        controls = _perturbed_controls(seq.controls, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
+        z = rng.normal(size=(7, 9, 9)) + 1j * rng.normal(size=(7, 9, 9))
+        stacks = [*batch_unitaries(controls, seq.durations), np.linalg.qr(z)[0]]
+
+        def diagonal_angles(u):
+            amps = np.stack([u[..., b, b] for b in COMPUTATIONAL_INDICES], axis=-1)
+            return np.arctan2(amps.imag, amps.real)
+
+        for stack in stacks:
+            got = controlled_phase(_phases(stack))
+            want = controlled_phase(phases_and_leakage(stack).phases)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            angles = diagonal_angles(stack)
+            for b, x in enumerate(_phases(stack)):
+                assert np.array_equal(x.view(np.uint64), angles[:, b].view(np.uint64))
+            for u in stack:
+                alone = controlled_phase(_phases(u))
+                want_alone = controlled_phase(phases_and_leakage(u).phases)
+                assert type(alone) is float and np.float64(alone).tobytes() == np.float64(want_alone).tobytes()
+                assert _phases(u) == tuple(diagonal_angles(u).tolist())
 
 
 class TestActuationMetrics:

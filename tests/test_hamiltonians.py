@@ -12,6 +12,7 @@ from oracles import (
     h_block_11,
     h_direct,
     h_full,
+    hamiltonians_by_einsum,
     hermiticity_defect,
     symmetric_block_projectors,
     symmetric_rr_state,
@@ -19,6 +20,7 @@ from oracles import (
 )
 
 from rydgate._kernels import expm_hermitian
+from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import DriveParams, PulseSegment
 
 
@@ -186,3 +188,41 @@ class TestSymmetricBlockStructure:
             h = h_full(d, d, float(rng.uniform(-5, 5)))
             a = antisymmetric_rr_state()
             assert np.max(np.abs(h @ a - d.detuning * a)) < 1e-12
+
+
+def _extreme_rows(rng, shape):
+    """Random control rows over magnitudes 1e-300 to 1e300, both signs, with planted
+    0.0 and -0.0, all-negative rows, and |rr> diagonals that cancel exactly."""
+    rows = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    rows[rng.uniform(size=shape) < 0.15] = 0.0
+    rows[rng.uniform(size=shape) < 0.15] = -0.0
+    flat = rows.reshape(-1, 7)
+    flat[::3] = -np.abs(flat[::3])
+    flat[1::5, 5] = -flat[1::5, 2]  # Delta1 + Delta2 = 0
+    flat[2::5, 6] = -flat[2::5, 5]  # Delta2 + V = 0
+    return rows
+
+
+class TestGather:
+    """``hamiltonians`` gathers its entries with the bits of the full contraction."""
+
+    @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (40, 7), (1, 2, 7), (5, 3, 7), (64, 2, 7)])
+    def test_bit_equal_to_the_contraction(self, rng, shape):
+        for _ in range(20):
+            rows = _extreme_rows(rng, shape)
+            h = hamiltonians(rows)
+            assert h.shape == shape[:-1] + (9, 9) and h.dtype == np.complex128 and h.flags.c_contiguous
+            assert np.array_equal(h.view(np.uint64), hamiltonians_by_einsum(rows).view(np.uint64))
+
+    def test_strided_and_padded_stacks(self, rng):
+        d = random_drive(rng)
+        rows = np.array([[d.rabi, 0.0, d.detuning, -0.0, d.rabi, -d.detuning, 2.5]] * 4)
+        for stack in (rows, rows[::2], rows.T.copy().T, rows[None, :, None]):
+            want = hamiltonians_by_einsum(stack)
+            assert np.array_equal(hamiltonians(stack).view(np.uint64), want.view(np.uint64))
+
+    def test_rows_are_not_modified(self, rng):
+        rows = _extreme_rows(rng, (6, 7))
+        before = rows.copy()
+        hamiltonians(rows)
+        assert np.array_equal(rows.view(np.uint64), before.view(np.uint64))

@@ -8,7 +8,9 @@ import pytest
 from conftest import random_segment
 from oracles import (
     h_full,
+    random_hermitian,
     rk4_unitary,
+    sequence_product_from_identity,
     symmetric_block_projectors,
     two_atom_hamiltonian_by_rules,
     unitarity_defect,
@@ -238,6 +240,32 @@ class TestBatchUnitaries:
         (batch,) = batch_unitaries(np.array(rows), np.array(durations))
         for u, seq in zip(batch, seqs):
             assert np.array_equal(u, sequence_unitary(seq))
+
+
+class TestSequenceProduct:
+    """The product starts from the first segment's step, with the bits of one seeded
+    with the identity."""
+
+    def _stack(self, rng, shape):
+        hams = np.array([random_hermitian(rng, scale=3.0) for _ in range(math.prod(shape))])
+        return hams.reshape(shape + (9, 9)), rng.uniform(0.1, 2.0, size=shape)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 3)])
+    def test_bit_equal_to_the_identity_seeded_loop(self, rng, shape):
+        hams, durations = self._stack(rng, shape)
+        for length in range(1, 7):
+            for _ in range(4):
+                order = tuple(rng.integers(0, shape[-1], size=length).tolist())
+                got = _kernels.sequence_product(hams, durations, order)
+                want = sequence_product_from_identity(hams, durations, order)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
+
+    def test_one_segment_gives_a_new_array(self, rng):
+        hams, durations = self._stack(rng, (5, 2))
+        u = _kernels.sequence_product(hams, durations, (1,))
+        assert u.flags.owndata and u.flags.c_contiguous
+        assert np.array_equal(u, expm_hermitian(hams[:, 1], durations[:, 1]))
 
 
 def _product_per_segment(rows, durations):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import sample_eps
+from oracles import quadrature_fidelity_moments, sample_eps
 
 from rydgate import propagation, robustness
 from rydgate.calibration import sweep_kappa
@@ -271,6 +271,35 @@ class TestBlocks:
         assert stats.std_fidelity == pytest.approx(np.std(fidelities, ddof=1), rel=1e-13)
         assert stats.percentiles == tuple(np.percentile(fidelities, [1, 5, 50, 95, 99]).tolist())
         assert stats.mean_abs_phase_error == np.mean(phase_errors)
+
+
+class TestQuadratureOracle:
+    """Monte-Carlo statistics against the noise model's moments by quadrature.
+
+    Rabi noise alone shows a detuning scaled with the Rabi frequency; spacing noise
+    over Rabi noise shows a wrong power in the 1/R^6 map, through the spread; both
+    show the two spreads swapped. ``mean_abs_phase_error`` and the percentiles are
+    not smooth in the noise, so the rule does not check them.
+    """
+
+    SAMPLES = 10_000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("sigmas", [(0.05, 0.0), (0.03, 0.05)], ids=["rabi", "rabi+spacing"])
+    @pytest.mark.parametrize(
+        "protocol",
+        [GeometricProtocolParams.from_omega(1.65, 1.0), BlockadeProtocolParams(rabi=1.0, v=100.0)],
+        ids=["geometric", "blockade"],
+    )
+    def test_mean_and_spread_within_four_standard_errors(self, protocol, sigmas, seed):
+        mean, variance, fourth = quadrature_fidelity_moments(protocol, *sigmas)
+        noise = _noise(v=protocol.v, sigma_omega=sigmas[0], sigma_r=sigmas[1], seed=seed)
+        stats = monte_carlo_fidelity(protocol, noise, self.SAMPLES)
+        std = math.sqrt(variance)
+        # The standard error of a sample spread, sqrt(Var(s^2))/(2 sigma), by the delta method.
+        std_error = math.sqrt((fourth - variance**2) / self.SAMPLES) / (2 * std)
+        assert abs(stats.mean_fidelity - mean) < 4 * std / math.sqrt(self.SAMPLES)
+        assert abs(stats.std_fidelity - std) < 4 * std_error
 
 
 #: Mean infidelity of the geometric protocol at kappa = 1.65 under 1 percent
