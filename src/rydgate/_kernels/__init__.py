@@ -16,8 +16,8 @@ gates or segments):
 index of each of its k segments into them (``propagation.distinct_segments``).
 
 The kernels assume Hermitian matrices, as ``hamiltonians.hamiltonians``
-builds them, and do not check it; an eigenphase w*t that overflows raises
-``ValueError``.
+builds them, and do not check it; an eigenphase w*t or a population integral
+that overflows raises ``ValueError``.
 
 ``BACKEND`` is always ``"pure"``.
 """

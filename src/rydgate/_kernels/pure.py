@@ -74,12 +74,15 @@ def weighted_population_integral(hams, durations, order, psi0, weights, samples_
     w, v = np.linalg.eigh(hams)
     steps = np.exp(-1j * _eigenphases(w, durations[:, None]))
     v_dagger = v.conj().swapaxes(-1, -2)
-    kernels = _trapezoid_factor(w, durations / samples_per_segment, samples_per_segment)
-    kernels *= v_dagger @ (weights[:, None] * v)
     psi = np.asarray(psi0, dtype=np.complex128)
     total = np.zeros(psi.shape[0])
-    for j in order:
-        c = psi @ v[j].conj()
-        total += ((c.conj() @ kernels[j]) * c).sum(axis=-1).real
-        psi = (c * steps[j]) @ v[j].T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
+        kernels = _trapezoid_factor(w, durations / samples_per_segment, samples_per_segment)
+        kernels *= v_dagger @ (weights[:, None] * v)
+        for j in order:
+            c = psi @ v[j].conj()
+            total += ((c.conj() @ kernels[j]) * c).sum(axis=-1).real
+            psi = (c * steps[j]) @ v[j].T
+    if not np.isfinite(total).all():
+        raise ValueError("a population integral overflows: the durations are out of range")
     return total

@@ -196,7 +196,11 @@ def rydberg_time(sequence):
     totals = _kernels.weighted_population_integral(
         hamiltonians(rows[0]), durations[0], order, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
-    return float(np.mean(totals))
+    with np.errstate(over="ignore"):
+        mean = np.mean(totals)
+    if not np.isfinite(mean):
+        raise ValueError(f"rydberg_time overflows: the mean of the per-state integrals is {mean}")
+    return float(mean)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Command-line front end: simulate, sweep, calibrate, compare, robustness.
 
 Every command reads its parameters from flags, optionally merged over a
-plain ``key = value`` config file (flags win). Output goes to stdout or to
-``--output``; identical configurations produce byte-identical output. CSV
-numbers carry 12 significant digits and lines end in LF. Exit codes:
-0 success, 2 configuration error or unallocatable count, 3 numerical non-convergence.
+plain ``key = value`` config file (flags win). Each handler maps the resolved
+configuration to the text it prints; ``main`` alone writes that text, to stdout
+or to ``--output``, and alone maps each outcome to an exit code: 0 success,
+2 configuration error, unallocatable count or out-of-range result, 3 numerical
+non-convergence. Identical configurations produce byte-identical output. CSV
+numbers carry 12 significant digits and lines end in LF; JSON never holds NaN
+or Infinity.
 """
 
 import argparse
@@ -30,11 +33,8 @@ SWEEP_HEADER = (
 COMPARE_HEADER = (
     "protocol,gate_time,gate_time_omega_over_pi,fidelity_cz,pulse_area_rad,rydberg_time"
 )
-
-
-def _fmt(x):
-    """12-significant-digit decimal rendering used in all CSV output."""
-    return format(float(x), ".12g")
+#: The ``_report_payload`` keys of COMPARE_HEADER's columns after ``protocol``.
+_COMPARE_KEYS = ("gate_time", "gate_time_omega_over_pi", "fidelity", "pulse_area", "rydberg_time")
 
 
 #: Default of an option that has none and must be given.
@@ -107,15 +107,16 @@ def _write(text, output):
         raise ValueError(f"cannot write output file {output}: {exc}") from exc
 
 
-def _emit_csv(header, rows, output):
-    """Write ``header`` and one line per row; numbers at 12 significant digits."""
+def _csv(header, rows):
+    """``header`` and one line per row, numbers at 12 significant digits."""
     lines = [header]
-    lines += [",".join(x if isinstance(x, str) else _fmt(x) for x in row) for row in rows]
-    _write("\n".join(lines) + "\n", output)
+    lines += [",".join(x if isinstance(x, str) else format(float(x), ".12g") for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _emit_json(payload, output):
-    _write(json.dumps(payload, indent=2) + "\n", output)
+def _json(payload):
+    """Indented JSON; a NaN or an infinity raises ValueError, as RFC 8259 has neither."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _report_payload(report, omega):
@@ -159,36 +160,22 @@ def cmd_simulate(cfg):
     """simulate one gate protocol and print its report"""
     params, omega = _protocol(cfg)
     report = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
-    _emit_json({"protocol": cfg["protocol"], **_report_payload(report, omega)}, cfg["output"])
-    return 0
+    return _json({"protocol": cfg["protocol"], **_report_payload(report, omega)})
 
 
 def cmd_sweep(cfg):
     """characterize the geometric protocol over a kappa range"""
     records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"], omega=cfg["omega"])
-    _emit_csv(SWEEP_HEADER, map(dataclasses.astuple, records), cfg["output"])
-    return 0
+    return _csv(SWEEP_HEADER, map(dataclasses.astuple, records))
 
 
 def cmd_calibrate(cfg):
     """find kappa giving a target controlled phase"""
-    try:
-        result = calibrate_kappa(
-            cfg["target_phi"], tuple(cfg["bracket"]), omega=cfg["omega"], seed_kappa=cfg["seed_kappa"]
-        )
-    except CalibrationError as exc:
-        sys.stderr.write(f"calibration failed: {exc}\n")
-        sys.stderr.write("kappa,phi_c_wrapped_rad\n")
-        for kappa, phi in exc.scan:
-            sys.stderr.write(f"{_fmt(kappa)},{_fmt(phi)}\n")
-        return 3
-    payload = {
-        "kappa_star": result.kappa_star,
-        "target_phi": cfg["target_phi"],
-        "report": _report_payload(result.report, cfg["omega"]),
-    }
-    _emit_json(payload, cfg["output"])
-    return 0
+    result = calibrate_kappa(
+        cfg["target_phi"], tuple(cfg["bracket"]), omega=cfg["omega"], seed_kappa=cfg["seed_kappa"]
+    )
+    report = _report_payload(result.report, cfg["omega"])
+    return _json({"kappa_star": result.kappa_star, "target_phi": cfg["target_phi"], "report": report})
 
 
 def cmd_compare(cfg):
@@ -198,10 +185,9 @@ def cmd_compare(cfg):
     blk = BlockadeProtocolParams(rabi=omega, v=_positive(cfg["blockade_v"], "blockade-v"))
     rows = []
     for name, params in (("blockade", blk), ("geometric", geo)):
-        r = analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"])
-        rows.append((name, r.gate_time, r.gate_time * omega / math.pi, r.fidelity, r.pulse_area, r.rydberg_time))
-    _emit_csv(COMPARE_HEADER, rows, cfg["output"])
-    return 0
+        payload = _report_payload(analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"]), omega)
+        rows.append((name, *(payload[key] for key in _COMPARE_KEYS)))
+    return _csv(COMPARE_HEADER, rows)
 
 
 def cmd_robustness(cfg):
@@ -214,14 +200,12 @@ def cmd_robustness(cfg):
         sigma_omega_rel=cfg["sigma_omega_rel"], sigma_r_rel=cfg["sigma_r_rel"],
     )
     stats = monte_carlo_fidelity(protocol, noise, cfg["samples"])
-    payload = {
+    return _json({
         "protocol": cfg["protocol"],
         "seed": cfg["seed"],
         **dataclasses.asdict(stats),
         "percentiles": dict(zip(("p1", "p5", "p50", "p95", "p99"), stats.percentiles)),
-    }
-    _emit_json(payload, cfg["output"])
-    return 0
+    })
 
 
 #: Options as ``(parse, default)`` pairs: ``parse`` is the flag's type and reads
@@ -275,13 +259,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command line: the one place that writes output and picks the exit code."""
     args = build_parser().parse_args(argv)
     handler, options = COMMANDS[args.command]
     try:
-        return handler(_merge(args, options))
+        cfg = _merge(args, options)
+        _write(handler(cfg), cfg["output"])
+    except CalibrationError as exc:
+        sys.stderr.write(f"calibration failed: {exc}\n" + _csv("kappa,phi_c_wrapped_rad", exc.scan))
+        return 3
     except (ValueError, MemoryError) as exc:  # a rejected value, or a count too large to allocate
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0
 
 
 def run():

@@ -94,6 +94,7 @@ class PulseSequence:
         if not segments:
             raise ValueError("a pulse sequence needs at least one segment")
         object.__setattr__(self, "segments", segments)
+        _require_finite(self.total_duration, "total duration")
         controls, durations = _lower(segments)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "durations", durations)

@@ -144,7 +144,12 @@ def geometric_controls(kappas, omega):
     rows = _UNIT_ROWS * v[:, None, None]
     rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas[:, None, None]
     durations = [2 * math.pi / math.hypot(2 * w, x / 2) for w, x in zip(omegas.tolist(), v.tolist())]
-    return rows, np.repeat(np.array(durations)[:, None], len(_UNIT_ROWS), axis=1)
+    durations = np.repeat(np.array(durations)[:, None], len(_UNIT_ROWS), axis=1)
+    with np.errstate(over="ignore"):
+        valid = (durations[:, 0] > 0) & np.isfinite(durations.sum(axis=-1))
+    if not valid.all():  # the schedule raises its own error for the first such gate
+        geometric_sequence(GeometricProtocolParams.from_omega(float(kappas[np.argmin(valid)]), omega))
+    return rows, durations
 
 
 def gate_time_geometric(kappa, omega):

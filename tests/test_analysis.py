@@ -370,6 +370,31 @@ class TestActuationMetrics:
             math.pi / (4 * omega), rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            geometric_sequence(GeometricProtocolParams.from_omega(1.65, 7e-308)),
+            blockade_pdp_sequence(BlockadeProtocolParams(rabi=7e-308, v=7e-306)),
+        ],
+        ids=["geometric", "blockade"],
+    )
+    def test_overflowing_rydberg_time_raises(self, seq):
+        # The gate time is finite, and each state's integral too, but not their mean.
+        assert math.isfinite(seq.total_duration)
+        with pytest.raises(ValueError, match="^rydberg_time overflows"):
+            analyze_gate(seq)
+
+    def test_overflowing_population_integral_raises(self):
+        # The blockade gate at Omega = 4.5e-308: each segment is finite, its integrals are not.
+        omega, pi_time = 4.5e-308, math.pi / 4.5e-308
+        rows = np.zeros((2, 7))
+        rows[0, [0, 6]] = rows[1, [3, 6]] = omega, 100 * omega
+        with pytest.raises(ValueError, match="^a population integral overflows"):
+            _kernels.weighted_population_integral(
+                hamiltonians(rows), np.array([pi_time, 2 * pi_time]), (0, 1, 0),
+                np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), 256,
+            )
+
     def test_population_integral_per_state_and_input_untouched(self):
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
         hams, durations = hamiltonians(seq.controls), seq.durations

@@ -55,6 +55,16 @@ class TestSweepKappa:
         assert sweep_kappa(0.2, 2.5, np.int64(3)) == sweep_kappa(0.2, 2.5, 3)
         assert len(sweep_kappa(0.2, 2.5, np.int32(4))) == 4
 
+    def test_overflowing_gate_time_raises_before_propagating(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("propagated a gate whose total duration overflows")
+
+        monkeypatch.setattr(calibration, "batch_unitaries", no_work)
+        with pytest.raises(ValueError, match="^total duration must be finite"):
+            sweep_kappa(1.6, 1.7, 2, omega=3.1e-308)
+        with pytest.raises(ValueError, match="^total duration must be finite"):
+            calibrate_kappa(math.pi, (1.0, 2.5), omega=3.1e-308)
+
     def test_builds_no_pulse_sequence(self, sequences_built):
         assert len(sweep_kappa(0.2, 2.5, 50)) == 50
         assert sequences_built == []

@@ -166,6 +166,12 @@ class TestCalibrate:
         assert "kappa,phi_c_wrapped_rad" in err
         assert len(err.strip().split("\n")) > 100
 
+    def test_non_convergence_stderr_bytes(self, capsys):
+        # The message, then the scanned table at 12 significant digits, LF endings.
+        code, out, err = run_cli(capsys, "calibrate", "--target-phi", "10", "--bracket", "2.0", "2.5")
+        assert (code, out) == (3, "")
+        assert err == (GOLDEN / "calibrate_no_sign_change.stderr").read_text(encoding="utf-8")
+
 
 class TestCompare:
     def test_table_contents(self, capsys):
@@ -357,6 +363,15 @@ def test_non_finite_value_exits_two(capsys, argv):
          "--sigma-r-rel", "1e60", "--seed", "1", "--samples", "2"),
         ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
          "--sigma-omega-rel", "200", "--seed", "1", "--samples", "3"),
+        # Every segment is finite, but the gate time or the Rydberg time is not.
+        ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "3.1e-308"),
+        ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "7e-308"),
+        ("simulate", "--protocol", "blockade", "--omega", "4.5e-308", "--v", "4.5e-306"),
+        ("sweep", "--kappa-min", "1.6", "--kappa-max", "1.7", "--n", "2", "--omega", "3.1e-308"),
+        ("compare", "--omega", "7e-308", "--kappa", "1.65", "--blockade-v", "7e-306"),
+        ("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "3.1e-308"),
+        # 2*Omega overflows, so each segment lasts 2*pi/inf = 0.
+        ("sweep", "--kappa-min", "1.6", "--kappa-max", "1.7", "--n", "2", "--omega", "1e308"),
     ],
     ids=[
         "simulate-v-overflows",
@@ -366,13 +381,20 @@ def test_non_finite_value_exits_two(capsys, argv):
         "robustness-v-overflows",
         "robustness-spacing-overflows",
         "robustness-negative-rabi-draw",
+        "simulate-geometric-gate-time-overflows",
+        "simulate-geometric-rydberg-time-overflows",
+        "simulate-blockade-gate-time-overflows",
+        "sweep-gate-time-overflows",
+        "compare-rydberg-time-overflows",
+        "calibrate-gate-time-overflows",
+        "sweep-segment-duration-underflows",
     ],
 )
 def test_out_of_range_value_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestConfigFile:

@@ -1,13 +1,22 @@
 """README command lines against committed golden outputs.
 
 ``tests/golden/`` holds the stdout (or ``--output`` file) of each README
-command, plus a blockade robustness run. CSV must match byte for byte.
+command, plus a blockade robustness run (and the stderr of a calibration
+with no sign change, which ``tests/test_cli.py`` pins byte for byte). CSV
+must match byte for byte.
 JSON must have the same keys in the same order and every number within
 1e-12 relative, because batched LAPACK calls may move a last digit.
+
+Run as a script, ``python tests/test_golden.py COMMAND...`` runs every line of
+``COMMANDS`` through an installed front end, say ``rydgate`` or
+``python -m rydgate.cli``, and checks its ``--output`` file by the same rule.
 """
 
 import json
 import math
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -45,13 +54,28 @@ def assert_same_json(got, want, path="$"):
         assert type(got) is type(want) and got == want, path
 
 
+def assert_matches_golden(name, got):
+    """Check ``got``, the bytes a command wrote, against golden ``name``: CSV byte for
+    byte, JSON by ``assert_same_json``."""
+    want = (GOLDEN / name).read_bytes()
+    if name.endswith(".csv"):
+        assert got == want, name
+    else:
+        assert_same_json(json.loads(got), json.loads(want), name)
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_matches_golden(name, tmp_path, capsys):
     out_path = tmp_path / name
     assert main([*COMMANDS[name], "--output", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
-    got, want = out_path.read_bytes(), (GOLDEN / name).read_bytes()
-    if name.endswith(".csv"):
-        assert got == want
-    else:
-        assert_same_json(json.loads(got), json.loads(want))
+    assert_matches_golden(name, out_path.read_bytes())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in COMMANDS.items():
+            out_path = Path(tmp) / name
+            subprocess.run([*sys.argv[1:], *argv, "--output", str(out_path)], check=True)
+            assert_matches_golden(name, out_path.read_bytes())
+            print(f"{name}: matches the golden")

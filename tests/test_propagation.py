@@ -78,6 +78,13 @@ class TestPulseTypes:
         with pytest.raises(ValueError, match="at least one"):
             PulseSequence(())
 
+    @pytest.mark.parametrize("durations", [(1e308, 1e308), (1.7e308, 1e307, 1e307)])
+    def test_overflowing_total_duration_rejected(self, durations):
+        # Every segment is finite; only their sum overflows.
+        segments = tuple(PulseSegment(duration=t, drive1=None, drive2=None, v=0.0) for t in durations)
+        with pytest.raises(ValueError, match="^total duration must be finite, got inf$"):
+            PulseSequence(segments)
+
     def test_total_duration(self, rng):
         segs = [random_segment(rng) for _ in range(3)]
         assert PulseSequence(tuple(segs)).total_duration == pytest.approx(

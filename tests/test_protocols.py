@@ -109,6 +109,21 @@ class TestGeometricControls:
         with pytest.raises(ValueError, match="^kappa must be positive"):
             geometric_controls(kappas, 1.0)
 
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            # Each segment lasts about 1e308: finite, but four of them are not.
+            (3.1e-308, "^total duration must be finite, got inf$"),
+            # 2*Omega overflows, so a segment lasts 2*pi/inf = 0.
+            (1e308, "^duration must be positive and finite, got 0.0$"),
+        ],
+    )
+    def test_out_of_range_gate_time_rejected_as_the_sequence_rejects_it(self, omega, message):
+        with pytest.raises(ValueError, match=message):
+            geometric_sequence(GeometricProtocolParams.from_omega(1.6, omega))
+        with pytest.raises(ValueError, match=message):
+            geometric_controls([1.0, 1.6, 1.7], omega)
+
 
 class TestProtocolSequence:
     def test_dispatches_on_the_parameter_type(self):
