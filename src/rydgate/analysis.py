@@ -162,11 +162,12 @@ def fidelity_cphase(u, target_phi, compensate=True):
     # Not in place: NumPy rounds an in-place product of one element unlike longer ones.
     c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
 
-    tr = np.abs(c.sum(axis=-1))
     if compensate:
         # f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| at the maximizing angle a.
         pairs = np.abs(c[..., :2] + c[..., 2:] * np.exp(1j * _local_z_angle(c))[..., None])
         tr = pairs[..., 0] + pairs[..., 1]
+    else:
+        tr = np.abs(c.sum(axis=-1))
     fidelity = (tr * tr + tr_mm) / 20.0
     # Written so that a NaN functional (a non-finite propagator) fails too.
     if not (fidelity <= 1.0 + 1e-9).all():
@@ -232,10 +233,11 @@ def analyze_gate(sequence, target_phi=math.pi):
     """
     u = sequence_unitary(sequence)
     extraction = phases_and_leakage(u)
+    unwrapped = phase_combination(extraction.phases)
     return GateReport(
         phases=extraction.phases,
-        controlled_phase=controlled_phase(extraction.phases),
-        controlled_phase_unwrapped=phase_combination(extraction.phases),
+        controlled_phase=wrap_angle(unwrapped),
+        controlled_phase_unwrapped=unwrapped,
         leakage=extraction.leakage,
         leakage_max=extraction.leakage_max,
         fidelity=fidelity_cphase(u, target_phi),

@@ -4,7 +4,8 @@ The controlled phase is not assumed monotone in kappa: calibration first
 scans the bracket on a fixed 200-point grid, keeps the sign-change interval
 of the wrapped phase error nearest the seed, and then solves for the root in
 that interval by Anderson-Bjorck regula falsi. Sweeps and the scan batch rows
-from ``geometric_controls``; each solver step builds one ``geometric_sequence``.
+from ``geometric_controls`` and compute one controlled-phase column, which a
+failed calibration reports; each solver step builds one ``geometric_sequence``.
 Identical inputs give bit-identical tables.
 """
 
@@ -40,11 +41,11 @@ CALIBRATION_TOLERANCE = 1e-6
 
 
 class CalibrationError(RuntimeError):
-    """Calibration could not bracket the target; ``scan`` holds (kappa, phi_c)."""
+    """Calibration could not bracket the target; ``scan`` holds the scanned (kappa, phi_c)."""
 
     def __init__(self, message, scan):
         super().__init__(message)
-        self.scan = scan
+        self.scan = tuple(scan)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class CalibrationResult:
 
     kappa_star: float
     report: object
-    scan: tuple
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,12 @@ def _geometric(kappa, omega):
     return geometric_sequence(GeometricProtocolParams.from_omega(float(kappa), omega))
 
 
-def sweep_kappa(k_min, k_max, n, omega=1.0):
+def sweep_kappa(k_min, k_max, n):
     """Characterize the geometric protocol on n uniformly spaced kappa values.
 
-    Fidelity is measured against a CZ gate (target phase pi). Records come
-    back ordered by kappa.
+    Every column depends on kappa alone (Omega sets only the clock), so the rows
+    are built at Omega = 1. Fidelity is measured against a CZ gate (target phase
+    pi). Records come back ordered by kappa.
     """
     if not (0 < k_min < k_max < math.inf):
         raise ValueError(f"need finite 0 < k_min < k_max, got ({k_min}, {k_max})")
@@ -94,18 +95,18 @@ def sweep_kappa(k_min, k_max, n, omega=1.0):
     if n < 2:
         raise ValueError(f"need at least 2 sweep points, got {n}")
     kappas = np.linspace(k_min, k_max, n)
-    rows, durations = geometric_controls(kappas, omega)
+    rows, durations = geometric_controls(kappas, 1.0)
     gate_times = durations.sum(axis=-1)
-    wrapped, unwrapped, leakage, fidelity = [], [], [], []
+    unwrapped, leakage, fidelity = [], [], []
     for u in batch_unitaries(rows, durations):
         extraction = phases_and_leakage(u)
-        wrapped.append(controlled_phase(extraction.phases))
         unwrapped.append(phase_combination(extraction.phases))
         leakage.append(extraction.leakage_max)
         fidelity.append(fidelity_cphase(u, math.pi))
-    columns = (np.concatenate(c).tolist() for c in (wrapped, unwrapped, leakage, fidelity))
+    unwrapped, leakage, fidelity = (np.concatenate(c) for c in (unwrapped, leakage, fidelity))
+    columns = (c.tolist() for c in (wrap_angle(unwrapped), unwrapped, leakage, fidelity))
     return [
-        SweepRecord(kappa, 1.0 / kappa, gate_time * omega / math.pi, *values)
+        SweepRecord(kappa, 1.0 / kappa, gate_time / math.pi, *values)
         for kappa, gate_time, *values in zip(kappas.tolist(), gate_times.tolist(), *columns)
     ]
 
@@ -148,13 +149,11 @@ def _anderson_bjorck(f, a, b, f_a, f_b):
     return best[0]
 
 
-def _phase_error(u, target_phi):
-    return wrap_angle(controlled_phase(_phases(u)) - target_phi)
-
-
 def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     """Find kappa* where the geometric protocol's controlled phase hits target.
 
+    The target is first reduced, exactly, by ``math.remainder(target_phi, 2*pi)``,
+    so a target far outside [-pi, pi] does not round the scanned phases away.
     A 200-point scan over ``bracket`` locates sign changes of the wrapped
     error wrap(phi_c(kappa) - target); intervals whose endpoints differ by
     more than pi are branch-cut jumps and are skipped. In the admissible
@@ -173,7 +172,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     CalibrationError
         If no admissible sign change exists in the bracket, or the wrapped
         error at kappa* exceeds ``CALIBRATION_TOLERANCE``; the scanned
-        (kappa, wrapped phi_c) table is attached for diagnosis.
+        (kappa, wrapped phi_c) pairs are attached for diagnosis.
     """
     for name, value in (("target_phi", target_phi), ("seed_kappa", seed_kappa)):
         if not math.isfinite(value):
@@ -182,15 +181,15 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     if not (0 < k_lo < k_hi < math.inf):
         raise ValueError(f"need finite 0 < k_lo < k_hi, got {bracket}")
 
+    target = math.remainder(target_phi, 2 * math.pi)
+
     def error_at(kappa):
-        return _phase_error(sequence_unitary(_geometric(kappa, omega)), target_phi)
+        return wrap_angle(controlled_phase(_phases(sequence_unitary(_geometric(kappa, omega)))) - target)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
     chunks = batch_unitaries(*geometric_controls(kappas, omega))
-    errors = np.concatenate([_phase_error(u, target_phi) for u in chunks])
-    scan = tuple(
-        (float(k), wrap_angle(e + target_phi)) for k, e in zip(kappas, errors.tolist())
-    )
+    phases = wrap_angle(np.concatenate([phase_combination(_phases(u)) for u in chunks]))
+    errors = wrap_angle(phases - target)
 
     # Scan points on target, and sign changes that do not jump the branch cut,
     # in scan order.
@@ -201,7 +200,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         raise CalibrationError(
             f"no sign change of the wrapped phase error in bracket ({k_lo}, {k_hi}) "
             f"for target {target_phi:.6f} rad",
-            scan=scan,
+            scan=zip(kappas.tolist(), phases.tolist()),
         )
     i, j = min(ends, key=lambda e: abs(0.5 * (kappas[e[0]] + kappas[e[1]]) - seed_kappa))
     lo, hi = float(kappas[i]), float(kappas[j])
@@ -210,15 +209,15 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     if lo != hi:
         kappa_star = _anderson_bjorck(error_at, lo, hi, float(errors[i]), float(errors[j]))
 
-    report = analyze_gate(_geometric(kappa_star, omega), target_phi=target_phi)
-    residual = wrap_angle(report.controlled_phase - target_phi)
+    report = analyze_gate(_geometric(kappa_star, omega), target_phi=target)
+    residual = wrap_angle(report.controlled_phase - target)
     if abs(residual) > CALIBRATION_TOLERANCE:
         raise CalibrationError(
             f"bisection stalled: |wrapped error| = {abs(residual):.3e} > {CALIBRATION_TOLERANCE:g} "
             f"at kappa = {kappa_star}",
-            scan=scan,
+            scan=zip(kappas.tolist(), phases.tolist()),
         )
-    return CalibrationResult(kappa_star=kappa_star, report=report, scan=scan)
+    return CalibrationResult(kappa_star=kappa_star, report=report)
 
 
 def blockade_invariance_scan(omega, v_values):

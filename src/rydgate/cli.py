@@ -138,6 +138,8 @@ def _protocol(cfg):
     """Protocol parameters and Rabi frequency of ``simulate`` and ``robustness``."""
     omega, v = cfg["omega"], cfg["v"]
     if cfg["protocol"] == "blockade":
+        if cfg["kappa"] is not None:
+            raise ValueError("blockade protocol takes no kappa")
         omega = _positive(omega, "omega")
         if v is None:
             raise ValueError("blockade protocol needs v")
@@ -165,7 +167,7 @@ def cmd_simulate(cfg):
 
 def cmd_sweep(cfg):
     """characterize the geometric protocol over a kappa range"""
-    records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"], omega=cfg["omega"])
+    records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"])
     return _csv(SWEEP_HEADER, map(dataclasses.astuple, records))
 
 
@@ -218,7 +220,6 @@ COMMANDS = {
     "simulate": (cmd_simulate, {**_COMMON, **_PROTOCOL, "target_phi": (float, math.pi)}),
     "sweep": (cmd_sweep, {
         **_COMMON, "kappa_min": (float, REQUIRED), "kappa_max": (float, REQUIRED), "n": (int, REQUIRED),
-        "omega": (float, 1.0),
     }),
     "calibrate": (cmd_calibrate, {
         **_COMMON, "target_phi": (float, REQUIRED), "bracket": (_parse_bracket, REQUIRED),

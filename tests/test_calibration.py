@@ -61,8 +61,6 @@ class TestSweepKappa:
 
         monkeypatch.setattr(calibration, "batch_unitaries", no_work)
         with pytest.raises(ValueError, match="^total duration must be finite"):
-            sweep_kappa(1.6, 1.7, 2, omega=3.1e-308)
-        with pytest.raises(ValueError, match="^total duration must be finite"):
             calibrate_kappa(math.pi, (1.0, 2.5), omega=3.1e-308)
 
     def test_builds_no_pulse_sequence(self, sequences_built):
@@ -158,6 +156,23 @@ class TestCalibrateKappa:
         assert kappas[-1] == pytest.approx(3.0)
         assert all(math.isfinite(phi) for _, phi in scan)
 
+    @pytest.mark.parametrize("target", [10.0, 1e4])
+    def test_failure_scan_is_the_swept_phase(self, target):
+        # The table is the scanned phi_c itself, not rebuilt from the errors,
+        # so it equals the sweep's wrapped column on the same grid bit for bit.
+        with pytest.raises(CalibrationError) as excinfo:
+            calibrate_kappa(target, (2.0, 2.5))
+        records = sweep_kappa(2.0, 2.5, calibration.CALIBRATION_SCAN_POINTS)
+        assert excinfo.value.scan == tuple((r.kappa, r.phi_c_wrapped) for r in records)
+
+    @pytest.mark.parametrize("target", [1e17, 123456789.0, -1e4])
+    def test_target_is_reduced_mod_two_pi(self, target):
+        # phi - 1e17 rounds every phase away; the reduced target keeps them.
+        reduced = math.remainder(target, 2 * math.pi)
+        got, want = calibrate_kappa(target, (1.0, 2.5)), calibrate_kappa(reduced, (1.0, 2.5))
+        assert got.kappa_star == want.kappa_star
+        assert got.report == want.report
+
 
 def _calibration(target_phi, bracket, omega=1.0, **kwargs):
     try:
@@ -199,7 +214,6 @@ class TestRootSolverAgainstBisection:
                 assert str(new) == str(old) and new.scan == old.scan
                 failed += 1
                 continue
-            assert new.scan == old.scan
             ((lo, hi),) = brackets
             assert lo <= new.kappa_star <= hi, target
             assert abs(wrap_angle(new.report.controlled_phase - target)) <= 1e-13, target

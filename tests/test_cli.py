@@ -132,6 +132,19 @@ class TestSweep:
         assert code == 2
         assert err != ""
 
+    def test_takes_no_omega_flag(self, capsys):
+        # Every column depends on kappa alone, so a sweep has no Omega to set.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kappa-min", "0.2", "--kappa-max", "2.5", "--n", "3", "--omega", "2"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_takes_no_omega_config_key(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("kappa_min = 0.2\nkappa_max = 2.5\nn = 3\nomega = 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out, err) == (2, "", "error: unknown config keys: omega\n")
+
 
 class TestCalibrate:
     def test_cz_calibration(self, capsys):
@@ -165,6 +178,14 @@ class TestCalibrate:
         assert out == ""
         assert "kappa,phi_c_wrapped_rad" in err
         assert len(err.strip().split("\n")) > 100
+
+    def test_far_target_is_reduced_and_echoed_as_given(self, capsys):
+        # 1e17 reduces to 1.2397 mod 2*pi; unreduced, phi - 1e17 leaves no sign change.
+        code, out, _ = run_cli(capsys, "calibrate", "--target-phi", "1e17", "--bracket", "1.0", "2.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["target_phi"] == 1e17
+        assert payload["kappa_star"] == pytest.approx(1.0385, abs=1e-4)
 
     def test_non_convergence_stderr_bytes(self, capsys):
         # The message, then the scanned table at 12 significant digits, LF endings.
@@ -296,6 +317,11 @@ class TestRobustnessCommand:
         (("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1", "--v", "1",
           "--seed", "1", "--samples", "2"),
          "give either omega or v for the geometric protocol, not both"),
+        (("simulate", "--protocol", "blockade", "--omega", "1", "--v", "100", "--kappa", "5"),
+         "blockade protocol takes no kappa"),
+        (("robustness", "--protocol", "blockade", "--omega", "1", "--v", "100", "--kappa", "5",
+          "--seed", "1", "--samples", "2"),
+         "blockade protocol takes no kappa"),
     ],
     ids=[
         "simulate-blockade-no-v",
@@ -303,6 +329,8 @@ class TestRobustnessCommand:
         "simulate-geometric-no-omega-or-v",
         "simulate-geometric-omega-and-v",
         "robustness-geometric-omega-and-v",
+        "simulate-blockade-kappa",
+        "robustness-blockade-kappa",
     ],
 )
 def test_inconsistent_protocol_options_exit_two(capsys, argv, message):
@@ -367,11 +395,10 @@ def test_non_finite_value_exits_two(capsys, argv):
         ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "3.1e-308"),
         ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "7e-308"),
         ("simulate", "--protocol", "blockade", "--omega", "4.5e-308", "--v", "4.5e-306"),
-        ("sweep", "--kappa-min", "1.6", "--kappa-max", "1.7", "--n", "2", "--omega", "3.1e-308"),
         ("compare", "--omega", "7e-308", "--kappa", "1.65", "--blockade-v", "7e-306"),
         ("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "3.1e-308"),
         # 2*Omega overflows, so each segment lasts 2*pi/inf = 0.
-        ("sweep", "--kappa-min", "1.6", "--kappa-max", "1.7", "--n", "2", "--omega", "1e308"),
+        ("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "1e308"),
     ],
     ids=[
         "simulate-v-overflows",
@@ -384,10 +411,9 @@ def test_non_finite_value_exits_two(capsys, argv):
         "simulate-geometric-gate-time-overflows",
         "simulate-geometric-rydberg-time-overflows",
         "simulate-blockade-gate-time-overflows",
-        "sweep-gate-time-overflows",
         "compare-rydberg-time-overflows",
         "calibrate-gate-time-overflows",
-        "sweep-segment-duration-underflows",
+        "calibrate-segment-duration-underflows",
     ],
 )
 def test_out_of_range_value_exits_two(capsys, argv):
@@ -413,6 +439,12 @@ class TestConfigFile:
         assert code == 0
         payload = json.loads(out)
         assert payload["gate_time_omega_over_pi"] == pytest.approx(3.9549, abs=1e-3)
+
+    def test_blockade_kappa_key_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("protocol = blockade\nomega = 1\nv = 100\nkappa = 5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out, err) == (2, "", "error: blockade protocol takes no kappa\n")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
