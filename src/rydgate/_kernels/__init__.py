@@ -5,15 +5,15 @@ re-exports its three functions, which take stacks (leading axes index
 gates or segments):
 
 - ``expm_hermitian(h, t)``: (..., n, n) with ``t`` over ``...`` -> (..., n, n)
-- ``sequence_product(hams, durations, order)``: (..., d, n, n), (..., d), (k,) -> (..., n, n)
-- ``weighted_population_integral(hams, durations, order, psi0, weights, samples_per_segment)``:
-  (d, n, n), (d,), (k,), (m, n) initial states, (n,) -> (m,) integrals by the
-  trapezoid rule on ``samples_per_segment`` intervals per segment, summed in
-  closed form in each segment's eigenbasis (no sampled states);
-  ``analysis.rydberg_time`` passes ``analysis.RYDBERG_TIME_SAMPLES``
+- ``sequence_product(w, v, durations, order)``: (..., d, n), (..., d, n, n), (..., d), (k,) -> (..., n, n)
+- ``weighted_population_integral(w, v, durations, order, psi0, weights, samples_per_segment)``:
+  (d, n), (d, n, n), (d,), (k,), (m, n) initial states, (n,) -> (m,) integrals by the
+  trapezoid rule on ``samples_per_segment`` intervals per segment, summed in closed
+  form in each segment's eigenbasis; ``analysis.rydberg_time`` passes
+  ``analysis.RYDBERG_TIME_SAMPLES``
 
-``hams`` and ``durations`` hold a schedule's d distinct segments, and ``order`` the
-index of each of its k segments into them (``propagation.distinct_segments``).
+``w, v = np.linalg.eigh(hamiltonians(rows))``, ``durations`` and ``order`` describe a schedule's
+d distinct segments and each of its k segments' index into them (``propagation.distinct_segments``).
 
 The kernels assume Hermitian matrices, as ``hamiltonians.hamiltonians``
 builds them, and do not check it; an eigenphase w*t or a population integral

@@ -1,7 +1,8 @@
 """NumPy implementations of the propagation kernels.
 
-Leading axes of every argument are batch axes: one broadcast
-``np.linalg.eigh`` diagonalises every matrix of a call.
+Leading axes of every argument are batch axes. The product and the integral take
+the eigensystems ``(w, v)`` of one broadcast ``np.linalg.eigh``, which callers may
+share: neither writes into ``v``.
 """
 
 import numpy as np
@@ -16,23 +17,27 @@ def _eigenphases(w, t):
     return wt
 
 
+def _steps(w, v, t):
+    """exp(-i*h*t) of (..., n, n) matrices h = v diag(w) v^dag; ``t`` broadcasts over ``w.shape[:-1]``."""
+    v_dagger = v.conj().swapaxes(-1, -2)
+    return (v * np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))[..., None, :]) @ v_dagger
+
+
 def expm_hermitian(h, t):
     """exp(-i*h*t) of (..., n, n) Hermitian matrices; ``t`` broadcasts over ``h.shape[:-2]``."""
-    w, v = np.linalg.eigh(h)
-    v_dagger = v.conj().swapaxes(-1, -2)
-    v *= np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))[..., None, :]  # in place: one stack fewer
-    return v @ v_dagger
+    return _steps(*np.linalg.eigh(h), t)
 
 
-def sequence_product(hams, durations, order):
+def sequence_product(w, v, durations, order):
     """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
 
-    ``hams`` (..., d, n, n) holds each gate's distinct segment generators, ``durations``
-    (..., d) their durations, broadcast against ``hams.shape[:-2]``, and ``order`` each
-    segment's index into them, first segment first. Returns the (..., n, n) propagators,
-    a new array: the product starts from the first segment's step, not from the identity.
+    ``w`` (..., d, n) and ``v`` (..., d, n, n) hold the eigensystems of each gate's
+    distinct segment generators, ``durations`` (..., d) their durations, broadcast
+    against ``w.shape[:-1]``, and ``order`` each segment's index into them, first
+    segment first. Returns the (..., n, n) propagators, a new array: the product
+    starts from the first segment's step, not from the identity.
     """
-    steps = expm_hermitian(hams, durations)
+    steps = _steps(w, v, durations)
     first, *rest = order
     u = steps[..., first, :, :]
     for j in rest:
@@ -57,21 +62,20 @@ def _trapezoid_factor(w, h, n):
     return h * d * np.exp(1j * n * r)
 
 
-def weighted_population_integral(hams, durations, order, psi0, weights, samples_per_segment):
+def weighted_population_integral(w, v, durations, order, psi0, weights, samples_per_segment):
     """Trapezoidal time integrals of a weighted population along a sequence.
 
     Propagates each of the (m, n) initial states ``psi0`` through the schedule
-    whose segment j is generated by ``hams[order[j]]`` for ``durations[order[j]]``
-    ((d, n, n) and (d,): the distinct segments) and integrates
-    sum_i weights[i]*|psi_i(t)|^2 by the trapezoid rule on a uniform grid of
-    ``samples_per_segment`` intervals per segment. Returns the (m,) integrals.
+    whose segment j is generated by v diag(w) v^dag at index ``order[j]`` of the
+    distinct segments' (d, n) ``w``, (d, n, n) ``v`` and (d,) ``durations``, and
+    integrates sum_i weights[i]*|psi_i(t)|^2 by the trapezoid rule on a uniform
+    grid of ``samples_per_segment`` intervals per segment. Returns the (m,) integrals.
 
     The sum is taken in closed form, not by sampling: in each segment's
     eigenbasis, with c = V^dag psi and G = V^dag diag(weights) V, the population
     is sum_jk conj(c_j) G_jk c_k e^{i(w_j - w_k)t}, and the trapezoid rule
     weighs each beat by ``_trapezoid_factor``.
     """
-    w, v = np.linalg.eigh(hams)
     steps = np.exp(-1j * _eigenphases(w, durations[:, None]))
     v_dagger = v.conj().swapaxes(-1, -2)
     psi = np.asarray(psi0, dtype=np.complex128)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate import _kernels
-from rydgate.hamiltonians import hamiltonians
-from rydgate.propagation import distinct_segments, sequence_unitary
+from rydgate.propagation import _require_finite, sequence_unitary
 from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 #: Below this diagonal-amplitude magnitude the extracted phase is meaningless
@@ -193,9 +192,8 @@ def rydberg_time(sequence):
     integral is the trapezoid rule on ``RYDBERG_TIME_SAMPLES`` uniform
     intervals per segment, summed in closed form in each distinct segment's eigenbasis.
     """
-    rows, durations, order = distinct_segments(sequence.controls[None], sequence.durations[None])
     totals = _kernels.weighted_population_integral(
-        hamiltonians(rows[0]), durations[0], order, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
+        *sequence._eigensystem, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     with np.errstate(over="ignore"):
         mean = np.mean(totals)
@@ -229,8 +227,9 @@ def analyze_gate(sequence, target_phi=math.pi):
     """Propagate a schedule and assemble its :class:`GateReport`.
 
     ``target_phi`` sets the controlled-phase target for the fidelity figure
-    (pi, i.e. a CZ gate, by default).
+    (pi, i.e. a CZ gate, by default), reduced exactly mod 2*pi by ``math.remainder``.
     """
+    _require_finite(target_phi, "target_phi")
     u = sequence_unitary(sequence)
     extraction = phases_and_leakage(u)
     unwrapped = phase_combination(extraction.phases)
@@ -240,7 +239,7 @@ def analyze_gate(sequence, target_phi=math.pi):
         controlled_phase_unwrapped=unwrapped,
         leakage=extraction.leakage,
         leakage_max=extraction.leakage_max,
-        fidelity=fidelity_cphase(u, target_phi),
+        fidelity=fidelity_cphase(u, math.remainder(target_phi, 2 * math.pi)),
         gate_time=sequence.total_duration,
         pulse_area=pulse_area(sequence),
         rydberg_time=rydberg_time(sequence),

@@ -6,14 +6,14 @@ interaction V, and a ``PulseSequence`` orders segments in time; a laser-phase
 jump is a new segment, not a kick. A sequence is lowered once, when built, to
 read-only (k, 7) ``controls`` rows of ``hamiltonians`` and (k,) ``durations``.
 
-Every propagation goes through ``batch_unitaries``, which hands stacks of
-control rows to the kernel and yields one stack per ``CHUNK`` gates: memory
-stays bounded, and a gate's propagator does not depend on the batch it is in.
-A segment that repeats an earlier one in every gate of a batch (geometric
-A B A B, blockade A B A) is diagonalised once and exponentiated exactly:
-identical bytes, identical bits.
+A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
+diagonalised once. A sequence diagonalises its distinct segments on first use,
+for both ``sequence_unitary`` and ``analysis.rydberg_time``; ``batch_unitaries``
+does it per ``CHUNK`` gates, so memory stays bounded. Either route gives a gate
+the same bits, whatever batch it is in.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,7 +83,7 @@ def _lower(segments):
 @dataclass(frozen=True)
 class PulseSequence:
     """Ordered piecewise-constant schedule; segment 1 acts first. Its read-only (k, 7)
-    ``controls`` and (k,) ``durations`` are lowered once; equality uses ``segments``."""
+    ``controls`` and (k,) ``durations`` are lowered once; equality and pickling use ``segments``."""
 
     segments: tuple
     controls: np.ndarray = field(init=False, compare=False, repr=False)
@@ -103,19 +103,30 @@ class PulseSequence:
     def total_duration(self):
         return sum(seg.duration for seg in self.segments)
 
+    def __reduce__(self):
+        return PulseSequence, (self.segments,)
+
+    @functools.cached_property
+    def _eigensystem(self):
+        """Read-only (w, v, durations, order) of the distinct segments, h = v diag(w) v^dag."""
+        rows, durations, order = distinct_segments(self.controls, self.durations)
+        w, v = np.linalg.eigh(hamiltonians(rows))
+        w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
+        return w, v, durations, order
+
 
 def distinct_segments(controls, durations):
-    """The distinct segments of n gates' (n, k, 7) control rows and (n, k) durations.
+    """The distinct segments of (n, k, 7) or (k, 7) control rows and (n, k) or (k,) durations.
 
     Segment j repeats an earlier one when its row and duration have the same
-    bytes in every gate (-0.0 is not 0.0). Returns the (n, d, 7) rows and (n, d)
+    bytes in every gate (-0.0 is not 0.0). Returns the (..., d, 7) rows and (..., d)
     durations of the d distinct segments, and the k-tuple ``order`` of each
     segment's index into them."""
     first, order = {}, []
-    for row, t in zip(controls.swapaxes(0, 1), durations.T):
+    for row, t in zip(controls.swapaxes(0, -2), durations.swapaxes(0, -1)):
         order.append(first.setdefault(row.tobytes() + t.tobytes(), len(first)))
     keep = [order.index(i) for i in range(len(first))]
-    return controls[:, keep], durations[:, keep], tuple(order)
+    return controls[..., keep, :], durations[..., keep], tuple(order)
 
 
 def batch_unitaries(controls, durations):
@@ -124,10 +135,10 @@ def batch_unitaries(controls, durations):
     controls, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
-        yield _kernels.sequence_product(hamiltonians(controls[chunk]), durations[chunk], order)
+        w, v = np.linalg.eigh(hamiltonians(controls[chunk]))
+        yield _kernels.sequence_product(w, v, durations[chunk], order)
 
 
 def sequence_unitary(sequence):
-    """Time-ordered product U = U_k ... U_2 U_1 over the whole schedule."""
-    (gates,) = batch_unitaries(sequence.controls[None], sequence.durations)
-    return gates[0]
+    """Time-ordered product U = U_k ... U_2 U_1 over the whole schedule, a new array."""
+    return _kernels.sequence_product(*sequence._eigensystem)

@@ -14,6 +14,9 @@ here because only the tests call it and check it against the oracles.
 package's ``expm_hermitian`` and checks only how the steps are multiplied. So
 is ``quadrature_fidelity_moments``, which propagates and scores the gates of
 its own noise rows with the package and checks the noise model and statistics.
+``two_pass_gate_report`` assembles a report from the package's Hamiltonians,
+integral and characterization, and checks only that one diagonalisation shared
+by the propagator and the Rydberg time gives the bits of two.
 """
 
 import cmath
@@ -22,11 +25,20 @@ import math
 
 import numpy as np
 
-from rydgate._kernels import expm_hermitian
-from rydgate.analysis import controlled_phase, fidelity_cphase, phases_and_leakage
+from rydgate._kernels import expm_hermitian, weighted_population_integral
+from rydgate.analysis import (
+    RYDBERG_TIME_SAMPLES,
+    GateReport,
+    controlled_phase,
+    fidelity_cphase,
+    phase_combination,
+    phases_and_leakage,
+    pulse_area,
+)
 from rydgate.hamiltonians import OPERATORS, hamiltonians
-from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, sequence_unitary
+from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, distinct_segments, sequence_unitary
 from rydgate.protocols import protocol_sequence
+from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 
 def rk4_unitary(h, t, tol=1e-10, n_start=64, max_doublings=14):
@@ -120,6 +132,39 @@ def sequence_product_from_identity(hams, durations, order):
     for j in order:
         u = steps[..., j, :, :] @ u
     return u
+
+
+def two_pass_gate_report(sequence, target_phi=math.pi):
+    """``analyze_gate`` as it was composed before a sequence kept its eigensystem:
+    the propagator from one diagonalisation of the distinct segments, exponentiated
+    in place and multiplied from the identity, and the Rydberg time from a second
+    diagonalisation of the same Hamiltonians. ``analyze_gate`` must give an equal report."""
+    rows, durations, order = distinct_segments(sequence.controls, sequence.durations)
+    hams = hamiltonians(rows)
+    w, v = np.linalg.eigh(hams)
+    v_dagger = v.conj().swapaxes(-1, -2)
+    v *= np.exp(-1j * (w * durations[:, None]))[:, None, :]
+    steps = v @ v_dagger
+    u = np.eye(9, dtype=np.complex128)
+    for j in order:
+        u = steps[j] @ u
+    states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
+    totals = weighted_population_integral(
+        *np.linalg.eigh(hams), durations, order, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
+    )
+    extraction = phases_and_leakage(u)
+    unwrapped = phase_combination(extraction.phases)
+    return GateReport(
+        phases=extraction.phases,
+        controlled_phase=wrap_angle(unwrapped),
+        controlled_phase_unwrapped=unwrapped,
+        leakage=extraction.leakage,
+        leakage_max=extraction.leakage_max,
+        fidelity=fidelity_cphase(u, math.remainder(target_phi, 2 * math.pi)),
+        gate_time=sequence.total_duration,
+        pulse_area=pulse_area(sequence),
+        rydberg_time=float(np.mean(totals)),
+    )
 
 
 def bisect_root(f, lo, hi, f_lo, width=1e-10):

@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from oracles import embed_two_qubit, golden_section_fidelity, grid_argmax, h_direct, sampled_population_integral
+from conftest import random_segment
+from oracles import (
+    embed_two_qubit,
+    golden_section_fidelity,
+    grid_argmax,
+    h_direct,
+    sampled_population_integral,
+    two_pass_gate_report,
+)
 
+import rydgate.propagation
 from rydgate import _kernels
 from rydgate.analysis import (
     _GRID,
@@ -391,21 +400,21 @@ class TestActuationMetrics:
         rows[0, [0, 6]] = rows[1, [3, 6]] = omega, 100 * omega
         with pytest.raises(ValueError, match="^a population integral overflows"):
             _kernels.weighted_population_integral(
-                hamiltonians(rows), np.array([pi_time, 2 * pi_time]), (0, 1, 0),
+                *np.linalg.eigh(hamiltonians(rows)), np.array([pi_time, 2 * pi_time]), (0, 1, 0),
                 np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), 256,
             )
 
     def test_population_integral_per_state_and_input_untouched(self):
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
-        hams, durations = hamiltonians(seq.controls), seq.durations
+        (w, v), durations = np.linalg.eigh(hamiltonians(seq.controls)), seq.durations
         psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
         before = psi0.copy()
         weights = rydberg_excitation_counts()
         order = range(len(durations))
-        totals = _kernels.weighted_population_integral(hams, durations, order, psi0, weights, 16)
+        totals = _kernels.weighted_population_integral(w, v, durations, order, psi0, weights, 16)
         assert np.array_equal(psi0, before)
         for psi, total in zip(before, totals):
-            (alone,) = _kernels.weighted_population_integral(hams, durations, order, psi[None], weights, 16)
+            (alone,) = _kernels.weighted_population_integral(w, v, durations, order, psi[None], weights, 16)
             assert alone == pytest.approx(total, rel=1e-14)
 
 
@@ -429,7 +438,7 @@ def _integrals(segments, samples):
     seq = PulseSequence(tuple(segments))
     hams, durations = hamiltonians(seq.controls), seq.durations
     states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
-    got = _kernels.weighted_population_integral(hams, durations, range(len(durations)), *states)
+    got = _kernels.weighted_population_integral(*np.linalg.eigh(hams), durations, range(len(durations)), *states)
     return got, sampled_population_integral(hams, durations, *states)
 
 
@@ -492,3 +501,57 @@ class TestGateReport:
         assert 0.0 <= report.leakage_max <= 1.0
         assert 0.0 <= report.fidelity <= 1.0
         assert report.pulse_area == pytest.approx(pulse_area(seq))
+
+
+class TestOneDiagonalisation:
+    """A report diagonalises each distinct segment once, with the bits of two passes."""
+
+    def _count(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)),
+            blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0)),
+        ],
+        ids=["geometric", "blockade"],
+    )
+    def test_analyze_gate_diagonalises_once(self, monkeypatch, seq):
+        seq = PulseSequence(seq.segments)  # nothing computed yet
+        eigh = self._count(monkeypatch, np.linalg, "eigh")
+        hams = self._count(monkeypatch, rydgate.propagation, "hamiltonians")
+        distinct = self._count(monkeypatch, rydgate.propagation, "distinct_segments")
+        report = analyze_gate(seq)
+        assert (len(eigh), len(hams), len(distinct)) == (1, 1, 1)
+        # Later calls on the same sequence read its eigensystem.
+        u = sequence_unitary(seq)
+        assert rydberg_time(seq) == report.rydberg_time
+        assert (len(eigh), len(hams), len(distinct)) == (1, 1, 1)
+        assert report == analyze_gate(seq) and len(eigh) == 1
+        assert np.array_equal(u, sequence_unitary(seq))
+
+    def test_reports_equal_the_two_pass_composition(self, rng):
+        hand_made = [PulseSequence(tuple(random_segment(rng) for _ in range(n))) for n in (1, 2, 3, 5, 7)]
+        sequences = [*_PROTOCOL_GATES, *hand_made, PulseSequence(hand_made[3].segments * 2)]
+        for i, seq in enumerate(sequences):
+            assert analyze_gate(seq) == two_pass_gate_report(seq), i
+        for target in (-math.pi, 0.7, 1e4, -1e17):
+            for seq in sequences[::25]:
+                assert analyze_gate(seq, target) == two_pass_gate_report(seq, target), target
+
+    def test_far_target_is_reduced_mod_two_pi(self):
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.0385, 1.0))
+        reduced = math.remainder(1e17, 2 * math.pi)
+        assert analyze_gate(seq, 1e17) == analyze_gate(seq, reduced)
+        assert analyze_gate(seq, 1e17).fidelity == fidelity_cphase(sequence_unitary(seq), reduced)
+        for target in (-math.pi, -1.0, 0.0, 2.5, math.pi):
+            assert math.remainder(target, 2 * math.pi) == target

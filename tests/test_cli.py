@@ -73,6 +73,35 @@ class TestSimulate:
         assert json.loads(out)["gate_time"] > 0
 
 
+#: The geometric gate near phi_c = 1.2397, and the comparison that includes it.
+_FAR_TARGET_COMMANDS = {
+    "simulate": ("simulate", "--protocol", "geometric", "--kappa", "1.0385", "--omega", "1"),
+    "compare": ("compare", "--omega", "1", "--kappa", "1.0385", "--blockade-v", "100"),
+}
+
+
+class TestFarTarget:
+    """simulate and compare score against the target reduced mod 2*pi, as calibrate does."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_far_target_scores_as_its_reduction(self, capsys, command):
+        reduced = math.remainder(1e17, 2 * math.pi)
+        assert repr(reduced) == "1.2396830954246951"
+        argv = _FAR_TARGET_COMMANDS[command]
+        far = run_cli(capsys, *argv, "--target-phi", "1e17")
+        assert far == run_cli(capsys, *argv, "--target-phi", repr(reduced)) and far[0] == 0
+        if command == "simulate":
+            assert json.loads(far[1])["fidelity"] == 0.9913008176922575
+        else:
+            assert far[1].splitlines()[2].split(",")[3] == "0.991300817692"
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_target_exits_two(self, capsys, command, value):
+        code, out, err = run_cli(capsys, *_FAR_TARGET_COMMANDS[command], f"--target-phi={value}")
+        assert (code, out, err) == (2, "", f"error: target_phi must be finite, got {value}\n")
+
+
 class TestSweep:
     def test_csv_shape_and_header(self, capsys):
         code, out, _ = run_cli(

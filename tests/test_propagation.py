@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -249,6 +250,72 @@ class TestBatchUnitaries:
             assert np.array_equal(u, sequence_unitary(seq))
 
 
+class TestTwoRoutes:
+    """A sequence diagonalises on its own; a batch per chunk. A gate gets the same bits."""
+
+    @pytest.mark.parametrize(
+        "sequences",
+        [
+            [geometric_sequence(GeometricProtocolParams.from_omega(k, 1.0)) for k in np.linspace(0.05, 2.5, 50)],
+            [blockade_pdp_sequence(BlockadeProtocolParams(1.0, v)) for v in np.geomspace(1.0, 1e6, 50)],
+        ],
+        ids=["geometric", "blockade"],
+    )
+    def test_sequence_unitary_is_its_batch_of_one(self, sequences):
+        for seq in sequences:
+            ((batch,),) = batch_unitaries(seq.controls[None], seq.durations)
+            assert np.array_equal(sequence_unitary(seq).view(np.uint64), batch.view(np.uint64))
+
+
+class TestEigensystemCache:
+    """A sequence keeps the read-only eigensystem of its distinct segments."""
+
+    def _sequence(self):
+        return geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+
+    def test_cached_arrays_are_read_only(self):
+        w, v, durations, order = self._sequence()._eigensystem
+        assert (w.shape, v.shape, durations.shape, order) == ((2, 9), (2, 9, 9), (2,), (0, 1, 0, 1))
+        for array in (w, v, durations):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_unitary_is_a_new_array(self):
+        seq = self._sequence()
+        u, integral = sequence_unitary(seq), rydberg_time(seq)
+        assert u.flags.owndata and u.flags.writeable
+        want = u.copy()
+        u[...] = np.nan
+        assert np.array_equal(sequence_unitary(seq), want)
+        assert sequence_unitary(seq) is not sequence_unitary(seq)
+        assert rydberg_time(seq) == integral
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        seq, fresh = self._sequence(), self._sequence()
+        sequence_unitary(seq)
+        assert "_eigensystem" in vars(seq) and "_eigensystem" not in vars(fresh)
+        assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)
+
+    def test_pickling_rebuilds_from_the_segments(self):
+        seq = self._sequence()
+        u = sequence_unitary(seq)
+        copy = pickle.loads(pickle.dumps(seq))
+        assert copy == seq and hash(copy) == hash(seq) and repr(copy) == repr(seq)
+        assert "_eigensystem" not in vars(copy)
+        assert not copy.controls.flags.writeable and not copy.durations.flags.writeable
+        assert np.array_equal(sequence_unitary(copy).view(np.uint64), u.view(np.uint64))
+
+    def test_replaced_sequence_gets_its_own_eigensystem(self):
+        seq = self._sequence()
+        other = blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0))
+        sequence_unitary(seq)
+        replaced = dataclasses.replace(seq, segments=other.segments)
+        assert "_eigensystem" not in vars(replaced)
+        assert np.array_equal(sequence_unitary(replaced), sequence_unitary(other))
+        assert replaced._eigensystem[3] == (0, 1, 0)
+        assert dataclasses.replace(seq)._eigensystem is not seq._eigensystem
+
+
 class TestSequenceProduct:
     """The product starts from the first segment's step, with the bits of one seeded
     with the identity."""
@@ -263,14 +330,14 @@ class TestSequenceProduct:
         for length in range(1, 7):
             for _ in range(4):
                 order = tuple(rng.integers(0, shape[-1], size=length).tolist())
-                got = _kernels.sequence_product(hams, durations, order)
+                got = _kernels.sequence_product(*np.linalg.eigh(hams), durations, order)
                 want = sequence_product_from_identity(hams, durations, order)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
 
     def test_one_segment_gives_a_new_array(self, rng):
         hams, durations = self._stack(rng, (5, 2))
-        u = _kernels.sequence_product(hams, durations, (1,))
+        u = _kernels.sequence_product(*np.linalg.eigh(hams), durations, (1,))
         assert u.flags.owndata and u.flags.c_contiguous
         assert np.array_equal(u, expm_hermitian(hams[:, 1], durations[:, 1]))
 
@@ -288,7 +355,7 @@ def _rydberg_time_per_segment(sequence):
     rows, durations = sequence.controls, sequence.durations
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = _kernels.weighted_population_integral(
-        hamiltonians(rows), durations, range(len(durations)), states, rydberg_excitation_counts(),
+        *np.linalg.eigh(hamiltonians(rows)), durations, range(len(durations)), states, rydberg_excitation_counts(),
         RYDBERG_TIME_SAMPLES,
     )
     return float(np.mean(totals))
