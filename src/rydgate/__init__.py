@@ -21,7 +21,6 @@ from rydgate.calibration import (
     CalibrationError,
     CalibrationResult,
     SweepRecord,
-    blockade_invariance_scan,
     calibrate_kappa,
     sweep_kappa,
 )
@@ -40,7 +39,6 @@ from rydgate.robustness import (
     monte_carlo_fidelity,
     v_of_spacing,
 )
-from rydgate.statespace import Level, basis_index
 
 __version__ = "0.1.0"
 
@@ -53,14 +51,11 @@ __all__ = [
     "FidelityStats",
     "GateReport",
     "GeometricProtocolParams",
-    "Level",
     "NoiseModel",
     "PulseSegment",
     "PulseSequence",
     "SweepRecord",
     "analyze_gate",
-    "basis_index",
-    "blockade_invariance_scan",
     "blockade_pdp_sequence",
     "calibrate_kappa",
     "controlled_phase",

@@ -26,15 +26,13 @@ from rydgate.analysis import (
 from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
-    BlockadeProtocolParams,
     GeometricProtocolParams,
-    blockade_pdp_sequence,
     geometric_controls,
     geometric_sequence,
 )
 from rydgate.statespace import wrap_angle
 
-#: Grid size of calibrate_kappa's pre-bisection scan, and the largest
+#: Grid size of calibrate_kappa's pre-scan, and the largest
 #: |wrapped phase error| it accepts at kappa*.
 CALIBRATION_SCAN_POINTS = 200
 CALIBRATION_TOLERANCE = 1e-6
@@ -66,15 +64,6 @@ class CalibrationResult:
     """Calibrated ratio kappa* and the gate report at that point."""
 
     kappa_star: float
-    report: object
-
-
-@dataclass(frozen=True)
-class BlockadeScanRecord:
-    """Blockade protocol characterization at one interaction strength."""
-
-    v: float
-    v_over_omega: float
     report: object
 
 
@@ -213,27 +202,9 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     residual = wrap_angle(report.controlled_phase - target)
     if abs(residual) > CALIBRATION_TOLERANCE:
         raise CalibrationError(
-            f"bisection stalled: |wrapped error| = {abs(residual):.3e} > {CALIBRATION_TOLERANCE:g} "
+            f"root solver stalled: |wrapped error| = {abs(residual):.3e} > {CALIBRATION_TOLERANCE:g} "
             f"at kappa = {kappa_star}",
             scan=zip(kappas.tolist(), phases.tolist()),
         )
     return CalibrationResult(kappa_star=kappa_star, report=report)
 
-
-def blockade_invariance_scan(omega, v_values):
-    """Characterize the blockade protocol at fixed Omega for each V.
-
-    The schedule never changes with V, so the gate-time column is constant
-    by construction; phases, leakage and CZ fidelity expose the blockade
-    error, whose infidelity shrinks roughly fourfold per doubling of V.
-    All V must be at least 10*Omega; below that the pi-2pi-pi analysis does
-    not apply.
-    """
-    records = []
-    for v in v_values:
-        if v < 10 * omega:
-            raise ValueError(f"blockade scan requires V >= 10*Omega, got V={v}, Omega={omega}")
-        seq = blockade_pdp_sequence(BlockadeProtocolParams(rabi=omega, v=v))
-        report = analyze_gate(seq, target_phi=math.pi)
-        records.append(BlockadeScanRecord(v=float(v), v_over_omega=float(v) / omega, report=report))
-    return records

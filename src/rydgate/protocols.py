@@ -157,13 +157,20 @@ def gate_time_geometric(kappa, omega):
 
     Strictly increasing in kappa at fixed Omega: from 2*pi/Omega at
     kappa = 1/sqrt(48) up to 4*pi/Omega as kappa -> infinity (V -> 0).
+    The root is taken as ``hypot(2, 1/(2*kappa))``, so no square underflows.
     """
     _require_positive(kappa, "kappa")
     _require_positive(omega, "omega")
-    return 8 * math.pi / (omega * math.sqrt(4 + 1 / (4 * kappa * kappa)))
+    return _gate_time(8 * math.pi / omega / math.hypot(2.0, 0.5 / kappa))
 
 
 def gate_time_blockade(omega):
     """Total blockade-protocol duration 4*pi/Omega, independent of V."""
     _require_positive(omega, "omega")
-    return 4 * math.pi / omega
+    return _gate_time(4 * math.pi / omega)
+
+
+def _gate_time(t):
+    if not 0 < t < math.inf:
+        raise ValueError(f"gate time must be positive and finite, got {t}")
+    return t

@@ -28,11 +28,6 @@ class Level(IntEnum):
     RYD = 2
 
 
-def basis_index(a, b):
-    """Product-basis index of |ab>, row-major over (atom 1, atom 2)."""
-    return 3 * int(Level(a)) + int(Level(b))
-
-
 def rydberg_excitation_counts():
     """Number of Rydberg excitations of each product basis state (0, 1 or 2)."""
     per_atom = np.array([0.0, 0.0, 1.0])  # |0>, |1>, |r>

@@ -32,12 +32,14 @@ from rydgate.analysis import (
     fidelity_cphase,
     phases_and_leakage,
 )
-from rydgate.calibration import blockade_invariance_scan, calibrate_kappa, sweep_kappa
+from rydgate.calibration import calibrate_kappa, sweep_kappa
 from rydgate.cli import main as cli_main
 from rydgate._kernels import expm_hermitian
 from rydgate.propagation import DriveParams, PulseSequence, sequence_unitary
 from rydgate.protocols import (
+    BlockadeProtocolParams,
     GeometricProtocolParams,
+    blockade_pdp_sequence,
     gate_time_blockade,
     gate_time_geometric,
     geometric_sequence,
@@ -90,13 +92,17 @@ def test_gate_time_closed_form():
     assert 1 / 0.144 == pytest.approx(6.944, abs=1e-3)
 
 
+def _blockade_report(omega, v):
+    return analyze_gate(blockade_pdp_sequence(BlockadeProtocolParams(rabi=omega, v=v)))
+
+
 @criterion("blockade gate time independent of V, infidelity ~ 1/V^2")
 def test_blockade_v_independence():
-    records = blockade_invariance_scan(1.0, [50.0, 100.0, 200.0, 400.0])
-    gate_times = [r.report.gate_time for r in records]
+    reports = [_blockade_report(1.0, v) for v in (50.0, 100.0, 200.0, 400.0)]
+    gate_times = [r.gate_time for r in reports]
     assert len(set(gate_times)) == 1
     assert gate_times[0] == pytest.approx(gate_time_blockade(1.0), rel=1e-15)
-    infidelities = [1.0 - r.report.fidelity for r in records]
+    infidelities = [1.0 - r.fidelity for r in reports]
     assert all(b < a for a, b in zip(infidelities, infidelities[1:]))
     for bigger, smaller in zip(infidelities, infidelities[1:]):
         assert 0.15 <= smaller / bigger <= 0.35
@@ -104,12 +110,12 @@ def test_blockade_v_independence():
 
 @criterion("blockade truth table at V = 100 Omega")
 def test_blockade_truth_table():
-    (record,) = blockade_invariance_scan(1.0, [100.0])
-    phases = record.report.phases
+    report = _blockade_report(1.0, 100.0)
+    phases = report.phases
     assert abs(phases[0]) <= 1e-12
     for phi in phases[1:]:
         assert abs(abs(phi) - math.pi) <= 0.2
-    assert all(leak <= 0.01 for leak in record.report.leakage)
+    assert all(leak <= 0.01 for leak in report.leakage)
 
 
 @criterion("direct-coupling reference gates (exchange flip, Ising phase)")

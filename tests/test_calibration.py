@@ -1,4 +1,4 @@
-"""Tests for kappa sweeps, calibration and the blockade invariance scan."""
+"""Tests for kappa sweeps and calibration."""
 
 import math
 from unittest import mock
@@ -10,7 +10,6 @@ from oracles import bisect_root
 from rydgate import calibration
 from rydgate.calibration import (
     CalibrationError,
-    blockade_invariance_scan,
     calibrate_kappa,
     sweep_kappa,
 )
@@ -142,7 +141,7 @@ class TestCalibrateKappa:
 
     def test_residual_above_tolerance_is_reported(self, monkeypatch):
         monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)
-        with pytest.raises(CalibrationError, match="^bisection stalled") as excinfo:
+        with pytest.raises(CalibrationError, match="^root solver stalled") as excinfo:
             calibrate_kappa(-math.pi, (1.0, 2.5))
         assert len(excinfo.value.scan) == calibration.CALIBRATION_SCAN_POINTS
 
@@ -244,25 +243,3 @@ class TestRootSolverAgainstBisection:
         lo, hi = bisect_root(f, 0.0, 1.0, -1e300)
         assert lo <= x <= hi
 
-
-class TestBlockadeInvarianceScan:
-    def test_floor_on_interaction(self):
-        with pytest.raises(ValueError, match="10"):
-            blockade_invariance_scan(1.0, [5.0])
-
-    def test_gate_time_constant_and_infidelity_scaling(self):
-        records = blockade_invariance_scan(1.0, [50.0, 100.0, 200.0])
-        times = {r.report.gate_time for r in records}
-        assert len(times) == 1
-        assert times.pop() == pytest.approx(4 * math.pi)
-        infidelities = [1 - r.report.fidelity for r in records]
-        for big, small in zip(infidelities, infidelities[1:]):
-            assert 0.15 <= small / big <= 0.35
-
-    def test_truth_table_phases_at_strong_blockade(self):
-        (record,) = blockade_invariance_scan(1.0, [100.0])
-        phases = record.report.phases
-        assert phases[0] == pytest.approx(0.0, abs=1e-12)
-        for phi in phases[1:]:
-            assert abs(abs(phi) - math.pi) < 0.2
-        assert max(record.report.leakage) <= 0.01

@@ -10,10 +10,13 @@ JSON must have the same keys in the same order and every number within
 Run as a script, ``python tests/test_golden.py COMMAND...`` runs every line of
 ``COMMANDS`` through an installed front end, say ``rydgate`` or
 ``python -m rydgate.cli``, and checks its ``--output`` file by the same rule.
+With no front end it prints its usage and exits 2.
 """
 
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -21,9 +24,12 @@ from pathlib import Path
 
 import pytest
 
+import rydgate
 from rydgate.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
+USAGE = "usage: python tests/test_golden.py COMMAND..."
 
 COMMANDS = {
     "simulate_geometric.json": ["simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1"],
@@ -72,7 +78,28 @@ def test_matches_golden(name, tmp_path, capsys):
     assert_matches_golden(name, out_path.read_bytes())
 
 
+def test_readme_command_lines_are_the_first_six():
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").replace(" --output sweep.csv", "").splitlines()
+    readme = [shlex.split(line) for line in lines]
+    assert all(argv[0] == "rydgate" for argv in readme)
+    assert [argv[1:] for argv in readme] == list(COMMANDS.values())[:6]
+
+
+def test_script_without_front_end_prints_usage():
+    src = os.path.dirname(os.path.dirname(rydgate.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", USAGE + "\n")
+
+
 if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS.items():
             out_path = Path(tmp) / name

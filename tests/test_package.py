@@ -28,14 +28,11 @@ PUBLIC_NAMES = [
     "FidelityStats",
     "GateReport",
     "GeometricProtocolParams",
-    "Level",
     "NoiseModel",
     "PulseSegment",
     "PulseSequence",
     "SweepRecord",
     "analyze_gate",
-    "basis_index",
-    "blockade_invariance_scan",
     "blockade_pdp_sequence",
     "calibrate_kappa",
     "controlled_phase",

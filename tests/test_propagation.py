@@ -37,7 +37,7 @@ from rydgate.protocols import (
     geometric_sequence,
 )
 from rydgate.robustness import _perturbed_controls
-from rydgate.statespace import COMPUTATIONAL_INDICES, basis_index, rydberg_excitation_counts
+from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts
 
 
 def _segment_unitary(segment):
@@ -149,8 +149,8 @@ class TestSegmentUnitary:
             v=4.0,
         )
         u = _segment_unitary(seg)
-        src = basis_index(1, 0)
-        dst = basis_index(2, 0)
+        src = 3 * 1 + 0  # |10>
+        dst = 3 * 2 + 0  # |r0>
         assert u[dst, src] == pytest.approx(-1j, abs=1e-12)
         assert abs(u[src, src]) < 1e-12
 

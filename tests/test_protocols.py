@@ -229,3 +229,27 @@ class TestGateTimes:
             gate_time_geometric(0.0, 1.0)
         with pytest.raises(ValueError):
             gate_time_blockade(-1.0)
+
+    @pytest.mark.parametrize(
+        "kappa, omega, expected",
+        [
+            # 4*kappa*kappa underflows here: to a subnormal whose reciprocal
+            # overflows, and to 0.
+            (1e-160, 1.0, 5.026548245743669e-159),
+            (1e-200, 1.0, 5.026548245743669e-199),
+            # omega*sqrt(...) overflows here.
+            (1.0, 1e308, 1.2191170205567237e-307),
+        ],
+    )
+    def test_extreme_valid_inputs(self, kappa, omega, expected):
+        assert gate_time_geometric(kappa, omega) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "gate_time",
+        [lambda: gate_time_geometric(1.0, 1e-308), lambda: gate_time_blockade(1e-308)],
+        ids=["geometric", "blockade"],
+    )
+    def test_overflowing_gate_time_is_rejected(self, gate_time):
+        # The schedule of either gate at this Omega raises too.
+        with pytest.raises(ValueError, match="^gate time must be positive and finite, got inf$"):
+            gate_time()

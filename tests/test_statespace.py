@@ -17,32 +17,14 @@ from rydgate._kernels import expm_hermitian
 from rydgate.statespace import (
     COMPUTATIONAL_INDICES,
     Level,
-    basis_index,
     rydberg_excitation_counts,
     wrap_angle,
 )
 
 
-class TestBasisIndex:
-    def test_corner_values(self):
-        assert basis_index(Level.G0, Level.G0) == 0
-        assert basis_index(Level.RYD, Level.RYD) == 8
-
-    def test_mixed_values(self):
-        assert basis_index(Level.G1, Level.RYD) == 5
-        assert basis_index(Level.RYD, Level.G1) == 7
-
-    def test_bijective_over_nine_pairs(self):
-        indices = {basis_index(a, b) for a in Level for b in Level}
-        assert indices == set(range(9))
-
-    def test_accepts_plain_integers(self):
-        assert basis_index(1, 2) == 5
-
-    def test_computational_indices(self):
-        assert COMPUTATIONAL_INDICES == (0, 1, 3, 4)
-        qubits = (Level.G0, Level.G1)
-        assert tuple(basis_index(a, b) for a in qubits for b in qubits) == COMPUTATIONAL_INDICES
+def test_computational_indices_are_row_major():
+    qubits = (Level.G0, Level.G1)
+    assert COMPUTATIONAL_INDICES == tuple(3 * a + b for a in qubits for b in qubits) == (0, 1, 3, 4)
 
 
 class TestExpmHermitian:
