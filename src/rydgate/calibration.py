@@ -1,12 +1,12 @@
 """Parameter sweeps and root-finding calibration of the geometric protocol.
 
-The controlled phase is not assumed monotone in kappa: calibration first
-scans the bracket on a fixed 200-point grid, keeps the sign-change interval
-of the wrapped phase error nearest the seed, and then solves for the root in
-that interval by Anderson-Bjorck regula falsi. Sweeps and the scan batch rows
-from ``geometric_controls`` and compute one controlled-phase column, which a
-failed calibration reports; each solver step builds one ``geometric_sequence``.
-Identical inputs give bit-identical tables.
+The controlled phase is not assumed monotone in kappa: calibration scans a
+fixed 200-point grid over the bracket, the points around the seed first, for
+the sign-change interval of the wrapped phase error nearest the seed, and
+solves for the root there by Anderson-Bjorck regula falsi. Sweeps and the scan
+batch rows from ``geometric_controls`` and compute one controlled-phase column,
+which a failed calibration completes and reports; each solver step builds one
+``geometric_sequence``. Identical inputs give bit-identical tables.
 """
 
 import math
@@ -23,7 +23,7 @@ from rydgate.analysis import (
     phase_combination,
     phases_and_leakage,
 )
-from rydgate.propagation import batch_unitaries, sequence_unitary
+from rydgate.propagation import CHUNK, batch_unitaries, sequence_unitary
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     GeometricProtocolParams,
@@ -36,6 +36,9 @@ from rydgate.statespace import wrap_angle
 #: |wrapped phase error| it accepts at kappa*.
 CALIBRATION_SCAN_POINTS = 200
 CALIBRATION_TOLERANCE = 1e-6
+#: Grid points nearest the seed that the pre-scan propagates first: enough to
+#: settle a crossing in the seed's grid interval without the rest of the grid.
+SEED_PROBE_POINTS = 4
 
 
 class CalibrationError(RuntimeError):
@@ -141,27 +144,29 @@ def _anderson_bjorck(f, a, b, f_a, f_b):
 def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     """Find kappa* where the geometric protocol's controlled phase hits target.
 
-    The target is first reduced, exactly, by ``math.remainder(target_phi, 2*pi)``,
-    so a target far outside [-pi, pi] does not round the scanned phases away.
-    A 200-point scan over ``bracket`` locates sign changes of the wrapped
-    error wrap(phi_c(kappa) - target); intervals whose endpoints differ by
-    more than pi are branch-cut jumps and are skipped. In the admissible
-    interval nearest ``seed_kappa``, Anderson-Bjorck regula falsi (Anderson &
-    Bjorck, BIT 12, 503 (1972)) evaluates the error where the chord through the
-    bracket ends crosses zero, and falls back to the midpoint whenever that
-    point is not strictly inside, so every step keeps a sign change inside the
-    bracket as bisection did. It stops once |error| is at most
+    The target is first reduced, exactly, by
+    ``math.remainder(target_phi, 2*pi)``, so a target far outside [-pi, pi] does
+    not round the scanned phases away. A 200-point scan over ``bracket`` locates
+    sign changes of the wrapped error wrap(phi_c(kappa) - target); intervals
+    whose endpoints differ by more than pi are branch-cut jumps and are skipped.
+    The scan propagates the ``SEED_PROBE_POINTS`` kappas nearest ``seed_kappa``,
+    then the rest unless no kappa left could give an admissible interval as near
+    as the nearest found. In that interval, Anderson-Bjorck regula falsi
+    (Anderson & Bjorck, BIT 12, 503 (1972)) evaluates the error where the chord
+    through the bracket ends crosses zero, and falls back to the midpoint
+    whenever that point is not strictly inside, so every step keeps a sign
+    change inside the bracket as bisection did. It stops once |error| is at most
     ``ROOT_ERROR_STOP`` (4 ulp of pi) or the bracket is at most
     ``ROOT_WIDTH_STOP`` (1e-10) wide, and returns the evaluated kappa of
-    smallest |error|. That takes 2 to 5 single-gate propagations where
-    bisection took 27. A scan point exactly on target is returned as it is.
+    smallest |error|. That takes 2 to 5 single-gate propagations where bisection
+    took 27. A scan point exactly on target is returned as it is.
 
     Raises
     ------
     CalibrationError
         If no admissible sign change exists in the bracket, or the wrapped
-        error at kappa* exceeds ``CALIBRATION_TOLERANCE``; the scanned
-        (kappa, wrapped phi_c) pairs are attached for diagnosis.
+        error at kappa* exceeds ``CALIBRATION_TOLERANCE``; the scan is completed
+        and its (kappa, wrapped phi_c) pairs are attached for diagnosis.
     """
     for name, value in (("target_phi", target_phi), ("seed_kappa", seed_kappa)):
         if not math.isfinite(value):
@@ -176,22 +181,43 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         return wrap_angle(controlled_phase(_phases(sequence_unitary(_geometric(kappa, omega)))) - target)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
-    chunks = batch_unitaries(*geometric_controls(kappas, omega))
-    phases = wrap_angle(np.concatenate([phase_combination(_phases(u)) for u in chunks]))
-    errors = wrap_angle(phases - target)
+    with np.errstate(over="ignore"):  # a distance that overflows is inf
+        # distance[i + j]: of candidate (i, j), a scan point on target (i, i) or a sign change (i, i + 1)
+        ends_kappa = np.repeat(kappas, 2)
+        distance = np.abs(0.5 * (ends_kappa[:-1] + ends_kappa[1:]) - seed_kappa)
+    point_distance = distance[::2].tolist()
+    nearest = sorted(range(len(kappas)), key=point_distance.__getitem__)
+    phases, errors = np.full_like(kappas, np.nan), np.full_like(kappas, np.nan)
+    rows, durations = geometric_controls(kappas, omega)  # checks every kappa, in grid order
 
-    # Scan points on target, and sign changes that do not jump the branch cut,
-    # in scan order.
-    crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
-    ends = [(i, i) for i in np.flatnonzero(errors == 0.0)]
-    ends = sorted(ends + [(i, i + 1) for i in np.flatnonzero(crossing)])
+    def scan(points):
+        for start, u in zip(range(0, len(points), CHUNK), batch_unitaries(rows[points], durations[points])):
+            chunk = points[start : start + CHUNK]
+            phases[chunk] = wrap_angle(phase_combination(_phases(u)))
+            errors[chunk] = wrap_angle(phases[chunk] - target)
+
+    def failure(message):
+        scan(np.flatnonzero(np.isnan(phases)))  # the table has every point
+        return CalibrationError(message, scan=zip(kappas.tolist(), phases.tolist()))
+
+    for points in (nearest[:SEED_PROBE_POINTS], nearest[SEED_PROBE_POINTS:]):
+        scan(points)
+        # Scan points on target, and sign changes that do not jump the branch cut,
+        # in scan order; a point not yet scanned is NaN and is neither.
+        crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
+        ends = [(i, i) for i in np.flatnonzero(errors == 0.0)]
+        ends = sorted(ends + [(i, i + 1) for i in np.flatnonzero(crossing)])
+        if ends:  # done once every candidate with a point not yet scanned is farther out
+            pending = np.repeat(np.isnan(errors), 2)
+            unresolved = distance[pending[:-1] | pending[1:]]
+            if min(distance[i + j] for i, j in ends) < unresolved.min(initial=math.inf):
+                break
     if not ends:
-        raise CalibrationError(
+        raise failure(
             f"no sign change of the wrapped phase error in bracket ({k_lo}, {k_hi}) "
-            f"for target {target_phi:.6f} rad",
-            scan=zip(kappas.tolist(), phases.tolist()),
+            f"for target {target_phi:.6f} rad"
         )
-    i, j = min(ends, key=lambda e: abs(0.5 * (kappas[e[0]] + kappas[e[1]]) - seed_kappa))
+    i, j = min(ends, key=lambda e: distance[e[0] + e[1]])
     lo, hi = float(kappas[i]), float(kappas[j])
 
     kappa_star = lo
@@ -201,10 +227,8 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     report = analyze_gate(_geometric(kappa_star, omega), target_phi=target)
     residual = wrap_angle(report.controlled_phase - target)
     if abs(residual) > CALIBRATION_TOLERANCE:
-        raise CalibrationError(
+        raise failure(
             f"root solver stalled: |wrapped error| = {abs(residual):.3e} > {CALIBRATION_TOLERANCE:g} "
-            f"at kappa = {kappa_star}",
-            scan=zip(kappas.tolist(), phases.tolist()),
+            f"at kappa = {kappa_star}"
         )
     return CalibrationResult(kappa_star=kappa_star, report=report)
-

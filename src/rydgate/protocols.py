@@ -62,8 +62,9 @@ class GeometricProtocolParams:
 
     @property
     def segment_duration(self):
-        """One cyclic-evolution period 2*pi/sqrt(4*Omega^2 + V^2/4)."""
-        return 2 * math.pi / math.hypot(2 * self.omega, self.v / 2)
+        """One cyclic-evolution period 2*pi/sqrt(4*Omega^2 + V^2/4), taken as
+        pi/hypot(Omega, V/4), so no Omega up to the largest float overflows."""
+        return math.pi / math.hypot(self.omega, self.v / 4)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def geometric_controls(kappas, omega):
     omegas = kappas * v
     rows = _UNIT_ROWS * v[:, None, None]
     rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas[:, None, None]
-    durations = [2 * math.pi / math.hypot(2 * w, x / 2) for w, x in zip(omegas.tolist(), v.tolist())]
+    durations = [math.pi / math.hypot(w, x / 4) for w, x in zip(omegas.tolist(), v.tolist())]
     durations = np.repeat(np.array(durations)[:, None], len(_UNIT_ROWS), axis=1)
     with np.errstate(over="ignore"):
         valid = (durations[:, 0] > 0) & np.isfinite(durations.sum(axis=-1))

@@ -17,6 +17,9 @@ its own noise rows with the package and checks the noise model and statistics.
 ``two_pass_gate_report`` assembles a report from the package's Hamiltonians,
 integral and characterization, and checks only that one diagonalisation shared
 by the propagator and the Rydberg time gives the bits of two.
+``full_scan_calibration`` calibrates with the package's propagation, root
+solver and report, and checks only that scanning nearest the seed first, and
+stopping early, picks the interval a scan of the whole grid picks.
 """
 
 import cmath
@@ -26,9 +29,12 @@ import math
 import numpy as np
 
 from rydgate._kernels import expm_hermitian, weighted_population_integral
+from rydgate import calibration
 from rydgate.analysis import (
     RYDBERG_TIME_SAMPLES,
     GateReport,
+    _phases,
+    analyze_gate,
     controlled_phase,
     fidelity_cphase,
     phase_combination,
@@ -37,7 +43,13 @@ from rydgate.analysis import (
 )
 from rydgate.hamiltonians import OPERATORS, hamiltonians
 from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, distinct_segments, sequence_unitary
-from rydgate.protocols import protocol_sequence
+from rydgate.protocols import (
+    CZ_KAPPA_SEED,
+    GeometricProtocolParams,
+    geometric_controls,
+    geometric_sequence,
+    protocol_sequence,
+)
 from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 
@@ -183,6 +195,59 @@ def bisect_root(f, lo, hi, f_lo, width=1e-10):
         else:
             hi = mid
     return lo, hi
+
+
+def full_scan_calibration(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
+    """``calibration.calibrate_kappa`` as it ran before its scan stopped early: every
+    point of the grid is propagated, in order, and the admissible interval nearest
+    the seed is picked from all of them. Reads the tolerance from the module, so a
+    test may patch it for both."""
+    for name, value in (("target_phi", target_phi), ("seed_kappa", seed_kappa)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    k_lo, k_hi = bracket
+    if not (0 < k_lo < k_hi < math.inf):
+        raise ValueError(f"need finite 0 < k_lo < k_hi, got {bracket}")
+
+    target = math.remainder(target_phi, 2 * math.pi)
+
+    def geometric(kappa):
+        return geometric_sequence(GeometricProtocolParams.from_omega(float(kappa), omega))
+
+    def error_at(kappa):
+        return wrap_angle(controlled_phase(_phases(sequence_unitary(geometric(kappa)))) - target)
+
+    kappas = np.linspace(k_lo, k_hi, calibration.CALIBRATION_SCAN_POINTS)
+    chunks = batch_unitaries(*geometric_controls(kappas, omega))
+    phases = wrap_angle(np.concatenate([phase_combination(_phases(u)) for u in chunks]))
+    errors = wrap_angle(phases - target)
+
+    crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
+    ends = [(i, i) for i in np.flatnonzero(errors == 0.0)]
+    ends = sorted(ends + [(i, i + 1) for i in np.flatnonzero(crossing)])
+    if not ends:
+        raise calibration.CalibrationError(
+            f"no sign change of the wrapped phase error in bracket ({k_lo}, {k_hi}) "
+            f"for target {target_phi:.6f} rad",
+            scan=zip(kappas.tolist(), phases.tolist()),
+        )
+    i, j = min(ends, key=lambda e: abs(0.5 * (kappas[e[0]] + kappas[e[1]]) - seed_kappa))
+    lo, hi = float(kappas[i]), float(kappas[j])
+
+    kappa_star = lo
+    if lo != hi:
+        kappa_star = calibration._anderson_bjorck(error_at, lo, hi, float(errors[i]), float(errors[j]))
+
+    report = analyze_gate(geometric(kappa_star), target_phi=target)
+    residual = wrap_angle(report.controlled_phase - target)
+    tolerance = calibration.CALIBRATION_TOLERANCE
+    if abs(residual) > tolerance:
+        raise calibration.CalibrationError(
+            f"root solver stalled: |wrapped error| = {abs(residual):.3e} > {tolerance:g} "
+            f"at kappa = {kappa_star}",
+            scan=zip(kappas.tolist(), phases.tolist()),
+        )
+    return calibration.CalibrationResult(kappa_star=kappa_star, report=report)
 
 
 def controlled_flip_family(theta):

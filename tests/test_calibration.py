@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import bisect_root
+from oracles import bisect_root, full_scan_calibration
 
 from rydgate import calibration
 from rydgate.calibration import (
@@ -16,6 +16,22 @@ from rydgate.calibration import (
 from rydgate.propagation import PulseSequence
 from rydgate.protocols import gate_time_geometric
 from rydgate.statespace import wrap_angle
+
+
+@pytest.fixture
+def scanned_gates(monkeypatch):
+    """Sizes of the propagator stacks ``calibration.batch_unitaries`` yields while
+    the test runs: one entry per kernel call, summing to the gates scanned."""
+    sizes = []
+    batch = calibration.batch_unitaries
+
+    def counting(controls, durations):
+        for u in batch(controls, durations):
+            sizes.append(len(u))
+            yield u
+
+    monkeypatch.setattr(calibration, "batch_unitaries", counting)
+    return sizes
 
 
 @pytest.fixture
@@ -139,17 +155,21 @@ class TestCalibrateKappa:
         # interval ends.
         assert len(sequences_built) <= 5
 
-    def test_residual_above_tolerance_is_reported(self, monkeypatch):
+    def test_residual_above_tolerance_is_reported(self, monkeypatch, scanned_gates):
         monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)
         with pytest.raises(CalibrationError, match="^root solver stalled") as excinfo:
             calibrate_kappa(-math.pi, (1.0, 2.5))
+        # The probe settled the scan; the failure scans the rest for its table.
         assert len(excinfo.value.scan) == calibration.CALIBRATION_SCAN_POINTS
+        assert sum(scanned_gates) == calibration.CALIBRATION_SCAN_POINTS
+        assert all(math.isfinite(phi) for _, phi in excinfo.value.scan)
 
-    def test_failure_attaches_scan_table(self):
+    def test_failure_attaches_scan_table(self, scanned_gates):
         with pytest.raises(CalibrationError) as excinfo:
             calibrate_kappa(-math.pi, (2.5, 3.0))
         scan = excinfo.value.scan
         assert len(scan) == 200
+        assert sum(scanned_gates) == 200
         kappas = [k for k, _ in scan]
         assert kappas[0] == pytest.approx(2.5)
         assert kappas[-1] == pytest.approx(3.0)
@@ -171,6 +191,140 @@ class TestCalibrateKappa:
         got, want = calibrate_kappa(target, (1.0, 2.5)), calibrate_kappa(reduced, (1.0, 2.5))
         assert got.kappa_star == want.kappa_star
         assert got.report == want.report
+
+
+def _outcome(calibrate, *args, **kwargs):
+    """kappa* as uint64 and the report, or the error's message and its scan as uint64."""
+    try:
+        result = calibrate(*args, **kwargs)
+    except CalibrationError as exc:
+        return str(exc), np.array(exc.scan, dtype=float).view(np.uint64).tolist()
+    return np.float64(result.kappa_star).view(np.uint64), result.report
+
+
+def _nearest_first_cases(count, rng):
+    """(target, bracket, omega, seed_kappa) of random calibrations: targets over the
+    circle and, for one case in four, a scanned phase itself (an exact zero of the
+    error at Omega = 1); seeds inside, below and above the bracket."""
+    for _ in range(count):
+        lo = float(rng.uniform(0.05, 3.0))
+        hi = lo + float(rng.choice([0.01, 0.5, 1.5, 3.0]) * rng.uniform(0.5, 1.0))
+        omega = float(rng.choice([1.0, 2.3, 10 ** rng.uniform(-1, 1)]))
+        inside = rng.uniform(lo, hi)
+        seed = float(rng.choice([inside, inside, rng.uniform(0.0, lo), rng.uniform(hi, hi + 3.0), 1.65]))
+        target = float(rng.uniform(-math.pi, math.pi))
+        if rng.uniform() < 0.25:
+            omega = 1.0
+            grid = sweep_kappa(lo, hi, calibration.CALIBRATION_SCAN_POINTS)
+            target = grid[int(rng.integers(len(grid)))].phi_c_wrapped
+        yield target, (lo, hi), omega, seed
+
+
+class TestNearestFirstScan:
+    """The scan settles at the seed or scans the whole grid, and changes no result:
+    ``full_scan_calibration`` propagates every scan point, as the scan once did."""
+
+    def test_same_results_and_errors_as_a_full_scan(self):
+        outcomes = []
+        for target, bracket, omega, seed in _nearest_first_cases(300, np.random.default_rng(19)):
+            got = _outcome(calibrate_kappa, target, bracket, omega, seed_kappa=seed)
+            want = _outcome(full_scan_calibration, target, bracket, omega, seed_kappa=seed)
+            assert got == want, (target, bracket, omega, seed)
+            outcomes.append(want)
+        failed = sum(isinstance(message, str) for message, _ in outcomes)
+        assert 30 <= failed <= 270  # both paths are exercised
+
+    @pytest.mark.parametrize(
+        "target, bracket, seed",
+        [
+            (-math.pi, (1.0, 2.5), 1.65),  # the README calibration
+            (-2.219, (1.0, 2.5), 1.65),  # 192 points from the seed
+            (2.0, (0.2, 2.5), 0.2),  # the seed on the bracket's end
+            (1.0, (0.5, 3.0), 40.0),  # the seed far above the bracket
+            (-1.0, (1.0, 1.0 + 2e-14), 1.0),  # repeated grid points tie in distance
+        ],
+    )
+    def test_chosen_cases_match_a_full_scan(self, target, bracket, seed):
+        assert _outcome(calibrate_kappa, target, bracket, seed_kappa=seed) == _outcome(
+            full_scan_calibration, target, bracket, seed_kappa=seed
+        )
+
+    def test_exact_zeros_tied_in_distance_take_the_first(self):
+        # 200 points over 4 ulp of 1 take five kappas and three phases, so a target
+        # on one of them is an exact zero at many points at equal distance.
+        bracket = (1.0, 1.0 + 4 * math.ulp(1.0))
+        target = sweep_kappa(*bracket, calibration.CALIBRATION_SCAN_POINTS)[100].phi_c_wrapped
+        for seed in (0.5, 1.0 + 2 * math.ulp(1.0), 2.0):
+            assert _outcome(calibrate_kappa, target, bracket, seed_kappa=seed) == _outcome(
+                full_scan_calibration, target, bracket, seed_kappa=seed
+            )
+
+    def test_stalled_solver_reports_the_same_table(self, monkeypatch):
+        monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)
+        stalled = 0
+        for target, bracket, omega, seed in _nearest_first_cases(30, np.random.default_rng(23)):
+            got = _outcome(calibrate_kappa, target, bracket, omega, seed_kappa=seed)
+            assert got == _outcome(full_scan_calibration, target, bracket, omega, seed_kappa=seed)
+            stalled += got[0].startswith("root solver stalled")
+        assert stalled >= 10
+
+    def test_a_tie_keeps_scanning(self, monkeypatch):
+        # On the grid 1 + i/256 with the seed 100.25/256 above 1, every distance is
+        # exact. The probe holds points 99-102. Synthetic phases put an exact zero
+        # at 102 and a sign change in (98, 99), both 1.75/256 from the seed. A full
+        # scan takes (98, 99), the first in scan order, so the probe must not
+        # settle the tie: the rest of the grid is scanned.
+        step, chunk = 2.0**-8, calibration.CHUNK
+        phase = np.full(calibration.CALIBRATION_SCAN_POINTS, -0.5)
+        phase[:99], phase[102] = 0.5, 0.0
+        sizes = []
+
+        def grid_indices(rows, durations):  # each gate's grid index, not its propagator
+            index = np.rint((rows[:, 0, 0] / rows[:, 0, 6] - 1.0) / step).astype(int)
+            for start in range(0, len(index), chunk):
+                sizes.append(len(index[start : start + chunk]))
+                yield index[start : start + chunk]
+
+        def synthetic_phases(index):
+            zero = np.zeros(len(index))
+            return zero, zero, zero, phase[index]
+
+        class Picked(Exception):
+            pass
+
+        def picked(f, a, b, f_a, f_b):
+            raise Picked(a, b)
+
+        monkeypatch.setattr(calibration, "batch_unitaries", grid_indices)
+        monkeypatch.setattr(calibration, "_phases", synthetic_phases)
+        monkeypatch.setattr(calibration, "_anderson_bjorck", picked)
+        with pytest.raises(Picked) as excinfo:
+            calibrate_kappa(0.0, (1.0, 1.0 + 199 * step), seed_kappa=1.0 + 100.25 * step)
+        assert excinfo.value.args == (1.0 + 98 * step, 1.0 + 99 * step)
+        assert sizes[0] == calibration.SEED_PROBE_POINTS
+        assert sum(sizes) == calibration.CALIBRATION_SCAN_POINTS
+        assert max(sizes) == chunk
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distances_raise_no_warning(self):
+        # Every kappa - seed past the middle of the grid overflows to inf.
+        args = (math.pi, (1.0, 1e308))
+        with pytest.raises(CalibrationError, match="^no sign change") as excinfo:
+            calibrate_kappa(*args, seed_kappa=-1e308)
+        assert _outcome(calibrate_kappa, *args, seed_kappa=-1e308) == _outcome(
+            full_scan_calibration, *args, seed_kappa=-1e308
+        )
+        assert len(excinfo.value.scan) == calibration.CALIBRATION_SCAN_POINTS
+
+    def test_readme_calibration_scans_the_probe(self, scanned_gates):
+        calibrate_kappa(-math.pi, (1.0, 2.5))
+        assert scanned_gates == [calibration.SEED_PROBE_POINTS]
+
+    def test_far_target_scans_the_grid(self, scanned_gates):
+        calibrate_kappa(-2.219, (1.0, 2.5))
+        assert scanned_gates[0] == calibration.SEED_PROBE_POINTS
+        assert sum(scanned_gates) == calibration.CALIBRATION_SCAN_POINTS
+        assert max(scanned_gates) == calibration.CHUNK
 
 
 def _calibration(target_phi, bracket, omega=1.0, **kwargs):

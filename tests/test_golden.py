@@ -10,6 +10,8 @@ JSON must have the same keys in the same order and every number within
 Run as a script, ``python tests/test_golden.py COMMAND...`` runs every line of
 ``COMMANDS`` through an installed front end, say ``rydgate`` or
 ``python -m rydgate.cli``, and checks its ``--output`` file by the same rule.
+It then runs ``FAILING``, a calibration with no sign change, and checks that
+it exits 3 with empty stdout and the golden stderr, byte for byte.
 With no front end it prints its usage and exits 2.
 """
 
@@ -46,6 +48,9 @@ COMMANDS = {
         "--sigma-omega-rel", "0.01", "--sigma-r-rel", "0.005", "--seed", "7", "--samples", "500",
     ],
 }
+
+#: The golden stderr of a calibration with no sign change, and its command line.
+FAILING = ("calibrate_no_sign_change.stderr", ["calibrate", "--target-phi", "10", "--bracket", "2.0", "2.5"])
 
 
 def assert_same_json(got, want, path="$"):
@@ -106,3 +111,8 @@ if __name__ == "__main__":
             subprocess.run([*sys.argv[1:], *argv, "--output", str(out_path)], check=True)
             assert_matches_golden(name, out_path.read_bytes())
             print(f"{name}: matches the golden")
+    name, argv = FAILING
+    result = subprocess.run([*sys.argv[1:], *argv], capture_output=True)
+    assert (result.returncode, result.stdout) == (3, b""), (name, result.returncode, result.stdout)
+    assert result.stderr == (GOLDEN / name).read_bytes(), name
+    print(f"{name}: matches the golden")

@@ -109,20 +109,32 @@ class TestGeometricControls:
         with pytest.raises(ValueError, match="^kappa must be positive"):
             geometric_controls(kappas, 1.0)
 
-    @pytest.mark.parametrize(
-        "omega, message",
-        [
-            # Each segment lasts about 1e308: finite, but four of them are not.
-            (3.1e-308, "^total duration must be finite, got inf$"),
-            # 2*Omega overflows, so a segment lasts 2*pi/inf = 0.
-            (1e308, "^duration must be positive and finite, got 0.0$"),
-        ],
-    )
-    def test_out_of_range_gate_time_rejected_as_the_sequence_rejects_it(self, omega, message):
+    def test_out_of_range_gate_time_rejected_as_the_sequence_rejects_it(self):
+        # Each segment lasts about 1e308: finite, but four of them are not.
+        message = "^total duration must be finite, got inf$"
         with pytest.raises(ValueError, match=message):
-            geometric_sequence(GeometricProtocolParams.from_omega(1.6, omega))
+            geometric_sequence(GeometricProtocolParams.from_omega(1.6, 3.1e-308))
         with pytest.raises(ValueError, match=message):
-            geometric_controls([1.0, 1.6, 1.7], omega)
+            geometric_controls([1.0, 1.6, 1.7], 3.1e-308)
+
+    def test_largest_omega_builds_the_closed_form_gate_time(self):
+        # 2*Omega would overflow here; pi/hypot(Omega, V/4) does not.
+        sequence = geometric_sequence(GeometricProtocolParams.from_omega(1.6, 1e308))
+        assert sequence.total_duration == pytest.approx(gate_time_geometric(1.6, 1e308), rel=1e-15)
+        rows, durations = geometric_controls([1.0, 1.6, 1.7], 1e308)
+        want_rows, want_durations = _sequence_controls([1.0, 1.6, 1.7], 1e308)
+        assert rows.tobytes() == want_rows.tobytes()
+        assert durations.tobytes() == want_durations.tobytes()
+
+    @pytest.mark.parametrize("omega", [8e-308, 2e-307, 1e-306])
+    def test_subnormal_quarter_v_matches_sequences_bit_for_bit(self, omega):
+        # V/4 is subnormal for V below 2**-1020, where it loses bits; the rows
+        # and the sequence still round the same way.
+        kappas = np.geomspace(omega / 2.0**-1020, omega / 1e-315, 200)
+        rows, durations = geometric_controls(kappas, omega)
+        want_rows, want_durations = _sequence_controls(kappas, omega)
+        assert durations.tobytes() == want_durations.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
 
 
 class TestProtocolSequence:
