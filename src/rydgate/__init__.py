@@ -33,12 +33,7 @@ from rydgate.protocols import (
     gate_time_geometric,
     geometric_sequence,
 )
-from rydgate.robustness import (
-    FidelityStats,
-    NoiseModel,
-    monte_carlo_fidelity,
-    v_of_spacing,
-)
+from rydgate.robustness import FidelityStats, NoiseModel, monte_carlo_fidelity
 
 __version__ = "0.1.0"
 
@@ -69,5 +64,4 @@ __all__ = [
     "rydberg_time",
     "sequence_unitary",
     "sweep_kappa",
-    "v_of_spacing",
 ]

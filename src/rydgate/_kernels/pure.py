@@ -88,5 +88,5 @@ def weighted_population_integral(w, v, durations, order, psi0, weights, samples_
             total += ((c.conj() @ kernels[j]) * c).sum(axis=-1).real
             psi = (c * steps[j]) @ v[j].T
     if not np.isfinite(total).all():
-        raise ValueError("a population integral overflows: the durations are out of range")
+        raise ValueError("a population integral overflows: the eigenvalue spread or the durations are out of range")
     return total

@@ -134,15 +134,17 @@ def _report_payload(report, omega):
     }
 
 
-def _protocol(cfg):
-    """Protocol parameters and Rabi frequency of ``simulate`` and ``robustness``."""
+def _protocol(cfg, v_flag="v"):
+    """Protocol parameters and Rabi frequency of ``cfg``; ``v_flag`` names the option that set ``cfg["v"]``."""
     omega, v = cfg["omega"], cfg["v"]
     if cfg["protocol"] == "blockade":
         if cfg["kappa"] is not None:
             raise ValueError("blockade protocol takes no kappa")
         omega = _positive(omega, "omega")
         if v is None:
-            raise ValueError("blockade protocol needs v")
+            raise ValueError(f"blockade protocol needs {v_flag}")
+        if not math.isfinite(v):
+            raise ValueError(f"{v_flag} must be finite, got {v}")
         return BlockadeProtocolParams(rabi=omega, v=v), omega
     if cfg["protocol"] != "geometric":
         raise ValueError(f"unknown protocol: {cfg['protocol']!r}")
@@ -173,18 +175,17 @@ def cmd_sweep(cfg):
 
 def cmd_calibrate(cfg):
     """find kappa giving a target controlled phase"""
-    result = calibrate_kappa(
-        cfg["target_phi"], tuple(cfg["bracket"]), omega=cfg["omega"], seed_kappa=cfg["seed_kappa"]
-    )
-    report = _report_payload(result.report, cfg["omega"])
+    omega = _positive(cfg["omega"], "omega")
+    result = calibrate_kappa(cfg["target_phi"], tuple(cfg["bracket"]), omega=omega, seed_kappa=cfg["seed_kappa"])
+    report = _report_payload(result.report, omega)
     return _json({"kappa_star": result.kappa_star, "target_phi": cfg["target_phi"], "report": report})
 
 
 def cmd_compare(cfg):
     """blockade vs geometric protocol at equal Rabi frequency"""
-    omega = _positive(cfg["omega"], "omega")
-    geo = GeometricProtocolParams.from_omega(_positive(cfg["kappa"], "kappa"), omega)
-    blk = BlockadeProtocolParams(rabi=omega, v=_positive(cfg["blockade_v"], "blockade-v"))
+    omega = cfg["omega"]
+    geo, _ = _protocol({"protocol": "geometric", "kappa": cfg["kappa"], "omega": omega, "v": None})
+    blk, _ = _protocol({"protocol": "blockade", "kappa": None, "omega": omega, "v": cfg["blockade_v"]}, "blockade-v")
     rows = []
     for name, params in (("blockade", blk), ("geometric", geo)):
         payload = _report_payload(analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"]), omega)

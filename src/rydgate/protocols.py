@@ -35,6 +35,11 @@ def _require_positive(value, name):
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _segment_duration(omega, v):
+    """Cyclic-evolution period 2*pi/sqrt(4*Omega^2 + V^2/4) as pi/hypot(Omega, V/4): no finite Omega overflows."""
+    return math.pi / math.hypot(omega, v / 4)
+
+
 @dataclass(frozen=True)
 class GeometricProtocolParams:
     """Weak-interaction protocol parameters: kappa = Omega/V and V."""
@@ -62,9 +67,8 @@ class GeometricProtocolParams:
 
     @property
     def segment_duration(self):
-        """One cyclic-evolution period 2*pi/sqrt(4*Omega^2 + V^2/4), taken as
-        pi/hypot(Omega, V/4), so no Omega up to the largest float overflows."""
-        return math.pi / math.hypot(self.omega, self.v / 4)
+        """Duration of each of the four segments: one cyclic-evolution period."""
+        return _segment_duration(self.omega, self.v)
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def geometric_controls(kappas, omega):
     omegas = kappas * v
     rows = _UNIT_ROWS * v[:, None, None]
     rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas[:, None, None]
-    durations = [math.pi / math.hypot(w, x / 4) for w, x in zip(omegas.tolist(), v.tolist())]
+    durations = [_segment_duration(w, x) for w, x in zip(omegas.tolist(), v.tolist())]
     durations = np.repeat(np.array(durations)[:, None], len(_UNIT_ROWS), axis=1)
     with np.errstate(over="ignore"):
         valid = (durations[:, 0] > 0) & np.isfinite(durations.sum(axis=-1))

@@ -10,10 +10,10 @@ parameters - control errors perturb the physics, not the program.
 Reproducibility: sample i draws from a PCG64 generator seeded with
 SeedSequence((seed, i)), taking eps_Omega then eps_R as standard normals.
 Per-sample substreams make results independent of evaluation order, so
-parallel execution cannot change them. ``_noise_draws`` seeds a block of i at
-once: the SeedSequence hash runs on an index array in uint32 arithmetic, PCG64's
-seeding in Python ints, and one generator set to each state draws the pair. Only
-each sample's fidelity and phase error (16 B) outlive its ``SAMPLE_BLOCK``.
+parallel execution cannot change them. ``_noise_draws`` hashes a block of i at
+once, in uint32 arithmetic on an index array, and NumPy seeds each sample's PCG64
+from its hashed words: no generator state is written. Only each sample's
+fidelity and phase error (16 B) outlive its ``SAMPLE_BLOCK``.
 """
 
 import itertools
@@ -69,10 +69,6 @@ class NoiseModel:
             seed=seed,
         )
 
-    @property
-    def v_nominal(self):
-        return v_of_spacing(self.c6, self.r0)
-
 
 @dataclass(frozen=True)
 class FidelityStats:
@@ -89,7 +85,7 @@ class FidelityStats:
 SAMPLE_BLOCK = 4096
 
 
-def v_of_spacing(c6, r):
+def _v_of_spacing(c6, r):
     """Van der Waals interaction V = C6 / r^6."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"spacing must be positive and finite, got {r}")
@@ -104,11 +100,9 @@ def v_of_spacing(c6, r):
     return v
 
 
-#: SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's LCG
-#: multiplier (pcg64.h), as Python ints: NumPy integer scalars warn where they wrap.
+#: SeedSequence's hash constants (numpy/random/bit_generator.pyx), as Python ints: NumPy scalars warn where they wrap.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK32, _MASK128 = 0xCA01F9DD, 0x4973F715, 2**32 - 1, 2**128 - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 2**32 - 1
 
 
 def _hasher(const, mult):
@@ -125,7 +119,7 @@ def _hasher(const, mult):
 
 
 def _seed_states(seed, indices):
-    """(n, 4) Python-int rows of ``SeedSequence((seed, i)).generate_state(4, np.uint64)``
+    """(n, 4) native uint64 rows of ``SeedSequence((seed, i)).generate_state(4, np.uint64)``
     for each index 0 <= i < 2**32: one 32-bit entropy word for i, one or two for seed."""
     seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
     entropy = np.zeros((4, len(indices)), dtype=np.uint32)
@@ -138,21 +132,27 @@ def _seed_states(seed, indices):
         pool[dst] = mixed ^ (mixed >> 16)
     hash_b = _hasher(_INIT_B, _MULT_B)
     state = np.stack([hash_b(pool[k % 4]) for k in range(8)], axis=-1)
-    return state.astype("<u4").view("<u8").tolist()
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _noise_draws(seed, indices):
     """(n, 2) draws (eps_Omega, eps_R): for each of the n ``indices`` i < 2**32, the first
     two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    from numpy.random import Generator, PCG64  # here: numpy.random adds ~20 ms to any start-up
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedWords(ISeedSequence):
+        """One C-contiguous row of ``_seed_states``, whose memory PCG64 seeds from."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     draws = np.empty((len(indices), 2))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(draws, _seed_states(operator.index(seed), indices)):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-        bit_generator.state = state
-        rng.standard_normal(out=row)
+    for row, words in zip(draws, _seed_states(operator.index(seed), indices)):
+        Generator(PCG64(HashedWords(words))).standard_normal(out=row)
     return draws
 
 
@@ -177,7 +177,7 @@ def _noisy_controls(rows, noise, indices):
     with np.errstate(over="ignore"):  # an infinite factor or spacing is rejected below
         omega_factors = 1.0 + noise.sigma_omega_rel * eps[:, 0]
         spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
-    v = [v_of_spacing(noise.c6, r) for r in spacings.tolist()]
+    v = [_v_of_spacing(noise.c6, r) for r in spacings.tolist()]
     return _perturbed_controls(rows, omega_factors, np.array(v))
 
 
@@ -227,10 +227,10 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     n_samples = operator.index(n_samples)
     if not 1 <= n_samples < 2**32:
         raise ValueError(f"n_samples must be in [1, 2**32), got {n_samples}")
-    v_nom = protocol.v
-    if abs(noise.v_nominal - v_nom) > 1e-9 * max(1.0, abs(v_nom)):
+    v_nom, v_noise = protocol.v, _v_of_spacing(noise.c6, noise.r0)
+    if abs(v_noise - v_nom) > 1e-9 * max(1.0, abs(v_nom)):
         raise ValueError(
-            f"noise model interaction c6/r0^6 = {noise.v_nominal} does not match "
+            f"noise model interaction c6/r0^6 = {v_noise} does not match "
             f"the protocol's nominal V = {v_nom}"
         )
     nominal = protocol_sequence(protocol)

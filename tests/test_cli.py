@@ -222,6 +222,10 @@ class TestCalibrate:
         assert (code, out) == (3, "")
         assert err == (GOLDEN / "calibrate_no_sign_change.stderr").read_text(encoding="utf-8")
 
+    def test_negative_omega_is_checked_like_every_command(self, capsys):
+        code, out, err = run_cli(capsys, "calibrate", "--target-phi", "1", "--bracket", "1.0", "2.5", "--omega", "-1")
+        assert (code, out, err) == (2, "", "error: omega must be positive and finite, got -1.0\n")
+
 
 class TestCompare:
     def test_table_contents(self, capsys):
@@ -245,6 +249,19 @@ class TestCompare:
         assert float(blockade["gate_time_omega_over_pi"]) == pytest.approx(4.0, rel=1e-11)
         assert float(geometric["gate_time_omega_over_pi"]) == pytest.approx(3.9549, abs=1e-3)
         assert float(blockade["pulse_area_rad"]) == pytest.approx(4 * math.pi, rel=1e-11)
+
+    def test_blockade_v_takes_any_finite_value_as_simulate_does(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--omega", "1", "--kappa", "1.65", "--blockade-v", "-100")
+        assert (code, err) == (0, "")
+        blockade = dict(zip(COMPARE_HEADER.split(","), out.split("\n")[1].split(",")))
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "blockade", "--omega", "1", "--v", "-100")
+        assert (code, err) == (0, "")
+        assert float(blockade["fidelity_cz"]) == pytest.approx(json.loads(out)["fidelity"], rel=1e-11)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_blockade_v_names_its_flag(self, capsys, value):
+        code, out, err = run_cli(capsys, "compare", "--omega", "1", "--kappa", "1.65", "--blockade-v", value)
+        assert (code, out, err) == (2, "", f"error: blockade-v must be finite, got {value}\n")
 
 
 class TestRobustnessCommand:
@@ -426,7 +443,7 @@ def test_non_finite_value_exits_two(capsys, argv):
         ("simulate", "--protocol", "blockade", "--omega", "4.5e-308", "--v", "4.5e-306"),
         ("compare", "--omega", "7e-308", "--kappa", "1.65", "--blockade-v", "7e-306"),
         ("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "3.1e-308"),
-        # 2*Omega overflows, so each segment lasts 2*pi/inf = 0.
+        # Each segment lasts pi/hypot(Omega, V/4) = 3.1e-308, but the eigenvalue spread overflows.
         ("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "1e308"),
     ],
     ids=[
@@ -450,6 +467,23 @@ def test_out_of_range_value_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "3.1e-308"),
+         "total duration must be finite, got inf"),
+        (("calibrate", "--target-phi", "3.14159", "--bracket", "1.0", "2.5", "--omega", "1e308"),
+         "a population integral overflows: the eigenvalue spread or the durations are out of range"),
+        (("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1e308"),
+         "a population integral overflows: the eigenvalue spread or the durations are out of range"),
+    ],
+    ids=["calibrate-omega-3.1e-308", "calibrate-omega-1e308", "simulate-omega-1e308"],
+)
+def test_overflow_error_names_its_cause(capsys, argv, message):
+    # At Omega = 1e308 the gate is finite; w_j - w_k overflows in the Rydberg-time integral.
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestConfigFile:

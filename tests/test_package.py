@@ -46,22 +46,30 @@ PUBLIC_NAMES = [
     "rydberg_time",
     "sequence_unitary",
     "sweep_kappa",
-    "v_of_spacing",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_import_loads_only_numpy():
-    # A fresh interpreter, because this test session has loaded more modules.
+def _fresh_interpreter(code):
+    """stdout of ``code`` run in a fresh interpreter, because this test session has loaded more modules."""
     src = os.path.dirname(os.path.dirname(rydgate.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "pure []"
+    return result.stdout.strip()
+
+
+def test_import_loads_only_numpy():
+    assert _fresh_interpreter(PROBE) == "pure []"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 20 ms to every command; only the Monte-Carlo draws import it.
+    assert _fresh_interpreter("import sys, rydgate.cli; print('numpy.random' in sys.modules)") == "False"
 
 
 def test_public_names_are_pinned_and_resolve():

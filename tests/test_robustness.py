@@ -15,8 +15,8 @@ from rydgate.robustness import (
     NoiseModel,
     _noise_draws,
     _perturbed_controls,
+    _v_of_spacing,
     monte_carlo_fidelity,
-    v_of_spacing,
 )
 
 
@@ -28,31 +28,31 @@ def _noise(v, sigma_omega=0.0, sigma_r=0.0, seed=42, r0=1.0):
 
 class TestVOfSpacing:
     def test_unit_values(self):
-        assert v_of_spacing(1.0, 1.0) == 1.0
-        assert v_of_spacing(64.0, 2.0) == 1.0
+        assert _v_of_spacing(1.0, 1.0) == 1.0
+        assert _v_of_spacing(64.0, 2.0) == 1.0
 
     def test_sixth_power_law(self):
-        assert v_of_spacing(1.0, 2.0) == pytest.approx(1.0 / 64.0)
-        assert v_of_spacing(5.0, 1.3) / v_of_spacing(5.0, 2.6) == pytest.approx(64.0)
+        assert _v_of_spacing(1.0, 2.0) == pytest.approx(1.0 / 64.0)
+        assert _v_of_spacing(5.0, 1.3) / _v_of_spacing(5.0, 2.6) == pytest.approx(64.0)
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
-            v_of_spacing(1.0, 0.0)
+            _v_of_spacing(1.0, 0.0)
         with pytest.raises(ValueError, match="spacing"):
-            v_of_spacing(1.0, -2.0)
+            _v_of_spacing(1.0, -2.0)
 
     def test_rejects_an_interaction_that_overflows(self):
         # 0.01**6 is finite; c6 / 1e-12 is not.
         with pytest.raises(ValueError, match="^spacing 0.01 is out of range"):
-            v_of_spacing(1e300, 0.01)
+            _v_of_spacing(1e300, 0.01)
         with pytest.raises(ValueError, match="^c6 must be finite"):
-            v_of_spacing(math.inf, 1.0)
+            _v_of_spacing(math.inf, 1.0)
 
 
 class TestNoiseModel:
     def test_for_interaction_round_trip(self):
         noise = _noise(v=0.5, r0=2.0)
-        assert noise.v_nominal == pytest.approx(0.5, rel=1e-12)
+        assert _v_of_spacing(noise.c6, noise.r0) == pytest.approx(0.5, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="finite"):
             _perturbed_controls(rows, np.array([1.0]), np.array([math.inf]))
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
-            v_of_spacing(1.0, math.inf)
+            _v_of_spacing(1.0, math.inf)
 
     def test_spacing_underflow_is_rejected(self):
         noise = _noise(v=1.0, sigma_r=0.005, r0=1e-60)
