@@ -12,8 +12,8 @@ gates or segments):
   form in each segment's eigenbasis; ``analysis.rydberg_time`` passes
   ``analysis.RYDBERG_TIME_SAMPLES``
 
-``w, v = np.linalg.eigh(hamiltonians(rows))``, ``durations`` and ``order`` describe a schedule's
-d distinct segments and each of its k segments' index into them (``propagation.distinct_segments``).
+``w, v`` (the eigensystems of ``hamiltonians(rows)``, from real matrices), ``durations`` and ``order``
+describe a schedule's d distinct segments and each segment's index into them (``propagation.distinct_segments``).
 
 The kernels assume Hermitian matrices, as ``hamiltonians.hamiltonians``
 builds them, and do not check it; an eigenphase w*t or a population integral

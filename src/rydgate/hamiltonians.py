@@ -10,7 +10,11 @@ drive absent). Doubly-excited ``|rr>`` is shifted by the interaction V.
 
 With a symmetric drive the full 9x9 Hamiltonian decomposes into invariant
 blocks {|00>}, {|01>,|0r>}, {|10>,|r0>}, {|11>,|B>,|rr>} and the dark state
-(|1r>-|r1>)/sqrt(2), where |B> = (|1r>+|r1>)/sqrt(2).
+(|1r>-|r1>)/sqrt(2), where |B> = (|1r>+|r1>)/sqrt(2). Atom k's phase phi_k sits
+on its one |1>-|r> link, and the one cycle of the coupling graph, |11> -> |1r> -> |rr>
+-> |r1> -> |11>, carries phi1 + phi2 - phi1 - phi2 = 0. So H = D Hr D^dag, with Hr real
+symmetric and D = exp(-i(phi1 n1 + phi2 n2)), n_k marking the states with atom k in
+|r>; ``rydgate.propagation`` diagonalises Hr.
 
 The full Hamiltonian is linear in the seven columns of a control row,
 (Omega1 cos phi1, Omega1 sin phi1, Delta1, Omega2 cos phi2, Omega2 sin phi2,

@@ -10,7 +10,9 @@ A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
 diagonalised once. A sequence diagonalises its distinct segments on first use,
 for both ``sequence_unitary`` and ``analysis.rydberg_time``; ``batch_unitaries``
 does it per ``CHUNK`` gates, so memory stays bounded. Either route gives a gate
-the same bits, whatever batch it is in.
+the same bits, whatever batch it is in. Only real matrices are diagonalised:
+H = D Hr D^dag with Hr real symmetric and D diagonal (``rydgate.hamiltonians`` says
+why), and a batch's segments that differ only in laser phase share one eigh of Hr.
 """
 
 import functools
@@ -27,6 +29,8 @@ from rydgate.statespace import wrap_angle
 #: stack pay a fixed dispatch cost: a 2,000-gate Monte-Carlo run makes 66 calls at 32, 252
 #: at 8, for the same matrices. 256 ran slower than 64: a fidelity-grid temporary is 1 MB.
 CHUNK = 32
+#: n1 and n2: 1.0 on the basis states with atom 1, atom 2 in |r> (index 3*a + b, |r> = 2).
+_EXCITED = np.array([np.repeat([0.0, 0.0, 1.0], 3), np.tile([0.0, 0.0, 1.0], 3)])
 
 
 def _require_finite(value, name):
@@ -110,9 +114,28 @@ class PulseSequence:
     def _eigensystem(self):
         """Read-only (w, v, durations, order) of the distinct segments, h = v diag(w) v^dag."""
         rows, durations, order = distinct_segments(self.controls, self.durations)
-        w, v = np.linalg.eigh(hamiltonians(rows))
+        real, phases = _gauge(rows)
+        w, v = np.linalg.eigh(hamiltonians(real).real)
+        v = _gauged(v, phases)
         w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
         return w, v, durations, order
+
+
+def _gauge(controls):
+    """The real rows of (..., 7) control rows and the (..., 2) phases ``_gauged`` puts back,
+    or the rows themselves and None when every sine column is zero."""
+    sines, cosines = controls[..., 1::3], controls[..., 0:4:3]  # columns 1, 4 and 0, 3
+    if not np.count_nonzero(sines):
+        return controls, None
+    real = controls.copy()
+    real[..., 0:4:3], real[..., 1::3] = np.hypot(cosines, sines), 0.0
+    return real, np.arctan2(sines, cosines)
+
+
+def _gauged(vr, phases):
+    """D vr, D = exp(-i(phi1 n1 + phi2 n2)), from the (..., 9, 9) real eigenvectors of ``_gauge``'s
+    rows. exp(1j * -x), unlike exp(-1j * x), is exactly 1 + 0j at x = 0, so vr keeps its bits there."""
+    return vr.astype(np.complex128) if phases is None else np.exp(1j * -(phases @ _EXCITED))[..., None] * vr
 
 
 def distinct_segments(controls, durations):
@@ -133,10 +156,13 @@ def batch_unitaries(controls, durations):
     """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as
     (n, k, 7) control rows and (n, k) segment durations, or (k,) shared by all."""
     controls, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
+    real, phases = _gauge(controls)
+    real, _, shared = distinct_segments(real, np.zeros_like(durations))  # eigh needs no durations
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
-        w, v = np.linalg.eigh(hamiltonians(controls[chunk]))
-        yield _kernels.sequence_product(w, v, durations[chunk], order)
+        w, v = np.linalg.eigh(hamiltonians(real[chunk]).real)
+        v = _gauged(v[:, shared], None if phases is None else phases[chunk])
+        yield _kernels.sequence_product(w[:, shared], v, durations[chunk], order)
 
 
 def sequence_unitary(sequence):

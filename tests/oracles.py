@@ -15,8 +15,8 @@ package's ``expm_hermitian`` and checks only how the steps are multiplied. So
 is ``quadrature_fidelity_moments``, which propagates and scores the gates of
 its own noise rows with the package and checks the noise model and statistics.
 ``two_pass_gate_report`` assembles a report from the package's Hamiltonians,
-integral and characterization, and checks only that one diagonalisation shared
-by the propagator and the Rydberg time gives the bits of two.
+laser-phase gauge, integral and characterization, and checks only that one
+diagonalisation shared by the propagator and the Rydberg time gives the bits of two.
 ``full_scan_calibration`` calibrates with the package's propagation, root
 solver and report, and checks only that scanning nearest the seed first, and
 stopping early, picks the interval a scan of the whole grid picks.
@@ -42,7 +42,15 @@ from rydgate.analysis import (
     pulse_area,
 )
 from rydgate.hamiltonians import OPERATORS, hamiltonians
-from rydgate.propagation import PulseSegment, PulseSequence, batch_unitaries, distinct_segments, sequence_unitary
+from rydgate.propagation import (
+    PulseSegment,
+    PulseSequence,
+    _gauge,
+    _gauged,
+    batch_unitaries,
+    distinct_segments,
+    sequence_unitary,
+)
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     GeometricProtocolParams,
@@ -148,12 +156,15 @@ def sequence_product_from_identity(hams, durations, order):
 
 def two_pass_gate_report(sequence, target_phi=math.pi):
     """``analyze_gate`` as it was composed before a sequence kept its eigensystem:
-    the propagator from one diagonalisation of the distinct segments, exponentiated
-    in place and multiplied from the identity, and the Rydberg time from a second
-    diagonalisation of the same Hamiltonians. ``analyze_gate`` must give an equal report."""
+    the propagator from one diagonalisation of the distinct segments' real gauged
+    Hamiltonians, exponentiated in place and multiplied from the identity, and the
+    Rydberg time from a second diagonalisation of the same matrices. ``analyze_gate``
+    must give an equal report."""
     rows, durations, order = distinct_segments(sequence.controls, sequence.durations)
-    hams = hamiltonians(rows)
+    real, phases = _gauge(rows)
+    hams = hamiltonians(real).real
     w, v = np.linalg.eigh(hams)
+    v = _gauged(v, phases)
     v_dagger = v.conj().swapaxes(-1, -2)
     v *= np.exp(-1j * (w * durations[:, None]))[:, None, :]
     steps = v @ v_dagger
@@ -161,8 +172,9 @@ def two_pass_gate_report(sequence, target_phi=math.pi):
     for j in order:
         u = steps[j] @ u
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
+    w, v = np.linalg.eigh(hams)
     totals = weighted_population_integral(
-        *np.linalg.eigh(hams), durations, order, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
+        w, _gauged(v, phases), durations, order, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
     )
     extraction = phases_and_leakage(u)
     unwrapped = phase_combination(extraction.phases)

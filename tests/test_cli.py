@@ -91,7 +91,7 @@ class TestFarTarget:
         far = run_cli(capsys, *argv, "--target-phi", "1e17")
         assert far == run_cli(capsys, *argv, "--target-phi", repr(reduced)) and far[0] == 0
         if command == "simulate":
-            assert json.loads(far[1])["fidelity"] == 0.9913008176922575
+            assert json.loads(far[1])["fidelity"] == 0.9913008176922581
         else:
             assert far[1].splitlines()[2].split(",")[3] == "0.991300817692"
 
@@ -459,7 +459,7 @@ def test_non_finite_value_exits_two(capsys, argv):
         "simulate-blockade-gate-time-overflows",
         "compare-rydberg-time-overflows",
         "calibrate-gate-time-overflows",
-        "calibrate-segment-duration-underflows",
+        "calibrate-eigenvalue-spread-overflows",
     ],
 )
 def test_out_of_range_value_exits_two(capsys, argv):

@@ -26,6 +26,8 @@ from rydgate.propagation import (
     DriveParams,
     PulseSegment,
     PulseSequence,
+    _gauge,
+    _gauged,
     batch_unitaries,
     distinct_segments,
     sequence_unitary,
@@ -266,6 +268,115 @@ class TestTwoRoutes:
             ((batch,),) = batch_unitaries(seq.controls[None], seq.durations)
             assert np.array_equal(sequence_unitary(seq).view(np.uint64), batch.view(np.uint64))
 
+    def test_mixed_batch_keeps_each_gates_bits(self):
+        # Blockade gates, whose rows need no gauge, get D = 1 in a batch with geometric
+        # gates. Splitting the 2pi pulse gives them the geometric gate's four segments.
+        geometric = [geometric_sequence(GeometricProtocolParams.from_omega(k, 1.0)) for k in np.linspace(0.3, 2.5, 40)]
+        blockade = []
+        for v in np.geomspace(1.0, 1e6, 40):
+            first, middle, last = blockade_pdp_sequence(BlockadeProtocolParams(1.0, v)).segments
+            blockade.append(PulseSequence((first, *_split(middle), last)))
+        sequences = [seq for pair in zip(geometric, blockade) for seq in pair]
+        rows = np.array([seq.controls for seq in sequences])
+        durations = np.array([seq.durations for seq in sequences])
+        batch = np.concatenate(list(batch_unitaries(rows, durations)))
+        for u, seq in zip(batch, sequences, strict=True):
+            ((alone,),) = batch_unitaries(seq.controls[None], seq.durations)
+            assert np.array_equal(u.view(np.uint64), alone.view(np.uint64))
+            assert np.array_equal(u.view(np.uint64), sequence_unitary(seq).view(np.uint64))
+
+    def _eigh_stacks(self, monkeypatch):
+        stacks, eigh = [], np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            stacks.append((a.dtype, a.shape))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        return stacks
+
+    @pytest.mark.parametrize(
+        "sequence, shared",
+        [
+            (geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)), 1),
+            (blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0)), 2),
+        ],
+        ids=["geometric", "blockade"],
+    )
+    def test_eigh_gets_real_stacks_of_the_shared_segments(self, monkeypatch, rng, sequence, shared):
+        n = 2 * CHUNK + 5
+        eps = rng.normal(scale=0.02, size=(n, 2))
+        v = sequence.controls[0, 6] * (1.0 + eps[:, 1])
+        controls = _perturbed_controls(sequence.controls, 1.0 + eps[:, 0], v)
+        stacks = self._eigh_stacks(monkeypatch)
+        list(batch_unitaries(controls, sequence.durations))
+        sequence_unitary(sequence)
+        float64 = np.dtype(np.float64)
+        chunks = [(float64, (c, shared, 9, 9)) for c in (CHUNK, CHUNK, 5)]
+        assert stacks == chunks + [(float64, (2, 9, 9))]
+
+
+def _gauge_rows(rng, n=600):
+    """(n, 7) rows with Omega = 0 drives, phi = pi (with and without a zero sine),
+    -0.0 entries and huge finite Omega among random ones."""
+    rabi = rng.uniform(0.0, 3.0, size=(n, 2))
+    rabi[::7] = 0.0
+    rabi[3::11] = 1e300
+    phase = rng.uniform(-np.pi, np.pi, size=(n, 2))
+    phase[::5], phase[1::5] = np.pi, -np.pi / 2
+    rows = np.zeros((n, 7))
+    rows[:, [0, 3]], rows[:, [1, 4]] = rabi * np.cos(phase), rabi * np.sin(phase)
+    rows[:, [2, 5]] = rng.uniform(-2.0, 2.0, size=(n, 2))
+    rows[:, 6] = rng.uniform(-5.0, 5.0, size=n)
+    rows[5::10, [1, 4]] = 0.0  # phi = pi with a zero sine: x = -Omega
+    rows[2::9, [1, 4]] = -0.0
+    rows[4::13, [0, 2, 6]] = -0.0
+    return rows
+
+
+class TestGauge:
+    """H = D Hr D^dag with Hr real symmetric; rows with no sine take no gauge."""
+
+    def test_gauge_rebuilds_the_hamiltonians(self, rng):
+        rows = _gauge_rows(rng)
+        real, phases = _gauge(rows)
+        assert phases.shape == (len(rows), 2)
+        hr = hamiltonians(real)
+        assert not hr.imag.any() and np.array_equal(hr, hr.swapaxes(-1, -2))
+        gauge = _gauged(np.eye(9), phases)  # D as (n, 9, 9) diagonal matrices
+        assert np.array_equal(gauge, gauge * np.eye(9))
+        got, want = gauge @ hr @ gauge.conj().swapaxes(-1, -2), hamiltonians(rows)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+    def test_gauge_is_skipped_exactly_when_every_sine_is_zero(self, rng):
+        rows = _gauge_rows(rng)
+        for row in rows:
+            real, phases = _gauge(row)
+            assert (phases is None) == (not row[[1, 4]].any())
+            assert (real is row) == (phases is None)
+        free = rows.copy()
+        free[:, [1, 4]] = np.where(rng.uniform(size=(len(rows), 2)) < 0.5, 0.0, -0.0)
+        assert _gauge(free)[0] is free and _gauge(free)[1] is None
+        free[17, 4] = 1e-300
+        assert _gauge(free)[1] is not None
+
+    def test_phase_free_rows_keep_their_bits_through_the_gauge(self, rng):
+        # D = 1 + 0j exactly, so signed zeros in vr survive too.
+        vr = rng.normal(size=(6, 9, 9))
+        vr[..., ::4], vr[..., 1::4] = -0.0, 0.0
+        plain = _gauged(vr, None)
+        assert plain.dtype == np.complex128
+        assert np.array_equal(_gauged(vr, np.zeros((6, 2))).view(np.uint64), plain.view(np.uint64))
+        # A blockade gate forced through the gauge by a phased row beside it.
+        seq = blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0))
+        rows, durations, order = distinct_segments(seq.controls, seq.durations)
+        phased = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls[1:2]
+        real, phases = _gauge(np.concatenate([rows, phased]))
+        assert real[:2].tobytes() == rows.tobytes() and not phases[:2].any()
+        w, vr = np.linalg.eigh(hamiltonians(rows).real)
+        through = _kernels.sequence_product(w, _gauged(vr, phases[:2]), durations, order)
+        assert np.array_equal(through.view(np.uint64), sequence_unitary(seq).view(np.uint64))
+
 
 class TestEigensystemCache:
     """A sequence keeps the read-only eigensystem of its distinct segments."""
@@ -342,11 +453,18 @@ class TestSequenceProduct:
         assert np.array_equal(u, expm_hermitian(hams[:, 1], durations[:, 1]))
 
 
+def _eigensystems(rows):
+    """(w, v) of each row's Hamiltonian, one real ``eigh`` per row through the laser-phase gauge."""
+    real, phases = _gauge(rows)
+    w, v = np.linalg.eigh(hamiltonians(real).real)
+    return w, _gauged(v, phases)
+
+
 def _product_per_segment(rows, durations):
-    """U_k ... U_1 from one ``expm_hermitian`` call per segment, nothing shared."""
+    """U_k ... U_1 from one diagonalisation per segment, each gauged on its own, nothing shared."""
     u = np.eye(9, dtype=np.complex128)
-    for h, t in zip(hamiltonians(rows), durations):
-        u = expm_hermitian(h, t) @ u
+    for row, t in zip(rows, durations):
+        u = _kernels.sequence_product(*_eigensystems(row[None]), t[None], (0,)) @ u
     return u
 
 
@@ -355,7 +473,7 @@ def _rydberg_time_per_segment(sequence):
     rows, durations = sequence.controls, sequence.durations
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = _kernels.weighted_population_integral(
-        *np.linalg.eigh(hamiltonians(rows)), durations, range(len(durations)), states, rydberg_excitation_counts(),
+        *_eigensystems(rows), durations, range(len(durations)), states, rydberg_excitation_counts(),
         RYDBERG_TIME_SAMPLES,
     )
     return float(np.mean(totals))
