@@ -118,13 +118,13 @@ def _grid_index(big_a, z):
     return np.argmax(h[..., 0, :] + h[..., 1, :], axis=-1)
 
 
-def _local_z_angle(c):
+def _local_z_angle(c, grid_index=_grid_index):
     """Qubit-1 angle maximizing f: two Newton steps from the best grid point,
     which is kept where they give NaN (a cusp) or leave its grid cell."""
     a, b = c[..., :2], c[..., 2:]
     big_a = np.abs(a) ** 2 + np.abs(b) ** 2
     z = np.conj(a) * b
-    alpha = coarse = _GRID[_grid_index(big_a, z)]
+    alpha = coarse = _GRID[grid_index(big_a, z)]
     big_a[big_a == 0.0] = 1.0  # a vanished pair has w = 0: its terms stay 0, not 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):
@@ -137,6 +137,31 @@ def _local_z_angle(c):
             d2 = (q.real + q.imag * q.imag / h).sum(axis=-1)
             alpha = alpha - d1 / d2
     return np.where(np.abs(alpha - coarse) < _GRID[1], alpha, coarse)
+
+
+def _fidelity_terms(u):
+    """What a stack's fidelity reads: a new (..., 4) raw diagonal U_bb (00, 01, 10, 11), and Tr(M M^dag)."""
+    # In C order, so that each gate's sums add in the same order.
+    block = np.ascontiguousarray(u[..., _INDICES[:, None], _INDICES])
+    tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
+    return block.diagonal(axis1=-2, axis2=-1).copy(), tr_mm
+
+
+def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid_index):
+    """The fidelity array of ``_fidelity_terms``; rotates c's |11> column by the target in place."""
+    # Not in place: NumPy rounds an in-place product of one element unlike longer ones.
+    c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
+    if compensate:
+        # f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| at the maximizing angle a.
+        pairs = np.abs(c[..., :2] + c[..., 2:] * np.exp(1j * _local_z_angle(c, grid_index))[..., None])
+        tr = pairs[..., 0] + pairs[..., 1]
+    else:
+        tr = np.abs(c.sum(axis=-1))
+    fidelity = (tr * tr + tr_mm) / 20.0
+    # Written so that a NaN functional (a non-finite propagator) fails too.
+    if not (fidelity <= 1.0 + 1e-9).all():
+        raise ValueError(f"fidelity functional out of range: {np.max(fidelity)}")
+    return np.minimum(fidelity, 1.0)
 
 
 def fidelity_cphase(u, target_phi, compensate=True):
@@ -153,25 +178,7 @@ def fidelity_cphase(u, target_phi, compensate=True):
     """
     if not np.isfinite(target_phi).all():
         raise ValueError(f"target_phi must be finite, got {target_phi}")
-    u = _stack(u)
-    # In C order, so that each gate's sums add in the same order.
-    block = np.ascontiguousarray(u[..., _INDICES[:, None], _INDICES])
-    tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
-    c = block.diagonal(axis1=-2, axis2=-1).copy()  # order: 00, 01, 10, 11
-    # Not in place: NumPy rounds an in-place product of one element unlike longer ones.
-    c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
-
-    if compensate:
-        # f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| at the maximizing angle a.
-        pairs = np.abs(c[..., :2] + c[..., 2:] * np.exp(1j * _local_z_angle(c))[..., None])
-        tr = pairs[..., 0] + pairs[..., 1]
-    else:
-        tr = np.abs(c.sum(axis=-1))
-    fidelity = (tr * tr + tr_mm) / 20.0
-    # Written so that a NaN functional (a non-finite propagator) fails too.
-    if not (fidelity <= 1.0 + 1e-9).all():
-        raise ValueError(f"fidelity functional out of range: {np.max(fidelity)}")
-    return _unstack(np.minimum(fidelity, 1.0))
+    return _unstack(_fidelity_functional(*_fidelity_terms(_stack(u)), target_phi, compensate))
 
 
 def pulse_area(sequence):

@@ -127,8 +127,12 @@ def _gauge(controls):
     sines, cosines = controls[..., 1::3], controls[..., 0:4:3]  # columns 1, 4 and 0, 3
     if not np.count_nonzero(sines):
         return controls, None
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        rabi = np.hypot(cosines, sines)
+    if not np.isfinite(rabi).all():
+        raise ValueError(f"Rabi frequency |Omega cos(phi) + i Omega sin(phi)| must be finite, got {np.max(rabi)}")
     real = controls.copy()
-    real[..., 0:4:3], real[..., 1::3] = np.hypot(cosines, sines), 0.0
+    real[..., 0:4:3], real[..., 1::3] = rabi, 0.0
     return real, np.arctan2(sines, cosines)
 
 

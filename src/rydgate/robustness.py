@@ -12,8 +12,10 @@ SeedSequence((seed, i)), taking eps_Omega then eps_R as standard normals.
 Per-sample substreams make results independent of evaluation order, so
 parallel execution cannot change them. ``_noise_draws`` hashes a block of i at
 once, in uint32 arithmetic on an index array, and NumPy seeds each sample's PCG64
-from its hashed words: no generator state is written. Only each sample's
-fidelity and phase error (16 B) outlive its ``SAMPLE_BLOCK``.
+from its hashed words: no generator state is written. A ``SAMPLE_BLOCK``'s gates
+keep only their raw computational diagonal U_bb and Tr(M M^dag) (72 B); the local-Z
+search, fidelity and phase errors run once per block, with the bits of one call per
+propagator stack. Only each sample's fidelity and phase error (16 B) outlive its block.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.analysis import _phases, controlled_phase, fidelity_cphase
+from rydgate import propagation
+from rydgate.analysis import _fidelity_functional, _fidelity_terms, _grid_index, _phases, controlled_phase
 from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
 from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import protocol_sequence
@@ -181,6 +184,19 @@ def _noisy_controls(rows, noise, indices):
     return _perturbed_controls(rows, omega_factors, np.array(v))
 
 
+def _chunked_grid_index(big_a, z):
+    """``_grid_index`` of ``CHUNK`` gates at a time: its temporaries stay (CHUNK, 2, 256)."""
+    step = propagation.CHUNK
+    return np.concatenate([_grid_index(big_a[i : i + step], z[i : i + step]) for i in range(0, len(z), step)])
+
+
+def _block_statistics(diagonals, tr_mm, target):
+    """Per-gate ``fidelity_cphase`` and |phase error| against ``target``, with their bits, from
+    ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``; overwrites the |11> column."""
+    phase_errors = np.abs(wrap_angle(controlled_phase(np.arctan2(diagonals.imag, diagonals.real).T) - target))
+    return _fidelity_functional(diagonals, tr_mm, target, grid_index=_chunked_grid_index), phase_errors
+
+
 def _summary(fidelities, phase_errors):
     """FidelityStats of per-sample fidelities and |phase errors| with no temporary of
     their length: the spread is summed ``SAMPLE_BLOCK`` samples at a time, and the
@@ -237,13 +253,16 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     target = controlled_phase(_phases(sequence_unitary(nominal)))
 
     fidelities, phase_errors = np.empty(n_samples), np.empty(n_samples)
-    stop = 0
+    size = min(SAMPLE_BLOCK, n_samples)  # what a block's gates are scored from, reused by each block
+    diagonals, tr_mm = np.empty((size, 4), dtype=complex), np.empty(size)
     for block in range(0, n_samples, SAMPLE_BLOCK):
         indices = np.arange(block, min(block + SAMPLE_BLOCK, n_samples))
+        stop = 0
         # A block's rows die with its generator, before the next block is drawn.
         for u in batch_unitaries(_noisy_controls(nominal.controls, noise, indices), nominal.durations):
             start, stop = stop, stop + len(u)
-            fidelities[start:stop] = fidelity_cphase(u, target)
-            phase_errors[start:stop] = np.abs(wrap_angle(controlled_phase(_phases(u)) - target))
+            diagonals[start:stop], tr_mm[start:stop] = _fidelity_terms(u)
+        kept = slice(block, block + stop)
+        fidelities[kept], phase_errors[kept] = _block_statistics(diagonals[:stop], tr_mm[:stop], target)
 
     return _summary(fidelities, phase_errors)

@@ -20,6 +20,9 @@ diagonalisation shared by the propagator and the Rydberg time gives the bits of 
 ``full_scan_calibration`` calibrates with the package's propagation, root
 solver and report, and checks only that scanning nearest the seed first, and
 stopping early, picks the interval a scan of the whole grid picks.
+``per_chunk_monte_carlo`` scores each propagator stack as it comes, with the
+package's draws, propagation, fidelity and statistics, and checks only that
+scoring a whole block of samples at once keeps every bit.
 """
 
 import cmath
@@ -29,7 +32,7 @@ import math
 import numpy as np
 
 from rydgate._kernels import expm_hermitian, weighted_population_integral
-from rydgate import calibration
+from rydgate import calibration, robustness
 from rydgate.analysis import (
     RYDBERG_TIME_SAMPLES,
     GateReport,
@@ -375,6 +378,21 @@ def quadrature_fidelity_moments(protocol, sigma_omega, sigma_r, r0=1.0):
     mean = weights @ fidelities
     deviations = fidelities - mean
     return mean, weights @ deviations**2, weights @ deviations**4
+
+
+def per_chunk_monte_carlo(protocol, noise, n_samples):
+    """``monte_carlo_fidelity``'s statistics with each ``batch_unitaries`` stack scored
+    on its own: ``fidelity_cphase`` and the phase error per stack, as it is yielded."""
+    nominal = protocol_sequence(protocol)
+    target = controlled_phase(_phases(sequence_unitary(nominal)))
+    fidelities, phase_errors = [], []
+    for block in range(0, n_samples, robustness.SAMPLE_BLOCK):
+        indices = np.arange(block, min(block + robustness.SAMPLE_BLOCK, n_samples))
+        controls = robustness._noisy_controls(nominal.controls, noise, indices)
+        for u in batch_unitaries(controls, nominal.durations):
+            fidelities.append(fidelity_cphase(u, target))
+            phase_errors.append(np.abs(wrap_angle(controlled_phase(_phases(u)) - target)))
+    return robustness._summary(np.concatenate(fidelities), np.concatenate(phase_errors))
 
 
 def sample_eps(seed, index):

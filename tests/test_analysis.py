@@ -15,9 +15,10 @@ from oracles import (
 )
 
 import rydgate.propagation
-from rydgate import _kernels
+from rydgate import _kernels, robustness
 from rydgate.analysis import (
     _GRID,
+    _fidelity_terms,
     _grid_index,
     _phases,
     analyze_gate,
@@ -44,7 +45,7 @@ from rydgate.protocols import (
     geometric_sequence,
 )
 from rydgate.robustness import _perturbed_controls
-from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts
+from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 
 def _embed_diag(values):
@@ -253,26 +254,30 @@ def _vanishing_pairs(rng, n):
     return c.reshape(-1, 4)
 
 
+def _random_diagonals(rng, n):
+    """(2 n, 4) diagonals: n of near-unit magnitude, as on working gates, and n in [0, 1]."""
+    magnitudes = np.concatenate([1.0 - rng.exponential(1e-3, (n, 4)), rng.uniform(0.0, 1.0, (n, 4))])
+    return magnitudes * np.exp(1j * rng.uniform(0.0, 2 * math.pi, magnitudes.shape))
+
+
+DEGENERATE_DIAGONALS = [
+    [0.0, 0.6 + 0.1j, 0.0, -0.3j],  # the pair (c00, c10) is zero
+    [0.0, 0.0, 0.0, 0.0],  # both pairs are zero: f is flat
+    [0.8, 0.0, 0.0, 0.0],  # f is flat and nonzero
+    [0.6 - 0.2j, 0.3j, -0.6 + 0.2j, 0.5],  # c10 = -c00: zero at grid angle 0
+    [0.6 - 0.2j, 0.6 - 0.2j, 0.7j, 0.7j],  # equal pairs
+    [0.3 + 0.4j, 0.3 + 0.4j, -0.3 - 0.4j, -0.3 - 0.4j],  # equal pairs, both zero at 0
+]
+
+
 class TestLocalZGrid:
     """The real-arithmetic grid of the local-Z maximizer against the complex-phasor oracle."""
 
     def test_matches_the_phasor_oracle_on_random_diagonals(self, rng):
-        # Near-unit magnitudes, as on working gates, and magnitudes in [0, 1].
-        magnitudes = np.concatenate([1.0 - rng.exponential(1e-3, (6400, 4)), rng.uniform(0.0, 1.0, (6400, 4))])
-        c = magnitudes * np.exp(1j * rng.uniform(0.0, 2 * math.pi, magnitudes.shape))
+        c = _random_diagonals(rng, 6400)
         assert np.array_equal(_grid_index_of(c), grid_argmax(c, _GRID))
 
-    @pytest.mark.parametrize(
-        "c",
-        [
-            [0.0, 0.6 + 0.1j, 0.0, -0.3j],  # the pair (c00, c10) is zero
-            [0.0, 0.0, 0.0, 0.0],  # both pairs are zero: f is flat
-            [0.8, 0.0, 0.0, 0.0],  # f is flat and nonzero
-            [0.6 - 0.2j, 0.3j, -0.6 + 0.2j, 0.5],  # c10 = -c00: zero at grid angle 0
-            [0.6 - 0.2j, 0.6 - 0.2j, 0.7j, 0.7j],  # equal pairs
-            [0.3 + 0.4j, 0.3 + 0.4j, -0.3 - 0.4j, -0.3 - 0.4j],  # equal pairs, both zero at 0
-        ],
-    )
+    @pytest.mark.parametrize("c", DEGENERATE_DIAGONALS)
     def test_degenerate_diagonals(self, c):
         c = np.array(c, dtype=complex)
         assert _grid_index_of(c) == grid_argmax(c, _GRID)
@@ -287,6 +292,26 @@ class TestLocalZGrid:
         assert np.any(h2 < 0.0)
         assert np.array_equal(_grid_index_of(c), grid_argmax(c, _GRID))
         assert np.isfinite(fidelity_cphase(np.array([_embed_diag(x) for x in c[:512]]), 1.0)).all()
+
+    def test_monte_carlo_block_step_gives_each_gates_grid_index_and_fidelity(self, monkeypatch, rng):
+        # The block step scores a whole block at once and runs the grid CHUNK gates at a time.
+        n = 3 * CHUNK + 5
+        c = np.concatenate([DEGENERATE_DIAGONALS, _random_diagonals(rng, n)[::2]])[:n]  # both kinds
+        u = np.array([_embed_diag(x) for x in c])
+        seen, chunked = [], robustness._chunked_grid_index
+
+        def recorded(big_a, z):
+            seen.append(chunked(big_a, z))
+            return seen[-1]
+
+        monkeypatch.setattr(robustness, "_chunked_grid_index", recorded)
+        for target in (0.0, math.pi, 2.1):
+            fidelities, phase_errors = robustness._block_statistics(*_fidelity_terms(u), target)
+            for i, gate in enumerate(u):
+                assert fidelities[i] == fidelity_cphase(gate, target)
+                assert phase_errors[i] == abs(wrap_angle(controlled_phase(_phases(gate)) - target))
+        # At target 0 the grid sees the diagonals as they are.
+        assert np.array_equal(seen[0], grid_argmax(c, _GRID))
 
 
 class TestStacks:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -376,6 +377,18 @@ class TestGauge:
         w, vr = np.linalg.eigh(hamiltonians(rows).real)
         through = _kernels.sequence_product(w, _gauged(vr, phases[:2]), durations, order)
         assert np.array_equal(through.view(np.uint64), sequence_unitary(seq).view(np.uint64))
+
+    def test_an_overflowing_rabi_column_is_a_value_error(self):
+        # Omega cos(phi) and Omega sin(phi) are finite, their hypot is not. pytest
+        # turns RuntimeWarnings into errors, so an overflow warning fails here too.
+        drive = DriveParams(sys.float_info.max, 0.0, -0.11215485773315592)
+        seq = PulseSequence((PulseSegment(1.0, drive, None, 0.0),))
+        with pytest.raises(ValueError, match="Rabi frequency"):
+            sequence_unitary(seq)
+        finite = PulseSequence((PulseSegment(1.0, DriveParams(1.0, 0.0, -0.11215485773315592), None, 0.0),))
+        for controls in (seq.controls[None], np.stack([finite.controls, seq.controls])):
+            with pytest.raises(ValueError, match="Rabi frequency"):
+                list(batch_unitaries(controls, seq.durations))
 
 
 class TestEigensystemCache:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import quadrature_fidelity_moments, sample_eps
+from oracles import per_chunk_monte_carlo, quadrature_fidelity_moments, sample_eps
 
 from rydgate import propagation, robustness
 from rydgate.calibration import sweep_kappa
@@ -217,14 +217,14 @@ class TestBlocks:
     def test_chunk_and_block_boundaries_never_change_results(self, monkeypatch, n_samples):
         protocols = (GeometricProtocolParams.from_omega(1.65, 1.0), BlockadeProtocolParams(rabi=1.0, v=20.0))
 
-        def run():
+        def run(statistics=monte_carlo_fidelity):
             noisy = [_noise(v=p.v, sigma_omega=0.02, sigma_r=0.01, seed=11) for p in protocols]
-            return [monte_carlo_fidelity(p, noise, n_samples) for p, noise in zip(protocols, noisy)]
+            return [statistics(p, noise, n_samples) for p, noise in zip(protocols, noisy)]
 
         want, want_sweep = run(), sweep_kappa(0.2, 2.5, 40)
         monkeypatch.setattr(propagation, "CHUNK", 3)
         monkeypatch.setattr(robustness, "SAMPLE_BLOCK", 7)
-        assert run() == want
+        assert run() == want == run(per_chunk_monte_carlo)
         assert sweep_kappa(0.2, 2.5, 40) == want_sweep
 
     def test_memory_grows_only_by_the_kept_results(self):
@@ -243,6 +243,7 @@ class TestBlocks:
                 tracemalloc.stop()
 
         block = robustness.SAMPLE_BLOCK
+        peak(2 * propagation.CHUNK)  # first-call allocations, which would inflate the first peak
         one, four = peak(block), peak(4 * block)
         assert four - one <= 16 * 3 * block + 2**17
 
@@ -271,6 +272,18 @@ class TestBlocks:
         assert stats.std_fidelity == pytest.approx(np.std(fidelities, ddof=1), rel=1e-13)
         assert stats.percentiles == tuple(np.percentile(fidelities, [1, 5, 50, 95, 99]).tolist())
         assert stats.mean_abs_phase_error == np.mean(phase_errors)
+
+    # A block is scored at once from its gates' diagonals and Tr(M M^dag); the
+    # oracle scores each propagator stack as it comes. Equal stats are equal bits.
+    @pytest.mark.parametrize("n_samples", [1, 31, 33, 1000, robustness.SAMPLE_BLOCK + 5])
+    @pytest.mark.parametrize(
+        "protocol",
+        [GeometricProtocolParams.from_omega(1.65, 1.0), BlockadeProtocolParams(rabi=1.0, v=100.0)],
+        ids=["geometric", "blockade"],
+    )
+    def test_statistics_match_the_per_chunk_oracle(self, protocol, n_samples):
+        noise = _noise(v=protocol.v, sigma_omega=0.02, sigma_r=0.01, seed=7)
+        assert monte_carlo_fidelity(protocol, noise, n_samples) == per_chunk_monte_carlo(protocol, noise, n_samples)
 
 
 class TestQuadratureOracle:
