@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
 
+from rydgate import robustness
+from rydgate.analysis import _grid_index
 from rydgate.propagation import DriveParams, PulseSegment
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """The gate count of each call by which the Monte-Carlo block step leaves its
+    local-Z window for the full grid."""
+    counts = []
+
+    def recorded(big_a, z):
+        counts.append(len(z))
+        return _grid_index(big_a, z)
+
+    monkeypatch.setattr(robustness, "_grid_index", recorded)
+    return counts
 
 
 def random_drive(rng, max_rabi=2.0):

@@ -13,7 +13,8 @@ here because only the tests call it and check it against the oracles.
 ``sequence_product_from_identity`` is another: it exponentiates with the
 package's ``expm_hermitian`` and checks only how the steps are multiplied. So
 is ``quadrature_fidelity_moments``, which propagates and scores the gates of
-its own noise rows with the package and checks the noise model and statistics.
+its own noise rows with the package and checks the noise model and statistics,
+and so is ``hermite_fidelity_moments``, its rule with fewer gates.
 ``two_pass_gate_report`` assembles a report from the package's Hamiltonians,
 laser-phase gauge, integral and characterization, and checks only that one
 diagonalisation shared by the propagator and the Rydberg time gives the bits of two.
@@ -349,13 +350,10 @@ def grid_argmax(c, grid):
     return np.argmax(pairs[..., 0, :] + pairs[..., 1, :], axis=-1)
 
 
-@functools.cache
-def quadrature_fidelity_moments(protocol, sigma_omega, sigma_r, r0=1.0):
-    """Mean, variance and fourth central moment of the fidelity under the noise
-    model, by a tensor rule over (eps_Omega, eps_R) in units of their spreads: the
-    16-node Gauss-Hermite rule on eps_Omega and the Gaussian-weighted trapezoid rule
-    on 257 points of [-8, 8] on eps_R, which converges geometrically for a smooth
-    integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+def _rule_moments(protocol, sigma_omega, sigma_r, r0, x, x_weights, y, y_weights):
+    """Mean, variance and fourth central moment of the fidelity by the tensor rule
+    of nodes x (on eps_Omega) and y (on eps_R), in units of their spreads, whose
+    weights each sum to sqrt(2 pi), as ``hermegauss``' do.
 
     The perturbed rows are built here, not by the package's noise functions; the
     propagation and the fidelity are the package's. The Rabi columns (Omega cos phi,
@@ -364,10 +362,6 @@ def quadrature_fidelity_moments(protocol, sigma_omega, sigma_r, r0=1.0):
     """
     nominal = protocol_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
-    x, x_weights = np.polynomial.hermite_e.hermegauss(16)
-    y = np.linspace(-8.0, 8.0, 257)
-    y_weights = (y[1] - y[0]) * np.exp(-0.5 * y**2)
-    y_weights[[0, -1]] *= 0.5
     weights = np.outer(x_weights, y_weights).ravel() / (2 * math.pi)
     assert abs(weights.sum() - 1.0) < 1e-13
     c6 = protocol.v * r0**6
@@ -378,6 +372,31 @@ def quadrature_fidelity_moments(protocol, sigma_omega, sigma_r, r0=1.0):
     mean = weights @ fidelities
     deviations = fidelities - mean
     return mean, weights @ deviations**2, weights @ deviations**4
+
+
+@functools.cache
+def quadrature_fidelity_moments(protocol, sigma_omega, sigma_r, r0=1.0):
+    """Mean, variance and fourth central moment of the fidelity under the noise
+    model, by a tensor rule over (eps_Omega, eps_R) in units of their spreads: the
+    16-node Gauss-Hermite rule on eps_Omega and the Gaussian-weighted trapezoid rule
+    on 257 points of [-8, 8] on eps_R, which converges geometrically for a smooth
+    integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+    """
+    x, x_weights = np.polynomial.hermite_e.hermegauss(16)
+    y = np.linspace(-8.0, 8.0, 257)
+    y_weights = (y[1] - y[0]) * np.exp(-0.5 * y**2)
+    y_weights[[0, -1]] *= 0.5
+    return _rule_moments(protocol, sigma_omega, sigma_r, r0, x, x_weights, y, y_weights)
+
+
+@functools.cache
+def hermite_fidelity_moments(protocol, sigma_omega, sigma_r, nodes, r0=1.0):
+    """``quadrature_fidelity_moments`` by the ``nodes`` x ``nodes`` Gauss-Hermite
+    tensor rule: exact for a fidelity polynomial of degree 2 nodes - 1 in each
+    eps, so it converges fast where the fidelity is smooth in both, as for the
+    geometric gate (not the blockade gate, whose fidelity oscillates in eps_R)."""
+    x, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    return _rule_moments(protocol, sigma_omega, sigma_r, r0, x, weights, x, weights)
 
 
 def per_chunk_monte_carlo(protocol, noise, n_samples):

@@ -18,6 +18,8 @@ import rydgate.propagation
 from rydgate import _kernels, robustness
 from rydgate.analysis import (
     _GRID,
+    _TWO_COS,
+    _TWO_SIN,
     _fidelity_terms,
     _grid_index,
     _phases,
@@ -241,9 +243,14 @@ class TestFidelity:
             assert np.max(np.abs(got - oracle)) <= 1e-15
 
 
-def _grid_index_of(c):
+def _pair_terms(c):
+    """The (A, z) pairs of ``_local_z_angle`` for (..., 4) diagonals c."""
     a, b = c[..., :2], c[..., 2:]
-    return _grid_index(np.abs(a) ** 2 + np.abs(b) ** 2, np.conj(a) * b)
+    return np.abs(a) ** 2 + np.abs(b) ** 2, np.conj(a) * b
+
+
+def _grid_index_of(c):
+    return _grid_index(*_pair_terms(c))
 
 
 def _vanishing_pairs(rng, n):
@@ -294,17 +301,17 @@ class TestLocalZGrid:
         assert np.isfinite(fidelity_cphase(np.array([_embed_diag(x) for x in c[:512]]), 1.0)).all()
 
     def test_monte_carlo_block_step_gives_each_gates_grid_index_and_fidelity(self, monkeypatch, rng):
-        # The block step scores a whole block at once and runs the grid CHUNK gates at a time.
+        # The block step scores a whole block at once, on each gate's certified window of the grid.
         n = 3 * CHUNK + 5
         c = np.concatenate([DEGENERATE_DIAGONALS, _random_diagonals(rng, n)[::2]])[:n]  # both kinds
         u = np.array([_embed_diag(x) for x in c])
-        seen, chunked = [], robustness._chunked_grid_index
+        seen, windowed = [], robustness._windowed_grid_index
 
         def recorded(big_a, z):
-            seen.append(chunked(big_a, z))
+            seen.append(windowed(big_a, z))
             return seen[-1]
 
-        monkeypatch.setattr(robustness, "_chunked_grid_index", recorded)
+        monkeypatch.setattr(robustness, "_windowed_grid_index", recorded)
         for target in (0.0, math.pi, 2.1):
             fidelities, phase_errors = robustness._block_statistics(*_fidelity_terms(u), target)
             for i, gate in enumerate(u):
@@ -312,6 +319,98 @@ class TestLocalZGrid:
                 assert phase_errors[i] == abs(wrap_angle(controlled_phase(_phases(gate)) - target))
         # At target 0 the grid sees the diagonals as they are.
         assert np.array_equal(seen[0], grid_argmax(c, _GRID))
+
+
+def _close_peaks(rng, n, low, high, centre=None):
+    """(n, 4) near-unit diagonals whose two pairs peak ``low`` to ``high`` grid cells apart,
+    on either side of a random angle, or of ``centre``."""
+    c = (1.0 - rng.exponential(1e-3, (n, 4))) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n, 4)))
+    apart = rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n) * _GRID[1]
+    # Pair p peaks at -arg(conj(c_p) c_{p+2}).
+    peak = rng.uniform(0.0, 2 * math.pi, n) if centre is None else centre
+    c[:, 2] = np.abs(c[:, 2]) * np.exp(1j * (np.angle(c[:, 0]) - peak + apart / 2))
+    c[:, 3] = np.abs(c[:, 3]) * np.exp(1j * (np.angle(c[:, 1]) - peak - apart / 2))
+    return c
+
+
+class TestLocalZWindow:
+    """The block step's window of the grid gives ``_grid_index`` bit for bit, and
+    leaves to it every gate that its certificate does not cover."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda rng: _random_diagonals(rng, 3000),
+            lambda rng: np.array(DEGENERATE_DIAGONALS, dtype=complex),
+            lambda rng: _vanishing_pairs(rng, 20),
+            lambda rng: _close_peaks(rng, 3000, 0.0, 2 * robustness._WINDOW),
+            # Rounding is absolute below the normal range, which only the slack covers.
+            lambda rng: _random_diagonals(rng, 3000) * 1e-161,
+            lambda rng: _vanishing_pairs(rng, 20) * 1e-161,
+        ],
+        ids=["random", "degenerate", "vanishing", "close-peaks", "subnormal", "subnormal-vanishing"],
+    )
+    def test_gives_the_grid_index(self, rng, family):
+        big_a, z = _pair_terms(family(rng))
+        assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+
+    def test_peaks_ten_to_twelve_cells_apart_are_scored_on_the_window(self, rng, fallback):
+        # Up to 12 cells apart both peaks lie a cell inside the window, whatever its
+        # midpoint's cell. With one pair weaker, the maximum sits near the other's peak,
+        # next to the window's end, so a window shifted by a cell leaves some gates.
+        c = _close_peaks(rng, 4000, robustness._WINDOW - 6, robustness._WINDOW - 4)
+        c[:, [1, 3]] *= rng.uniform(0.01, 1.0, (len(c), 1))
+        big_a, z = _pair_terms(c)
+        assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+        assert sum(fallback) == 0
+
+    def test_peaks_more_than_the_window_apart_fall_back(self, rng, fallback):
+        big_a, z = _pair_terms(_close_peaks(rng, 2000, robustness._WINDOW + 0.01, 128.0))
+        assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+        assert sum(fallback) == 2000
+
+    def test_windows_that_wrap_past_the_last_cell(self, rng, fallback):
+        # Midpoints within a cell of angle 0: each window spans cells 255 and 0.
+        c = _close_peaks(rng, 2000, 0.0, robustness._WINDOW / 2, rng.uniform(-_GRID[1], _GRID[1], 2000))
+        big_a, z = _pair_terms(c)
+        index = robustness._windowed_grid_index(big_a, z)
+        assert np.array_equal(index, _grid_index(big_a, z))
+        assert sum(fallback) == 0
+        assert {0, 255} <= set(index.tolist())
+
+    def test_a_tie_between_the_last_and_first_cell_picks_cell_0(self, fallback):
+        # Both pairs peak half a cell below angle 0, where cells 255 and 0 score the same bits.
+        z = 5e-4 * np.exp(0.5j * _GRID[1])
+        c = np.array([[1.0, 1.0, z, z]])
+        big_a, z = _pair_terms(c)
+        h2 = z.real[..., None] * _TWO_COS - z.imag[..., None] * _TWO_SIN + big_a[..., None]  # as _grid_index
+        h = np.sqrt(np.maximum(h2, 0.0))
+        f = h[0, 0] + h[0, 1]
+        assert f[255] == f[0] == f.max() and np.sum(f == f.max()) == 2
+        assert robustness._windowed_grid_index(big_a, z).tolist() == _grid_index(big_a, z).tolist() == [0]
+        assert sum(fallback) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(math.inf, -math.inf)])
+    def test_non_finite_rows_fall_back_and_fail_the_fidelity(self, monkeypatch, fallback, bad):
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        noise = robustness.NoiseModel.for_interaction(protocol.v, 1.0, 0.01, 0.005, 3)
+        terms = robustness._fidelity_terms
+
+        def with_a_bad_row(u):
+            diagonals, tr_mm = terms(u)
+            diagonals[5, 2] = bad
+            return diagonals, tr_mm
+
+        monkeypatch.setattr(robustness, "_fidelity_terms", with_a_bad_row)
+        # An infinite row warns (inf * 0) before the grid sees it, as it did with the full grid.
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="^fidelity functional out of range"):
+                robustness.monte_carlo_fidelity(protocol, noise, 20)  # one propagator stack
+            assert fallback == [1]
+            c = _random_diagonals(np.random.default_rng(5), 20)
+            c[5, 2] = bad
+            big_a, z = _pair_terms(c)
+            assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
 
 
 class TestStacks:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import per_chunk_monte_carlo, quadrature_fidelity_moments, sample_eps
+from oracles import hermite_fidelity_moments, per_chunk_monte_carlo, quadrature_fidelity_moments, sample_eps
 
 from rydgate import propagation, robustness
 from rydgate.calibration import sweep_kappa
@@ -284,6 +284,41 @@ class TestBlocks:
     def test_statistics_match_the_per_chunk_oracle(self, protocol, n_samples):
         noise = _noise(v=protocol.v, sigma_omega=0.02, sigma_r=0.01, seed=7)
         assert monte_carlo_fidelity(protocol, noise, n_samples) == per_chunk_monte_carlo(protocol, noise, n_samples)
+
+
+class TestLocalZWindow:
+    """The block step scores working gates on a window of the local-Z grid."""
+
+    def test_the_benchmark_noise_is_scored_on_the_window(self, fallback):
+        # The README and benchmark noise, 1,000 samples per gate. The geometric gate's
+        # two pairs peak up to some 14 grid cells apart, and the window certifies 12:
+        # at seed 42 one of its gates, and none of the blockade gate's, falls back.
+        for protocol, fell_back in (
+            (GeometricProtocolParams.from_omega(1.65, 1.0), [1]),
+            (BlockadeProtocolParams(rabi=1.0, v=100.0), []),
+        ):
+            fallback.clear()
+            monte_carlo_fidelity(protocol, _noise(v=protocol.v, sigma_omega=0.01, sigma_r=0.005, seed=42), 1000)
+            assert fallback == fell_back
+
+
+class TestHermiteRule:
+    """The geometric gate's Monte-Carlo mean against a 36-gate Gauss-Hermite rule, a
+    deterministic anchor for the whole scoring path (README noise)."""
+
+    PROTOCOL = GeometricProtocolParams.from_omega(1.65, 1.0)
+
+    def test_six_nodes_agree_with_eight(self):
+        six = hermite_fidelity_moments(self.PROTOCOL, 0.01, 0.005, 6)
+        eight = hermite_fidelity_moments(self.PROTOCOL, 0.01, 0.005, 8)
+        # Five nodes miss the mean by 8e-14 and the variance by 4e-7 relative.
+        assert abs(six[0] - eight[0]) < 1e-14
+        assert six[1] == pytest.approx(eight[1], rel=1e-8)
+
+    def test_readme_run_lies_within_three_standard_errors(self):
+        mean, variance, _ = hermite_fidelity_moments(self.PROTOCOL, 0.01, 0.005, 6)
+        stats = monte_carlo_fidelity(self.PROTOCOL, _noise(v=self.PROTOCOL.v, sigma_omega=0.01, sigma_r=0.005), 2000)
+        assert abs(stats.mean_fidelity - mean) < 3 * math.sqrt(variance / stats.n_samples)
 
 
 class TestQuadratureOracle:
