@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate import _kernels
+from rydgate import _kernels, propagation
 from rydgate.propagation import _require_finite, sequence_unitary
 from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
@@ -78,6 +78,13 @@ def _phases(u):
     return _per_state(np.arctan2(amps.imag, amps.real))
 
 
+def _leakage(u):
+    """The (..., 4) leakage sum_{j != b} |U_jb|^2 of a (..., 9, 9) stack's computational columns."""
+    # In C order, so that each gate's sums add in the same order.
+    off_diagonal = np.ascontiguousarray(u[..., _OTHERS, _INDICES[:, None]])
+    return np.minimum((np.abs(off_diagonal) ** 2).sum(axis=-1), 1.0)
+
+
 def phases_and_leakage(u):
     """Extract phi_b = arg(<b|U|b>) and leak_b = sum_{j != b} |<j|U|b>|^2 per state.
 
@@ -87,9 +94,7 @@ def phases_and_leakage(u):
     still reported but should not be trusted.
     """
     u = _stack(u)
-    # In C order, so that each gate's sums add in the same order.
-    off_diagonal = np.ascontiguousarray(u[..., _OTHERS, _INDICES[:, None]])
-    leakage = np.minimum((np.abs(off_diagonal) ** 2).sum(axis=-1), 1.0)
+    leakage = _leakage(u)
     return PhaseExtraction(
         phases=_phases(u),
         leakage=_per_state(leakage),
@@ -116,6 +121,50 @@ def _grid_index(big_a, z):
     h += big_a[..., None]
     np.sqrt(np.maximum(h, 0.0, out=h), out=h)
     return np.argmax(h[..., 0, :] + h[..., 1, :], axis=-1)
+
+
+#: Grid cells around the midpoint of the two pairs' peaks that ``_windowed_grid_index`` scores.
+_WINDOW = 16
+
+
+def _windowed_grid_index(big_a, z):
+    """``_grid_index`` of (n, 2) pairs, bit for bit: where a bound certifies it, the argmax of
+    the ``_WINDOW`` cells around the midpoint of the pairs' peaks, else (far-apart peaks, flat
+    pairs, non-finite gates) that of ``_grid_index`` itself, run ``CHUNK`` gates at a time.
+
+    Pair p's term T_p(d) = sqrt(max(A_p + 2|z_p| cos d, 0)) falls with the distance d from its
+    peak -arg z_p up to pi. With both peaks a cell inside the window, a cell beyond it scores at
+    most an end cell or, between the antipodes, T_0 + T_1 at pi - |sep|. The window's maximum must
+    beat both by a slack: h^2 rounds by under 15 eps (A + 4|z|) a pair, or absolutely if subnormal.
+    """
+    cells, step, chunk = len(_GRID), _GRID[1], propagation.CHUNK
+    index = np.empty(len(z), dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite gate fails the certificate
+        a, z_re, z_im, modulus = np.array([big_a.T, z.real.T, z.imag.T, np.abs(z).T])  # (2, n): gates innermost
+        peaks = np.arctan2(-z_im, z_re) / step  # in cells
+        sep = (peaks[1] - peaks[0] + cells / 2) % cells - cells / 2
+        mid = peaks[0] + sep / 2
+        low, half = np.floor(mid), np.abs(sep) / 2
+        near = (half <= mid - low + _WINDOW / 2 - 2) & (half <= low - mid + _WINDOW / 2 - 1)
+        antipodes = np.sqrt(np.maximum(a - 2.0 * modulus * np.cos(sep * step), 0.0)).sum(axis=0)
+        slack = 16.0 * np.sqrt(np.finfo(float).eps * (a + 4.0 * modulus).sum(axis=0) + 1e-300)
+        first = low.astype(np.intp) + (1 - _WINDOW // 2)
+        for i in range(0, len(z), chunk * cells // _WINDOW):  # (_WINDOW, 2, m) cells of m gates at a time
+            gates = slice(i, i + chunk * cells // _WINDOW)
+            cols = (first[gates] + np.arange(_WINDOW)[:, None]) & (cells - 1)  # % cells, a power of two
+            h = z_re[:, gates] * _TWO_COS[cols][:, None]
+            h -= z_im[:, gates] * _TWO_SIN[cols][:, None]
+            h += a[:, gates]
+            np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+            f = h[:, 0] + h[:, 1]
+            best = f.max(axis=0)
+            # The lowest grid index among equal maxima, as np.argmax picks, also where cols wrap.
+            index[gates] = np.where(f == best, cols, cells).min(axis=0)
+            near[gates] &= best > np.maximum(np.maximum(f[0], f[-1]), antipodes[gates]) + slack[gates]
+    rest = np.flatnonzero(~near)
+    for i in range(0, len(rest), chunk):
+        index[rest[i : i + chunk]] = _grid_index(big_a[rest[i : i + chunk]], z[rest[i : i + chunk]])
+    return index
 
 
 def _local_z_angle(c, grid_index=_grid_index):
@@ -149,6 +198,8 @@ def _fidelity_terms(u):
 
 def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid_index):
     """The fidelity array of ``_fidelity_terms``; rotates c's |11> column by the target in place."""
+    if not (np.isfinite(c).all() and np.isfinite(tr_mm).all()):  # before the local-Z search warns on it
+        raise ValueError("fidelity functional out of range: a gate is not finite")
     # Not in place: NumPy rounds an in-place product of one element unlike longer ones.
     c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
     if compensate:
@@ -162,6 +213,12 @@ def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid
     if not (fidelity <= 1.0 + 1e-9).all():
         raise ValueError(f"fidelity functional out of range: {np.max(fidelity)}")
     return np.minimum(fidelity, 1.0)
+
+
+def _batch_fidelity(c, tr_mm, target_phi):
+    """``_fidelity_functional`` of a batch, each gate's grid index from its certified window:
+    the bits of one ``fidelity_cphase`` call per gate."""
+    return _fidelity_functional(c, tr_mm, target_phi, grid_index=_windowed_grid_index)
 
 
 def fidelity_cphase(u, target_phi, compensate=True):

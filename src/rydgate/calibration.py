@@ -4,9 +4,13 @@ The controlled phase is not assumed monotone in kappa: calibration scans a
 fixed 200-point grid over the bracket, the points around the seed first, for
 the sign-change interval of the wrapped phase error nearest the seed, and
 solves for the root there by Anderson-Bjorck regula falsi. Sweeps and the scan
-batch rows from ``geometric_controls`` and compute one controlled-phase column,
-which a failed calibration completes and reports; each solver step builds one
-``geometric_sequence``. Identical inputs give bit-identical tables.
+batch rows from ``geometric_controls`` and keep only what each propagator stack's
+columns read: its raw diagonal U_bb, and for sweeps Tr(M M^dag) and the largest
+leakage. Phases, and a sweep's fidelities (``analysis._batch_fidelity``, the Monte-Carlo
+block scorer, ``robustness.SAMPLE_BLOCK`` gates a call), are computed once per batch with
+the bits of one call per stack. A failed calibration completes and reports its
+controlled-phase column; each solver step builds one ``geometric_sequence``.
+Identical inputs give bit-identical tables.
 """
 
 import math
@@ -15,15 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rydgate import robustness
 from rydgate.analysis import (
+    _INDICES,
+    _batch_fidelity,
+    _fidelity_terms,
+    _leakage,
     _phases,
     analyze_gate,
     controlled_phase,
-    fidelity_cphase,
     phase_combination,
-    phases_and_leakage,
 )
-from rydgate.propagation import CHUNK, batch_unitaries, sequence_unitary
+from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     GeometricProtocolParams,
@@ -89,13 +96,16 @@ def sweep_kappa(k_min, k_max, n):
     kappas = np.linspace(k_min, k_max, n)
     rows, durations = geometric_controls(kappas, 1.0)
     gate_times = durations.sum(axis=-1)
-    unwrapped, leakage, fidelity = [], [], []
+    diagonals, tr_mm, leakage, fidelity = np.empty((n, 4), dtype=complex), np.empty(n), np.empty(n), np.empty(n)
+    stop = 0
     for u in batch_unitaries(rows, durations):
-        extraction = phases_and_leakage(u)
-        unwrapped.append(phase_combination(extraction.phases))
-        leakage.append(extraction.leakage_max)
-        fidelity.append(fidelity_cphase(u, math.pi))
-    unwrapped, leakage, fidelity = (np.concatenate(c) for c in (unwrapped, leakage, fidelity))
+        start, stop = stop, stop + len(u)
+        diagonals[start:stop], tr_mm[start:stop] = _fidelity_terms(u)
+        leakage[start:stop] = _leakage(u).max(axis=-1)
+    unwrapped = phase_combination(np.arctan2(diagonals.imag, diagonals.real).T)  # before the scorer rotates |11>
+    for i in range(0, n, robustness.SAMPLE_BLOCK):  # bounded temporaries for any n
+        block = slice(i, i + robustness.SAMPLE_BLOCK)
+        fidelity[block] = _batch_fidelity(diagonals[block], tr_mm[block], math.pi)
     columns = (c.tolist() for c in (wrap_angle(unwrapped), unwrapped, leakage, fidelity))
     return [
         SweepRecord(kappa, 1.0 / kappa, gate_time / math.pi, *values)
@@ -191,10 +201,12 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     rows, durations = geometric_controls(kappas, omega)  # checks every kappa, in grid order
 
     def scan(points):
-        for start, u in zip(range(0, len(points), CHUNK), batch_unitaries(rows[points], durations[points])):
-            chunk = points[start : start + CHUNK]
-            phases[chunk] = wrap_angle(phase_combination(_phases(u)))
-            errors[chunk] = wrap_angle(phases[chunk] - target)
+        diagonals, stop = np.empty((len(points), 4), dtype=complex), 0
+        for u in batch_unitaries(rows[points], durations[points]):
+            start, stop = stop, stop + len(u)
+            diagonals[start:stop] = u[:, _INDICES, _INDICES]
+        phases[points] = wrap_angle(phase_combination(np.arctan2(diagonals.imag, diagonals.real).T))
+        errors[points] = wrap_angle(phases[points] - target)
 
     def failure(message):
         scan(np.flatnonzero(np.isnan(phases)))  # the table has every point

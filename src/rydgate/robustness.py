@@ -13,10 +13,10 @@ Per-sample substreams make results independent of evaluation order, so
 parallel execution cannot change them. ``_noise_draws`` hashes a block of i at
 once, in uint32 arithmetic on an index array, and NumPy seeds each sample's PCG64
 from its hashed words: no generator state is written. A ``SAMPLE_BLOCK``'s gates
-keep only their raw computational diagonal U_bb and Tr(M M^dag) (72 B); the local-Z
-search (on a certified grid window), fidelity and phase errors run once per block, with the
-bits of one call per propagator stack. Only each sample's fidelity and phase error (16 B)
-outlive its block.
+keep only their raw computational diagonal U_bb and Tr(M M^dag) (72 B); the phase errors
+and ``analysis._batch_fidelity``, the batch scorer that sweeps share (the local-Z search on
+a certified grid window, and the fidelity), run once per block, with the bits of one call
+per propagator stack. Only each sample's fidelity and phase error (16 B) outlive its block.
 """
 
 import itertools
@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate import propagation
-from rydgate.analysis import _GRID, _TWO_COS, _TWO_SIN, _fidelity_functional, _fidelity_terms, _grid_index
-from rydgate.analysis import _phases, controlled_phase
+from rydgate.analysis import _batch_fidelity, _fidelity_terms, _phases, controlled_phase
 from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
 from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import protocol_sequence
@@ -186,55 +184,11 @@ def _noisy_controls(rows, noise, indices):
     return _perturbed_controls(rows, omega_factors, np.array(v))
 
 
-#: Grid cells around the midpoint of the two pairs' peaks that ``_windowed_grid_index`` scores.
-_WINDOW = 16
-
-
-def _windowed_grid_index(big_a, z):
-    """``_grid_index`` of (n, 2) pairs, bit for bit: where a bound certifies it, the argmax of
-    the ``_WINDOW`` cells around the midpoint of the pairs' peaks, else (far-apart peaks, flat
-    pairs, non-finite gates) that of ``_grid_index`` itself, run ``CHUNK`` gates at a time.
-
-    Pair p's term T_p(d) = sqrt(max(A_p + 2|z_p| cos d, 0)) falls with the distance d from its
-    peak -arg z_p up to pi. With both peaks a cell inside the window, a cell beyond it scores at
-    most an end cell or, between the antipodes, T_0 + T_1 at pi - |sep|. The window's maximum must
-    beat both by a slack: h^2 rounds by under 15 eps (A + 4|z|) a pair, or absolutely if subnormal.
-    """
-    cells, step, chunk = len(_GRID), _GRID[1], propagation.CHUNK
-    index = np.empty(len(z), dtype=np.intp)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite gate fails the certificate
-        a, z_re, z_im, modulus = np.array([big_a.T, z.real.T, z.imag.T, np.abs(z).T])  # (2, n): gates innermost
-        peaks = np.arctan2(-z_im, z_re) / step  # in cells
-        sep = (peaks[1] - peaks[0] + cells / 2) % cells - cells / 2
-        mid = peaks[0] + sep / 2
-        low, half = np.floor(mid), np.abs(sep) / 2
-        near = (half <= mid - low + _WINDOW / 2 - 2) & (half <= low - mid + _WINDOW / 2 - 1)
-        antipodes = np.sqrt(np.maximum(a - 2.0 * modulus * np.cos(sep * step), 0.0)).sum(axis=0)
-        slack = 16.0 * np.sqrt(np.finfo(float).eps * (a + 4.0 * modulus).sum(axis=0) + 1e-300)
-        first = low.astype(np.intp) + (1 - _WINDOW // 2)
-        for i in range(0, len(z), chunk * cells // _WINDOW):  # (_WINDOW, 2, m) cells of m gates at a time
-            gates = slice(i, i + chunk * cells // _WINDOW)
-            cols = (first[gates] + np.arange(_WINDOW)[:, None]) & (cells - 1)  # % cells, a power of two
-            h = z_re[:, gates] * _TWO_COS[cols][:, None]
-            h -= z_im[:, gates] * _TWO_SIN[cols][:, None]
-            h += a[:, gates]
-            np.sqrt(np.maximum(h, 0.0, out=h), out=h)
-            f = h[:, 0] + h[:, 1]
-            best = f.max(axis=0)
-            # The lowest grid index among equal maxima, as np.argmax picks, also where cols wrap.
-            index[gates] = np.where(f == best, cols, cells).min(axis=0)
-            near[gates] &= best > np.maximum(np.maximum(f[0], f[-1]), antipodes[gates]) + slack[gates]
-    rest = np.flatnonzero(~near)
-    for i in range(0, len(rest), chunk):
-        index[rest[i : i + chunk]] = _grid_index(big_a[rest[i : i + chunk]], z[rest[i : i + chunk]])
-    return index
-
-
 def _block_statistics(diagonals, tr_mm, target):
     """Per-gate ``fidelity_cphase`` and |phase error| against ``target``, with their bits, from
     ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``; overwrites the |11> column."""
     phase_errors = np.abs(wrap_angle(controlled_phase(np.arctan2(diagonals.imag, diagonals.real).T) - target))
-    return _fidelity_functional(diagonals, tr_mm, target, grid_index=_windowed_grid_index), phase_errors
+    return _batch_fidelity(diagonals, tr_mm, target), phase_errors
 
 
 def _summary(fidelities, phase_errors):

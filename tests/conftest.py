@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rydgate import robustness
+from rydgate import analysis
 from rydgate.analysis import _grid_index
 from rydgate.propagation import DriveParams, PulseSegment
 
@@ -13,15 +13,15 @@ def rng():
 
 @pytest.fixture
 def fallback(monkeypatch):
-    """The gate count of each call by which the Monte-Carlo block step leaves its
-    local-Z window for the full grid."""
+    """The gate count of each call by which the batch scorer (Monte-Carlo blocks and
+    sweeps) leaves its local-Z window for the full grid."""
     counts = []
 
     def recorded(big_a, z):
         counts.append(len(z))
         return _grid_index(big_a, z)
 
-    monkeypatch.setattr(robustness, "_grid_index", recorded)
+    monkeypatch.setattr(analysis, "_grid_index", recorded)
     return counts
 
 

@@ -23,7 +23,8 @@ solver and report, and checks only that scanning nearest the seed first, and
 stopping early, picks the interval a scan of the whole grid picks.
 ``per_chunk_monte_carlo`` scores each propagator stack as it comes, with the
 package's draws, propagation, fidelity and statistics, and checks only that
-scoring a whole block of samples at once keeps every bit.
+scoring a whole block of samples at once keeps every bit. ``per_stack_sweep``
+and ``per_stack_scan_phases`` do the same for sweeps and calibration scans.
 """
 
 import cmath
@@ -264,6 +265,33 @@ def full_scan_calibration(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SE
             scan=zip(kappas.tolist(), phases.tolist()),
         )
     return calibration.CalibrationResult(kappa_star=kappa_star, report=report)
+
+
+def per_stack_sweep(k_min, k_max, n):
+    """``calibration.sweep_kappa``'s records with each ``batch_unitaries`` stack scored on
+    its own, as it is yielded: ``phases_and_leakage`` and ``fidelity_cphase`` per stack."""
+    kappas = np.linspace(k_min, k_max, n)
+    rows, durations = geometric_controls(kappas, 1.0)
+    unwrapped, leakage, fidelity = [], [], []
+    for u in batch_unitaries(rows, durations):
+        extraction = phases_and_leakage(u)
+        unwrapped.append(phase_combination(extraction.phases))
+        leakage.append(extraction.leakage_max)
+        fidelity.append(fidelity_cphase(u, math.pi))
+    unwrapped, leakage, fidelity = (np.concatenate(c) for c in (unwrapped, leakage, fidelity))
+    columns = zip(wrap_angle(unwrapped).tolist(), unwrapped.tolist(), leakage.tolist(), fidelity.tolist())
+    gate_times = (durations.sum(axis=-1) / math.pi).tolist()
+    return [
+        calibration.SweepRecord(kappa, 1.0 / kappa, gate_time, *values)
+        for kappa, gate_time, values in zip(kappas.tolist(), gate_times, columns)
+    ]
+
+
+def per_stack_scan_phases(kappas, omega):
+    """The wrapped controlled phase at each of ``kappas``, from ``phases_and_leakage`` on
+    each ``batch_unitaries`` stack of their geometric gates."""
+    chunks = batch_unitaries(*geometric_controls(np.asarray(kappas), omega))
+    return wrap_angle(np.concatenate([phase_combination(phases_and_leakage(u).phases) for u in chunks]))
 
 
 def controlled_flip_family(theta):

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 import rydgate.propagation
-from rydgate import _kernels, robustness
+from rydgate import _kernels, analysis, robustness
 from rydgate.analysis import (
     _GRID,
     _TWO_COS,
@@ -215,6 +215,19 @@ class TestFidelity:
             with pytest.raises(ValueError, match="out of range"):
                 fidelity_cphase(u, math.pi, compensate=compensate)
 
+    @pytest.mark.parametrize("bad", [math.inf, complex(math.inf, -math.inf), complex(0.0, math.nan)])
+    def test_an_infinite_entry_is_a_value_error_on_both_paths(self, bad):
+        # The functional checks its gates before the local-Z search, which would warn
+        # on an infinite entry (inf * 0); pytest turns that warning into an error.
+        u = np.eye(9, dtype=complex)
+        u[3, 3] = bad
+        with pytest.raises(ValueError, match="^fidelity functional out of range"):
+            fidelity_cphase(u, math.pi)
+        with pytest.raises(ValueError, match="^fidelity functional out of range"):
+            fidelity_cphase(np.array([np.eye(9), u]), math.pi)
+        with pytest.raises(ValueError, match="^fidelity functional out of range"):
+            analysis._batch_fidelity(*_fidelity_terms(np.array([np.eye(9), u, np.eye(9)])), math.pi)
+
     def test_maximizer_matches_golden_section_oracle(self, rng):
         cases = []
         for kappa in np.linspace(0.2, 2.5, 200):
@@ -305,13 +318,13 @@ class TestLocalZGrid:
         n = 3 * CHUNK + 5
         c = np.concatenate([DEGENERATE_DIAGONALS, _random_diagonals(rng, n)[::2]])[:n]  # both kinds
         u = np.array([_embed_diag(x) for x in c])
-        seen, windowed = [], robustness._windowed_grid_index
+        seen, windowed = [], analysis._windowed_grid_index
 
         def recorded(big_a, z):
             seen.append(windowed(big_a, z))
             return seen[-1]
 
-        monkeypatch.setattr(robustness, "_windowed_grid_index", recorded)
+        monkeypatch.setattr(analysis, "_windowed_grid_index", recorded)
         for target in (0.0, math.pi, 2.1):
             fidelities, phase_errors = robustness._block_statistics(*_fidelity_terms(u), target)
             for i, gate in enumerate(u):
@@ -343,7 +356,7 @@ class TestLocalZWindow:
             lambda rng: _random_diagonals(rng, 3000),
             lambda rng: np.array(DEGENERATE_DIAGONALS, dtype=complex),
             lambda rng: _vanishing_pairs(rng, 20),
-            lambda rng: _close_peaks(rng, 3000, 0.0, 2 * robustness._WINDOW),
+            lambda rng: _close_peaks(rng, 3000, 0.0, 2 * analysis._WINDOW),
             # Rounding is absolute below the normal range, which only the slack covers.
             lambda rng: _random_diagonals(rng, 3000) * 1e-161,
             lambda rng: _vanishing_pairs(rng, 20) * 1e-161,
@@ -352,28 +365,28 @@ class TestLocalZWindow:
     )
     def test_gives_the_grid_index(self, rng, family):
         big_a, z = _pair_terms(family(rng))
-        assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+        assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
 
     def test_peaks_ten_to_twelve_cells_apart_are_scored_on_the_window(self, rng, fallback):
         # Up to 12 cells apart both peaks lie a cell inside the window, whatever its
         # midpoint's cell. With one pair weaker, the maximum sits near the other's peak,
         # next to the window's end, so a window shifted by a cell leaves some gates.
-        c = _close_peaks(rng, 4000, robustness._WINDOW - 6, robustness._WINDOW - 4)
+        c = _close_peaks(rng, 4000, analysis._WINDOW - 6, analysis._WINDOW - 4)
         c[:, [1, 3]] *= rng.uniform(0.01, 1.0, (len(c), 1))
         big_a, z = _pair_terms(c)
-        assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+        assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
         assert sum(fallback) == 0
 
     def test_peaks_more_than_the_window_apart_fall_back(self, rng, fallback):
-        big_a, z = _pair_terms(_close_peaks(rng, 2000, robustness._WINDOW + 0.01, 128.0))
-        assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+        big_a, z = _pair_terms(_close_peaks(rng, 2000, analysis._WINDOW + 0.01, 128.0))
+        assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
         assert sum(fallback) == 2000
 
     def test_windows_that_wrap_past_the_last_cell(self, rng, fallback):
         # Midpoints within a cell of angle 0: each window spans cells 255 and 0.
-        c = _close_peaks(rng, 2000, 0.0, robustness._WINDOW / 2, rng.uniform(-_GRID[1], _GRID[1], 2000))
+        c = _close_peaks(rng, 2000, 0.0, analysis._WINDOW / 2, rng.uniform(-_GRID[1], _GRID[1], 2000))
         big_a, z = _pair_terms(c)
-        index = robustness._windowed_grid_index(big_a, z)
+        index = analysis._windowed_grid_index(big_a, z)
         assert np.array_equal(index, _grid_index(big_a, z))
         assert sum(fallback) == 0
         assert {0, 255} <= set(index.tolist())
@@ -387,7 +400,7 @@ class TestLocalZWindow:
         h = np.sqrt(np.maximum(h2, 0.0))
         f = h[0, 0] + h[0, 1]
         assert f[255] == f[0] == f.max() and np.sum(f == f.max()) == 2
-        assert robustness._windowed_grid_index(big_a, z).tolist() == _grid_index(big_a, z).tolist() == [0]
+        assert analysis._windowed_grid_index(big_a, z).tolist() == _grid_index(big_a, z).tolist() == [0]
         assert sum(fallback) == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(math.inf, -math.inf)])
@@ -402,15 +415,16 @@ class TestLocalZWindow:
             return diagonals, tr_mm
 
         monkeypatch.setattr(robustness, "_fidelity_terms", with_a_bad_row)
-        # An infinite row warns (inf * 0) before the grid sees it, as it did with the full grid.
+        # The functional rejects the bad row before the grid sees it, and warns on nothing.
+        with pytest.raises(ValueError, match="^fidelity functional out of range"):
+            robustness.monte_carlo_fidelity(protocol, noise, 20)  # one propagator stack
+        assert fallback == []
+        # Given directly, the window leaves it to the full grid; an infinite entry warns (inf * 0).
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(ValueError, match="^fidelity functional out of range"):
-                robustness.monte_carlo_fidelity(protocol, noise, 20)  # one propagator stack
-            assert fallback == [1]
             c = _random_diagonals(np.random.default_rng(5), 20)
             c[5, 2] = bad
             big_a, z = _pair_terms(c)
-            assert np.array_equal(robustness._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+            assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
 
 
 class TestStacks:

@@ -1,19 +1,20 @@
 """Tests for kappa sweeps and calibration."""
 
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import bisect_root, full_scan_calibration
+from oracles import bisect_root, full_scan_calibration, per_stack_scan_phases, per_stack_sweep
 
-from rydgate import calibration
+from rydgate import calibration, robustness
 from rydgate.calibration import (
     CalibrationError,
     calibrate_kappa,
     sweep_kappa,
 )
-from rydgate.propagation import PulseSequence
+from rydgate.propagation import CHUNK, PulseSequence
 from rydgate.protocols import gate_time_geometric
 from rydgate.statespace import wrap_angle
 
@@ -114,6 +115,41 @@ class TestSweepKappa:
         times = [r.gate_time_omega_over_pi for r in by_growing_v]
         assert all(t2 < t1 for t1, t2 in zip(times, times[1:]))
         assert all(t >= 2.0 - 1e-12 for t in times)
+
+
+def _bits(records):
+    """The records' fields as uint64 bit patterns, one row per record."""
+    return np.array([dataclasses.astuple(r) for r in records], dtype=float).view(np.uint64).tolist()
+
+
+class TestBatchScoring:
+    """Sweeps and scans keep each stack's raw terms and score the whole batch at once,
+    with the bits of scoring each propagator stack as it comes."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0.2, 2.5, n) for n in (2, CHUNK - 1, CHUNK + 1, 200, robustness.SAMPLE_BLOCK + 1)]
+        + [(0.05, 3.0, 1000), (0.3, 0.31, 50), (0.01, 10.0, 333)],
+    )
+    def test_records_match_the_per_stack_oracle(self, args):
+        assert _bits(sweep_kappa(*args)) == _bits(per_stack_sweep(*args))
+
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    @pytest.mark.parametrize("target, bracket", [(10.0, (2.0, 2.5)), (-math.pi, (1.0, 2.5)), (0.5, (0.05, 3.0))])
+    def test_scan_phases_match_the_per_stack_oracle(self, monkeypatch, target, bracket, omega):
+        # Every calibration fails, so its table holds the phase of every scan point.
+        monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)
+        with pytest.raises(CalibrationError) as excinfo:
+            calibrate_kappa(target, bracket, omega)
+        kappas, phases = np.array(excinfo.value.scan).T
+        assert np.array_equal(kappas, np.linspace(*bracket, calibration.CALIBRATION_SCAN_POINTS))
+        assert phases.view(np.uint64).tolist() == per_stack_scan_phases(kappas, omega).view(np.uint64).tolist()
+
+    def test_readme_sweep_scores_32_gates_on_the_window(self, fallback):
+        # The README sweep's two pairs peak a median 37 grid cells apart: most gates
+        # fall back to the full grid. A change to the window changes this count.
+        sweep_kappa(0.2, 2.5, 200)
+        assert sum(fallback) == 168
 
 
 class TestCalibrateKappa:
@@ -274,20 +310,18 @@ class TestNearestFirstScan:
         # at 102 and a sign change in (98, 99), both 1.75/256 from the seed. A full
         # scan takes (98, 99), the first in scan order, so the probe must not
         # settle the tie: the rest of the grid is scanned.
-        step, chunk = 2.0**-8, calibration.CHUNK
+        step = 2.0**-8
         phase = np.full(calibration.CALIBRATION_SCAN_POINTS, -0.5)
         phase[:99], phase[102] = 0.5, 0.0
         sizes = []
 
-        def grid_indices(rows, durations):  # each gate's grid index, not its propagator
+        def synthetic_gates(rows, durations):  # diagonal stacks whose phi_c is each grid point's phase
             index = np.rint((rows[:, 0, 0] / rows[:, 0, 6] - 1.0) / step).astype(int)
-            for start in range(0, len(index), chunk):
-                sizes.append(len(index[start : start + chunk]))
-                yield index[start : start + chunk]
-
-        def synthetic_phases(index):
-            zero = np.zeros(len(index))
-            return zero, zero, zero, phase[index]
+            for start in range(0, len(index), CHUNK):
+                gates = np.tile(np.eye(9, dtype=complex), (len(index[start : start + CHUNK]), 1, 1))
+                gates[:, 4, 4] = np.exp(1j * phase[index[start : start + CHUNK]])  # exactly 1 at phase 0
+                sizes.append(len(gates))
+                yield gates
 
         class Picked(Exception):
             pass
@@ -295,15 +329,14 @@ class TestNearestFirstScan:
         def picked(f, a, b, f_a, f_b):
             raise Picked(a, b)
 
-        monkeypatch.setattr(calibration, "batch_unitaries", grid_indices)
-        monkeypatch.setattr(calibration, "_phases", synthetic_phases)
+        monkeypatch.setattr(calibration, "batch_unitaries", synthetic_gates)
         monkeypatch.setattr(calibration, "_anderson_bjorck", picked)
         with pytest.raises(Picked) as excinfo:
             calibrate_kappa(0.0, (1.0, 1.0 + 199 * step), seed_kappa=1.0 + 100.25 * step)
         assert excinfo.value.args == (1.0 + 98 * step, 1.0 + 99 * step)
         assert sizes[0] == calibration.SEED_PROBE_POINTS
         assert sum(sizes) == calibration.CALIBRATION_SCAN_POINTS
-        assert max(sizes) == chunk
+        assert max(sizes) == CHUNK
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_distances_raise_no_warning(self):
@@ -324,7 +357,7 @@ class TestNearestFirstScan:
         calibrate_kappa(-2.219, (1.0, 2.5))
         assert scanned_gates[0] == calibration.SEED_PROBE_POINTS
         assert sum(scanned_gates) == calibration.CALIBRATION_SCAN_POINTS
-        assert max(scanned_gates) == calibration.CHUNK
+        assert max(scanned_gates) == CHUNK
 
 
 def _calibration(target_phi, bracket, omega=1.0, **kwargs):

@@ -9,7 +9,8 @@ JSON must have the same keys in the same order and every number within
 
 Run as a script, ``python tests/test_golden.py COMMAND...`` runs every line of
 ``COMMANDS`` through an installed front end, say ``rydgate`` or
-``python -m rydgate.cli``, and checks its ``--output`` file by the same rule.
+``python -m rydgate.cli``, requires it to exit 0 with empty stdout and stderr
+(so a stray NumPy warning fails), and checks its ``--output`` file by the same rule.
 It then runs ``FAILING``, a calibration with no sign change, and checks that
 it exits 3 with empty stdout and the golden stderr, byte for byte.
 With no front end it prints its usage and exits 2.
@@ -101,6 +102,22 @@ def test_script_without_front_end_prints_usage():
     assert (result.returncode, result.stdout, result.stderr) == (2, "", USAGE + "\n")
 
 
+def test_script_fails_a_command_that_writes_to_stderr(tmp_path):
+    # A front end that warns on stderr, then runs the CLI: the output would match.
+    warning = "import sys, runpy; sys.stderr.write('RuntimeWarning: stray\\n'); "
+    warning += "runpy.run_module('rydgate.cli', run_name='__main__')"
+    src = os.path.dirname(os.path.dirname(rydgate.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, __file__, sys.executable, "-c", warning],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode != 0
+    assert "AssertionError" in result.stderr and "RuntimeWarning: stray" in result.stderr
+    assert result.stdout == ""  # it failed on the first command
+
+
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         print(USAGE, file=sys.stderr)
@@ -108,7 +125,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS.items():
             out_path = Path(tmp) / name
-            subprocess.run([*sys.argv[1:], *argv, "--output", str(out_path)], check=True)
+            result = subprocess.run([*sys.argv[1:], *argv, "--output", str(out_path)], capture_output=True)
+            assert (result.returncode, result.stdout, result.stderr) == (0, b"", b""), (name, result)
             assert_matches_golden(name, out_path.read_bytes())
             print(f"{name}: matches the golden")
     name, argv = FAILING
