@@ -1,10 +1,9 @@
 """Propagation kernels.
 
 The NumPy implementation in ``pure`` is the only backend; this package
-re-exports its three functions, which take stacks (leading axes index
+re-exports its two functions, which take stacks (leading axes index
 gates or segments):
 
-- ``expm_hermitian(h, t)``: (..., n, n) with ``t`` over ``...`` -> (..., n, n)
 - ``sequence_product(w, v, durations, order)``: (..., d, n), (..., d, n, n), (..., d), (k,) -> (..., n, n)
 - ``weighted_population_integral(w, v, durations, order, psi0, weights, samples_per_segment)``:
   (d, n), (d, n, n), (d,), (k,), (m, n) initial states, (n,) -> (m,) integrals by the
@@ -26,6 +25,5 @@ from rydgate._kernels import pure
 
 BACKEND = "pure"
 
-expm_hermitian = pure.expm_hermitian
 sequence_product = pure.sequence_product
 weighted_population_integral = pure.weighted_population_integral

@@ -23,11 +23,6 @@ def _steps(w, v, t):
     return (v * np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))[..., None, :]) @ v_dagger
 
 
-def expm_hermitian(h, t):
-    """exp(-i*h*t) of (..., n, n) Hermitian matrices; ``t`` broadcasts over ``h.shape[:-2]``."""
-    return _steps(*np.linalg.eigh(h), t)
-
-
 def sequence_product(w, v, durations, order):
     """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
 

@@ -114,7 +114,7 @@ def controlled_phase(phases):
     return wrap_angle(phase_combination(phases))
 
 
-def _grid_index(big_a, z):
+def _grid_pass(big_a, z):
     """Index of the ``_GRID`` angle maximizing f = sum sqrt(A + 2 Re(z e^{ia})) over the pairs
     of ``_local_z_angle``, in real arithmetic: h^2 is clamped at 0, which rounding can cross."""
     h = z.real[..., None] * _TWO_COS - z.imag[..., None] * _TWO_SIN
@@ -123,14 +123,25 @@ def _grid_index(big_a, z):
     return np.argmax(h[..., 0, :] + h[..., 1, :], axis=-1)
 
 
+def _grid_index(big_a, z):
+    """``_grid_pass``, 16 gates a pass: a (gates, 2, 256) temporary of 128 KiB or more is
+    mapped and unmapped by glibc's malloc each time, and every pass faults its pages in afresh."""
+    chunk = 16
+    if z.size <= 2 * chunk:
+        return _grid_pass(big_a, z)
+    shape, big_a, z = z.shape[:-1], big_a.reshape(-1, 2), z.reshape(-1, 2)
+    passes = [_grid_pass(big_a[i : i + chunk], z[i : i + chunk]) for i in range(0, len(z), chunk)]
+    return np.concatenate(passes).reshape(shape)
+
+
 #: Grid cells around the midpoint of the two pairs' peaks that ``_windowed_grid_index`` scores.
 _WINDOW = 16
 
 
 def _windowed_grid_index(big_a, z):
-    """``_grid_index`` of (n, 2) pairs, bit for bit: where a bound certifies it, the argmax of
-    the ``_WINDOW`` cells around the midpoint of the pairs' peaks, else (far-apart peaks, flat
-    pairs, non-finite gates) that of ``_grid_index`` itself, run ``CHUNK`` gates at a time.
+    """``_grid_index`` of a Monte-Carlo block's (n, 2) pairs, bit for bit: where a bound certifies
+    it, the argmax of the ``_WINDOW`` cells around the midpoint of the pairs' peaks, else (far-apart
+    peaks, flat pairs, non-finite gates) that of ``_grid_index`` itself.
 
     Pair p's term T_p(d) = sqrt(max(A_p + 2|z_p| cos d, 0)) falls with the distance d from its
     peak -arg z_p up to pi. With both peaks a cell inside the window, a cell beyond it scores at
@@ -162,8 +173,7 @@ def _windowed_grid_index(big_a, z):
             index[gates] = np.where(f == best, cols, cells).min(axis=0)
             near[gates] &= best > np.maximum(np.maximum(f[0], f[-1]), antipodes[gates]) + slack[gates]
     rest = np.flatnonzero(~near)
-    for i in range(0, len(rest), chunk):
-        index[rest[i : i + chunk]] = _grid_index(big_a[rest[i : i + chunk]], z[rest[i : i + chunk]])
+    index[rest] = _grid_index(big_a[rest], z[rest])
     return index
 
 
@@ -197,9 +207,10 @@ def _fidelity_terms(u):
 
 
 def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid_index):
-    """The fidelity array of ``_fidelity_terms``; rotates c's |11> column by the target in place."""
+    """The fidelity array of ``_fidelity_terms``, which it leaves unchanged."""
     if not (np.isfinite(c).all() and np.isfinite(tr_mm).all()):  # before the local-Z search warns on it
         raise ValueError("fidelity functional out of range: a gate is not finite")
+    c = c.copy()
     # Not in place: NumPy rounds an in-place product of one element unlike longer ones.
     c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
     if compensate:
@@ -213,12 +224,6 @@ def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid
     if not (fidelity <= 1.0 + 1e-9).all():
         raise ValueError(f"fidelity functional out of range: {np.max(fidelity)}")
     return np.minimum(fidelity, 1.0)
-
-
-def _batch_fidelity(c, tr_mm, target_phi):
-    """``_fidelity_functional`` of a batch, each gate's grid index from its certified window:
-    the bits of one ``fidelity_cphase`` call per gate."""
-    return _fidelity_functional(c, tr_mm, target_phi, grid_index=_windowed_grid_index)
 
 
 def fidelity_cphase(u, target_phi, compensate=True):

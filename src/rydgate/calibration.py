@@ -6,10 +6,9 @@ the sign-change interval of the wrapped phase error nearest the seed, and
 solves for the root there by Anderson-Bjorck regula falsi. Sweeps and the scan
 batch rows from ``geometric_controls`` and keep only what each propagator stack's
 columns read: its raw diagonal U_bb, and for sweeps Tr(M M^dag) and the largest
-leakage. Phases, and a sweep's fidelities (``analysis._batch_fidelity``, the Monte-Carlo
-block scorer, ``robustness.SAMPLE_BLOCK`` gates a call), are computed once per batch with
-the bits of one call per stack. A failed calibration completes and reports its
-controlled-phase column; each solver step builds one ``geometric_sequence``.
+leakage. Phases, and a sweep's fidelities on the full local-Z grid, are computed once
+per batch with the bits of one call per stack. A failed calibration completes and
+reports its controlled-phase column; each solver step builds one ``geometric_sequence``.
 Identical inputs give bit-identical tables.
 """
 
@@ -19,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate import robustness
 from rydgate.analysis import (
     _INDICES,
-    _batch_fidelity,
+    _fidelity_functional,
     _fidelity_terms,
     _leakage,
     _phases,
@@ -96,16 +94,14 @@ def sweep_kappa(k_min, k_max, n):
     kappas = np.linspace(k_min, k_max, n)
     rows, durations = geometric_controls(kappas, 1.0)
     gate_times = durations.sum(axis=-1)
-    diagonals, tr_mm, leakage, fidelity = np.empty((n, 4), dtype=complex), np.empty(n), np.empty(n), np.empty(n)
+    diagonals, tr_mm, leakage = np.empty((n, 4), dtype=complex), np.empty(n), np.empty(n)
     stop = 0
     for u in batch_unitaries(rows, durations):
         start, stop = stop, stop + len(u)
         diagonals[start:stop], tr_mm[start:stop] = _fidelity_terms(u)
         leakage[start:stop] = _leakage(u).max(axis=-1)
-    unwrapped = phase_combination(np.arctan2(diagonals.imag, diagonals.real).T)  # before the scorer rotates |11>
-    for i in range(0, n, robustness.SAMPLE_BLOCK):  # bounded temporaries for any n
-        block = slice(i, i + robustness.SAMPLE_BLOCK)
-        fidelity[block] = _batch_fidelity(diagonals[block], tr_mm[block], math.pi)
+    unwrapped = phase_combination(np.arctan2(diagonals.imag, diagonals.real).T)
+    fidelity = _fidelity_functional(diagonals, tr_mm, math.pi)
     columns = (c.tolist() for c in (wrap_angle(unwrapped), unwrapped, leakage, fidelity))
     return [
         SweepRecord(kappa, 1.0 / kappa, gate_time / math.pi, *values)

@@ -27,14 +27,13 @@ live in ``rydgate.propagation``.
 
 import numpy as np
 
-from rydgate.statespace import Level
-
-# Per-atom operators of the three drive columns: the two quadratures of the
-# |1>-|r> coupling and the Rydberg projector |r><r|.
+# Per-atom operators of the three drive columns on levels |0>, |1>, |r> (codes 0, 1, 2): the
+# two quadratures of the |1>-|r> coupling and the Rydberg projector |r><r|.
+_G1, _RYD = 1, 2
 _ATOM = np.zeros((3, 3, 3), dtype=np.complex128)
-_ATOM[:2, Level.G1, Level.RYD] = 0.5, 0.5j
-_ATOM[:2, Level.RYD, Level.G1] = 0.5, -0.5j
-_ATOM[2, Level.RYD, Level.RYD] = 1.0
+_ATOM[:2, _G1, _RYD] = 0.5, 0.5j
+_ATOM[:2, _RYD, _G1] = 0.5, -0.5j
+_ATOM[2, _RYD, _RYD] = 1.0
 #: (7, 9, 9) Hermitian operators, one per control-row column; the last is |rr><rr|.
 OPERATORS = np.stack(
     [np.kron(op, np.eye(3)) for op in _ATOM]

@@ -14,9 +14,9 @@ parallel execution cannot change them. ``_noise_draws`` hashes a block of i at
 once, in uint32 arithmetic on an index array, and NumPy seeds each sample's PCG64
 from its hashed words: no generator state is written. A ``SAMPLE_BLOCK``'s gates
 keep only their raw computational diagonal U_bb and Tr(M M^dag) (72 B); the phase errors
-and ``analysis._batch_fidelity``, the batch scorer that sweeps share (the local-Z search on
-a certified grid window, and the fidelity), run once per block, with the bits of one call
-per propagator stack. Only each sample's fidelity and phase error (16 B) outlive its block.
+and the fidelities, searched on a certified window of the local-Z grid (used here alone),
+run once per block, with the bits of one call per propagator stack. Only each sample's
+fidelity and phase error (16 B) outlive its block.
 """
 
 import itertools
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.analysis import _batch_fidelity, _fidelity_terms, _phases, controlled_phase
+from rydgate.analysis import _fidelity_functional, _fidelity_terms, _phases, _windowed_grid_index, controlled_phase
 from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
 from rydgate.propagation import batch_unitaries, sequence_unitary
 from rydgate.protocols import protocol_sequence
@@ -185,10 +185,10 @@ def _noisy_controls(rows, noise, indices):
 
 
 def _block_statistics(diagonals, tr_mm, target):
-    """Per-gate ``fidelity_cphase`` and |phase error| against ``target``, with their bits, from
-    ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``; overwrites the |11> column."""
+    """Per-gate ``fidelity_cphase``, searched on the certified window, and |phase error| against
+    ``target``, with their bits, from ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``."""
     phase_errors = np.abs(wrap_angle(controlled_phase(np.arctan2(diagonals.imag, diagonals.real).T) - target))
-    return _batch_fidelity(diagonals, tr_mm, target), phase_errors
+    return _fidelity_functional(diagonals, tr_mm, target, grid_index=_windowed_grid_index), phase_errors
 
 
 def _summary(fidelities, phase_errors):

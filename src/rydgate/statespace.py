@@ -12,20 +12,11 @@ user-chosen reference unit and times are in the inverse unit (hbar = 1).
 """
 
 import math
-from enum import IntEnum
 
 import numpy as np
 
 #: Indices of the computational product states |00>, |01>, |10>, |11>.
 COMPUTATIONAL_INDICES = (0, 1, 3, 4)
-
-
-class Level(IntEnum):
-    """Single-atom level: ground qubit states and the Rydberg state."""
-
-    G0 = 0
-    G1 = 1
-    RYD = 2
 
 
 def rydberg_excitation_counts():

@@ -13,12 +13,13 @@ def rng():
 
 @pytest.fixture
 def fallback(monkeypatch):
-    """The gate count of each call by which the batch scorer (Monte-Carlo blocks and
-    sweeps) leaves its local-Z window for the full grid."""
+    """The gate count of each call by which the Monte-Carlo block step leaves its
+    local-Z window for the full grid."""
     counts = []
 
     def recorded(big_a, z):
-        counts.append(len(z))
+        if len(z):
+            counts.append(len(z))
         return _grid_index(big_a, z)
 
     monkeypatch.setattr(analysis, "_grid_index", recorded)

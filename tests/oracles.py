@@ -10,8 +10,10 @@ written out in the symmetric basis. Drives are read by attribute (``rabi``,
 ``h_full`` is one exception: it is the package's own Hamiltonian of one
 segment, lowered by ``PulseSequence`` and assembled by ``hamiltonians``, kept
 here because only the tests call it and check it against the oracles.
-``sequence_product_from_identity`` is another: it exponentiates with the
-package's ``expm_hermitian`` and checks only how the steps are multiplied. So
+``expm_hermitian`` is another: it is the package's exponential step
+(``_kernels.pure._steps``) of one ``eigh``, kept here because only the tests call
+it. ``sequence_product_from_identity`` exponentiates with it and checks only how
+the steps are multiplied. So
 is ``quadrature_fidelity_moments``, which propagates and scores the gates of
 its own noise rows with the package and checks the noise model and statistics,
 and so is ``hermite_fidelity_moments``, its rule with fewer gates.
@@ -24,7 +26,9 @@ stopping early, picks the interval a scan of the whole grid picks.
 ``per_chunk_monte_carlo`` scores each propagator stack as it comes, with the
 package's draws, propagation, fidelity and statistics, and checks only that
 scoring a whole block of samples at once keeps every bit. ``per_stack_sweep``
-and ``per_stack_scan_phases`` do the same for sweeps and calibration scans.
+and ``per_stack_scan_phases`` score each stack of a sweep or calibration scan
+with the public ``phases_and_leakage`` and ``fidelity_cphase``, and check only
+that the private terms the package reads keep every bit.
 """
 
 import cmath
@@ -33,7 +37,8 @@ import math
 
 import numpy as np
 
-from rydgate._kernels import expm_hermitian, weighted_population_integral
+from rydgate._kernels import weighted_population_integral
+from rydgate._kernels.pure import _steps
 from rydgate import calibration, robustness
 from rydgate.analysis import (
     RYDBERG_TIME_SAMPLES,
@@ -146,6 +151,11 @@ def hamiltonians_by_einsum(controls):
     gather must match bit for bit."""
     real = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
     return real.view(np.complex128)
+
+
+def expm_hermitian(h, t):
+    """exp(-i*h*t) of (..., n, n) Hermitian matrices; ``t`` broadcasts over ``h.shape[:-2]``."""
+    return _steps(*np.linalg.eigh(h), t)
 
 
 def sequence_product_from_identity(hams, durations, order):

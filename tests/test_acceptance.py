@@ -17,6 +17,7 @@ from oracles import (
     antisymmetric_rr_state,
     controlled_flip_family,
     embed_two_qubit,
+    expm_hermitian,
     h_block_11,
     h_direct,
     h_full,
@@ -34,7 +35,6 @@ from rydgate.analysis import (
 )
 from rydgate.calibration import calibrate_kappa, sweep_kappa
 from rydgate.cli import main as cli_main
-from rydgate._kernels import expm_hermitian
 from rydgate.propagation import DriveParams, PulseSequence, sequence_unitary
 from rydgate.protocols import (
     BlockadeProtocolParams,

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_segment
 from oracles import (
     embed_two_qubit,
+    expm_hermitian,
     golden_section_fidelity,
     grid_argmax,
     h_direct,
@@ -20,6 +21,7 @@ from rydgate.analysis import (
     _GRID,
     _TWO_COS,
     _TWO_SIN,
+    _fidelity_functional,
     _fidelity_terms,
     _grid_index,
     _phases,
@@ -134,7 +136,7 @@ class TestControlledPhase:
     def test_zz_gate_controlled_phase(self):
         j = 1.0
         t = math.pi / j
-        u = embed_two_qubit(_kernels.expm_hermitian(h_direct("zz", j), t))
+        u = embed_two_qubit(expm_hermitian(h_direct("zz", j), t))
         phi_c = controlled_phase(phases_and_leakage(u).phases)
         assert abs(phi_c) == pytest.approx(math.pi, abs=1e-10)
 
@@ -142,7 +144,7 @@ class TestControlledPhase:
         # |phi_c| = J*t for the Ising coupling, up to the wrap at pi.
         j = 1.3
         for t in (0.2, 0.9, math.pi / j):
-            u = embed_two_qubit(_kernels.expm_hermitian(h_direct("zz", j), t))
+            u = embed_two_qubit(expm_hermitian(h_direct("zz", j), t))
             phi_c = controlled_phase(phases_and_leakage(u).phases)
             assert abs(phi_c) == pytest.approx(j * t, abs=1e-10)
 
@@ -190,7 +192,7 @@ class TestFidelity:
         # controlled flip: the inner block swaps |01> and |10> with phase i.
         j = 1.0
         t = math.pi / (4 * j)
-        u = _kernels.expm_hermitian(h_direct("xy", j), t)
+        u = expm_hermitian(h_direct("xy", j), t)
         expected = np.array(
             [
                 [1, 0, 0, 0],
@@ -226,7 +228,23 @@ class TestFidelity:
         with pytest.raises(ValueError, match="^fidelity functional out of range"):
             fidelity_cphase(np.array([np.eye(9), u]), math.pi)
         with pytest.raises(ValueError, match="^fidelity functional out of range"):
-            analysis._batch_fidelity(*_fidelity_terms(np.array([np.eye(9), u, np.eye(9)])), math.pi)
+            terms = _fidelity_terms(np.array([np.eye(9), u, np.eye(9)]))
+            _fidelity_functional(*terms, math.pi, grid_index=analysis._windowed_grid_index)
+
+    @pytest.mark.parametrize("compensate", [True, False])
+    def test_the_functional_leaves_its_terms_unchanged(self, rng, compensate):
+        # So a caller may take phases from the diagonals before or after scoring them.
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        u = sequence_unitary(geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)))
+        for gates, target, grid_indices in (
+            (u, math.pi, [_grid_index]),
+            (np.array([u, q]), np.array([math.pi, 2.1]), [_grid_index, analysis._windowed_grid_index]),
+        ):
+            c, tr_mm = _fidelity_terms(gates)
+            kept = c.tobytes(), tr_mm.tobytes()
+            for grid_index in grid_indices:
+                _fidelity_functional(c, tr_mm, target, compensate, grid_index)
+                assert (c.tobytes(), tr_mm.tobytes()) == kept
 
     def test_maximizer_matches_golden_section_oracle(self, rng):
         cases = []
@@ -303,6 +321,14 @@ class TestLocalZGrid:
         assert _grid_index_of(c) == grid_argmax(c, _GRID)
         assert math.isfinite(fidelity_cphase(_embed_diag(c), 0.0))
 
+    # The grid is searched 16 gates a pass.
+    @pytest.mark.parametrize("shape", [(1,), (16,), (17,), (CHUNK + 1,), (3, 15), (2, 3, 2 * CHUNK + 7)])
+    def test_chunked_search_gives_each_gates_index(self, rng, shape):
+        c = _random_diagonals(rng, math.prod(shape))[::2].reshape(shape + (4,))
+        index = _grid_index_of(c)
+        assert index.shape == shape
+        assert index.ravel().tolist() == [_grid_index_of(gate).item() for gate in c.reshape(-1, 4)]
+
     def test_clamp_keeps_nan_out_of_a_vanishing_pair(self, rng):
         # pytest turns RuntimeWarnings into errors, so a sqrt of a rounded-negative
         # h^2 fails here; these cases do round below 0 before the clamp.
@@ -324,7 +350,7 @@ class TestLocalZGrid:
             seen.append(windowed(big_a, z))
             return seen[-1]
 
-        monkeypatch.setattr(analysis, "_windowed_grid_index", recorded)
+        monkeypatch.setattr(robustness, "_windowed_grid_index", recorded)
         for target in (0.0, math.pi, 2.1):
             fidelities, phase_errors = robustness._block_statistics(*_fidelity_terms(u), target)
             for i, gate in enumerate(u):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from rydgate.calibration import (
     sweep_kappa,
 )
 from rydgate.propagation import CHUNK, PulseSequence
-from rydgate.protocols import gate_time_geometric
+from rydgate.protocols import GeometricProtocolParams, gate_time_geometric
 from rydgate.statespace import wrap_angle
 
 
@@ -123,8 +124,8 @@ def _bits(records):
 
 
 class TestBatchScoring:
-    """Sweeps and scans keep each stack's raw terms and score the whole batch at once,
-    with the bits of scoring each propagator stack as it comes."""
+    """Sweeps and scans keep each stack's raw terms and score the whole batch at once (a
+    sweep on the full local-Z grid), with the bits of scoring each propagator stack as it comes."""
 
     @pytest.mark.parametrize(
         "args",
@@ -145,11 +146,25 @@ class TestBatchScoring:
         assert np.array_equal(kappas, np.linspace(*bracket, calibration.CALIBRATION_SCAN_POINTS))
         assert phases.view(np.uint64).tolist() == per_stack_scan_phases(kappas, omega).view(np.uint64).tolist()
 
-    def test_readme_sweep_scores_32_gates_on_the_window(self, fallback):
-        # The README sweep's two pairs peak a median 37 grid cells apart: most gates
-        # fall back to the full grid. A change to the window changes this count.
+    def test_only_monte_carlo_blocks_enter_the_window(self, monkeypatch):
+        # The README sweep's two pairs peak a median 37 grid cells apart, so 168 of its 200
+        # gates would fail the window's certificate: sweeps search the full grid.
+        entered = []
+
+        def window(big_a, z):
+            entered.append(len(z))
+            raise AssertionError("entered the local-Z window")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rydgate" and hasattr(module, "_windowed_grid_index"):
+                monkeypatch.setattr(module, "_windowed_grid_index", window)
         sweep_kappa(0.2, 2.5, 200)
-        assert sum(fallback) == 168
+        assert entered == []
+        protocol = GeometricProtocolParams.from_omega(1.65, 1.0)
+        noise = robustness.NoiseModel.for_interaction(protocol.v, 1.0, 0.01, 0.005, 42)
+        with pytest.raises(AssertionError, match="window"):
+            robustness.monte_carlo_fidelity(protocol, noise, 20)
+        assert entered == [20]
 
 
 class TestCalibrateKappa:

@@ -8,6 +8,7 @@ from conftest import random_drive
 from oracles import (
     antisymmetric_rr_state,
     controlled_flip_family,
+    expm_hermitian,
     h_block_01,
     h_block_11,
     h_direct,
@@ -19,7 +20,6 @@ from oracles import (
     two_atom_hamiltonian_by_rules,
 )
 
-from rydgate._kernels import expm_hermitian
 from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import DriveParams, PulseSegment
 

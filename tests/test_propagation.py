@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import random_segment
 from oracles import (
+    expm_hermitian,
     h_full,
     random_hermitian,
     rk4_unitary,
@@ -19,7 +20,6 @@ from oracles import (
 )
 
 from rydgate import _kernels
-from rydgate._kernels import expm_hermitian
 from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
 from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import (

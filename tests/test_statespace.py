@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     antisymmetric_rr_state,
+    expm_hermitian,
     hermiticity_defect,
     random_hermitian,
     rk4_unitary,
@@ -13,17 +14,15 @@ from oracles import (
     unitarity_defect,
 )
 
-from rydgate._kernels import expm_hermitian
 from rydgate.statespace import (
     COMPUTATIONAL_INDICES,
-    Level,
     rydberg_excitation_counts,
     wrap_angle,
 )
 
 
 def test_computational_indices_are_row_major():
-    qubits = (Level.G0, Level.G1)
+    qubits = (0, 1)  # the level codes of |0> and |1>
     assert COMPUTATIONAL_INDICES == tuple(3 * a + b for a in qubits for b in qubits) == (0, 1, 3, 4)
 
 
