@@ -21,8 +21,9 @@ The full Hamiltonian is linear in the seven columns of a control row,
 Delta2, V), with ``OPERATORS`` as the basis. Each of its 162 real entries is
 fed by at most one column, except the |rr> diagonal Delta1 + Delta2 + V, so
 ``hamiltonians`` gathers each entry's column from a table derived from
-``OPERATORS`` instead of contracting with all seven. Schedules and their rows
-live in ``rydgate.propagation``.
+``OPERATORS`` instead of contracting with all seven; ``_real_parts`` gathers
+only the 81 real parts, all of a matrix whose sine columns are zero. Schedules
+and their rows live in ``rydgate.propagation``.
 """
 
 import numpy as np
@@ -56,18 +57,29 @@ _COEFFICIENT = _REAL[_COLUMN, np.arange(162)]
 _RR_ADDED = np.flatnonzero(_REAL[:, _RR])[1:].tolist()
 
 
-def hamiltonians(controls):
-    """Hamiltonians of a (..., 7) stack of control rows, shape (..., 9, 9)."""
+def _gather(controls, step):
+    """(n, 162 // step) floats of the Hamiltonians of (..., 7) control rows: the real view, or its real parts."""
     # Bit-equal to the contraction with OPERATORS in column order, for finite rows,
     # and, unlike a matrix product, never in BLAS, whose threaded gemm on a large
     # stack leaves OpenBLAS worker threads spinning on the other CPUs. The rows are
     # flattened to 2-D so that the |rr> adds run on one strided column, which NumPy
     # starts faster than a strided 2-D block.
     rows = controls.reshape(-1, 7)
-    real = np.take(rows, _COLUMN, axis=-1)
-    real *= _COEFFICIENT
-    rr = real[:, _RR]
+    entries = np.take(rows, _COLUMN[::step], axis=-1)
+    entries *= _COEFFICIENT[::step]
+    rr = entries[:, _RR // step]
     for column in _RR_ADDED:
         rr += rows[:, column]
-    real += 0.0  # the contraction's sums start at +0.0, so a -0.0 product reads 0.0
-    return real.view(np.complex128).reshape(controls.shape[:-1] + (9, 9))
+    entries += 0.0  # the contraction's sums start at +0.0, so a -0.0 product reads 0.0
+    return entries
+
+
+def hamiltonians(controls):
+    """Hamiltonians of a (..., 7) stack of control rows, shape (..., 9, 9)."""
+    return _gather(controls, 1).view(np.complex128).reshape(controls.shape[:-1] + (9, 9))
+
+
+def _real_parts(controls):
+    """``hamiltonians(controls).real``, bit for bit, as a contiguous (..., 9, 9) float64 stack of the 81 real
+    entries alone: for rows with zero sine columns, the whole matrices."""
+    return _gather(controls, 2).reshape(controls.shape[:-1] + (9, 9))

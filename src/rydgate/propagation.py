@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rydgate import _kernels
-from rydgate.hamiltonians import hamiltonians
+from rydgate.hamiltonians import _real_parts
 from rydgate.statespace import wrap_angle
 
 #: Gates per kernel call in ``batch_unitaries``. The call and the characterization of its
@@ -115,7 +115,7 @@ class PulseSequence:
         """Read-only (w, v, durations, order) of the distinct segments, h = v diag(w) v^dag."""
         rows, durations, order = distinct_segments(self.controls, self.durations)
         real, phases = _gauge(rows)
-        w, v = np.linalg.eigh(hamiltonians(real).real)
+        w, v = np.linalg.eigh(_real_parts(real))
         v = _gauged(v, phases)
         w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
         return w, v, durations, order
@@ -164,7 +164,7 @@ def batch_unitaries(controls, durations):
     real, _, shared = distinct_segments(real, np.zeros_like(durations))  # eigh needs no durations
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
-        w, v = np.linalg.eigh(hamiltonians(real[chunk]).real)
+        w, v = np.linalg.eigh(_real_parts(real[chunk]))
         v = _gauged(v[:, shared], None if phases is None else phases[chunk])
         yield _kernels.sequence_product(w[:, shared], v, durations[chunk], order)
 

@@ -10,13 +10,16 @@ parameters - control errors perturb the physics, not the program.
 Reproducibility: sample i draws from a PCG64 generator seeded with
 SeedSequence((seed, i)), taking eps_Omega then eps_R as standard normals.
 Per-sample substreams make results independent of evaluation order, so
-parallel execution cannot change them. ``_noise_draws`` hashes a block of i at
-once, in uint32 arithmetic on an index array, and NumPy seeds each sample's PCG64
-from its hashed words: no generator state is written. A ``SAMPLE_BLOCK``'s gates
-keep only their raw computational diagonal U_bb and Tr(M M^dag) (72 B); the phase errors
-and the fidelities, searched on a certified window of the local-Z grid (used here alone),
-run once per block, with the bits of one call per propagator stack. Only each sample's
-fidelity and phase error (16 B) outlive its block.
+parallel execution cannot change them. ``_noise_draws`` gives these bits from
+array arithmetic: the SeedSequence hash, PCG64's first outputs and the fast path
+of NumPy's ziggurat, with tables probed from NumPy (``rydgate._ziggurat``). The
+~3 % of samples with a draw off that path, and one fast sample as a check, go
+through ``Generator``; a NumPy that draws otherwise raises ``RuntimeError``.
+A ``SAMPLE_BLOCK``'s gates keep only their raw computational diagonal U_bb and
+Tr(M M^dag) (72 B); the phase errors and the fidelities, searched on a certified
+window of the local-Z grid (used here alone), run once per block, with the bits
+of one call per propagator stack. Only each sample's fidelity and phase error
+(16 B) outlive its block.
 """
 
 import itertools
@@ -138,9 +141,8 @@ def _seed_states(seed, indices):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _noise_draws(seed, indices):
-    """(n, 2) draws (eps_Omega, eps_R): for each of the n ``indices`` i < 2**32, the first
-    two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
+def _generator_draws(words):
+    """(n, 2) first two standard normals of ``Generator(PCG64)`` seeded from each row of ``_seed_states``."""
     from numpy.random import Generator, PCG64  # here: numpy.random adds ~20 ms to any start-up
     from numpy.random.bit_generator import ISeedSequence
 
@@ -153,9 +155,55 @@ def _noise_draws(seed, indices):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    draws = np.empty((len(indices), 2))
-    for row, words in zip(draws, _seed_states(operator.index(seed), indices)):
-        Generator(PCG64(HashedWords(words))).standard_normal(out=row)
+    draws = np.empty((len(words), 2))
+    for row, row_words in zip(draws, words):
+        Generator(PCG64(HashedWords(row_words))).standard_normal(out=row)
+    return draws
+
+
+def _pcg_outputs(words, multiplier):
+    """(n, 2) first two outputs of PCG64 seeded from (n, 4) ``_seed_states`` rows, as 128-bit LCG steps on uint64
+    (high, low) pairs, the product's high word from 32-bit limbs: inc = (w2:w3 << 1) | 1, state = inc + w0:w1,
+    one step; each output takes one more step and applies XSL-RR."""
+    m_hi, m_lo = np.uint64(multiplier >> 64), np.uint64(multiplier & 2**64 - 1)
+    m0, m1 = m_lo & _MASK32, m_lo >> 32
+    inc = (words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1
+
+    def add(hi, lo, b_hi, b_lo):
+        total = lo + b_lo
+        return hi + b_hi + (total < lo), total
+
+    def step(hi, lo):
+        l0, l1 = lo & _MASK32, lo >> 32
+        p01, p10 = l0 * m1, l1 * m0
+        mid = (l0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        return add(l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * m_hi + hi * m_lo, lo * m_lo, *inc)
+
+    state, outputs = step(*add(*inc, words[:, 0], words[:, 1])), np.empty((len(words), 2), np.uint64)
+    for column in outputs.T:
+        state = step(*state)
+        x, rotation = state[0] ^ state[1], state[0] >> 58
+        column[:] = (x >> rotation) | (x << ((64 - rotation) & 63))
+    return outputs
+
+
+def _noise_draws(seed, indices):
+    """(n, 2) draws (eps_Omega, eps_R): for each of the n ``indices`` i < 2**32, the first
+    two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
+    from rydgate._ziggurat import KI, MULTIPLIER, WI  # here: only the Monte-Carlo draws need them
+
+    words = _seed_states(operator.index(seed), indices)
+    r = _pcg_outputs(words, MULTIPLIER)
+    layer, rabs = r & 0xFF, (r >> 9) & (2**52 - 1)  # the ziggurat's fast path: rabs * WI where rabs < KI
+    draws = rabs * WI[layer]
+    np.negative(draws, out=draws, where=(r & 0x100).astype(bool))
+    fast = np.all(rabs < KI[layer], axis=1)
+    # Samples off the fast path, and the first on it as a check of the tables, come from Generator.
+    checked, slow = np.flatnonzero(fast)[:1], np.flatnonzero(~fast)
+    exact = _generator_draws(words[np.concatenate([checked, slow])])
+    if not np.array_equal(exact[: len(checked)].view(np.uint64), draws[checked].view(np.uint64)):
+        raise RuntimeError(f"NumPy {np.__version__} draws unlike rydgate._ziggurat: see tests/make_ziggurat_tables.py")
+    draws[slow] = exact[len(checked) :]
     return draws
 
 

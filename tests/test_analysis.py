@@ -692,7 +692,7 @@ class TestOneDiagonalisation:
     def test_analyze_gate_diagonalises_once(self, monkeypatch, seq):
         seq = PulseSequence(seq.segments)  # nothing computed yet
         eigh = self._count(monkeypatch, np.linalg, "eigh")
-        hams = self._count(monkeypatch, rydgate.propagation, "hamiltonians")
+        hams = self._count(monkeypatch, rydgate.propagation, "_real_parts")
         distinct = self._count(monkeypatch, rydgate.propagation, "distinct_segments")
         report = analyze_gate(seq)
         assert (len(eigh), len(hams), len(distinct)) == (1, 1, 1)

@@ -20,7 +20,7 @@ from oracles import (
     two_atom_hamiltonian_by_rules,
 )
 
-from rydgate.hamiltonians import hamiltonians
+from rydgate.hamiltonians import _real_parts, hamiltonians
 from rydgate.propagation import DriveParams, PulseSegment
 
 
@@ -226,3 +226,14 @@ class TestGather:
         before = rows.copy()
         hamiltonians(rows)
         assert np.array_equal(rows.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (40, 7), (5, 3, 7), (64, 2, 7)])
+    def test_real_parts_are_the_real_view(self, rng, shape):
+        # The gather eigh reads: 81 floats a matrix, one contiguous stack, with the signed-zero
+        # rule and the |rr> sums of ``hamiltonians``, on rows with and without sine columns.
+        for _ in range(20):
+            rows = _extreme_rows(rng, shape)
+            for stack in (rows, np.where(np.isin(np.arange(7), (1, 4)), -0.0, rows)):
+                real = _real_parts(stack)
+                assert real.shape == shape[:-1] + (9, 9) and real.dtype == np.float64 and real.flags.c_contiguous
+                assert np.array_equal(real.view(np.uint64), hamiltonians(stack).real.view(np.uint64))

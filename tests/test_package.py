@@ -72,6 +72,11 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert _fresh_interpreter("import sys, rydgate.cli; print('numpy.random' in sys.modules)") == "False"
 
 
+def test_cli_import_leaves_the_ziggurat_tables_unloaded():
+    # Only the Monte-Carlo draws read them; the other commands do not compile the module.
+    assert _fresh_interpreter("import sys, rydgate.cli; print('rydgate._ziggurat' in sys.modules)") == "False"
+
+
 def test_public_names_are_pinned_and_resolve():
     # A name added to or dropped from the public surface must be added here too.
     assert sorted(rydgate.__all__) == PUBLIC_NAMES

@@ -3,11 +3,12 @@
 import math
 import tracemalloc
 
+import make_ziggurat_tables
 import numpy as np
 import pytest
 from oracles import hermite_fidelity_moments, per_chunk_monte_carlo, quadrature_fidelity_moments, sample_eps
 
-from rydgate import propagation, robustness
+from rydgate import _ziggurat, propagation, robustness
 from rydgate.calibration import sweep_kappa
 from rydgate.protocols import BlockadeProtocolParams, GeometricProtocolParams, geometric_sequence
 from rydgate.robustness import (
@@ -207,6 +208,57 @@ class TestMonteCarlo:
         noise = _noise(v=protocol.v, sigma_omega=0.01, seed=2024)
         stats = monte_carlo_fidelity(protocol, noise, 2000)
         assert 1.0 - stats.mean_fidelity == pytest.approx(ANCHOR_MEAN_INFIDELITY, abs=1e-9)
+
+
+class TestBulkDraws:
+    """``_noise_draws`` computes PCG64 and the ziggurat's fast path on arrays, with the bits of
+    one ``Generator`` per sample, which still draws a sample that leaves the fast path."""
+
+    def test_committed_tables_match_the_installed_numpy(self):
+        # Every entry, re-probed: wi[idx] is the draw at rabs = 1; rabs = ki[idx] - 1 stays on
+        # the fast path and ki[idx] leaves it (layer 1 has ki = 0: it is never fast).
+        assert _ziggurat.MULTIPLIER == make_ziggurat_tables.MULTIPLIER
+        assert _ziggurat.KI.dtype == np.uint64 and _ziggurat.KI.shape == _ziggurat.WI.shape == (256,)
+        for idx, (ki, wi) in enumerate(zip(_ziggurat.KI.tolist(), _ziggurat.WI.tolist())):
+            x, _ = make_ziggurat_tables.probe(1 << 9 | idx)
+            assert np.float64(x).view(np.uint64) == np.float64(wi).view(np.uint64), idx
+            assert not make_ziggurat_tables.probe(ki << 9 | idx)[1], idx
+            assert ki == 0 or make_ziggurat_tables.probe((ki - 1) << 9 | idx)[1], idx
+
+    @pytest.mark.parametrize("seed", [7, 2**40 + 3])
+    def test_bulk_draws_match_one_generator_per_sample(self, seed):
+        # 50,000 samples a seed, 100,000 in all: the first indices and the last, up to 2**32 - 1.
+        indices = np.array([*range(25_000), *range(2**32 - 25_000, 2**32)], dtype=np.uint32)
+        want = robustness._generator_draws(robustness._seed_states(seed, indices))
+        assert np.array_equal(_noise_draws(seed, indices).view(np.uint64), want.view(np.uint64))
+
+    # (seed 3, i) found by search: which of the sample's two outputs fail rabs < ki[idx].
+    # Layer 0's slow path is the normal tail, at 5606 and 4711.
+    @pytest.mark.parametrize(
+        "indices, slow",
+        [([290, 297, 5606], [True, False]), ([100, 105, 4711], [False, True]), ([6132, 6910], [True, True])],
+        ids=["first", "second", "both"],
+    )
+    def test_a_sample_off_the_fast_path_is_drawn_by_generator(self, monkeypatch, indices, slow):
+        words = robustness._seed_states(3, np.array(indices))
+        r = robustness._pcg_outputs(words, _ziggurat.MULTIPLIER)
+        assert (((r >> 9) & (2**52 - 1)) >= _ziggurat.KI[r & 0xFF]).tolist() == [slow] * len(indices)
+        generated, generator_draws = [], robustness._generator_draws
+
+        def counted(rows):
+            generated.append(len(rows))
+            return generator_draws(rows)
+
+        monkeypatch.setattr(robustness, "_generator_draws", counted)
+        got = _noise_draws(3, np.array([0, *indices]))  # sample 0 takes the fast path and is checked
+        assert generated == [1 + len(indices)]
+        want = np.array([sample_eps(3, i) for i in [0, *indices]])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_different_generator_stream_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(_ziggurat, "WI", np.nextafter(_ziggurat.WI, 1.0))
+        with pytest.raises(RuntimeError, match=f"^NumPy {np.__version__} draws unlike rydgate._ziggurat"):
+            _noise_draws(42, np.arange(10))
 
 
 class TestBlocks:
