@@ -4,12 +4,13 @@ The NumPy implementation in ``pure`` is the only backend; this package
 re-exports its two functions, which take stacks (leading axes index
 gates or segments):
 
-- ``sequence_product(w, v, durations, order)``: (..., d, n), (..., d, n, n), (..., d), (k,) -> (..., n, n)
-- ``weighted_population_integral(w, v, durations, order, psi0, weights, samples_per_segment)``:
-  (d, n), (d, n, n), (d,), (k,), (m, n) initial states, (n,) -> (m,) integrals by the
-  trapezoid rule on ``samples_per_segment`` intervals per segment, summed in closed
-  form in each segment's eigenbasis; ``analysis.rydberg_time`` passes
-  ``analysis.RYDBERG_TIME_SAMPLES``
+- ``sequence_product(w, v, durations, order, partials=False)``: (..., d, n), (..., d, n, n), (..., d),
+  (k,) -> (..., n, n), or with ``partials`` the (k, ..., n, n) running products U_j ... U_1
+- ``weighted_population_integral(w, v, durations, order, partials, psi0, weights, samples_per_segment)``:
+  (d, n), (d, n, n), (d,), (k,), (k, n, n) running products, (m, n) initial states, (n,) -> (m,)
+  integrals by the trapezoid rule on ``samples_per_segment`` intervals per segment, summed in
+  closed form in each segment's eigenbasis from the state at its start, without propagating
+  again; ``analysis.rydberg_time`` passes ``analysis.RYDBERG_TIME_SAMPLES``
 
 ``w, v`` (the eigensystems of ``hamiltonians(rows)``, from real matrices), ``durations`` and ``order``
 describe a schedule's d distinct segments and each segment's index into them (``propagation.distinct_segments``).

@@ -23,20 +23,26 @@ def _steps(w, v, t):
     return (v * np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))[..., None, :]) @ v_dagger
 
 
-def sequence_product(w, v, durations, order):
+def sequence_product(w, v, durations, order, partials=False):
     """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
 
     ``w`` (..., d, n) and ``v`` (..., d, n, n) hold the eigensystems of each gate's
     distinct segment generators, ``durations`` (..., d) their durations, broadcast
     against ``w.shape[:-1]``, and ``order`` each segment's index into them, first
     segment first. Returns the (..., n, n) propagators, a new array: the product
-    starts from the first segment's step, not from the identity.
+    starts from the first segment's step, not from the identity. With ``partials``,
+    returns the (k, ..., n, n) running products U_1, U_2 U_1, ..., U instead.
     """
     steps = _steps(w, v, durations)
     first, *rest = order
     u = steps[..., first, :, :]
+    products = [u]
     for j in rest:
         u = steps[..., j, :, :] @ u
+        if partials:
+            products.append(u)
+    if partials:
+        return np.array(products)
     return u if rest else u.copy()
 
 
@@ -57,31 +63,27 @@ def _trapezoid_factor(w, h, n):
     return h * d * np.exp(1j * n * r)
 
 
-def weighted_population_integral(w, v, durations, order, psi0, weights, samples_per_segment):
+def weighted_population_integral(w, v, durations, order, partials, psi0, weights, samples_per_segment):
     """Trapezoidal time integrals of a weighted population along a sequence.
 
-    Propagates each of the (m, n) initial states ``psi0`` through the schedule
-    whose segment j is generated by v diag(w) v^dag at index ``order[j]`` of the
-    distinct segments' (d, n) ``w``, (d, n, n) ``v`` and (d,) ``durations``, and
-    integrates sum_i weights[i]*|psi_i(t)|^2 by the trapezoid rule on a uniform
-    grid of ``samples_per_segment`` intervals per segment. Returns the (m,) integrals.
+    Segment j of the schedule is generated by v diag(w) v^dag at index ``order[j]``
+    of the distinct segments' (d, n) ``w``, (d, n, n) ``v`` and (d,) ``durations``,
+    and ``partials`` holds the (k, n, n) running products U_j ... U_1 of
+    ``sequence_product``. Integrates sum_i weights[i]*|psi_i(t)|^2 for each of the
+    (m, n) initial states ``psi0`` by the trapezoid rule on a uniform grid of
+    ``samples_per_segment`` intervals per segment. Returns the (m,) integrals.
 
-    The sum is taken in closed form, not by sampling: in each segment's
-    eigenbasis, with c = V^dag psi and G = V^dag diag(weights) V, the population
-    is sum_jk conj(c_j) G_jk c_k e^{i(w_j - w_k)t}, and the trapezoid rule
-    weighs each beat by ``_trapezoid_factor``.
+    The sum is taken in closed form, without propagating again: in each segment's
+    eigenbasis, with c = V^dag psi for psi at its start (psi0, then U_j ... U_1 psi0)
+    and G = V^dag diag(weights) V, the population is sum_jk conj(c_j) G_jk c_k
+    e^{i(w_j - w_k)t}; the trapezoid rule weighs each beat by ``_trapezoid_factor``.
     """
-    steps = np.exp(-1j * _eigenphases(w, durations[:, None]))
-    v_dagger = v.conj().swapaxes(-1, -2)
-    psi = np.asarray(psi0, dtype=np.complex128)
-    total = np.zeros(psi.shape[0])
+    psi, order = np.asarray(psi0, dtype=np.complex128), list(order)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
         kernels = _trapezoid_factor(w, durations / samples_per_segment, samples_per_segment)
-        kernels *= v_dagger @ (weights[:, None] * v)
-        for j in order:
-            c = psi @ v[j].conj()
-            total += ((c.conj() @ kernels[j]) * c).sum(axis=-1).real
-            psi = (c * steps[j]) @ v[j].T
+        kernels *= v.conj().swapaxes(-1, -2) @ (weights[:, None] * v)
+        c = np.concatenate([psi[None], psi @ partials[:-1].swapaxes(-1, -2)]) @ v[order].conj()
+        total = ((c.conj() @ kernels[order]) * c).sum(axis=-1).real.sum(axis=0)
     if not np.isfinite(total).all():
         raise ValueError("a population integral overflows: the eigenvalue spread or the durations are out of range")
     return total

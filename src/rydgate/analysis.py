@@ -259,13 +259,14 @@ def rydberg_time(sequence):
 
     Single excitation counts once and the doubly-excited state twice. The
     integral is the trapezoid rule on ``RYDBERG_TIME_SAMPLES`` uniform
-    intervals per segment, summed in closed form in each distinct segment's eigenbasis.
+    intervals per segment, summed in closed form in each distinct segment's eigenbasis
+    from the states at each segment's start, read off the sequence's running products.
     """
     totals = _kernels.weighted_population_integral(
-        *sequence._eigensystem, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
+        *sequence._eigensystem, sequence._partials, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     with np.errstate(over="ignore"):
-        mean = np.mean(totals)
+        mean = totals.sum() / len(totals)  # np.mean's reduction
     if not np.isfinite(mean):
         raise ValueError(f"rydberg_time overflows: the mean of the per-state integrals is {mean}")
     return float(mean)
@@ -300,15 +301,17 @@ def analyze_gate(sequence, target_phi=math.pi):
     """
     _require_finite(target_phi, "target_phi")
     u = sequence_unitary(sequence)
-    extraction = phases_and_leakage(u)
-    unwrapped = phase_combination(extraction.phases)
+    diagonal, tr_mm = _fidelity_terms(u)
+    leakage = _leakage(u)
+    phases = tuple(np.arctan2(diagonal.imag, diagonal.real).tolist())
+    unwrapped = phase_combination(phases)
     return GateReport(
-        phases=extraction.phases,
+        phases=phases,
         controlled_phase=wrap_angle(unwrapped),
         controlled_phase_unwrapped=unwrapped,
-        leakage=extraction.leakage,
-        leakage_max=extraction.leakage_max,
-        fidelity=fidelity_cphase(u, math.remainder(target_phi, 2 * math.pi)),
+        leakage=tuple(leakage.tolist()),
+        leakage_max=float(leakage.max()),
+        fidelity=float(_fidelity_functional(diagonal, tr_mm, math.remainder(target_phi, 2 * math.pi))),
         gate_time=sequence.total_duration,
         pulse_area=pulse_area(sequence),
         rydberg_time=rydberg_time(sequence),

@@ -194,11 +194,15 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     point_distance = distance[::2].tolist()
     nearest = sorted(range(len(kappas)), key=point_distance.__getitem__)
     phases, errors = np.full_like(kappas, np.nan), np.full_like(kappas, np.nan)
-    rows, durations = geometric_controls(kappas, omega)  # checks every kappa, in grid order
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = omega / kappas
+        t = math.pi / np.hypot(kappas * v, v / 4)  # segment durations, to within rounding
+    if not ((v > 0) & (1e-300 < t) & (t < 1e300)).all():
+        geometric_controls(kappas, omega)  # raises for the first bad kappa in grid order
 
     def scan(points):
         diagonals, stop = np.empty((len(points), 4), dtype=complex), 0
-        for u in batch_unitaries(rows[points], durations[points]):
+        for u in batch_unitaries(*geometric_controls(kappas[points], omega)):
             start, stop = stop, stop + len(u)
             diagonals[start:stop] = u[:, _INDICES, _INDICES]
         phases[points] = wrap_angle(phase_combination(np.arctan2(diagonals.imag, diagonals.real).T))

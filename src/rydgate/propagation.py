@@ -7,10 +7,11 @@ jump is a new segment, not a kick. A sequence is lowered once, when built, to
 read-only (k, 7) ``controls`` rows of ``hamiltonians`` and (k,) ``durations``.
 
 A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
-diagonalised once. A sequence diagonalises its distinct segments on first use,
-for both ``sequence_unitary`` and ``analysis.rydberg_time``; ``batch_unitaries``
-does it per ``CHUNK`` gates, so memory stays bounded. Either route gives a gate
-the same bits, whatever batch it is in. Only real matrices are diagonalised:
+diagonalised once. A sequence diagonalises its distinct segments on first use and keeps
+the running products U_j ... U_1 of its one product loop, which ``sequence_unitary`` and
+``analysis.rydberg_time`` read; ``batch_unitaries`` works per ``CHUNK`` gates and keeps
+only the running product, so memory stays bounded. Either route gives a gate the same
+bits, whatever batch it is in. Only real matrices are diagonalised:
 H = D Hr D^dag with Hr real symmetric and D diagonal (``rydgate.hamiltonians`` says
 why), and a batch's segments that differ only in laser phase share one eigh of Hr.
 """
@@ -120,6 +121,13 @@ class PulseSequence:
         w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
         return w, v, durations, order
 
+    @functools.cached_property
+    def _partials(self):
+        """Read-only (k, 9, 9) running products U_j ... U_1 of ``_eigensystem``; the last is the gate."""
+        partials = _kernels.sequence_product(*self._eigensystem, partials=True)
+        partials.flags.writeable = False
+        return partials
+
 
 def _gauge(controls):
     """The real rows of (..., 7) control rows and the (..., 2) phases ``_gauged`` puts back,
@@ -171,4 +179,4 @@ def batch_unitaries(controls, durations):
 
 def sequence_unitary(sequence):
     """Time-ordered product U = U_k ... U_2 U_1 over the whole schedule, a new array."""
-    return _kernels.sequence_product(*sequence._eigensystem)
+    return sequence._partials[-1].copy()

@@ -85,18 +85,12 @@ class BlockadeProtocolParams:
 
 
 def geometric_sequence(params):
-    """Four-segment phase-toggled schedule of the geometric protocol."""
-    t = params.segment_duration
-    segments = tuple(
-        PulseSegment(
-            duration=t,
-            drive1=DriveParams(params.omega, -params.v / 2, phase),
-            drive2=DriveParams(params.omega, -params.v / 2, phase),
-            v=params.v,
-        )
-        for phase in GEOMETRIC_SEGMENT_PHASES
-    )
-    return PulseSequence(segments)
+    """Four-segment phase-toggled schedule of the geometric protocol: one drive per laser
+    phase, shared by both atoms and by the segments that repeat it."""
+    omega, v = params.omega, params.v
+    t = _segment_duration(omega, v)
+    drives = {phase: DriveParams(omega, -v / 2, phase) for phase in GEOMETRIC_SEGMENT_PHASES}
+    return PulseSequence(tuple(PulseSegment(t, drives[phase], drives[phase], v) for phase in GEOMETRIC_SEGMENT_PHASES))
 
 
 def blockade_pdp_sequence(params):

@@ -187,17 +187,25 @@ def _pcg_outputs(words, multiplier):
     return outputs
 
 
+def _ziggurat_fast_path(r):
+    """NumPy's ziggurat fast path on raw PCG64 outputs ``r``: the draws rabs * WI[idx], negated
+    where the sign bit is set, and whether each output takes the path, rabs < KI[idx]."""
+    from rydgate._ziggurat import KI, WI  # here: only the Monte-Carlo draws need them
+
+    layer, rabs = r & 0xFF, (r >> 9) & (2**52 - 1)
+    draws = rabs * WI[layer]
+    np.negative(draws, out=draws, where=(r & 0x100).astype(bool))
+    return draws, rabs < KI[layer]
+
+
 def _noise_draws(seed, indices):
     """(n, 2) draws (eps_Omega, eps_R): for each of the n ``indices`` i < 2**32, the first
     two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
-    from rydgate._ziggurat import KI, MULTIPLIER, WI  # here: only the Monte-Carlo draws need them
+    from rydgate._ziggurat import MULTIPLIER
 
     words = _seed_states(operator.index(seed), indices)
-    r = _pcg_outputs(words, MULTIPLIER)
-    layer, rabs = r & 0xFF, (r >> 9) & (2**52 - 1)  # the ziggurat's fast path: rabs * WI where rabs < KI
-    draws = rabs * WI[layer]
-    np.negative(draws, out=draws, where=(r & 0x100).astype(bool))
-    fast = np.all(rabs < KI[layer], axis=1)
+    draws, fast = _ziggurat_fast_path(_pcg_outputs(words, MULTIPLIER))
+    fast = fast.all(axis=1)
     # Samples off the fast path, and the first on it as a check of the tables, come from Generator.
     checked, slow = np.flatnonzero(fast)[:1], np.flatnonzero(~fast)
     exact = _generator_draws(words[np.concatenate([checked, slow])])

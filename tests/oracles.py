@@ -20,6 +20,11 @@ and so is ``hermite_fidelity_moments``, its rule with fewer gates.
 ``two_pass_gate_report`` assembles a report from the package's Hamiltonians,
 laser-phase gauge, integral and characterization, and checks only that one
 diagonalisation shared by the propagator and the Rydberg time gives the bits of two.
+``sequential_population_integral`` is the package's trapezoid integral as it was
+before it read the running products: it keeps the package's closed-form beat weights
+(``_kernels.pure._trapezoid_factor``) and checks only that starting each segment from
+the running products, and summing all segments in one contraction, changes nothing
+but rounding.
 ``full_scan_calibration`` calibrates with the package's propagation, root
 solver and report, and checks only that scanning nearest the seed first, and
 stopping early, picks the interval a scan of the whole grid picks.
@@ -38,7 +43,7 @@ import math
 import numpy as np
 
 from rydgate._kernels import weighted_population_integral
-from rydgate._kernels.pure import _steps
+from rydgate._kernels.pure import _steps, _trapezoid_factor
 from rydgate import calibration, robustness
 from rydgate.analysis import (
     RYDBERG_TIME_SAMPLES,
@@ -173,8 +178,8 @@ def two_pass_gate_report(sequence, target_phi=math.pi):
     """``analyze_gate`` as it was composed before a sequence kept its eigensystem:
     the propagator from one diagonalisation of the distinct segments' real gauged
     Hamiltonians, exponentiated in place and multiplied from the identity, and the
-    Rydberg time from a second diagonalisation of the same matrices. ``analyze_gate``
-    must give an equal report."""
+    Rydberg time from a second diagonalisation of the same matrices and the running
+    products of that loop. ``analyze_gate`` must give an equal report."""
     rows, durations, order = distinct_segments(sequence.controls, sequence.durations)
     real, phases = _gauge(rows)
     hams = hamiltonians(real).real
@@ -183,13 +188,15 @@ def two_pass_gate_report(sequence, target_phi=math.pi):
     v_dagger = v.conj().swapaxes(-1, -2)
     v *= np.exp(-1j * (w * durations[:, None]))[:, None, :]
     steps = v @ v_dagger
-    u = np.eye(9, dtype=np.complex128)
+    u, partials = np.eye(9, dtype=np.complex128), []
     for j in order:
         u = steps[j] @ u
+        partials.append(u)
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     w, v = np.linalg.eigh(hams)
     totals = weighted_population_integral(
-        w, _gauged(v, phases), durations, order, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
+        w, _gauged(v, phases), durations, order, np.array(partials), states, rydberg_excitation_counts(),
+        RYDBERG_TIME_SAMPLES,
     )
     extraction = phases_and_leakage(u)
     unwrapped = phase_combination(extraction.phases)
@@ -204,6 +211,24 @@ def two_pass_gate_report(sequence, target_phi=math.pi):
         pulse_area=pulse_area(sequence),
         rydberg_time=float(np.mean(totals)),
     )
+
+
+def sequential_population_integral(w, v, durations, order, psi0, weights, samples_per_segment):
+    """The (m,) trapezoid integrals of ``_kernels.weighted_population_integral``, computed as
+    the package did before the kernel read the running products: each of the (m, n) initial
+    states ``psi0`` is propagated again, segment by segment in that segment's eigenbasis, and
+    each segment's closed-form sum is added in turn."""
+    steps = np.exp(-1j * (w * durations[:, None]))
+    v_dagger = v.conj().swapaxes(-1, -2)
+    psi = np.asarray(psi0, dtype=np.complex128)
+    total = np.zeros(psi.shape[0])
+    kernels = _trapezoid_factor(w, durations / samples_per_segment, samples_per_segment)
+    kernels *= v_dagger @ (weights[:, None] * v)
+    for j in order:
+        c = psi @ v[j].conj()
+        total += ((c.conj() @ kernels[j]) * c).sum(axis=-1).real
+        psi = (c * steps[j]) @ v[j].T
+    return total
 
 
 def bisect_root(f, lo, hi, f_lo, width=1e-10):

@@ -12,12 +12,15 @@ from oracles import (
     grid_argmax,
     h_direct,
     sampled_population_integral,
+    sequential_population_integral,
     two_pass_gate_report,
 )
 
 import rydgate.propagation
 from rydgate import _kernels, analysis, robustness
+from rydgate._kernels import pure
 from rydgate.analysis import (
+    RYDBERG_TIME_SAMPLES,
     _GRID,
     _TWO_COS,
     _TWO_SIN,
@@ -562,10 +565,13 @@ class TestActuationMetrics:
         omega, pi_time = 4.5e-308, math.pi / 4.5e-308
         rows = np.zeros((2, 7))
         rows[0, [0, 6]] = rows[1, [3, 6]] = omega, 100 * omega
+        w, v = np.linalg.eigh(hamiltonians(rows))
+        durations, order = np.array([pi_time, 2 * pi_time]), (0, 1, 0)
+        partials = _kernels.sequence_product(w, v, durations, order, partials=True)
         with pytest.raises(ValueError, match="^a population integral overflows"):
             _kernels.weighted_population_integral(
-                *np.linalg.eigh(hamiltonians(rows)), np.array([pi_time, 2 * pi_time]), (0, 1, 0),
-                np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), 256,
+                w, v, durations, order, partials, np.eye(9)[list(COMPUTATIONAL_INDICES)],
+                rydberg_excitation_counts(), 256,
             )
 
     def test_population_integral_per_state_and_input_untouched(self):
@@ -575,10 +581,12 @@ class TestActuationMetrics:
         before = psi0.copy()
         weights = rydberg_excitation_counts()
         order = range(len(durations))
-        totals = _kernels.weighted_population_integral(w, v, durations, order, psi0, weights, 16)
-        assert np.array_equal(psi0, before)
+        partials = _kernels.sequence_product(w, v, durations, order, partials=True)
+        kept = partials.copy()
+        totals = _kernels.weighted_population_integral(w, v, durations, order, partials, psi0, weights, 16)
+        assert np.array_equal(psi0, before) and np.array_equal(partials, kept)
         for psi, total in zip(before, totals):
-            (alone,) = _kernels.weighted_population_integral(w, v, durations, order, psi[None], weights, 16)
+            (alone,) = _kernels.weighted_population_integral(w, v, durations, order, partials, psi[None], weights, 16)
             assert alone == pytest.approx(total, rel=1e-14)
 
 
@@ -601,8 +609,10 @@ def _integrals(segments, samples):
     """(kernel, sampled oracle) integrals from the computational states of a schedule."""
     seq = PulseSequence(tuple(segments))
     hams, durations = hamiltonians(seq.controls), seq.durations
+    (w, v), order = np.linalg.eigh(hams), range(len(durations))
+    partials = _kernels.sequence_product(w, v, durations, order, partials=True)
     states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
-    got = _kernels.weighted_population_integral(*np.linalg.eigh(hams), durations, range(len(durations)), *states)
+    got = _kernels.weighted_population_integral(w, v, durations, order, partials, *states)
     return got, sampled_population_integral(hams, durations, *states)
 
 
@@ -694,12 +704,13 @@ class TestOneDiagonalisation:
         eigh = self._count(monkeypatch, np.linalg, "eigh")
         hams = self._count(monkeypatch, rydgate.propagation, "_real_parts")
         distinct = self._count(monkeypatch, rydgate.propagation, "distinct_segments")
+        exponentials = self._count(monkeypatch, pure, "_eigenphases")
         report = analyze_gate(seq)
-        assert (len(eigh), len(hams), len(distinct)) == (1, 1, 1)
-        # Later calls on the same sequence read its eigensystem.
+        assert (len(eigh), len(hams), len(distinct), len(exponentials)) == (1, 1, 1, 1)
+        # Later calls on the same sequence read its eigensystem and running products.
         u = sequence_unitary(seq)
         assert rydberg_time(seq) == report.rydberg_time
-        assert (len(eigh), len(hams), len(distinct)) == (1, 1, 1)
+        assert (len(eigh), len(hams), len(distinct), len(exponentials)) == (1, 1, 1, 1)
         assert report == analyze_gate(seq) and len(eigh) == 1
         assert np.array_equal(u, sequence_unitary(seq))
 
@@ -712,6 +723,14 @@ class TestOneDiagonalisation:
             for seq in sequences[::25]:
                 assert analyze_gate(seq, target) == two_pass_gate_report(seq, target), target
 
+    def test_report_reads_one_gather_of_the_block(self, monkeypatch):
+        seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
+        terms = self._count(monkeypatch, analysis, "_fidelity_terms")
+        leakage = self._count(monkeypatch, analysis, "_leakage")
+        public = [self._count(monkeypatch, analysis, name) for name in ("phases_and_leakage", "fidelity_cphase")]
+        analyze_gate(seq)
+        assert (len(terms), len(leakage), public) == (1, 1, [[], []])
+
     def test_far_target_is_reduced_mod_two_pi(self):
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.0385, 1.0))
         reduced = math.remainder(1e17, 2 * math.pi)
@@ -719,3 +738,35 @@ class TestOneDiagonalisation:
         assert analyze_gate(seq, 1e17).fidelity == fidelity_cphase(sequence_unitary(seq), reduced)
         for target in (-math.pi, -1.0, 0.0, 2.5, math.pi):
             assert math.remainder(target, 2 * math.pi) == target
+
+def _sequential_rydberg_time(sequence):
+    """``rydberg_time`` with each state propagated again through the segments."""
+    states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
+    totals = sequential_population_integral(
+        *sequence._eigensystem, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
+    )
+    return float(np.mean(totals))
+
+
+class TestRunningProducts:
+    """The Rydberg time starts each segment from the propagator's running products and sums
+    the segments in one contraction: it agrees with the sequential integral to rounding."""
+
+    def test_protocol_gates(self):
+        blockade = [blockade_pdp_sequence(BlockadeProtocolParams(1.0, v)) for v in np.geomspace(1.0, 1e6, 60)]
+        for i, seq in enumerate([*_PROTOCOL_GATES, *blockade]):
+            got, want = rydberg_time(seq), _sequential_rydberg_time(seq)
+            assert abs(got - want) <= 1e-15 * want, i
+
+    def test_random_sequences_with_repeated_segments(self, rng):
+        # Short, weakly driven draws have Rydberg times far below the gate time, where the
+        # closed-form sum cancels: both routes then differ from a 40-digit trapezoid sum by
+        # up to 6e-13 relative, and from each other by a few 1e-15. The bound is taken
+        # relative to the larger of the Rydberg time and the gate time.
+        for i in range(300):
+            distinct = [random_segment(rng) for _ in range(int(rng.integers(1, 4)))]
+            order = rng.integers(0, len(distinct), size=1 if i % 10 == 0 else int(rng.integers(1, 7)))
+            seq = PulseSequence(tuple(distinct[j] for j in order))
+            got, want = rydberg_time(seq), _sequential_rydberg_time(seq)
+            assert abs(got - want) <= 1e-15 * max(want, seq.total_duration), i
+

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from unittest import mock
 
@@ -367,6 +368,35 @@ class TestNearestFirstScan:
     def test_readme_calibration_scans_the_probe(self, scanned_gates):
         calibrate_kappa(-math.pi, (1.0, 2.5))
         assert scanned_gates == [calibration.SEED_PROBE_POINTS]
+
+    def test_rows_are_built_for_the_scanned_points_only(self, monkeypatch):
+        built, controls = [], calibration.geometric_controls
+
+        def counted(kappas, omega):
+            built.append(len(kappas))
+            return controls(kappas, omega)
+
+        monkeypatch.setattr(calibration, "geometric_controls", counted)
+        calibrate_kappa(-math.pi, (1.0, 2.5))
+        assert built == [calibration.SEED_PROBE_POINTS]
+        built.clear()
+        calibrate_kappa(-2.219, (1.0, 2.5))
+        assert built[0] == calibration.SEED_PROBE_POINTS and sum(built) == calibration.CALIBRATION_SCAN_POINTS
+
+    @pytest.mark.parametrize(
+        "bracket, omega, bad",
+        [
+            ((1e-300, 2.5), 1e10, 0),  # v overflows at the grid's first kappa, the farthest from the seed
+            ((1.0, 1e308), 1e-300, 1),  # v underflows to 0 from the second kappa on
+        ],
+    )
+    def test_a_doubtful_grid_fails_at_its_first_bad_kappa(self, scanned_gates, bracket, omega, bad):
+        kappas = np.linspace(*bracket, calibration.CALIBRATION_SCAN_POINTS)
+        with pytest.raises(ValueError) as want:
+            GeometricProtocolParams.from_omega(float(kappas[bad]), omega)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            calibrate_kappa(-math.pi, bracket, omega)
+        assert scanned_gates == []
 
     def test_far_target_scans_the_grid(self, scanned_gates):
         calibrate_kappa(-2.219, (1.0, 2.5))

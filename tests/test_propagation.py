@@ -392,7 +392,8 @@ class TestGauge:
 
 
 class TestEigensystemCache:
-    """A sequence keeps the read-only eigensystem of its distinct segments."""
+    """A sequence keeps the read-only eigensystem of its distinct segments, and the running
+    products of its one product loop."""
 
     def _sequence(self):
         return geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
@@ -418,6 +419,7 @@ class TestEigensystemCache:
         seq, fresh = self._sequence(), self._sequence()
         sequence_unitary(seq)
         assert "_eigensystem" in vars(seq) and "_eigensystem" not in vars(fresh)
+        assert "_partials" in vars(seq) and "_partials" not in vars(fresh)
         assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)
 
     def test_pickling_rebuilds_from_the_segments(self):
@@ -425,9 +427,32 @@ class TestEigensystemCache:
         u = sequence_unitary(seq)
         copy = pickle.loads(pickle.dumps(seq))
         assert copy == seq and hash(copy) == hash(seq) and repr(copy) == repr(seq)
-        assert "_eigensystem" not in vars(copy)
+        assert "_eigensystem" not in vars(copy) and "_partials" not in vars(copy)
         assert not copy.controls.flags.writeable and not copy.durations.flags.writeable
         assert np.array_equal(sequence_unitary(copy).view(np.uint64), u.view(np.uint64))
+
+    def test_running_products_are_the_products_of_each_prefix(self):
+        seq = self._sequence()
+        w, v, durations, order = seq._eigensystem
+        partials = seq._partials
+        assert partials.shape == (4, 9, 9) and not partials.flags.writeable
+        for j in range(1, len(order) + 1):
+            prefix = _kernels.sequence_product(w, v, durations, order[:j])
+            assert np.array_equal(partials[j - 1].view(np.uint64), prefix.view(np.uint64)), j
+        assert np.array_equal(sequence_unitary(seq).view(np.uint64), partials[-1].view(np.uint64))
+
+    def test_batches_keep_only_the_running_product(self, monkeypatch):
+        calls, kernel = [], _kernels.sequence_product
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "sequence_product", recorded)
+        seq = self._sequence()
+        controls = np.repeat(seq.controls[None], CHUNK + 1, axis=0)
+        assert sum(len(u) for u in batch_unitaries(controls, seq.durations)) == CHUNK + 1
+        assert calls == [{}, {}]
 
     def test_replaced_sequence_gets_its_own_eigensystem(self):
         seq = self._sequence()
@@ -484,10 +509,11 @@ def _product_per_segment(rows, durations):
 def _rydberg_time_per_segment(sequence):
     """``rydberg_time`` with every segment diagonalised on its own."""
     rows, durations = sequence.controls, sequence.durations
+    (w, v), order = _eigensystems(rows), range(len(durations))
+    partials = _kernels.sequence_product(w, v, durations, order, partials=True)
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = _kernels.weighted_population_integral(
-        *_eigensystems(rows), durations, range(len(durations)), states, rydberg_excitation_counts(),
-        RYDBERG_TIME_SAMPLES,
+        w, v, durations, order, partials, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
     )
     return float(np.mean(totals))
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rydgate.propagation import DriveParams, PulseSegment, PulseSequence
 from rydgate.protocols import (
     GEOMETRIC_SEGMENT_PHASES,
     BlockadeProtocolParams,
@@ -52,6 +53,19 @@ class TestGeometricSequence:
             p = GeometricProtocolParams(kappa=kappa, v=v)
             s = math.sqrt(4 * p.omega**2 + v**2 / 4)
             assert s * p.segment_duration == pytest.approx(2 * math.pi, rel=1e-12)
+
+    def test_one_drive_per_laser_phase(self, rng):
+        # Equal to the schedule built with a new drive per atom and segment, to the bytes it lowers to.
+        for kappa, omega in [(1.65, 1.0), *rng.uniform(0.05, 5.0, size=(50, 2)).tolist(), (1.6, 1e308)]:
+            params = GeometricProtocolParams.from_omega(kappa, omega)
+            seq = geometric_sequence(params)
+            drives = [DriveParams(params.omega, -params.v / 2, phase) for phase in GEOMETRIC_SEGMENT_PHASES]
+            t, copy = params.segment_duration, lambda d: DriveParams(d.rabi, d.detuning, d.phase)
+            separate = PulseSequence(tuple(PulseSegment(t, d, copy(d), params.v) for d in drives))
+            assert seq == separate and hash(seq) == hash(separate)
+            assert seq.controls.tobytes() == separate.controls.tobytes()
+            assert seq.durations.tobytes() == separate.durations.tobytes()
+            assert len({id(drive) for segment in seq.segments for drive in (segment.drive1, segment.drive2)}) == 2
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

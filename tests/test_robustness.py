@@ -225,6 +225,23 @@ class TestBulkDraws:
             assert not make_ziggurat_tables.probe(ki << 9 | idx)[1], idx
             assert ki == 0 or make_ziggurat_tables.probe((ki - 1) << 9 | idx)[1], idx
 
+    def test_fast_path_boundary_on_crafted_outputs(self):
+        # Words r = idx | sign << 8 | rabs << 9 of every layer at rabs = KI[idx] (slow) and
+        # KI[idx] - 1 (fast, except layer 1, where KI = 0 and rabs = 0 is slow too), each
+        # against NumPy's own draw from a generator whose next output is that word.
+        ki, idx = _ziggurat.KI, np.arange(256, dtype=np.uint64)
+        sign = (idx % 2) << np.uint64(8)
+        at, below = ki << np.uint64(9) | sign | idx, (np.maximum(ki, 1) - 1) << np.uint64(9) | sign | idx
+        draws, fast = robustness._ziggurat_fast_path(np.array([at, below]))
+        assert not fast[0].any()
+        assert fast[1].tolist() == (ki > 0).tolist() and not fast[1, 1]
+        never = robustness._ziggurat_fast_path(np.array([1, 1 | 2**61 - 2**9], dtype=np.uint64))[1]
+        assert not never.any()
+        for word, draw, on_path in zip(np.concatenate([at, below]).tolist(), draws.ravel(), fast.ravel()):
+            x, numpy_fast = make_ziggurat_tables.probe(word)
+            assert on_path == numpy_fast, hex(word)
+            assert not on_path or np.float64(x).view(np.uint64) == draw.view(np.uint64), hex(word)
+
     @pytest.mark.parametrize("seed", [7, 2**40 + 3])
     def test_bulk_draws_match_one_generator_per_sample(self, seed):
         # 50,000 samples a seed, 100,000 in all: the first indices and the last, up to 2**32 - 1.
