@@ -12,11 +12,12 @@ gates or segments):
   closed form in each segment's eigenbasis from the state at its start, without propagating
   again; ``analysis.rydberg_time`` passes ``analysis.RYDBERG_TIME_SAMPLES``
 
-``w, v`` (the eigensystems of ``hamiltonians(rows)``, from real matrices), ``durations`` and ``order``
-describe a schedule's d distinct segments and each segment's index into them (``propagation.distinct_segments``).
+``w, v`` (the eigensystems of the rows' Hamiltonians D Hr D^dag: D times the eigenvectors of
+the real Hr, ``propagation._gauged``), ``durations`` and ``order`` describe a schedule's d
+distinct segments and each segment's index into them (``propagation.distinct_segments``).
 
-The kernels assume Hermitian matrices, as ``hamiltonians.hamiltonians``
-builds them, and do not check it; an eigenphase w*t or a population integral
+The kernels assume Hermitian matrices, as the eigensystems of ``propagation``
+describe them, and do not check it; an eigenphase w*t or a population integral
 that overflows raises ``ValueError``.
 
 ``BACKEND`` is always ``"pure"``.

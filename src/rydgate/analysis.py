@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate import _kernels, propagation
+from rydgate.hamiltonians import RABI_COLUMNS
 from rydgate.propagation import _require_finite, sequence_unitary
 from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
@@ -245,12 +246,10 @@ def fidelity_cphase(u, target_phi, compensate=True):
 
 def pulse_area(sequence):
     """Total applied Rabi area: sum over segments and atoms of Omega*dt."""
-    area = 0.0
-    for seg in sequence.segments:
-        for drive in (seg.drive1, seg.drive2):
-            if drive is not None:
-                area += drive.rabi * seg.duration
-    return area
+    # Summed from +0.0 in time order, atom 1 first, one term at a time: cumsum adds in
+    # sequence, where Python 3.12's sum() of floats compensates. An absent drive adds +0.0.
+    areas = sequence.controls[:, RABI_COLUMNS] * sequence.durations[:, None]
+    return float(areas.cumsum()[-1]) + 0.0
 
 
 def rydberg_time(sequence):

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 from rydgate.analysis import analyze_gate
@@ -245,6 +246,12 @@ FLAG_SETTINGS = {
 }
 
 
+#: An argument that starts with a negative number as ``float`` reads one, exponents, -inf and
+#: -nan included, is a value: argparse's own pattern takes -1e17 and -inf for flags. No
+#: rydgate flag matches it, since the only short one is -h.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser():
     """One subcommand per command, one ``--flag-name`` per option."""
     parser = argparse.ArgumentParser(
@@ -254,6 +261,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, options) in COMMANDS.items():
         p = sub.add_parser(command, help=handler.__doc__)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for key, (parse, _) in options.items():
             settings = FLAG_SETTINGS.get(key, {"type": parse})
             p.add_argument("--" + key.replace("_", "-"), dest=key, **settings)

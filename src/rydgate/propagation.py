@@ -4,7 +4,8 @@ Piecewise-constant schedules are the native representation: a ``PulseSegment``
 holds a duration, each atom's drive (``DriveParams`` or ``None``) and the
 interaction V, and a ``PulseSequence`` orders segments in time; a laser-phase
 jump is a new segment, not a kick. A sequence is lowered once, when built, to
-read-only (k, 7) ``controls`` rows of ``hamiltonians`` and (k,) ``durations``.
+read-only (k, 7) ``controls`` rows (Omega1, phi1, Delta1, Omega2, phi2, Delta2, V),
+an absent drive's columns all 0.0, and (k,) ``durations``.
 
 A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
 diagonalised once. A sequence diagonalises its distinct segments on first use and keeps
@@ -13,7 +14,8 @@ the running products U_j ... U_1 of its one product loop, which ``sequence_unita
 only the running product, so memory stays bounded. Either route gives a gate the same
 bits, whatever batch it is in. Only real matrices are diagonalised:
 H = D Hr D^dag with Hr real symmetric and D diagonal (``rydgate.hamiltonians`` says
-why), and a batch's segments that differ only in laser phase share one eigh of Hr.
+why), so the eigenvectors are D times Hr's, D read off the phase columns 1 and 4, and
+a batch's segments that differ only in laser phase share one eigh of Hr.
 """
 
 import functools
@@ -72,9 +74,7 @@ class PulseSegment:
 
 
 def _drive_columns(drive):
-    if drive is None:
-        return 0.0, 0.0, 0.0
-    return drive.rabi * math.cos(drive.phase), drive.rabi * math.sin(drive.phase), drive.detuning
+    return (0.0, 0.0, 0.0) if drive is None else (drive.rabi, drive.phase, drive.detuning)
 
 
 def _lower(segments):
@@ -115,9 +115,8 @@ class PulseSequence:
     def _eigensystem(self):
         """Read-only (w, v, durations, order) of the distinct segments, h = v diag(w) v^dag."""
         rows, durations, order = distinct_segments(self.controls, self.durations)
-        real, phases = _gauge(rows)
-        w, v = np.linalg.eigh(_real_parts(real))
-        v = _gauged(v, phases)
+        w, v = np.linalg.eigh(_real_parts(rows))
+        v = _gauged(v, rows[:, 1::3])
         w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
         return w, v, durations, order
 
@@ -129,25 +128,13 @@ class PulseSequence:
         return partials
 
 
-def _gauge(controls):
-    """The real rows of (..., 7) control rows and the (..., 2) phases ``_gauged`` puts back,
-    or the rows themselves and None when every sine column is zero."""
-    sines, cosines = controls[..., 1::3], controls[..., 0:4:3]  # columns 1, 4 and 0, 3
-    if not np.count_nonzero(sines):
-        return controls, None
-    with np.errstate(over="ignore"):  # an overflow is rejected below
-        rabi = np.hypot(cosines, sines)
-    if not np.isfinite(rabi).all():
-        raise ValueError(f"Rabi frequency |Omega cos(phi) + i Omega sin(phi)| must be finite, got {np.max(rabi)}")
-    real = controls.copy()
-    real[..., 0:4:3], real[..., 1::3] = rabi, 0.0
-    return real, np.arctan2(sines, cosines)
-
-
 def _gauged(vr, phases):
-    """D vr, D = exp(-i(phi1 n1 + phi2 n2)), from the (..., 9, 9) real eigenvectors of ``_gauge``'s
-    rows. exp(1j * -x), unlike exp(-1j * x), is exactly 1 + 0j at x = 0, so vr keeps its bits there."""
-    return vr.astype(np.complex128) if phases is None else np.exp(1j * -(phases @ _EXCITED))[..., None] * vr
+    """D vr, D = exp(-i(phi1 n1 + phi2 n2)), from (..., 9, 9) real eigenvectors and the (..., 2)
+    laser phases of their rows; vr as complex when every phase is zero. exp(1j * -x), unlike
+    exp(-1j * x), is exactly 1 + 0j at x = 0, so a phase-free row keeps its bits either way."""
+    if not np.count_nonzero(phases):
+        return vr.astype(np.complex128)
+    return np.exp(1j * -(phases @ _EXCITED))[..., None] * vr
 
 
 def distinct_segments(controls, durations):
@@ -168,12 +155,13 @@ def batch_unitaries(controls, durations):
     """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as
     (n, k, 7) control rows and (n, k) segment durations, or (k,) shared by all."""
     controls, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
-    real, phases = _gauge(controls)
+    phases, real = controls[..., 1::3], controls.copy()
+    real[..., 1::3] = 0.0
     real, _, shared = distinct_segments(real, np.zeros_like(durations))  # eigh needs no durations
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)
         w, v = np.linalg.eigh(_real_parts(real[chunk]))
-        v = _gauged(v[:, shared], None if phases is None else phases[chunk])
+        v = _gauged(v[:, shared], phases[chunk])
         yield _kernels.sequence_product(w[:, shared], v, durations[chunk], order)
 
 

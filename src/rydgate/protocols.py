@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.hamiltonians import RABI_COLUMNS
+from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
 from rydgate.propagation import DriveParams, PulseSegment, PulseSequence
 
 #: Default calibration seed: ratio Omega/V at which the geometric protocol
@@ -119,9 +119,10 @@ def protocol_sequence(params):
     raise TypeError(f"unsupported protocol parameters: {params!r}")
 
 
-# Rows of the geometric schedule at Omega = V = 1. A row is linear in
-# (Omega, V): Omega scales the Rabi columns, V the detunings and the V column.
+# Rows of the geometric schedule at Omega = V = 1. Omega scales the Rabi columns, V the
+# detunings and the V column; the laser phases stay as they are.
 _UNIT_ROWS = geometric_sequence(GeometricProtocolParams(kappa=1.0, v=1.0)).controls
+_V_SCALED = (2, 5, V_COLUMN)
 
 
 def geometric_controls(kappas, omega):
@@ -140,8 +141,9 @@ def geometric_controls(kappas, omega):
         # A bad omega fails the first kappa; the dataclass raises its own error.
         GeometricProtocolParams.from_omega(float(kappas[np.argmin(valid)]), omega)
     omegas = kappas * v
-    rows = _UNIT_ROWS * v[:, None, None]
-    rows[..., RABI_COLUMNS] = _UNIT_ROWS[:, RABI_COLUMNS] * omegas[:, None, None]
+    rows = np.repeat(_UNIT_ROWS[None], len(kappas), axis=0)
+    rows[..., RABI_COLUMNS] *= omegas[:, None, None]
+    rows[..., _V_SCALED] *= v[:, None, None]
     durations = [_segment_duration(w, x) for w, x in zip(omegas.tolist(), v.tolist())]
     durations = np.repeat(np.array(durations)[:, None], len(_UNIT_ROWS), axis=1)
     with np.errstate(over="ignore"):

@@ -7,9 +7,11 @@ products, and the invariant blocks and projectors of a symmetric drive are
 written out in the symmetric basis. Drives are read by attribute (``rabi``,
 ``detuning``, ``phase``), so the package's ``DriveParams`` can be passed in.
 
-``h_full`` is one exception: it is the package's own Hamiltonian of one
-segment, lowered by ``PulseSequence`` and assembled by ``hamiltonians``, kept
-here because only the tests call it and check it against the oracles.
+``gauged_hamiltonians`` is one exception: it is the package's own complex
+Hamiltonian of control rows, D Hr D^dag from the real parts the package
+diagonalises and the laser-phase gauge it puts back, kept here because only the
+tests call it and check it against the oracles; ``h_full`` applies it to one
+segment, lowered by ``PulseSequence``.
 ``expm_hermitian`` is another: it is the package's exponential step
 (``_kernels.pure._steps``) of one ``eigh``, kept here because only the tests call
 it. ``sequence_product_from_identity`` exponentiates with it and checks only how
@@ -56,11 +58,10 @@ from rydgate.analysis import (
     phases_and_leakage,
     pulse_area,
 )
-from rydgate.hamiltonians import OPERATORS, hamiltonians
+from rydgate.hamiltonians import OPERATORS, _real_parts
 from rydgate.propagation import (
     PulseSegment,
     PulseSequence,
-    _gauge,
     _gauged,
     batch_unitaries,
     distinct_segments,
@@ -143,19 +144,38 @@ def two_atom_hamiltonian_by_rules(drive1, drive2, v):
     return out
 
 
+def gauged_hamiltonians(controls):
+    """(..., 9, 9) Hamiltonians D Hr D^dag of (..., 7) control rows (Omega1, phi1, Delta1,
+    Omega2, phi2, Delta2, V), from the package: Hr from ``_real_parts`` and the diagonal
+    D = exp(-i(phi1 n1 + phi2 n2)) from ``_gauged`` of the identity."""
+    d = _gauged(np.eye(9), controls[..., 1::3])
+    return d @ _real_parts(controls) @ d.conj().swapaxes(-1, -2)
+
+
 def h_full(drive1, drive2, v):
     """(9, 9) Hamiltonian of one segment with drives ``drive1``, ``drive2``
     (``DriveParams`` or None: undriven) and interaction ``v``, from the package."""
-    (h,) = hamiltonians(PulseSequence((PulseSegment(1.0, drive1, drive2, v),)).controls)
+    (h,) = gauged_hamiltonians(PulseSequence((PulseSegment(1.0, drive1, drive2, v),)).controls)
     return h
 
 
-def hamiltonians_by_einsum(controls):
-    """(..., 9, 9) Hamiltonians of (..., 7) control rows, contracted with all seven
-    ``OPERATORS`` in column order on real views: the reference ``hamiltonians``'
+def real_parts_by_einsum(controls):
+    """(..., 9, 9) real parts of (..., 7) control rows contracted with all seven
+    ``OPERATORS`` in column order on real views: the reference ``_real_parts``'
     gather must match bit for bit."""
-    real = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
-    return real.view(np.complex128)
+    full = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
+    return full[..., ::2]
+
+
+def pulse_area_by_segments(sequence):
+    """Sum over segments and atoms of Omega*dt, one drive at a time from +0.0, read off the
+    ``DriveParams``: ``analysis.pulse_area``, which reads the rows, must match bit for bit."""
+    area = 0.0
+    for seg in sequence.segments:
+        for drive in (seg.drive1, seg.drive2):
+            if drive is not None:
+                area += drive.rabi * seg.duration
+    return area
 
 
 def expm_hermitian(h, t):
@@ -181,8 +201,7 @@ def two_pass_gate_report(sequence, target_phi=math.pi):
     Rydberg time from a second diagonalisation of the same matrices and the running
     products of that loop. ``analyze_gate`` must give an equal report."""
     rows, durations, order = distinct_segments(sequence.controls, sequence.durations)
-    real, phases = _gauge(rows)
-    hams = hamiltonians(real).real
+    hams, phases = _real_parts(rows), rows[:, 1::3]
     w, v = np.linalg.eigh(hams)
     v = _gauged(v, phases)
     v_dagger = v.conj().swapaxes(-1, -2)
@@ -419,9 +438,9 @@ def _rule_moments(protocol, sigma_omega, sigma_r, r0, x, x_weights, y, y_weights
     weights each sum to sqrt(2 pi), as ``hermegauss``' do.
 
     The perturbed rows are built here, not by the package's noise functions; the
-    propagation and the fidelity are the package's. The Rabi columns (Omega cos phi,
-    Omega sin phi of each atom: 0, 1, 3, 4 of the row) are scaled by
-    1 + sigma_Omega*x, and V = C6/r^6 is set at r = r0*(1 + sigma_R*y).
+    propagation and the fidelity are the package's. The Rabi columns (Omega of each
+    atom: 0 and 3 of the row) are scaled by 1 + sigma_Omega*x, and V = C6/r^6 is set
+    at r = r0*(1 + sigma_R*y).
     """
     nominal = protocol_sequence(protocol)
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
@@ -429,7 +448,7 @@ def _rule_moments(protocol, sigma_omega, sigma_r, r0, x, x_weights, y, y_weights
     assert abs(weights.sum() - 1.0) < 1e-13
     c6 = protocol.v * r0**6
     rows = np.repeat(nominal.controls[None], len(weights), axis=0)
-    rows[..., [0, 1, 3, 4]] *= np.repeat(1.0 + sigma_omega * x, len(y))[:, None, None]
+    rows[..., [0, 3]] *= np.repeat(1.0 + sigma_omega * x, len(y))[:, None, None]
     rows[..., 6] = c6 / np.tile(r0 * (1.0 + sigma_r * y), len(x))[:, None] ** 6
     fidelities = np.concatenate([fidelity_cphase(u, target) for u in batch_unitaries(rows, nominal.durations)])
     mean = weights @ fidelities

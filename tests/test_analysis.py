@@ -8,9 +8,11 @@ from conftest import random_segment
 from oracles import (
     embed_two_qubit,
     expm_hermitian,
+    gauged_hamiltonians,
     golden_section_fidelity,
     grid_argmax,
     h_direct,
+    pulse_area_by_segments,
     sampled_population_integral,
     sequential_population_integral,
     two_pass_gate_report,
@@ -36,7 +38,6 @@ from rydgate.analysis import (
     pulse_area,
     rydberg_time,
 )
-from rydgate.hamiltonians import hamiltonians
 from rydgate.propagation import (
     CHUNK,
     DriveParams,
@@ -521,6 +522,15 @@ class TestActuationMetrics:
             expected = 16 * math.pi / math.sqrt(4 + 1 / (4 * kappa**2))
             assert pulse_area(seq) == pytest.approx(expected, rel=1e-12)
 
+    def test_pulse_area_reads_the_rows_with_the_bits_of_the_segment_loop(self, rng):
+        # Time order, atom 1 first, from +0.0; absent drives and Omega = -0.0 add nothing.
+        gates = _PROTOCOL_GATES + [PulseSequence(tuple(random_segment(rng) for _ in range(n))) for n in range(1, 14) for _ in range(30)]
+        gates.append(PulseSequence((PulseSegment(1.0, DriveParams(-0.0), None, 0.0),)))
+        for seq in gates:
+            area = pulse_area(seq)
+            assert type(area) is float
+            assert np.float64(area).tobytes() == np.float64(pulse_area_by_segments(seq)).tobytes()
+
     def test_rydberg_time_zero_without_drive(self):
         seq = PulseSequence(
             (PulseSegment(duration=2.0, drive1=None, drive2=None, v=3.0),)
@@ -565,7 +575,7 @@ class TestActuationMetrics:
         omega, pi_time = 4.5e-308, math.pi / 4.5e-308
         rows = np.zeros((2, 7))
         rows[0, [0, 6]] = rows[1, [3, 6]] = omega, 100 * omega
-        w, v = np.linalg.eigh(hamiltonians(rows))
+        w, v = np.linalg.eigh(gauged_hamiltonians(rows))
         durations, order = np.array([pi_time, 2 * pi_time]), (0, 1, 0)
         partials = _kernels.sequence_product(w, v, durations, order, partials=True)
         with pytest.raises(ValueError, match="^a population integral overflows"):
@@ -576,7 +586,7 @@ class TestActuationMetrics:
 
     def test_population_integral_per_state_and_input_untouched(self):
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
-        (w, v), durations = np.linalg.eigh(hamiltonians(seq.controls)), seq.durations
+        (w, v), durations = np.linalg.eigh(gauged_hamiltonians(seq.controls)), seq.durations
         psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
         before = psi0.copy()
         weights = rydberg_excitation_counts()
@@ -608,7 +618,7 @@ _PROTOCOL_GATES = [
 def _integrals(segments, samples):
     """(kernel, sampled oracle) integrals from the computational states of a schedule."""
     seq = PulseSequence(tuple(segments))
-    hams, durations = hamiltonians(seq.controls), seq.durations
+    hams, durations = gauged_hamiltonians(seq.controls), seq.durations
     (w, v), order = np.linalg.eigh(hams), range(len(durations))
     partials = _kernels.sequence_product(w, v, durations, order, partials=True)
     states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
@@ -657,7 +667,7 @@ class TestRydbergTimeKernel:
         # Equal drives on both atoms at V = 0: levels l_a + l_b pair up with l_b + l_a.
         drive = DriveParams(1.2, 0.4, 0.7)
         symmetric = PulseSegment(2.1, drive, drive, 0.0)
-        (h,) = hamiltonians(PulseSequence((symmetric,)).controls)
+        (h,) = gauged_hamiltonians(PulseSequence((symmetric,)).controls)
         assert np.min(np.diff(np.linalg.eigvalsh(h))) < 1e-12
         got, want = _integrals((_GENERIC, symmetric), samples)
         assert _rel_err(got, want) < 1e-13

@@ -102,6 +102,31 @@ class TestFarTarget:
         assert (code, out, err) == (2, "", f"error: target_phi must be finite, got {value}\n")
 
 
+class TestNegativeValues:
+    """A negative number is a value in every form ``float`` reads, not only ``--flag=value``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*_FAR_TARGET_COMMANDS["simulate"], "--target-phi", "-1e17"),
+            (*_FAR_TARGET_COMMANDS["compare"], "--target-phi", "-1E-3"),
+            (*_FAR_TARGET_COMMANDS["simulate"], "--target-phi", "-inf"),
+            (*_FAR_TARGET_COMMANDS["compare"], "--target-phi", "-nan"),
+            (*_FAR_TARGET_COMMANDS["simulate"], "--target-phi", "-.5"),
+            ("simulate", "--protocol", "blockade", "--omega", "1", "--v", "-1e5"),
+        ],
+        ids=["exponent", "capital-exponent", "minus-inf", "minus-nan", "fraction", "v"],
+    )
+    def test_separate_argument_reads_as_the_joined_form(self, capsys, argv):
+        separate = run_cli(capsys, *argv)
+        assert separate == run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert separate[0] == (2 if argv[-1] in ("-inf", "-nan") else 0)
+
+    def test_negative_bracket_end_is_a_value(self, capsys):
+        argv = ("calibrate", "--target-phi", "-1e-1", "--bracket", "-1e3", "2.5")
+        assert run_cli(capsys, *argv) == (2, "", "error: need finite 0 < k_lo < k_hi, got (-1000.0, 2.5)\n")
+
+
 class TestSweep:
     def test_csv_shape_and_header(self, capsys):
         code, out, _ = run_cli(

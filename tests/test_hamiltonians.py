@@ -13,14 +13,14 @@ from oracles import (
     h_block_11,
     h_direct,
     h_full,
-    hamiltonians_by_einsum,
     hermiticity_defect,
+    real_parts_by_einsum,
     symmetric_block_projectors,
     symmetric_rr_state,
     two_atom_hamiltonian_by_rules,
 )
 
-from rydgate.hamiltonians import _real_parts, hamiltonians
+from rydgate.hamiltonians import _real_parts
 from rydgate.propagation import DriveParams, PulseSegment
 
 
@@ -204,36 +204,31 @@ def _extreme_rows(rng, shape):
 
 
 class TestGather:
-    """``hamiltonians`` gathers its entries with the bits of the full contraction."""
+    """``_real_parts`` gathers its entries with the bits of the full contraction's real parts."""
 
     @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (40, 7), (1, 2, 7), (5, 3, 7), (64, 2, 7)])
     def test_bit_equal_to_the_contraction(self, rng, shape):
+        # 81 floats a matrix, one contiguous stack, with the contraction's signed-zero rule
+        # and |rr> sums, on rows with and without phases: the phase columns feed no entry.
+        phase = np.isin(np.arange(7), (1, 4))
         for _ in range(20):
             rows = _extreme_rows(rng, shape)
-            h = hamiltonians(rows)
-            assert h.shape == shape[:-1] + (9, 9) and h.dtype == np.complex128 and h.flags.c_contiguous
-            assert np.array_equal(h.view(np.uint64), hamiltonians_by_einsum(rows).view(np.uint64))
+            want = _real_parts(np.where(phase, 0.0, rows))
+            for stack in (rows, np.where(phase, -0.0, rows)):
+                real = _real_parts(stack)
+                assert real.shape == shape[:-1] + (9, 9) and real.dtype == np.float64 and real.flags.c_contiguous
+                assert np.array_equal(real.view(np.uint64), real_parts_by_einsum(stack).view(np.uint64))
+                assert np.array_equal(real.view(np.uint64), want.view(np.uint64))
 
     def test_strided_and_padded_stacks(self, rng):
         d = random_drive(rng)
-        rows = np.array([[d.rabi, 0.0, d.detuning, -0.0, d.rabi, -d.detuning, 2.5]] * 4)
+        rows = np.array([[d.rabi, d.phase, d.detuning, -0.0, d.rabi, -d.detuning, 2.5]] * 4)
         for stack in (rows, rows[::2], rows.T.copy().T, rows[None, :, None]):
-            want = hamiltonians_by_einsum(stack)
-            assert np.array_equal(hamiltonians(stack).view(np.uint64), want.view(np.uint64))
+            want = real_parts_by_einsum(stack)
+            assert np.array_equal(_real_parts(stack).view(np.uint64), want.view(np.uint64))
 
     def test_rows_are_not_modified(self, rng):
         rows = _extreme_rows(rng, (6, 7))
         before = rows.copy()
-        hamiltonians(rows)
+        _real_parts(rows)
         assert np.array_equal(rows.view(np.uint64), before.view(np.uint64))
-
-    @pytest.mark.parametrize("shape", [(7,), (3, 7), (40, 7), (5, 3, 7), (64, 2, 7)])
-    def test_real_parts_are_the_real_view(self, rng, shape):
-        # The gather eigh reads: 81 floats a matrix, one contiguous stack, with the signed-zero
-        # rule and the |rr> sums of ``hamiltonians``, on rows with and without sine columns.
-        for _ in range(20):
-            rows = _extreme_rows(rng, shape)
-            for stack in (rows, np.where(np.isin(np.arange(7), (1, 4)), -0.0, rows)):
-                real = _real_parts(stack)
-                assert real.shape == shape[:-1] + (9, 9) and real.dtype == np.float64 and real.flags.c_contiguous
-                assert np.array_equal(real.view(np.uint64), hamiltonians(stack).real.view(np.uint64))

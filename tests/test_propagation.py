@@ -10,6 +10,7 @@ import pytest
 from conftest import random_segment
 from oracles import (
     expm_hermitian,
+    gauged_hamiltonians,
     h_full,
     random_hermitian,
     rk4_unitary,
@@ -21,13 +22,12 @@ from oracles import (
 
 from rydgate import _kernels
 from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
-from rydgate.hamiltonians import hamiltonians
+from rydgate.hamiltonians import _real_parts
 from rydgate.propagation import (
     CHUNK,
     DriveParams,
     PulseSegment,
     PulseSequence,
-    _gauge,
     _gauged,
     batch_unitaries,
     distinct_segments,
@@ -116,9 +116,22 @@ class TestLowering:
         seq = PulseSequence(segments)
         assert seq.controls.shape == (40, 7) and seq.durations.shape == (40,)
         assert seq.durations.tolist() == [s.duration for s in segments]
-        for h, s in zip(hamiltonians(seq.controls), segments):
+        for h, s in zip(gauged_hamiltonians(seq.controls), segments):
             want = two_atom_hamiltonian_by_rules(_drive_tuple(s.drive1), _drive_tuple(s.drive2), s.v)
             assert np.max(np.abs(h - want)) < 1e-15
+
+    def test_rows_hold_each_drive_bit_for_bit(self, rng):
+        # (Omega, wrapped phi, Delta) per atom as DriveParams holds them, 0.0 for no drive.
+        drives = [DriveParams(sys.float_info.max, -1e-300, 3 * math.pi), DriveParams(5e-324, 0.0, -math.pi),
+                  DriveParams(-0.0, -0.0, -0.0), DriveParams(2.0, 1.0, 1e17)]
+        segments = [random_segment(rng) for _ in range(40)]
+        segments += [PulseSegment(1.0, a, b, -0.0) for a in [None, *drives] for b in [*drives, None]]
+        for row, s in zip(PulseSequence(tuple(segments)).controls, segments):
+            want = [0.0, 0.0, 0.0] * 2 + [s.v]
+            for k, drive in enumerate((s.drive1, s.drive2)):
+                if drive is not None:
+                    want[3 * k : 3 * k + 3] = drive.rabi, drive.phase, drive.detuning
+            assert row.tobytes() == np.array(want).tobytes()
 
     def test_replace_lowers_again(self, rng):
         seq = PulseSequence(tuple(random_segment(rng) for _ in range(3)))
@@ -318,77 +331,84 @@ class TestTwoRoutes:
 
 
 def _gauge_rows(rng, n=600):
-    """(n, 7) rows with Omega = 0 drives, phi = pi (with and without a zero sine),
-    -0.0 entries and huge finite Omega among random ones."""
+    """(n, 7) rows with Omega = 0 drives, phi = pi, -pi/2, 0.0 and -0.0, -0.0 entries and
+    huge finite Omega among random ones."""
     rabi = rng.uniform(0.0, 3.0, size=(n, 2))
     rabi[::7] = 0.0
     rabi[3::11] = 1e300
     phase = rng.uniform(-np.pi, np.pi, size=(n, 2))
     phase[::5], phase[1::5] = np.pi, -np.pi / 2
+    phase[5::10], phase[2::9] = 0.0, -0.0
     rows = np.zeros((n, 7))
-    rows[:, [0, 3]], rows[:, [1, 4]] = rabi * np.cos(phase), rabi * np.sin(phase)
+    rows[:, [0, 3]], rows[:, [1, 4]] = rabi, phase
     rows[:, [2, 5]] = rng.uniform(-2.0, 2.0, size=(n, 2))
     rows[:, 6] = rng.uniform(-5.0, 5.0, size=n)
-    rows[5::10, [1, 4]] = 0.0  # phi = pi with a zero sine: x = -Omega
-    rows[2::9, [1, 4]] = -0.0
     rows[4::13, [0, 2, 6]] = -0.0
     return rows
 
 
 class TestGauge:
-    """H = D Hr D^dag with Hr real symmetric; rows with no sine take no gauge."""
+    """H = D Hr D^dag with Hr real symmetric; rows whose phases are all zero take no gauge."""
 
     def test_gauge_rebuilds_the_hamiltonians(self, rng):
         rows = _gauge_rows(rng)
-        real, phases = _gauge(rows)
-        assert phases.shape == (len(rows), 2)
-        hr = hamiltonians(real)
-        assert not hr.imag.any() and np.array_equal(hr, hr.swapaxes(-1, -2))
-        gauge = _gauged(np.eye(9), phases)  # D as (n, 9, 9) diagonal matrices
+        hr = _real_parts(rows)
+        assert np.array_equal(hr, hr.swapaxes(-1, -2))
+        gauge = _gauged(np.eye(9), rows[:, 1::3])  # D as (n, 9, 9) diagonal matrices
         assert np.array_equal(gauge, gauge * np.eye(9))
-        got, want = gauge @ hr @ gauge.conj().swapaxes(-1, -2), hamiltonians(rows)
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+        for h, row in zip(gauged_hamiltonians(rows), rows):
+            want = two_atom_hamiltonian_by_rules(row[[0, 2, 1]], row[[3, 5, 4]], row[6])
+            assert np.all(np.abs(h - want) <= 4 * np.finfo(float).eps * np.abs(want))
 
-    def test_gauge_is_skipped_exactly_when_every_sine_is_zero(self, rng):
+    def test_gauge_is_skipped_exactly_when_every_phase_is_zero(self, monkeypatch, rng):
         rows = _gauge_rows(rng)
+        vr = rng.normal(size=(9, 9))
+        exp, calls = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(x.shape) or exp(x))
         for row in rows:
-            real, phases = _gauge(row)
-            assert (phases is None) == (not row[[1, 4]].any())
-            assert (real is row) == (phases is None)
-        free = rows.copy()
-        free[:, [1, 4]] = np.where(rng.uniform(size=(len(rows), 2)) < 0.5, 0.0, -0.0)
-        assert _gauge(free)[0] is free and _gauge(free)[1] is None
-        free[17, 4] = 1e-300
-        assert _gauge(free)[1] is not None
+            before = len(calls)
+            _gauged(vr, row[1::3])
+            assert len(calls) - before == (1 if row[[1, 4]].any() else 0)
+        free = np.where(rng.uniform(size=(len(rows), 2)) < 0.5, 0.0, -0.0)
+        before = len(calls)
+        _gauged(rng.normal(size=(len(rows), 9, 9)), free)
+        assert len(calls) == before
+        free[17, 1] = 1e-300
+        _gauged(rng.normal(size=(len(rows), 9, 9)), free)
+        assert calls[before:] == [(len(rows), 9)]
 
     def test_phase_free_rows_keep_their_bits_through_the_gauge(self, rng):
         # D = 1 + 0j exactly, so signed zeros in vr survive too.
         vr = rng.normal(size=(6, 9, 9))
         vr[..., ::4], vr[..., 1::4] = -0.0, 0.0
-        plain = _gauged(vr, None)
+        plain = _gauged(vr, np.zeros((6, 2)))
         assert plain.dtype == np.complex128
-        assert np.array_equal(_gauged(vr, np.zeros((6, 2))).view(np.uint64), plain.view(np.uint64))
+        assert np.array_equal(plain.view(np.uint64), vr.astype(np.complex128).view(np.uint64))
+        phases = np.zeros((7, 2))
+        phases[6] = 0.5, -0.0  # one phased row beside them forces the multiply
+        through = _gauged(np.concatenate([vr, rng.normal(size=(1, 9, 9))]), phases)
+        assert np.array_equal(through[:6].view(np.uint64), plain.view(np.uint64))
         # A blockade gate forced through the gauge by a phased row beside it.
         seq = blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0))
         rows, durations, order = distinct_segments(seq.controls, seq.durations)
         phased = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls[1:2]
-        real, phases = _gauge(np.concatenate([rows, phased]))
-        assert real[:2].tobytes() == rows.tobytes() and not phases[:2].any()
-        w, vr = np.linalg.eigh(hamiltonians(rows).real)
-        through = _kernels.sequence_product(w, _gauged(vr, phases[:2]), durations, order)
+        both = np.concatenate([rows, phased])
+        w, vr = np.linalg.eigh(_real_parts(both))
+        through = _kernels.sequence_product(w[:2], _gauged(vr, both[:, 1::3])[:2], durations, order)
         assert np.array_equal(through.view(np.uint64), sequence_unitary(seq).view(np.uint64))
 
-    def test_an_overflowing_rabi_column_is_a_value_error(self):
-        # Omega cos(phi) and Omega sin(phi) are finite, their hypot is not. pytest
-        # turns RuntimeWarnings into errors, so an overflow warning fails here too.
+    def test_the_largest_finite_rabi_frequency_propagates(self):
+        # The row holds Omega itself, so nothing overflows before eigh, on either route.
         drive = DriveParams(sys.float_info.max, 0.0, -0.11215485773315592)
         seq = PulseSequence((PulseSegment(1.0, drive, None, 0.0),))
-        with pytest.raises(ValueError, match="Rabi frequency"):
-            sequence_unitary(seq)
+        assert seq.controls[0, :3].tolist() == [sys.float_info.max, -0.11215485773315592, 0.0]
+        u = sequence_unitary(seq)
+        assert unitarity_defect(u) < 1e-14
         finite = PulseSequence((PulseSegment(1.0, DriveParams(1.0, 0.0, -0.11215485773315592), None, 0.0),))
-        for controls in (seq.controls[None], np.stack([finite.controls, seq.controls])):
-            with pytest.raises(ValueError, match="Rabi frequency"):
-                list(batch_unitaries(controls, seq.durations))
+        (alone,) = batch_unitaries(seq.controls[None], seq.durations)
+        (both,) = batch_unitaries(np.stack([finite.controls, seq.controls]), seq.durations)
+        for got, want in ((alone[0], u), (both[1], u), (both[0], sequence_unitary(finite))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestEigensystemCache:
@@ -493,9 +513,8 @@ class TestSequenceProduct:
 
 def _eigensystems(rows):
     """(w, v) of each row's Hamiltonian, one real ``eigh`` per row through the laser-phase gauge."""
-    real, phases = _gauge(rows)
-    w, v = np.linalg.eigh(hamiltonians(real).real)
-    return w, _gauged(v, phases)
+    w, v = np.linalg.eigh(_real_parts(rows))
+    return w, _gauged(v, rows[..., 1::3])
 
 
 def _product_per_segment(rows, durations):

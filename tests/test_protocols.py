@@ -113,6 +113,10 @@ class TestGeometricControls:
             want_rows, want_durations = _sequence_controls(kappas, float(omega))
             assert rows.tobytes() == want_rows.tobytes(), omega
             assert durations.tobytes() == want_durations.tobytes(), omega
+            # Omega and V scale their columns; the laser phases stay unscaled.
+            phases = np.repeat(np.array(GEOMETRIC_SEGMENT_PHASES)[:, None], 2, axis=1)
+            assert rows[..., [1, 4]].tobytes() == np.broadcast_to(phases, (500, 4, 2)).tobytes(), omega
+            assert rows[..., [0, 3]].tobytes() == np.repeat(kappas * (omega / kappas), 8).tobytes(), omega
 
     def test_empty_batch(self):
         rows, durations = geometric_controls([], 1.0)
