@@ -38,7 +38,6 @@ from rydgate.robustness import FidelityStats, NoiseModel, monte_carlo_fidelity
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BlockadeProtocolParams",
     "CalibrationError",
     "CalibrationResult",

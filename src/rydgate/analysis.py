@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate import _kernels, propagation
-from rydgate.hamiltonians import RABI_COLUMNS
-from rydgate.propagation import _require_finite, sequence_unitary
-from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
+from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, RABI_COLUMNS
+from rydgate.propagation import _require_finite, sequence_unitary, wrap_angle
 
 #: Below this diagonal-amplitude magnitude the extracted phase is meaningless
 #: (the evolution is far from cyclic for that basis state).
@@ -37,9 +36,8 @@ _TWO_COS, _TWO_SIN = 2.0 * np.cos(_GRID), 2.0 * np.sin(_GRID)
 #: Trapezoid intervals per segment of ``rydberg_time``.
 RYDBERG_TIME_SAMPLES = 256
 
-#: rydberg_time's initial states and weights.
+#: rydberg_time's initial states.
 _COMPUTATIONAL_STATES = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
-_EXCITATIONS = rydberg_excitation_counts()
 
 #: The indices of |00>, |01>, |10>, |11>, and the other rows of their columns.
 _INDICES = np.array(COMPUTATIONAL_INDICES)
@@ -124,67 +122,79 @@ def _grid_pass(big_a, z):
     return np.argmax(h[..., 0, :] + h[..., 1, :], axis=-1)
 
 
-def _grid_index(big_a, z):
-    """``_grid_pass``, 16 gates a pass: a (gates, 2, 256) temporary of 128 KiB or more is
-    mapped and unmapped by glibc's malloc each time, and every pass faults its pages in afresh."""
-    chunk = 16
-    if z.size <= 2 * chunk:
-        return _grid_pass(big_a, z)
-    shape, big_a, z = z.shape[:-1], big_a.reshape(-1, 2), z.reshape(-1, 2)
-    passes = [_grid_pass(big_a[i : i + chunk], z[i : i + chunk]) for i in range(0, len(z), chunk)]
-    return np.concatenate(passes).reshape(shape)
-
-
-#: Grid cells around the midpoint of the two pairs' peaks that ``_windowed_grid_index`` scores.
+#: Gates per full-grid pass: a (gates, 2, 256) temporary of 128 KiB or more is mapped and
+#: unmapped by glibc's malloc each time, and every pass faults its pages in afresh.
+_PASS = 16
+#: Grid cells around the midpoint of the two pairs' peaks that the window scores.
 _WINDOW = 16
 
 
-def _windowed_grid_index(big_a, z):
-    """``_grid_index`` of a Monte-Carlo block's (n, 2) pairs, bit for bit: where a bound certifies
-    it, the argmax of the ``_WINDOW`` cells around the midpoint of the pairs' peaks, else (far-apart
-    peaks, flat pairs, non-finite gates) that of ``_grid_index`` itself.
+def _window(pairs, sep, low):
+    """Each gate's argmax over the ``_WINDOW`` cells around the midpoint of its pairs' peaks, and
+    whether a bound certifies it, from ``_grid_index``'s (4, 2, n) pairs (A, Re z, Im z, |z|) and
+    the peaks' separation ``sep`` and midpoint's cell ``low``, in cells.
 
     Pair p's term T_p(d) = sqrt(max(A_p + 2|z_p| cos d, 0)) falls with the distance d from its
     peak -arg z_p up to pi. With both peaks a cell inside the window, a cell beyond it scores at
     most an end cell or, between the antipodes, T_0 + T_1 at pi - |sep|. The window's maximum must
     beat both by a slack: h^2 rounds by under 15 eps (A + 4|z|) a pair, or absolutely if subnormal.
     """
-    cells, step, chunk = len(_GRID), _GRID[1], propagation.CHUNK
-    index = np.empty(len(z), dtype=np.intp)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite gate fails the certificate
-        a, z_re, z_im, modulus = np.array([big_a.T, z.real.T, z.imag.T, np.abs(z).T])  # (2, n): gates innermost
-        peaks = np.arctan2(-z_im, z_re) / step  # in cells
+    cells, step, chunk = len(_GRID), _GRID[1], propagation.CHUNK * len(_GRID) // _WINDOW
+    a, z_re, z_im, modulus = pairs
+    antipodes = np.sqrt(np.maximum(a - 2.0 * modulus * np.cos(sep * step), 0.0)).sum(axis=0)
+    slack = 16.0 * np.sqrt(np.finfo(float).eps * (a + 4.0 * modulus).sum(axis=0) + 1e-300)
+    first = low.astype(np.intp) + (1 - _WINDOW // 2)
+    index, certified = np.empty(len(low), dtype=np.intp), np.empty(len(low), dtype=bool)
+    for i in range(0, len(low), chunk):  # (_WINDOW, 2, m) cells of m gates at a time
+        gates = slice(i, i + chunk)
+        cols = (first[gates] + np.arange(_WINDOW)[:, None]) & (cells - 1)  # % cells, a power of two
+        h = z_re[:, gates] * _TWO_COS[cols][:, None]
+        h -= z_im[:, gates] * _TWO_SIN[cols][:, None]
+        h += a[:, gates]
+        np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+        f = h[:, 0] + h[:, 1]
+        best = f.max(axis=0)
+        # The lowest grid index among equal maxima, as np.argmax picks, also where cols wrap.
+        index[gates] = np.where(f == best, cols, cells).min(axis=0)
+        certified[gates] = best > np.maximum(np.maximum(f[0], f[-1]), antipodes[gates]) + slack[gates]
+    return index, certified
+
+
+def _grid_index(big_a, z):
+    """Index of the ``_GRID`` angle maximizing f over the (..., 2) pairs of ``_local_z_angle``,
+    with each gate's bits whatever stack it is in. At most ``_PASS`` gates take one full-grid
+    pass. In a larger stack, a gate whose two peaks lie near each other takes the argmax of the
+    ``_WINDOW`` cells around their midpoint, where a bound certifies it; every other gate (peaks
+    far apart, flat pairs, non-finite gates) takes the full grid, ``_PASS`` gates a pass."""
+    if z.size <= 2 * _PASS:
+        return _grid_pass(big_a, z)
+    shape, big_a, z = z.shape[:-1], big_a.reshape(-1, 2), z.reshape(-1, 2)
+    cells, index = len(_GRID), np.empty(len(z), dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite gate is not certified
+        pairs = np.array([big_a.T, z.real.T, z.imag.T, np.abs(z).T])  # (4, 2, n): gates innermost
+        peaks = np.arctan2(-pairs[2], pairs[1]) / _GRID[1]  # in cells
         sep = (peaks[1] - peaks[0] + cells / 2) % cells - cells / 2
         mid = peaks[0] + sep / 2
         low, half = np.floor(mid), np.abs(sep) / 2
         near = (half <= mid - low + _WINDOW / 2 - 2) & (half <= low - mid + _WINDOW / 2 - 1)
-        antipodes = np.sqrt(np.maximum(a - 2.0 * modulus * np.cos(sep * step), 0.0)).sum(axis=0)
-        slack = 16.0 * np.sqrt(np.finfo(float).eps * (a + 4.0 * modulus).sum(axis=0) + 1e-300)
-        first = low.astype(np.intp) + (1 - _WINDOW // 2)
-        for i in range(0, len(z), chunk * cells // _WINDOW):  # (_WINDOW, 2, m) cells of m gates at a time
-            gates = slice(i, i + chunk * cells // _WINDOW)
-            cols = (first[gates] + np.arange(_WINDOW)[:, None]) & (cells - 1)  # % cells, a power of two
-            h = z_re[:, gates] * _TWO_COS[cols][:, None]
-            h -= z_im[:, gates] * _TWO_SIN[cols][:, None]
-            h += a[:, gates]
-            np.sqrt(np.maximum(h, 0.0, out=h), out=h)
-            f = h[:, 0] + h[:, 1]
-            best = f.max(axis=0)
-            # The lowest grid index among equal maxima, as np.argmax picks, also where cols wrap.
-            index[gates] = np.where(f == best, cols, cells).min(axis=0)
-            near[gates] &= best > np.maximum(np.maximum(f[0], f[-1]), antipodes[gates]) + slack[gates]
+        # The near gates are gathered only when some gate is not: on sweeps, not in most Monte-Carlo blocks.
+        windowed = slice(None) if near.all() else np.flatnonzero(near)
+        index[windowed], near[windowed] = _window(pairs[..., windowed], sep[windowed], low[windowed])
     rest = np.flatnonzero(~near)
-    index[rest] = _grid_index(big_a[rest], z[rest])
-    return index
+    if rest.size:  # gathered once: a gather per pass costs more than the window saves on a sweep
+        big_a, z = big_a[rest], z[rest]
+        passes = [_grid_pass(big_a[i : i + _PASS], z[i : i + _PASS]) for i in range(0, len(z), _PASS)]
+        index[rest] = np.concatenate(passes)
+    return index.reshape(shape)
 
 
-def _local_z_angle(c, grid_index=_grid_index):
+def _local_z_angle(c):
     """Qubit-1 angle maximizing f: two Newton steps from the best grid point,
     which is kept where they give NaN (a cusp) or leave its grid cell."""
     a, b = c[..., :2], c[..., 2:]
     big_a = np.abs(a) ** 2 + np.abs(b) ** 2
     z = np.conj(a) * b
-    alpha = coarse = _GRID[grid_index(big_a, z)]
+    alpha = coarse = _GRID[_grid_index(big_a, z)]
     big_a[big_a == 0.0] = 1.0  # a vanished pair has w = 0: its terms stay 0, not 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):
@@ -207,7 +217,7 @@ def _fidelity_terms(u):
     return block.diagonal(axis1=-2, axis2=-1).copy(), tr_mm
 
 
-def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid_index):
+def _fidelity_functional(c, tr_mm, target_phi, compensate=True):
     """The fidelity array of ``_fidelity_terms``, which it leaves unchanged."""
     if not (np.isfinite(c).all() and np.isfinite(tr_mm).all()):  # before the local-Z search warns on it
         raise ValueError("fidelity functional out of range: a gate is not finite")
@@ -216,7 +226,7 @@ def _fidelity_functional(c, tr_mm, target_phi, compensate=True, grid_index=_grid
     c[..., 3] = c[..., 3] * np.conj(np.exp(1j * np.asarray(target_phi)))
     if compensate:
         # f = |c00 + c10 e^{ia}| + |c01 + c11 e^{ia}| at the maximizing angle a.
-        pairs = np.abs(c[..., :2] + c[..., 2:] * np.exp(1j * _local_z_angle(c, grid_index))[..., None])
+        pairs = np.abs(c[..., :2] + c[..., 2:] * np.exp(1j * _local_z_angle(c))[..., None])
         tr = pairs[..., 0] + pairs[..., 1]
     else:
         tr = np.abs(c.sum(axis=-1))
@@ -262,7 +272,7 @@ def rydberg_time(sequence):
     from the states at each segment's start, read off the sequence's running products.
     """
     totals = _kernels.weighted_population_integral(
-        *sequence._eigensystem, sequence._partials, _COMPUTATIONAL_STATES, _EXCITATIONS, RYDBERG_TIME_SAMPLES
+        *sequence._eigensystem, sequence._partials, _COMPUTATIONAL_STATES, EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     with np.errstate(over="ignore"):
         mean = totals.sum() / len(totals)  # np.mean's reduction

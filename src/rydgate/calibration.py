@@ -6,9 +6,9 @@ the sign-change interval of the wrapped phase error nearest the seed, and
 solves for the root there by Anderson-Bjorck regula falsi. Sweeps and the scan
 batch rows from ``geometric_controls`` and keep only what each propagator stack's
 columns read: its raw diagonal U_bb, and for sweeps Tr(M M^dag) and the largest
-leakage. Phases, and a sweep's fidelities on the full local-Z grid, are computed once
-per batch with the bits of one call per stack. A failed calibration completes and
-reports its controlled-phase column; each solver step builds one ``geometric_sequence``.
+leakage. Phases, and a sweep's fidelities, are computed once per batch with the bits
+of one call per stack. A failed calibration completes and reports its controlled-phase
+column; each solver step builds one ``geometric_sequence``.
 Identical inputs give bit-identical tables.
 """
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate.analysis import (
-    _INDICES,
     _fidelity_functional,
     _fidelity_terms,
     _leakage,
@@ -28,14 +27,14 @@ from rydgate.analysis import (
     controlled_phase,
     phase_combination,
 )
-from rydgate.propagation import batch_unitaries, sequence_unitary
+from rydgate.hamiltonians import COMPUTATIONAL_INDICES
+from rydgate.propagation import batch_unitaries, sequence_unitary, wrap_angle
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     GeometricProtocolParams,
     geometric_controls,
     geometric_sequence,
 )
-from rydgate.statespace import wrap_angle
 
 #: Grid size of calibrate_kappa's pre-scan, and the largest
 #: |wrapped phase error| it accepts at kappa*.
@@ -204,7 +203,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         diagonals, stop = np.empty((len(points), 4), dtype=complex), 0
         for u in batch_unitaries(*geometric_controls(kappas[points], omega)):
             start, stop = stop, stop + len(u)
-            diagonals[start:stop] = u[:, _INDICES, _INDICES]
+            diagonals[start:stop] = u[:, COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
         phases[points] = wrap_angle(phase_combination(np.arctan2(diagonals.imag, diagonals.real).T))
         errors[points] = wrap_angle(phases[points] - target)
 

@@ -1,4 +1,14 @@
-"""The operator basis of the two-atom Rydberg Hamiltonian.
+"""The two-atom basis and the operator basis of the Rydberg Hamiltonian.
+
+Each atom carries the levels ``|0>``, ``|1>`` and the Rydberg level ``|r>``
+(codes 0, 1, 2). Two-atom product states are ordered row-major over
+(atom 1, atom 2):
+
+    index(a, b) = 3*code(a) + code(b)
+
+so the nine basis states are ``|00>, |01>, |0r>, |10>, |11>, |1r>, |r0>,
+|r1>, |rr>`` at indices 0..8. All frequencies are angular frequencies in a
+user-chosen reference unit and times are in the inverse unit (hbar = 1).
 
 The drive on atom k couples ``|1>_k`` to ``|r>_k`` with Rabi frequency Omega,
 detuning Delta and laser phase phi; the matrix-element convention is
@@ -46,6 +56,13 @@ OPERATORS.flags.writeable = False
 #: The control-row columns of the Rabi frequencies, and the V column.
 RABI_COLUMNS = (0, 3)
 V_COLUMN = 6
+#: n1 and n2, C-ordered copies of the diagonals of the Delta1 and Delta2 operators: 1.0 on the
+#: states with atom 1, atom 2 in |r>. Their sum, each state's Rydberg excitations (0, 1 or 2),
+#: weighs ``analysis.rydberg_time``; the computational states |00>, |01>, |10>, |11> have none.
+EXCITED = OPERATORS[[2, 5]].real.diagonal(axis1=1, axis2=2).copy()
+EXCITATIONS = EXCITED.sum(axis=0)
+EXCITED.flags.writeable = EXCITATIONS.flags.writeable = False
+COMPUTATIONAL_INDICES = tuple(np.flatnonzero(EXCITATIONS == 0).tolist())
 
 # The gather table over the 81 real parts of a Hamiltonian: the first column feeding
 # each entry (0 where none does) and its coefficient (0.0 there).

@@ -25,15 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rydgate import _kernels
-from rydgate.hamiltonians import _real_parts
-from rydgate.statespace import wrap_angle
+from rydgate.hamiltonians import EXCITED, _real_parts
 
 #: Gates per kernel call in ``batch_unitaries``. The call and the characterization of its
 #: stack pay a fixed dispatch cost: a 2,000-gate Monte-Carlo run makes 66 calls at 32, 252
 #: at 8, for the same matrices. 256 ran slower than 64: a fidelity-grid temporary is 1 MB.
 CHUNK = 32
-#: n1 and n2: 1.0 on the basis states with atom 1, atom 2 in |r> (index 3*a + b, |r> = 2).
-_EXCITED = np.array([np.repeat([0.0, 0.0, 1.0], 3), np.tile([0.0, 0.0, 1.0], 3)])
+
+
+def wrap_angle(x):
+    """Wrap an angle into (-pi, pi]; the branch point -pi maps to +pi."""
+    return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
 def _require_finite(value, name):
@@ -134,7 +136,7 @@ def _gauged(vr, phases):
     exp(-1j * x), is exactly 1 + 0j at x = 0, so a phase-free row keeps its bits either way."""
     if not np.count_nonzero(phases):
         return vr.astype(np.complex128)
-    return np.exp(1j * -(phases @ _EXCITED))[..., None] * vr
+    return np.exp(1j * -(phases @ EXCITED))[..., None] * vr
 
 
 def distinct_segments(controls, durations):

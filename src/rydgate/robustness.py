@@ -16,10 +16,9 @@ of NumPy's ziggurat, with tables probed from NumPy (``rydgate._ziggurat``). The
 ~3 % of samples with a draw off that path, and one fast sample as a check, go
 through ``Generator``; a NumPy that draws otherwise raises ``RuntimeError``.
 A ``SAMPLE_BLOCK``'s gates keep only their raw computational diagonal U_bb and
-Tr(M M^dag) (72 B); the phase errors and the fidelities, searched on a certified
-window of the local-Z grid (used here alone), run once per block, with the bits
-of one call per propagator stack. Only each sample's fidelity and phase error
-(16 B) outlive its block.
+Tr(M M^dag) (72 B); the phase errors and the fidelities run once per block, with
+the bits of one call per propagator stack. Only each sample's fidelity and phase
+error (16 B) outlive its block.
 """
 
 import itertools
@@ -29,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.analysis import _fidelity_functional, _fidelity_terms, _phases, _windowed_grid_index, controlled_phase
+from rydgate.analysis import _fidelity_functional, _fidelity_terms, _phases, controlled_phase
 from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
-from rydgate.propagation import batch_unitaries, sequence_unitary
+from rydgate.propagation import batch_unitaries, sequence_unitary, wrap_angle
 from rydgate.protocols import protocol_sequence
-from rydgate.statespace import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -241,10 +239,10 @@ def _noisy_controls(rows, noise, indices):
 
 
 def _block_statistics(diagonals, tr_mm, target):
-    """Per-gate ``fidelity_cphase``, searched on the certified window, and |phase error| against
-    ``target``, with their bits, from ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``."""
+    """Per-gate ``fidelity_cphase`` and |phase error| against ``target``, with their bits, from
+    ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``."""
     phase_errors = np.abs(wrap_angle(controlled_phase(np.arctan2(diagonals.imag, diagonals.real).T) - target))
-    return _fidelity_functional(diagonals, tr_mm, target, grid_index=_windowed_grid_index), phase_errors
+    return _fidelity_functional(diagonals, tr_mm, target), phase_errors
 
 
 def _summary(fidelities, phase_errors):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rydgate import analysis
-from rydgate.analysis import _grid_index
+from rydgate.analysis import _grid_pass, _window
 from rydgate.propagation import DriveParams, PulseSegment
 
 
@@ -13,17 +13,30 @@ def rng():
 
 @pytest.fixture
 def fallback(monkeypatch):
-    """The gate count of each call by which the Monte-Carlo block step leaves its
-    local-Z window for the full grid."""
+    """The gate count of each full-grid pass of the local-Z search."""
     counts = []
 
     def recorded(big_a, z):
-        if len(z):
-            counts.append(len(z))
-        return _grid_index(big_a, z)
+        if z.size:
+            counts.append(z.size // 2)
+        return _grid_pass(big_a, z)
 
-    monkeypatch.setattr(analysis, "_grid_index", recorded)
+    monkeypatch.setattr(analysis, "_grid_pass", recorded)
     return counts
+
+
+@pytest.fixture
+def windowed(monkeypatch):
+    """(gates, certified gates) of each call by which the local-Z search scores gates on its window."""
+    calls = []
+
+    def recorded(pairs, sep, low):
+        index, certified = _window(pairs, sep, low)
+        calls.append((len(low), int(certified.sum())))
+        return index, certified
+
+    monkeypatch.setattr(analysis, "_window", recorded)
+    return calls
 
 
 def random_drive(rng, max_rabi=2.0):

@@ -58,7 +58,7 @@ from rydgate.analysis import (
     phases_and_leakage,
     pulse_area,
 )
-from rydgate.hamiltonians import OPERATORS, _real_parts
+from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, OPERATORS, _real_parts
 from rydgate.propagation import (
     PulseSegment,
     PulseSequence,
@@ -66,6 +66,7 @@ from rydgate.propagation import (
     batch_unitaries,
     distinct_segments,
     sequence_unitary,
+    wrap_angle,
 )
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
@@ -74,7 +75,6 @@ from rydgate.protocols import (
     geometric_sequence,
     protocol_sequence,
 )
-from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 
 def rk4_unitary(h, t, tol=1e-10, n_start=64, max_doublings=14):
@@ -214,7 +214,7 @@ def two_pass_gate_report(sequence, target_phi=math.pi):
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     w, v = np.linalg.eigh(hams)
     totals = weighted_population_integral(
-        w, _gauged(v, phases), durations, order, np.array(partials), states, rydberg_excitation_counts(),
+        w, _gauged(v, phases), durations, order, np.array(partials), states, EXCITATIONS,
         RYDBERG_TIME_SAMPLES,
     )
     extraction = phases_and_leakage(u)

@@ -1,11 +1,13 @@
 """Print one sha256 over the pickled outputs of rydgate's protocol traffic.
 
-Not a test, and not run by CI: the digest depends on the platform's NumPy and
-LAPACK builds. It checks that a refactor keeps every output bit: run
+Not a test: the digest depends on the platform's NumPy and LAPACK builds. It
+checks that a refactor keeps every output bit: run
 
     PYTHONPATH=src python tests/output_digest.py
 
-in a checkout of each commit, on one machine, and compare the two digests.
+in a checkout of each commit, on one machine, and compare the two digests. CI
+runs it twice in one job, each run under its own random hash seed, and requires
+the same digest.
 
 The traffic is what the protocols feed the package:
 
@@ -14,7 +16,10 @@ The traffic is what the protocols feed the package:
   plus one run with ten times the noise each;
 - the sweeps (0.2, 2.5, 200) and (0.05, 3, 1000);
 - five calibrations, two of them failing, with their message and scan table;
-- 100 ``analyze_gate`` reports of geometric and blockade gates drawn at random.
+- 100 ``analyze_gate`` reports of geometric and blockade gates drawn at random;
+- ``phases_and_leakage`` and ``fidelity_cphase``, with and without local-Z
+  compensation, on (300,), (3, 100) and (15, 20) stacks of sweep gates and on
+  64 random unitaries, against a scalar target and a target per gate.
 """
 
 import hashlib
@@ -30,10 +35,13 @@ from rydgate import (
     NoiseModel,
     analyze_gate,
     calibrate_kappa,
+    fidelity_cphase,
     monte_carlo_fidelity,
+    phases_and_leakage,
     sweep_kappa,
 )
-from rydgate.protocols import protocol_sequence
+from rydgate.propagation import batch_unitaries
+from rydgate.protocols import geometric_controls, protocol_sequence
 
 README_PROTOCOLS = (
     (GeometricProtocolParams.from_omega(1.65, 1.0), 2000),
@@ -77,6 +85,17 @@ def reports(n=100, seed=2024):
         yield analyze_gate(protocol_sequence(params), target)
 
 
+def stacks(seed=2025):
+    rng = np.random.default_rng(seed)
+    gates = np.concatenate(list(batch_unitaries(*geometric_controls(np.linspace(0.2, 2.5, 300), 1.0))))
+    randoms = np.linalg.qr(rng.normal(size=(64, 9, 9)) + 1j * rng.normal(size=(64, 9, 9)))[0]
+    for stack in (gates, gates.reshape(3, 100, 9, 9), gates.reshape(15, 20, 9, 9), randoms):
+        yield phases_and_leakage(stack)
+        for target in (math.pi, rng.uniform(-4.0, 4.0, stack.shape[:-2])):
+            for compensate in (True, False):
+                yield fidelity_cphase(stack, target, compensate)
+
+
 def main():
     outputs = [
         list(monte_carlo_runs()),
@@ -84,6 +103,7 @@ def main():
         sweep_kappa(0.05, 3.0, 1000),
         list(calibrations()),
         list(reports()),
+        list(stacks()),
     ]
     print(hashlib.sha256(pickle.dumps(outputs, protocol=4)).hexdigest())
 

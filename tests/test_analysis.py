@@ -29,6 +29,7 @@ from rydgate.analysis import (
     _fidelity_functional,
     _fidelity_terms,
     _grid_index,
+    _grid_pass,
     _phases,
     analyze_gate,
     controlled_phase,
@@ -38,6 +39,7 @@ from rydgate.analysis import (
     pulse_area,
     rydberg_time,
 )
+from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS
 from rydgate.propagation import (
     CHUNK,
     DriveParams,
@@ -45,15 +47,16 @@ from rydgate.propagation import (
     PulseSequence,
     batch_unitaries,
     sequence_unitary,
+    wrap_angle,
 )
 from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
     blockade_pdp_sequence,
+    geometric_controls,
     geometric_sequence,
 )
 from rydgate.robustness import _perturbed_controls
-from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts, wrap_angle
 
 
 def _embed_diag(values):
@@ -232,23 +235,23 @@ class TestFidelity:
         with pytest.raises(ValueError, match="^fidelity functional out of range"):
             fidelity_cphase(np.array([np.eye(9), u]), math.pi)
         with pytest.raises(ValueError, match="^fidelity functional out of range"):
-            terms = _fidelity_terms(np.array([np.eye(9), u, np.eye(9)]))
-            _fidelity_functional(*terms, math.pi, grid_index=analysis._windowed_grid_index)
+            fidelity_cphase(np.array([np.eye(9)] * 10 + [u] + [np.eye(9)] * 10), math.pi)  # past one grid pass
 
     @pytest.mark.parametrize("compensate", [True, False])
     def test_the_functional_leaves_its_terms_unchanged(self, rng, compensate):
         # So a caller may take phases from the diagonals before or after scoring them.
         q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
         u = sequence_unitary(geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)))
-        for gates, target, grid_indices in (
-            (u, math.pi, [_grid_index]),
-            (np.array([u, q]), np.array([math.pi, 2.1]), [_grid_index, analysis._windowed_grid_index]),
+        # One gate, one grid pass, and a stack past one pass.
+        for gates, target in (
+            (u, math.pi),
+            (np.array([u, q]), np.array([math.pi, 2.1])),
+            (np.array([u, q] * 9), np.tile([math.pi, 2.1], 9)),
         ):
             c, tr_mm = _fidelity_terms(gates)
             kept = c.tobytes(), tr_mm.tobytes()
-            for grid_index in grid_indices:
-                _fidelity_functional(c, tr_mm, target, compensate, grid_index)
-                assert (c.tobytes(), tr_mm.tobytes()) == kept
+            _fidelity_functional(c, tr_mm, target, compensate)
+            assert (c.tobytes(), tr_mm.tobytes()) == kept
 
     def test_maximizer_matches_golden_section_oracle(self, rng):
         cases = []
@@ -286,6 +289,11 @@ def _pair_terms(c):
 
 def _grid_index_of(c):
     return _grid_index(*_pair_terms(c))
+
+
+def _full_grid(big_a, z):
+    """The full grid's index for (n, 2) pairs, in passes of 16 gates that no fixture records."""
+    return np.concatenate([_grid_pass(big_a[i : i + 16], z[i : i + 16]) for i in range(0, len(z), 16)])
 
 
 def _vanishing_pairs(rng, n):
@@ -344,17 +352,17 @@ class TestLocalZGrid:
         assert np.isfinite(fidelity_cphase(np.array([_embed_diag(x) for x in c[:512]]), 1.0)).all()
 
     def test_monte_carlo_block_step_gives_each_gates_grid_index_and_fidelity(self, monkeypatch, rng):
-        # The block step scores a whole block at once, on each gate's certified window of the grid.
+        # The block step scores a whole block at once.
         n = 3 * CHUNK + 5
         c = np.concatenate([DEGENERATE_DIAGONALS, _random_diagonals(rng, n)[::2]])[:n]  # both kinds
         u = np.array([_embed_diag(x) for x in c])
-        seen, windowed = [], analysis._windowed_grid_index
+        seen = []
 
         def recorded(big_a, z):
-            seen.append(windowed(big_a, z))
+            seen.append(_grid_index(big_a, z))
             return seen[-1]
 
-        monkeypatch.setattr(robustness, "_windowed_grid_index", recorded)
+        monkeypatch.setattr(analysis, "_grid_index", recorded)
         for target in (0.0, math.pi, 2.1):
             fidelities, phase_errors = robustness._block_statistics(*_fidelity_terms(u), target)
             for i, gate in enumerate(u):
@@ -377,14 +385,15 @@ def _close_peaks(rng, n, low, high, centre=None):
 
 
 class TestLocalZWindow:
-    """The block step's window of the grid gives ``_grid_index`` bit for bit, and
-    leaves to it every gate that its certificate does not cover."""
+    """In a stack of more than 16 gates, a gate whose pairs peak near each other is scored on
+    a window of the grid, with the full grid's index bit for bit; the search leaves to the full
+    grid every other gate, and every gate that the window's certificate does not cover."""
 
     @pytest.mark.parametrize(
         "family",
         [
             lambda rng: _random_diagonals(rng, 3000),
-            lambda rng: np.array(DEGENERATE_DIAGONALS, dtype=complex),
+            lambda rng: np.tile(np.array(DEGENERATE_DIAGONALS, dtype=complex), (3, 1)),  # 18 gates
             lambda rng: _vanishing_pairs(rng, 20),
             lambda rng: _close_peaks(rng, 3000, 0.0, 2 * analysis._WINDOW),
             # Rounding is absolute below the normal range, which only the slack covers.
@@ -393,45 +402,75 @@ class TestLocalZWindow:
         ],
         ids=["random", "degenerate", "vanishing", "close-peaks", "subnormal", "subnormal-vanishing"],
     )
-    def test_gives_the_grid_index(self, rng, family):
+    def test_gives_the_grid_index(self, rng, family, windowed):
         big_a, z = _pair_terms(family(rng))
-        assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+        assert np.array_equal(_grid_index(big_a, z), _full_grid(big_a, z))
+        assert windowed
 
-    def test_peaks_ten_to_twelve_cells_apart_are_scored_on_the_window(self, rng, fallback):
+    def test_peaks_ten_to_twelve_cells_apart_are_scored_on_the_window(self, rng, fallback, windowed):
         # Up to 12 cells apart both peaks lie a cell inside the window, whatever its
         # midpoint's cell. With one pair weaker, the maximum sits near the other's peak,
         # next to the window's end, so a window shifted by a cell leaves some gates.
         c = _close_peaks(rng, 4000, analysis._WINDOW - 6, analysis._WINDOW - 4)
         c[:, [1, 3]] *= rng.uniform(0.01, 1.0, (len(c), 1))
         big_a, z = _pair_terms(c)
-        assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
-        assert sum(fallback) == 0
+        assert np.array_equal(_grid_index(big_a, z), _full_grid(big_a, z))
+        assert fallback == [] and windowed == [(4000, 4000)]
 
-    def test_peaks_more_than_the_window_apart_fall_back(self, rng, fallback):
+    def test_peaks_more_than_the_window_apart_go_to_the_grid(self, rng, fallback, windowed):
         big_a, z = _pair_terms(_close_peaks(rng, 2000, analysis._WINDOW + 0.01, 128.0))
-        assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
-        assert sum(fallback) == 2000
+        assert np.array_equal(_grid_index(big_a, z), _full_grid(big_a, z))
+        assert sum(fallback) == 2000 and windowed == [(0, 0)]
 
     def test_windows_that_wrap_past_the_last_cell(self, rng, fallback):
         # Midpoints within a cell of angle 0: each window spans cells 255 and 0.
         c = _close_peaks(rng, 2000, 0.0, analysis._WINDOW / 2, rng.uniform(-_GRID[1], _GRID[1], 2000))
         big_a, z = _pair_terms(c)
-        index = analysis._windowed_grid_index(big_a, z)
-        assert np.array_equal(index, _grid_index(big_a, z))
+        index = _grid_index(big_a, z)
+        assert np.array_equal(index, _full_grid(big_a, z))
         assert sum(fallback) == 0
         assert {0, 255} <= set(index.tolist())
 
-    def test_a_tie_between_the_last_and_first_cell_picks_cell_0(self, fallback):
+    def test_a_tie_between_the_last_and_first_cell_picks_cell_0(self, fallback, windowed):
         # Both pairs peak half a cell below angle 0, where cells 255 and 0 score the same bits.
+        # The gate is repeated past one grid pass, so that it reaches the window.
         z = 5e-4 * np.exp(0.5j * _GRID[1])
-        c = np.array([[1.0, 1.0, z, z]])
+        c = np.array([[1.0, 1.0, z, z]] * 17)
         big_a, z = _pair_terms(c)
-        h2 = z.real[..., None] * _TWO_COS - z.imag[..., None] * _TWO_SIN + big_a[..., None]  # as _grid_index
+        h2 = z.real[..., None] * _TWO_COS - z.imag[..., None] * _TWO_SIN + big_a[..., None]  # as _grid_pass
         h = np.sqrt(np.maximum(h2, 0.0))
         f = h[0, 0] + h[0, 1]
         assert f[255] == f[0] == f.max() and np.sum(f == f.max()) == 2
-        assert analysis._windowed_grid_index(big_a, z).tolist() == _grid_index(big_a, z).tolist() == [0]
-        assert sum(fallback) == 0
+        assert _grid_index(big_a, z).tolist() == _full_grid(big_a, z).tolist() == [0] * 17
+        assert sum(fallback) == 0 and windowed == [(17, 17)]
+
+    def test_a_stack_of_16_gates_takes_one_grid_pass(self, rng, fallback, windowed):
+        c = _close_peaks(rng, 17, 0.0, 2.0)
+        assert np.array_equal(_grid_index_of(c[:16]), _full_grid(*_pair_terms(c[:16])))
+        assert fallback == [16] and windowed == []
+        _grid_index_of(c)
+        assert fallback == [16] and windowed == [(17, 17)]
+
+    def test_each_gate_of_a_stack_picks_its_path(self, rng, fallback, windowed):
+        # Near peaks interleaved with far ones: only the near gates are gathered for the window.
+        near, far = _close_peaks(rng, 40, 0.0, 4.0), _close_peaks(rng, 40, 2 * analysis._WINDOW, 128.0)
+        c = np.stack([near, far], axis=1).reshape(80, 4)
+        big_a, z = _pair_terms(c)
+        assert np.array_equal(_grid_index(big_a, z), _full_grid(big_a, z))
+        assert sum(fallback) == 40 and windowed == [(40, 40)]
+
+    def test_a_stack_of_gates_gives_the_bits_of_one_call_per_gate(self):
+        kappas = np.linspace(0.2, 2.5, 60)
+        gates = np.concatenate(list(batch_unitaries(*geometric_controls(kappas, 1.0)))).reshape(3, 20, 9, 9)
+        targets = np.linspace(-4.0, 4.0, 60).reshape(3, 20)
+        for target in (math.pi, targets):
+            for compensate in (True, False):
+                stacked = fidelity_cphase(gates, target, compensate)
+                per_gate = [
+                    fidelity_cphase(u, t, compensate) for u, t in zip(gates.reshape(60, 9, 9), np.broadcast_to(target, (3, 20)).ravel())
+                ]
+                assert stacked.shape == (3, 20)
+                assert stacked.ravel().tolist() == per_gate
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(math.inf, -math.inf)])
     def test_non_finite_rows_fall_back_and_fail_the_fidelity(self, monkeypatch, fallback, bad):
@@ -449,12 +488,13 @@ class TestLocalZWindow:
         with pytest.raises(ValueError, match="^fidelity functional out of range"):
             robustness.monte_carlo_fidelity(protocol, noise, 20)  # one propagator stack
         assert fallback == []
-        # Given directly, the window leaves it to the full grid; an infinite entry warns (inf * 0).
+        # Given directly, the search leaves it to the full grid; an infinite entry warns (inf * 0).
         with np.errstate(invalid="ignore", over="ignore"):
             c = _random_diagonals(np.random.default_rng(5), 20)
             c[5, 2] = bad
             big_a, z = _pair_terms(c)
-            assert np.array_equal(analysis._windowed_grid_index(big_a, z), _grid_index(big_a, z))
+            assert np.array_equal(_grid_index(big_a, z), _full_grid(big_a, z))
+        assert sum(fallback) >= 1
 
 
 class TestStacks:
@@ -581,7 +621,7 @@ class TestActuationMetrics:
         with pytest.raises(ValueError, match="^a population integral overflows"):
             _kernels.weighted_population_integral(
                 w, v, durations, order, partials, np.eye(9)[list(COMPUTATIONAL_INDICES)],
-                rydberg_excitation_counts(), 256,
+                EXCITATIONS, 256,
             )
 
     def test_population_integral_per_state_and_input_untouched(self):
@@ -589,7 +629,7 @@ class TestActuationMetrics:
         (w, v), durations = np.linalg.eigh(gauged_hamiltonians(seq.controls)), seq.durations
         psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
         before = psi0.copy()
-        weights = rydberg_excitation_counts()
+        weights = EXCITATIONS
         order = range(len(durations))
         partials = _kernels.sequence_product(w, v, durations, order, partials=True)
         kept = partials.copy()
@@ -621,7 +661,7 @@ def _integrals(segments, samples):
     hams, durations = gauged_hamiltonians(seq.controls), seq.durations
     (w, v), order = np.linalg.eigh(hams), range(len(durations))
     partials = _kernels.sequence_product(w, v, durations, order, partials=True)
-    states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], rydberg_excitation_counts(), samples)
+    states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], EXCITATIONS, samples)
     got = _kernels.weighted_population_integral(w, v, durations, order, partials, *states)
     return got, sampled_population_integral(hams, durations, *states)
 
@@ -659,7 +699,7 @@ class TestRydbergTimeKernel:
         assert _rel_err(got, want) < 1e-13
         before, _ = _integrals((_GENERIC,), samples)
         u = sequence_unitary(PulseSequence((_GENERIC,)))[:, list(COMPUTATIONAL_INDICES)]
-        held = 1.7 * rydberg_excitation_counts() @ np.abs(u) ** 2
+        held = 1.7 * EXCITATIONS @ np.abs(u) ** 2
         np.testing.assert_allclose(got, before + held, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("samples", [1, 3, 256])
@@ -753,7 +793,7 @@ def _sequential_rydberg_time(sequence):
     """``rydberg_time`` with each state propagated again through the segments."""
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = sequential_population_integral(
-        *sequence._eigensystem, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
+        *sequence._eigensystem, states, EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     return float(np.mean(totals))
 

@@ -20,7 +20,6 @@ print(rydgate.BACKEND, sorted(loaded - set(sys.stdlib_module_names) - {"numpy", 
 """
 
 PUBLIC_NAMES = [
-    "BACKEND",
     "BlockadeProtocolParams",
     "CalibrationError",
     "CalibrationResult",

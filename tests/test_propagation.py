@@ -22,7 +22,7 @@ from oracles import (
 
 from rydgate import _kernels
 from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
-from rydgate.hamiltonians import _real_parts
+from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, _real_parts
 from rydgate.propagation import (
     CHUNK,
     DriveParams,
@@ -40,7 +40,6 @@ from rydgate.protocols import (
     geometric_sequence,
 )
 from rydgate.robustness import _perturbed_controls
-from rydgate.statespace import COMPUTATIONAL_INDICES, rydberg_excitation_counts
 
 
 def _segment_unitary(segment):
@@ -220,7 +219,6 @@ class TestSequenceUnitary:
         # Measured floor for this implementation: every computational
         # diagonal modulus of the kappa = 1.65 gate stays above 0.9986.
         from rydgate.protocols import GeometricProtocolParams, geometric_sequence
-        from rydgate.statespace import COMPUTATIONAL_INDICES
 
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
         u = sequence_unitary(seq)
@@ -532,7 +530,7 @@ def _rydberg_time_per_segment(sequence):
     partials = _kernels.sequence_product(w, v, durations, order, partials=True)
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = _kernels.weighted_population_integral(
-        w, v, durations, order, partials, states, rydberg_excitation_counts(), RYDBERG_TIME_SAMPLES
+        w, v, durations, order, partials, states, EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     return float(np.mean(totals))
 
