@@ -17,8 +17,9 @@ the real Hr, ``propagation._gauged``), ``durations`` and ``order`` describe a sc
 distinct segments and each segment's index into them (``propagation.distinct_segments``).
 
 The kernels assume Hermitian matrices, as the eigensystems of ``propagation``
-describe them, and do not check it; an eigenphase w*t or a population integral
-that overflows raises ``ValueError``.
+describe them, and do not check it; an eigenphase w*t beyond 2**32 in magnitude,
+past which eigh's rounding swamps the gate, or a population integral that overflows
+raises ``ValueError``.
 
 ``BACKEND`` is always ``"pure"``.
 """

@@ -9,11 +9,15 @@ import numpy as np
 
 
 def _eigenphases(w, t):
-    """w*t, raising ValueError where it overflows, before NumPy would warn."""
+    """w*t, raising ValueError where |w*t| > 2**32 (NaN and overflow included), before NumPy would
+    warn. eigh rounds w by about eps*max|w|, which past that bound turns e^{-iwt} into noise."""
     with np.errstate(over="ignore"):
         wt = w * t
-    if not np.isfinite(wt).all():
-        raise ValueError("an eigenphase w*t overflows: the interaction strength times the duration is out of range")
+    if not (np.abs(wt) <= 2.0**32).all():
+        raise ValueError(
+            "an eigenphase w*t overflows 2**32 in magnitude, past which eigh cannot resolve the gate: "
+            "the interaction strength times the duration is out of range"
+        )
     return wt
 
 

@@ -10,6 +10,8 @@ reported both raw ("unwrapped", range (-4*pi, 4*pi)) and wrapped into
 (-pi, pi] with the branch point -pi mapped to +pi. Including phi_00 keeps
 the combination free of local Z and global phases for gates where |00> is
 not stationary; it vanishes for the Rydberg protocols where |00> is decoupled.
+Sweeps, calibration and Monte-Carlo read it only through ``_diagonals`` and
+``_phase_sum``, per gate or per batch with the same bits.
 
 ``phases_and_leakage`` and ``fidelity_cphase`` take one 9x9 unitary, giving
 Python scalars, or a (..., 9, 9) stack, giving arrays with the bits of one call
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate import _kernels, propagation
-from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, RABI_COLUMNS
-from rydgate.propagation import _require_finite, sequence_unitary, wrap_angle
+from rydgate import _kernels
+from rydgate.propagation import COMPUTATIONAL_INDICES, EXCITATIONS, RABI_COLUMNS, _require_finite, sequence_unitary, wrap_angle
 
 #: Below this diagonal-amplitude magnitude the extracted phase is meaningless
 #: (the evolution is far from cyclic for that basis state).
@@ -71,10 +72,9 @@ class PhaseExtraction:
     leakage_max: float
 
 
-def _phases(u):
-    """The ``phases`` of ``phases_and_leakage(u)`` alone, for callers that need no leakage."""
-    amps = _stack(u)[..., _INDICES, _INDICES]
-    return _per_state(np.arctan2(amps.imag, amps.real))
+def _diagonals(u):
+    """The (..., 4) raw diagonal U_bb (00, 01, 10, 11) of a (..., 9, 9) stack, a new array."""
+    return u[..., _INDICES, _INDICES]
 
 
 def _leakage(u):
@@ -93,11 +93,11 @@ def phases_and_leakage(u):
     still reported but should not be trusted.
     """
     u = _stack(u)
-    leakage = _leakage(u)
+    amplitudes, leakage = _diagonals(u), _leakage(u)
     return PhaseExtraction(
-        phases=_phases(u),
+        phases=_per_state(np.arctan2(amplitudes.imag, amplitudes.real)),
         leakage=_per_state(leakage),
-        reliable=_per_state(np.abs(u[..., _INDICES, _INDICES]) >= RELIABLE_AMPLITUDE),
+        reliable=_per_state(np.abs(amplitudes) >= RELIABLE_AMPLITUDE),
         leakage_max=_unstack(leakage.max(axis=-1)),
     )
 
@@ -111,6 +111,13 @@ def phase_combination(phases):
 def controlled_phase(phases):
     """Controlled phase wrapped into (-pi, pi], with wrap(-pi) = +pi."""
     return wrap_angle(phase_combination(phases))
+
+
+def _phase_sum(diagonals):
+    """The unwrapped phi_c of (4,) or (n, 4) raw diagonals U_bb: a Python float for one gate, with
+    the bits of ``phase_combination(phases_and_leakage(u).phases)`` for each gate."""
+    angles = np.arctan2(diagonals.imag, diagonals.real)
+    return phase_combination(angles.tolist() if angles.ndim == 1 else angles.T)
 
 
 def _grid_pass(big_a, z):
@@ -127,6 +134,8 @@ def _grid_pass(big_a, z):
 _PASS = 16
 #: Grid cells around the midpoint of the two pairs' peaks that the window scores.
 _WINDOW = 16
+#: Gates per slice of ``_window``: its (_WINDOW, 2, gates) float64 temporaries are 128 KiB.
+_SLICE = 512
 
 
 def _window(pairs, sep, low):
@@ -139,14 +148,14 @@ def _window(pairs, sep, low):
     most an end cell or, between the antipodes, T_0 + T_1 at pi - |sep|. The window's maximum must
     beat both by a slack: h^2 rounds by under 15 eps (A + 4|z|) a pair, or absolutely if subnormal.
     """
-    cells, step, chunk = len(_GRID), _GRID[1], propagation.CHUNK * len(_GRID) // _WINDOW
+    cells, step = len(_GRID), _GRID[1]
     a, z_re, z_im, modulus = pairs
     antipodes = np.sqrt(np.maximum(a - 2.0 * modulus * np.cos(sep * step), 0.0)).sum(axis=0)
     slack = 16.0 * np.sqrt(np.finfo(float).eps * (a + 4.0 * modulus).sum(axis=0) + 1e-300)
     first = low.astype(np.intp) + (1 - _WINDOW // 2)
     index, certified = np.empty(len(low), dtype=np.intp), np.empty(len(low), dtype=bool)
-    for i in range(0, len(low), chunk):  # (_WINDOW, 2, m) cells of m gates at a time
-        gates = slice(i, i + chunk)
+    for i in range(0, len(low), _SLICE):  # (_WINDOW, 2, m) cells of m gates at a time
+        gates = slice(i, i + _SLICE)
         cols = (first[gates] + np.arange(_WINDOW)[:, None]) & (cells - 1)  # % cells, a power of two
         h = z_re[:, gates] * _TWO_COS[cols][:, None]
         h -= z_im[:, gates] * _TWO_SIN[cols][:, None]
@@ -210,11 +219,11 @@ def _local_z_angle(c):
 
 
 def _fidelity_terms(u):
-    """What a stack's fidelity reads: a new (..., 4) raw diagonal U_bb (00, 01, 10, 11), and Tr(M M^dag)."""
+    """What a stack's fidelity reads: ``_diagonals(u)``, and Tr(M M^dag)."""
     # In C order, so that each gate's sums add in the same order.
     block = np.ascontiguousarray(u[..., _INDICES[:, None], _INDICES])
     tr_mm = (np.abs(block.reshape(block.shape[:-2] + (16,))) ** 2).sum(axis=-1)
-    return block.diagonal(axis1=-2, axis2=-1).copy(), tr_mm
+    return _diagonals(u), tr_mm
 
 
 def _fidelity_functional(c, tr_mm, target_phi, compensate=True):

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.analysis import (
-    _fidelity_functional,
-    _fidelity_terms,
-    _leakage,
-    _phases,
-    analyze_gate,
-    controlled_phase,
-    phase_combination,
-)
-from rydgate.hamiltonians import COMPUTATIONAL_INDICES
+from rydgate.analysis import _diagonals, _fidelity_functional, _fidelity_terms, _leakage, _phase_sum, analyze_gate
 from rydgate.propagation import batch_unitaries, sequence_unitary, wrap_angle
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
@@ -99,7 +90,7 @@ def sweep_kappa(k_min, k_max, n):
         start, stop = stop, stop + len(u)
         diagonals[start:stop], tr_mm[start:stop] = _fidelity_terms(u)
         leakage[start:stop] = _leakage(u).max(axis=-1)
-    unwrapped = phase_combination(np.arctan2(diagonals.imag, diagonals.real).T)
+    unwrapped = _phase_sum(diagonals)
     fidelity = _fidelity_functional(diagonals, tr_mm, math.pi)
     columns = (c.tolist() for c in (wrap_angle(unwrapped), unwrapped, leakage, fidelity))
     return [
@@ -183,7 +174,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     target = math.remainder(target_phi, 2 * math.pi)
 
     def error_at(kappa):
-        return wrap_angle(controlled_phase(_phases(sequence_unitary(_geometric(kappa, omega)))) - target)
+        return wrap_angle(wrap_angle(_phase_sum(_diagonals(sequence_unitary(_geometric(kappa, omega))))) - target)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
     with np.errstate(over="ignore"):  # a distance that overflows is inf
@@ -203,8 +194,8 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         diagonals, stop = np.empty((len(points), 4), dtype=complex), 0
         for u in batch_unitaries(*geometric_controls(kappas[points], omega)):
             start, stop = stop, stop + len(u)
-            diagonals[start:stop] = u[:, COMPUTATIONAL_INDICES, COMPUTATIONAL_INDICES]
-        phases[points] = wrap_angle(phase_combination(np.arctan2(diagonals.imag, diagonals.real).T))
+            diagonals[start:stop] = _diagonals(u)
+        phases[points] = wrap_angle(_phase_sum(diagonals))
         errors[points] = wrap_angle(phases[points] - target)
 
     def failure(message):

@@ -1,21 +1,51 @@
-"""Pulse schedules and exact unitary propagation.
+"""Pulse schedules, the control rows of the Rydberg Hamiltonian, and exact unitary propagation.
+
+Each atom carries the levels ``|0>``, ``|1>`` and the Rydberg level ``|r>``
+(codes 0, 1, 2). Two-atom product states are ordered row-major over
+(atom 1, atom 2):
+
+    index(a, b) = 3*code(a) + code(b)
+
+so the nine basis states are ``|00>, |01>, |0r>, |10>, |11>, |1r>, |r0>,
+|r1>, |rr>`` at indices 0..8. All frequencies are angular frequencies in a
+user-chosen reference unit and times are in the inverse unit (hbar = 1).
+
+The drive on atom k couples ``|1>_k`` to ``|r>_k`` with Rabi frequency Omega,
+detuning Delta and laser phase phi; the matrix-element convention is
+
+    <1|H|r> = (Omega/2) e^{i phi},        <r|H|r> = Delta,
+
+applied symmetrically to both atoms (or to one atom only, with the other
+drive absent). Doubly-excited ``|rr>`` is shifted by the interaction V.
 
 Piecewise-constant schedules are the native representation: a ``PulseSegment``
 holds a duration, each atom's drive (``DriveParams`` or ``None``) and the
 interaction V, and a ``PulseSequence`` orders segments in time; a laser-phase
 jump is a new segment, not a kick. A sequence is lowered once, when built, to
 read-only (k, 7) ``controls`` rows (Omega1, phi1, Delta1, Omega2, phi2, Delta2, V),
-an absent drive's columns all 0.0, and (k,) ``durations``.
+an absent drive's columns all 0.0, and (k,) ``durations``. ``RABI_COLUMNS``,
+``PHASE_COLUMNS``, ``DETUNING_COLUMNS`` and ``V_COLUMN`` name the columns.
+
+Only real matrices are diagonalised. With a symmetric drive the 9x9 Hamiltonian
+decomposes into invariant blocks {|00>}, {|01>,|0r>}, {|10>,|r0>}, {|11>,|B>,|rr>} and
+the dark state (|1r>-|r1>)/sqrt(2), where |B> = (|1r>+|r1>)/sqrt(2). Atom k's phase
+phi_k sits on its one |1>-|r> link, and the one cycle of the coupling graph,
+|11> -> |1r> -> |rr> -> |r1> -> |11>, carries phi1 + phi2 - phi1 - phi2 = 0. So
+H = D Hr D^dag, with Hr real symmetric and D = exp(-i(phi1 n1 + phi2 n2)), n_k
+(``EXCITED``) marking the states with atom k in |r>. The eigenvectors are D times Hr's,
+D read off the phase columns, and a batch's segments that differ only in laser phase
+share one eigh of Hr. Hr is linear in the other columns, with the real parts of
+``OPERATORS`` as the basis; the sine quadratures of the phase columns have no real
+part. Each of Hr's 81 entries is fed by at most one column, except the |rr> diagonal
+Delta1 + Delta2 + V, so ``_real_parts`` gathers each entry's column from a table
+derived from ``OPERATORS`` instead of contracting with all seven.
 
 A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
 diagonalised once. A sequence diagonalises its distinct segments on first use and keeps
 the running products U_j ... U_1 of its one product loop, which ``sequence_unitary`` and
 ``analysis.rydberg_time`` read; ``batch_unitaries`` works per ``CHUNK`` gates and keeps
 only the running product, so memory stays bounded. Either route gives a gate the same
-bits, whatever batch it is in. Only real matrices are diagonalised:
-H = D Hr D^dag with Hr real symmetric and D diagonal (``rydgate.hamiltonians`` says
-why), so the eigenvectors are D times Hr's, D read off the phase columns 1 and 4, and
-a batch's segments that differ only in laser phase share one eigh of Hr.
+bits, whatever batch it is in.
 """
 
 import functools
@@ -25,7 +55,63 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rydgate import _kernels
-from rydgate.hamiltonians import EXCITED, _real_parts
+
+# Per-atom operators of the three drive columns on levels |0>, |1>, |r> (codes 0, 1, 2): the
+# two quadratures of the |1>-|r> coupling and the Rydberg projector |r><r|.
+_G1, _RYD = 1, 2
+_ATOM = np.zeros((3, 3, 3), dtype=np.complex128)
+_ATOM[:2, _G1, _RYD] = 0.5, 0.5j
+_ATOM[:2, _RYD, _G1] = 0.5, -0.5j
+_ATOM[2, _RYD, _RYD] = 1.0
+#: (7, 9, 9) Hermitian operators, one per control-row column; the last is |rr><rr|. A phase
+#: column's is the imaginary sine quadrature, which Omega sin(phi) would multiply.
+OPERATORS = np.stack(
+    [np.kron(op, np.eye(3)) for op in _ATOM]
+    + [np.kron(np.eye(3), op) for op in _ATOM]
+    + [np.kron(_ATOM[2], _ATOM[2])]
+)
+OPERATORS.flags.writeable = False
+#: The control-row columns of the Rabi frequencies, the laser phases (a slice, so that
+#: ``rows[..., PHASE_COLUMNS]`` is a view), the detunings, and V.
+RABI_COLUMNS = (0, 3)
+PHASE_COLUMNS = slice(1, 7, 3)
+DETUNING_COLUMNS = (2, 5)
+V_COLUMN = 6
+#: n1 and n2, C-ordered copies of the diagonals of the Delta1 and Delta2 operators: 1.0 on the
+#: states with atom 1, atom 2 in |r>. Their sum, each state's Rydberg excitations (0, 1 or 2),
+#: weighs ``analysis.rydberg_time``; the computational states |00>, |01>, |10>, |11> have none.
+EXCITED = OPERATORS[list(DETUNING_COLUMNS)].real.diagonal(axis1=1, axis2=2).copy()
+EXCITATIONS = EXCITED.sum(axis=0)
+EXCITED.flags.writeable = EXCITATIONS.flags.writeable = False
+COMPUTATIONAL_INDICES = tuple(np.flatnonzero(EXCITATIONS == 0).tolist())
+
+# The gather table over the 81 real parts of a Hamiltonian: the first column feeding
+# each entry (0 where none does) and its coefficient (0.0 there).
+_REAL = OPERATORS.real.reshape(7, 81)
+_COLUMN = np.argmax(_REAL != 0, axis=0)
+_COEFFICIENT = _REAL[_COLUMN, np.arange(81)]
+# The |rr> diagonal, the one entry more than one column feeds (each with coefficient
+# 1), and the columns it adds to its gathered Delta1: Delta2, then V.
+(_RR,) = np.flatnonzero(np.count_nonzero(_REAL, axis=0) > 1).tolist()
+_RR_ADDED = np.flatnonzero(_REAL[:, _RR])[1:].tolist()
+
+
+def _real_parts(controls):
+    """Hr of (..., 7) control rows, a contiguous (..., 9, 9) float64 stack: the real part of
+    the contraction with ``OPERATORS`` in column order, bit for bit, for finite rows."""
+    # Never in BLAS, unlike a matrix product, whose threaded gemm on a large stack
+    # leaves OpenBLAS worker threads spinning on the other CPUs. The rows are
+    # flattened to 2-D so that the |rr> adds run on one strided column, which NumPy
+    # starts faster than a strided 2-D block.
+    rows = controls.reshape(-1, 7)
+    entries = np.take(rows, _COLUMN, axis=-1)
+    entries *= _COEFFICIENT
+    rr = entries[:, _RR]
+    for column in _RR_ADDED:
+        rr += rows[:, column]
+    entries += 0.0  # the contraction's sums start at +0.0, so a -0.0 product reads 0.0
+    return entries.reshape(controls.shape[:-1] + (9, 9))
+
 
 #: Gates per kernel call in ``batch_unitaries``. The call and the characterization of its
 #: stack pay a fixed dispatch cost: a 2,000-gate Monte-Carlo run makes 66 calls at 32, 252
@@ -76,6 +162,7 @@ class PulseSegment:
 
 
 def _drive_columns(drive):
+    """A drive's three row columns, in the order of its atom's ``OPERATORS``."""
     return (0.0, 0.0, 0.0) if drive is None else (drive.rabi, drive.phase, drive.detuning)
 
 
@@ -118,7 +205,7 @@ class PulseSequence:
         """Read-only (w, v, durations, order) of the distinct segments, h = v diag(w) v^dag."""
         rows, durations, order = distinct_segments(self.controls, self.durations)
         w, v = np.linalg.eigh(_real_parts(rows))
-        v = _gauged(v, rows[:, 1::3])
+        v = _gauged(v, rows[:, PHASE_COLUMNS])
         w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
         return w, v, durations, order
 
@@ -157,8 +244,8 @@ def batch_unitaries(controls, durations):
     """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as
     (n, k, 7) control rows and (n, k) segment durations, or (k,) shared by all."""
     controls, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
-    phases, real = controls[..., 1::3], controls.copy()
-    real[..., 1::3] = 0.0
+    phases, real = controls[..., PHASE_COLUMNS], controls.copy()
+    real[..., PHASE_COLUMNS] = 0.0
     real, _, shared = distinct_segments(real, np.zeros_like(durations))  # eigh needs no durations
     for start in range(0, len(controls), CHUNK):
         chunk = slice(start, start + CHUNK)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
-from rydgate.propagation import DriveParams, PulseSegment, PulseSequence
+from rydgate.propagation import DETUNING_COLUMNS, RABI_COLUMNS, V_COLUMN, DriveParams, PulseSegment, PulseSequence
 
 #: Default calibration seed: ratio Omega/V at which the geometric protocol
 #: realizes a controlled phase of magnitude pi.
@@ -122,7 +121,7 @@ def protocol_sequence(params):
 # Rows of the geometric schedule at Omega = V = 1. Omega scales the Rabi columns, V the
 # detunings and the V column; the laser phases stay as they are.
 _UNIT_ROWS = geometric_sequence(GeometricProtocolParams(kappa=1.0, v=1.0)).controls
-_V_SCALED = (2, 5, V_COLUMN)
+_V_SCALED = (*DETUNING_COLUMNS, V_COLUMN)
 
 
 def geometric_controls(kappas, omega):

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.analysis import _fidelity_functional, _fidelity_terms, _phases, controlled_phase
-from rydgate.hamiltonians import RABI_COLUMNS, V_COLUMN
-from rydgate.propagation import batch_unitaries, sequence_unitary, wrap_angle
+from rydgate.analysis import _diagonals, _fidelity_functional, _fidelity_terms, _phase_sum
+from rydgate.propagation import RABI_COLUMNS, V_COLUMN, batch_unitaries, sequence_unitary, wrap_angle
 from rydgate.protocols import protocol_sequence
 
 
@@ -241,7 +240,7 @@ def _noisy_controls(rows, noise, indices):
 def _block_statistics(diagonals, tr_mm, target):
     """Per-gate ``fidelity_cphase`` and |phase error| against ``target``, with their bits, from
     ``_fidelity_terms``' (n, 4) ``diagonals`` and (n,) ``tr_mm``."""
-    phase_errors = np.abs(wrap_angle(controlled_phase(np.arctan2(diagonals.imag, diagonals.real).T) - target))
+    phase_errors = np.abs(wrap_angle(wrap_angle(_phase_sum(diagonals)) - target))
     return _fidelity_functional(diagonals, tr_mm, target), phase_errors
 
 
@@ -298,7 +297,7 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
             f"the protocol's nominal V = {v_nom}"
         )
     nominal = protocol_sequence(protocol)
-    target = controlled_phase(_phases(sequence_unitary(nominal)))
+    target = wrap_angle(_phase_sum(_diagonals(sequence_unitary(nominal))))
 
     fidelities, phase_errors = np.empty(n_samples), np.empty(n_samples)
     size = min(SAMPLE_BLOCK, n_samples)  # what a block's gates are scored from, reused by each block

@@ -50,7 +50,6 @@ from rydgate import calibration, robustness
 from rydgate.analysis import (
     RYDBERG_TIME_SAMPLES,
     GateReport,
-    _phases,
     analyze_gate,
     controlled_phase,
     fidelity_cphase,
@@ -58,11 +57,14 @@ from rydgate.analysis import (
     phases_and_leakage,
     pulse_area,
 )
-from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, OPERATORS, _real_parts
 from rydgate.propagation import (
+    COMPUTATIONAL_INDICES,
+    EXCITATIONS,
+    OPERATORS,
     PulseSegment,
     PulseSequence,
     _gauged,
+    _real_parts,
     batch_unitaries,
     distinct_segments,
     sequence_unitary,
@@ -286,11 +288,11 @@ def full_scan_calibration(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SE
         return geometric_sequence(GeometricProtocolParams.from_omega(float(kappa), omega))
 
     def error_at(kappa):
-        return wrap_angle(controlled_phase(_phases(sequence_unitary(geometric(kappa)))) - target)
+        return wrap_angle(controlled_phase(phases_and_leakage(sequence_unitary(geometric(kappa))).phases) - target)
 
     kappas = np.linspace(k_lo, k_hi, calibration.CALIBRATION_SCAN_POINTS)
     chunks = batch_unitaries(*geometric_controls(kappas, omega))
-    phases = wrap_angle(np.concatenate([phase_combination(_phases(u)) for u in chunks]))
+    phases = wrap_angle(np.concatenate([phase_combination(phases_and_leakage(u).phases) for u in chunks]))
     errors = wrap_angle(phases - target)
 
     crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
@@ -485,14 +487,14 @@ def per_chunk_monte_carlo(protocol, noise, n_samples):
     """``monte_carlo_fidelity``'s statistics with each ``batch_unitaries`` stack scored
     on its own: ``fidelity_cphase`` and the phase error per stack, as it is yielded."""
     nominal = protocol_sequence(protocol)
-    target = controlled_phase(_phases(sequence_unitary(nominal)))
+    target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
     fidelities, phase_errors = [], []
     for block in range(0, n_samples, robustness.SAMPLE_BLOCK):
         indices = np.arange(block, min(block + robustness.SAMPLE_BLOCK, n_samples))
         controls = robustness._noisy_controls(nominal.controls, noise, indices)
         for u in batch_unitaries(controls, nominal.durations):
             fidelities.append(fidelity_cphase(u, target))
-            phase_errors.append(np.abs(wrap_angle(controlled_phase(_phases(u)) - target)))
+            phase_errors.append(np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)))
     return robustness._summary(np.concatenate(fidelities), np.concatenate(phase_errors))
 
 

@@ -1,13 +1,14 @@
-"""Print one sha256 over the pickled outputs of rydgate's protocol traffic.
+"""Print a sha256 of the pickled outputs of each section of rydgate's protocol traffic,
+then, as the last line, one over them all.
 
-Not a test: the digest depends on the platform's NumPy and LAPACK builds. It
-checks that a refactor keeps every output bit: run
+Not a test: the digests depend on the platform's NumPy and LAPACK builds. They
+check that a refactor keeps every output bit: run
 
     PYTHONPATH=src python tests/output_digest.py
 
-in a checkout of each commit, on one machine, and compare the two digests. CI
-runs it twice in one job, each run under its own random hash seed, and requires
-the same digest.
+in a checkout of each commit, on one machine, and compare the outputs; a section
+whose digest moved points at the outputs that changed. CI runs it twice in one
+job, each run under its own random hash seed, and requires the same output.
 
 The traffic is what the protocols feed the package:
 
@@ -96,16 +97,21 @@ def stacks(seed=2025):
                 yield fidelity_cphase(stack, target, compensate)
 
 
+def _digest(outputs):
+    return hashlib.sha256(pickle.dumps(outputs, protocol=4)).hexdigest()
+
+
 def main():
-    outputs = [
-        list(monte_carlo_runs()),
-        sweep_kappa(0.2, 2.5, 200),
-        sweep_kappa(0.05, 3.0, 1000),
-        list(calibrations()),
-        list(reports()),
-        list(stacks()),
-    ]
-    print(hashlib.sha256(pickle.dumps(outputs, protocol=4)).hexdigest())
+    sections = {
+        "montecarlo": [list(monte_carlo_runs())],
+        "sweeps": [sweep_kappa(0.2, 2.5, 200), sweep_kappa(0.05, 3.0, 1000)],
+        "calibrations": [list(calibrations())],
+        "reports": [list(reports())],
+        "stacks": [list(stacks())],
+    }
+    for name, outputs in sections.items():
+        print(f"{name:<12} {_digest(outputs)}")
+    print(f"{'total':<12} {_digest([output for outputs in sections.values() for output in outputs])}")
 
 
 if __name__ == "__main__":

@@ -26,11 +26,12 @@ from rydgate.analysis import (
     _GRID,
     _TWO_COS,
     _TWO_SIN,
+    _diagonals,
     _fidelity_functional,
     _fidelity_terms,
     _grid_index,
     _grid_pass,
-    _phases,
+    _phase_sum,
     analyze_gate,
     controlled_phase,
     fidelity_cphase,
@@ -39,9 +40,10 @@ from rydgate.analysis import (
     pulse_area,
     rydberg_time,
 )
-from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS
 from rydgate.propagation import (
     CHUNK,
+    COMPUTATIONAL_INDICES,
+    EXCITATIONS,
     DriveParams,
     PulseSegment,
     PulseSequence,
@@ -367,7 +369,7 @@ class TestLocalZGrid:
             fidelities, phase_errors = robustness._block_statistics(*_fidelity_terms(u), target)
             for i, gate in enumerate(u):
                 assert fidelities[i] == fidelity_cphase(gate, target)
-                assert phase_errors[i] == abs(wrap_angle(controlled_phase(_phases(gate)) - target))
+                assert phase_errors[i] == abs(wrap_angle(controlled_phase(phases_and_leakage(gate).phases) - target))
         # At target 0 the grid sees the diagonals as they are.
         assert np.array_equal(seen[0], grid_argmax(c, _GRID))
 
@@ -525,29 +527,24 @@ class TestStacks:
                     single = fidelity_cphase(u, target, compensate=flag)
                     assert type(single) is float and got[i] == single
 
-    def test_phases_alone_give_the_bits_of_the_full_extraction(self, rng):
+    def test_phase_sum_gives_the_bits_of_the_full_extraction(self, rng):
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
         eps = rng.normal(scale=0.02, size=(CHUNK + 3, 2))
         controls = _perturbed_controls(seq.controls, 1.0 + eps[:, 0], (1.0 + eps[:, 1]) / 1.65)
         z = rng.normal(size=(7, 9, 9)) + 1j * rng.normal(size=(7, 9, 9))
-        stacks = [*batch_unitaries(controls, seq.durations), np.linalg.qr(z)[0]]
-
-        def diagonal_angles(u):
-            amps = np.stack([u[..., b, b] for b in COMPUTATIONAL_INDICES], axis=-1)
-            return np.arctan2(amps.imag, amps.real)
-
-        for stack in stacks:
-            got = controlled_phase(_phases(stack))
-            want = controlled_phase(phases_and_leakage(stack).phases)
+        sweep = np.concatenate(list(batch_unitaries(*geometric_controls(np.linspace(0.2, 2.5, 200), 1.0))))
+        for stack in (*batch_unitaries(controls, seq.durations), np.linalg.qr(z)[0], sweep):
+            diagonals = _diagonals(stack)
+            assert diagonals.shape == (len(stack), 4)
+            assert diagonals.tolist() == [[u[b][b] for b in COMPUTATIONAL_INDICES] for u in stack.tolist()]
+            got = _phase_sum(diagonals)
+            want = phase_combination(phases_and_leakage(stack).phases)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            angles = diagonal_angles(stack)
-            for b, x in enumerate(_phases(stack)):
-                assert np.array_equal(x.view(np.uint64), angles[:, b].view(np.uint64))
-            for u in stack:
-                alone = controlled_phase(_phases(u))
-                want_alone = controlled_phase(phases_and_leakage(u).phases)
+            for i, u in enumerate(stack):
+                alone = _phase_sum(_diagonals(u))
+                want_alone = phase_combination(phases_and_leakage(u).phases)
                 assert type(alone) is float and np.float64(alone).tobytes() == np.float64(want_alone).tobytes()
-                assert _phases(u) == tuple(diagonal_angles(u).tolist())
+                assert np.float64(alone).tobytes() == got[i].tobytes()
 
 
 class TestActuationMetrics:

@@ -503,11 +503,15 @@ def test_out_of_range_value_exits_two(capsys, argv):
          "a population integral overflows: the eigenvalue spread or the durations are out of range"),
         (("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1e308"),
          "a population integral overflows: the eigenvalue spread or the durations are out of range"),
+        (("simulate", "--protocol", "blockade", "--omega", "1", "--v", "1e300"),
+         "an eigenphase w*t overflows 2**32 in magnitude, past which eigh cannot resolve the gate: "
+         "the interaction strength times the duration is out of range"),
     ],
-    ids=["calibrate-omega-3.1e-308", "calibrate-omega-1e308", "simulate-omega-1e308"],
+    ids=["calibrate-omega-3.1e-308", "calibrate-omega-1e308", "simulate-omega-1e308", "simulate-blockade-v-1e300"],
 )
 def test_overflow_error_names_its_cause(capsys, argv, message):
     # At Omega = 1e308 the gate is finite; w_j - w_k overflows in the Rydberg-time integral.
+    # At V/Omega = 1e300 the blockade gate's eigenphases lie far past what eigh resolves.
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -24,8 +24,20 @@ from oracles import (
     unitarity_defect,
 )
 
-from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, EXCITED, _real_parts
-from rydgate.propagation import DriveParams, PulseSegment, wrap_angle
+from rydgate.propagation import (
+    COMPUTATIONAL_INDICES,
+    DETUNING_COLUMNS,
+    EXCITATIONS,
+    EXCITED,
+    OPERATORS,
+    PHASE_COLUMNS,
+    RABI_COLUMNS,
+    V_COLUMN,
+    DriveParams,
+    PulseSegment,
+    _real_parts,
+    wrap_angle,
+)
 
 
 class TestDriveParams:
@@ -236,6 +248,38 @@ class TestGather:
         before = rows.copy()
         _real_parts(rows)
         assert np.array_equal(rows.view(np.uint64), before.view(np.uint64))
+
+
+class TestColumnNames:
+    """Each named control-row column's ``OPERATORS`` entry is the operator it multiplies."""
+
+    def test_the_names_cover_the_row_once(self):
+        columns = [*RABI_COLUMNS, *range(7)[PHASE_COLUMNS], *DETUNING_COLUMNS, V_COLUMN]
+        assert sorted(columns) == list(range(7))
+        rows = np.zeros((3, 4, 7))
+        assert isinstance(PHASE_COLUMNS, slice) and np.shares_memory(rows[..., PHASE_COLUMNS], rows)
+
+    def test_rabi_columns_are_each_atoms_real_coupling(self):
+        for k, column in enumerate(RABI_COLUMNS):
+            drives = [None, None]
+            drives[k] = (1.0, 0.0, 0.0)
+            assert np.array_equal(OPERATORS[column], two_atom_hamiltonian_by_rules(*drives, 0.0))
+
+    def test_phase_columns_have_no_real_part(self):
+        assert not OPERATORS[PHASE_COLUMNS].real.any() and OPERATORS[PHASE_COLUMNS].imag.any(axis=(1, 2)).all()
+
+    def test_detuning_columns_are_the_excited_diagonals(self):
+        for k, column in enumerate(DETUNING_COLUMNS):
+            assert np.array_equal(OPERATORS[column], np.diag(EXCITED[k]))
+            drives = [None, None]
+            drives[k] = (0.0, 1.0, 0.0)
+            assert np.array_equal(OPERATORS[column], two_atom_hamiltonian_by_rules(*drives, 0.0))
+
+    def test_v_column_is_the_rr_projector(self):
+        rr = np.zeros((9, 9))
+        rr[8, 8] = 1.0
+        assert np.array_equal(OPERATORS[V_COLUMN], rr)
+        assert np.array_equal(OPERATORS[V_COLUMN], two_atom_hamiltonian_by_rules(None, None, 1.0))
 
 
 def test_computational_indices_are_row_major():

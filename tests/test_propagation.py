@@ -22,13 +22,19 @@ from oracles import (
 
 from rydgate import _kernels
 from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
-from rydgate.hamiltonians import COMPUTATIONAL_INDICES, EXCITATIONS, _real_parts
 from rydgate.propagation import (
     CHUNK,
+    COMPUTATIONAL_INDICES,
+    DETUNING_COLUMNS,
+    EXCITATIONS,
+    PHASE_COLUMNS,
+    RABI_COLUMNS,
+    V_COLUMN,
     DriveParams,
     PulseSegment,
     PulseSequence,
     _gauged,
+    _real_parts,
     batch_unitaries,
     distinct_segments,
     sequence_unitary,
@@ -126,11 +132,11 @@ class TestLowering:
         segments = [random_segment(rng) for _ in range(40)]
         segments += [PulseSegment(1.0, a, b, -0.0) for a in [None, *drives] for b in [*drives, None]]
         for row, s in zip(PulseSequence(tuple(segments)).controls, segments):
-            want = [0.0, 0.0, 0.0] * 2 + [s.v]
-            for k, drive in enumerate((s.drive1, s.drive2)):
-                if drive is not None:
-                    want[3 * k : 3 * k + 3] = drive.rabi, drive.phase, drive.detuning
-            assert row.tobytes() == np.array(want).tobytes()
+            atoms = [(0.0, 0.0, 0.0) if d is None else (d.rabi, d.phase, d.detuning) for d in (s.drive1, s.drive2)]
+            assert row.tobytes() == np.array([*atoms[0], *atoms[1], s.v]).tobytes()
+            for j, columns in enumerate((RABI_COLUMNS, PHASE_COLUMNS, DETUNING_COLUMNS)):
+                assert row[..., columns].tobytes() == np.array([atom[j] for atom in atoms]).tobytes()
+            assert row[V_COLUMN].tobytes() == np.float64(s.v).tobytes()
 
     def test_replace_lowers_again(self, rng):
         seq = PulseSequence(tuple(random_segment(rng) for _ in range(3)))
@@ -280,6 +286,17 @@ class TestTwoRoutes:
             ((batch,),) = batch_unitaries(seq.controls[None], seq.durations)
             assert np.array_equal(sequence_unitary(seq).view(np.uint64), batch.view(np.uint64))
 
+    @pytest.mark.parametrize("rabi, v", [(1.0, 1e300), (1e-60, 1e-40), (1e30, 1e60), (1.0, 1e10)])
+    def test_a_gate_eigh_cannot_resolve_raises_on_both_routes(self, rabi, v):
+        # The 2pi pulse's eigenphases reach 2 pi V/Omega: past 2**32, eigh's rounding of the
+        # eigenvalues, about eps V, moves each phase by 1e-6 rad or more.
+        seq = blockade_pdp_sequence(BlockadeProtocolParams(rabi, v))
+        for route in (lambda: sequence_unitary(seq), lambda: list(batch_unitaries(seq.controls[None], seq.durations))):
+            with pytest.raises(ValueError, match=r"^an eigenphase w\*t overflows 2\*\*32 in magnitude"):
+                route()
+        # V/Omega = 6e8 keeps every eigenphase within the bound.
+        assert unitarity_defect(sequence_unitary(blockade_pdp_sequence(BlockadeProtocolParams(1.0, 6e8)))) < 1e-6
+
     def test_mixed_batch_keeps_each_gates_bits(self):
         # Blockade gates, whose rows need no gauge, get D = 1 in a batch with geometric
         # gates. Splitting the 2pi pulse gives them the geometric gate's four segments.
@@ -396,17 +413,25 @@ class TestGauge:
         assert np.array_equal(through.view(np.uint64), sequence_unitary(seq).view(np.uint64))
 
     def test_the_largest_finite_rabi_frequency_propagates(self):
-        # The row holds Omega itself, so nothing overflows before eigh, on either route.
+        # The row holds Omega itself, so nothing overflows before eigh, on either route. The
+        # segment lasts 2**30/Omega, so that each eigenphase |w*t| = 2**29 is within the bound.
         drive = DriveParams(sys.float_info.max, 0.0, -0.11215485773315592)
-        seq = PulseSequence((PulseSegment(1.0, drive, None, 0.0),))
+        seq = PulseSequence((PulseSegment(2.0**30 / sys.float_info.max, drive, None, 0.0),))
         assert seq.controls[0, :3].tolist() == [sys.float_info.max, -0.11215485773315592, 0.0]
         u = sequence_unitary(seq)
         assert unitarity_defect(u) < 1e-14
-        finite = PulseSequence((PulseSegment(1.0, DriveParams(1.0, 0.0, -0.11215485773315592), None, 0.0),))
+        finite = PulseSequence(
+            (PulseSegment(seq.durations[0], DriveParams(1.0, 0.0, -0.11215485773315592), None, 0.0),)
+        )
         (alone,) = batch_unitaries(seq.controls[None], seq.durations)
         (both,) = batch_unitaries(np.stack([finite.controls, seq.controls]), seq.durations)
         for got, want in ((alone[0], u), (both[1], u), (both[0], sequence_unitary(finite))):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # For a unit duration, |w*t| = Omega/2 is far beyond it.
+        seq = PulseSequence((PulseSegment(1.0, drive, None, 0.0),))
+        for route in (lambda: sequence_unitary(seq), lambda: list(batch_unitaries(seq.controls[None], seq.durations))):
+            with pytest.raises(ValueError, match=r"^an eigenphase w\*t overflows 2\*\*32 in magnitude"):
+                route()
 
 
 class TestEigensystemCache:
