@@ -51,7 +51,7 @@ def _positive(value, name):
 
 
 def _parse_config_file(path):
-    values = {}
+    values, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -60,8 +60,10 @@ def _parse_config_file(path):
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
+                key, raw = (part.strip() for part in line.split("=", 1))
+                if key in first_line:
+                    raise ValueError(f"{path}:{lineno}: config key {key} already given on line {first_line[key]}")
+                first_line[key], values[key] = lineno, raw
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values

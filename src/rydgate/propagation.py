@@ -34,11 +34,8 @@ phi_k sits on its one |1>-|r> link, and the one cycle of the coupling graph,
 H = D Hr D^dag, with Hr real symmetric and D = exp(-i(phi1 n1 + phi2 n2)), n_k
 (``EXCITED``) marking the states with atom k in |r>. The eigenvectors are D times Hr's,
 D read off the phase columns, and a batch's segments that differ only in laser phase
-share one eigh of Hr. Hr is linear in the other columns, with the real parts of
-``OPERATORS`` as the basis; the sine quadratures of the phase columns have no real
-part. Each of Hr's 81 entries is fed by at most one column, except the |rr> diagonal
-Delta1 + Delta2 + V, so ``_real_parts`` gathers each entry's column from a table
-derived from ``OPERATORS`` instead of contracting with all seven.
+share one eigh of Hr. Hr is the rows contracted with ``OPERATORS``, seven real
+symmetric operators; a phase column's is zero.
 
 A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
 diagonalised once. A sequence diagonalises its distinct segments on first use and keeps
@@ -56,15 +53,13 @@ import numpy as np
 
 from rydgate import _kernels
 
-# Per-atom operators of the three drive columns on levels |0>, |1>, |r> (codes 0, 1, 2): the
-# two quadratures of the |1>-|r> coupling and the Rydberg projector |r><r|.
+# Per-atom operators of the three drive columns on levels |0>, |1>, |r> (codes 0, 1, 2): the real
+# |1>-|r> coupling, zero for the phase (it enters only through the gauge D), and |r><r|.
 _G1, _RYD = 1, 2
-_ATOM = np.zeros((3, 3, 3), dtype=np.complex128)
-_ATOM[:2, _G1, _RYD] = 0.5, 0.5j
-_ATOM[:2, _RYD, _G1] = 0.5, -0.5j
+_ATOM = np.zeros((3, 3, 3))
+_ATOM[0, _G1, _RYD] = _ATOM[0, _RYD, _G1] = 0.5
 _ATOM[2, _RYD, _RYD] = 1.0
-#: (7, 9, 9) Hermitian operators, one per control-row column; the last is |rr><rr|. A phase
-#: column's is the imaginary sine quadrature, which Omega sin(phi) would multiply.
+#: The (7, 9, 9) real symmetric basis of Hr, one operator per control-row column; the last is |rr><rr|.
 OPERATORS = np.stack(
     [np.kron(op, np.eye(3)) for op in _ATOM]
     + [np.kron(np.eye(3), op) for op in _ATOM]
@@ -80,42 +75,23 @@ V_COLUMN = 6
 #: n1 and n2, C-ordered copies of the diagonals of the Delta1 and Delta2 operators: 1.0 on the
 #: states with atom 1, atom 2 in |r>. Their sum, each state's Rydberg excitations (0, 1 or 2),
 #: weighs ``analysis.rydberg_time``; the computational states |00>, |01>, |10>, |11> have none.
-EXCITED = OPERATORS[list(DETUNING_COLUMNS)].real.diagonal(axis1=1, axis2=2).copy()
+EXCITED = OPERATORS[list(DETUNING_COLUMNS)].diagonal(axis1=1, axis2=2).copy()
 EXCITATIONS = EXCITED.sum(axis=0)
 EXCITED.flags.writeable = EXCITATIONS.flags.writeable = False
 COMPUTATIONAL_INDICES = tuple(np.flatnonzero(EXCITATIONS == 0).tolist())
 
-# The gather table over the 81 real parts of a Hamiltonian: the first column feeding
-# each entry (0 where none does) and its coefficient (0.0 there).
-_REAL = OPERATORS.real.reshape(7, 81)
-_COLUMN = np.argmax(_REAL != 0, axis=0)
-_COEFFICIENT = _REAL[_COLUMN, np.arange(81)]
-# The |rr> diagonal, the one entry more than one column feeds (each with coefficient
-# 1), and the columns it adds to its gathered Delta1: Delta2, then V.
-(_RR,) = np.flatnonzero(np.count_nonzero(_REAL, axis=0) > 1).tolist()
-_RR_ADDED = np.flatnonzero(_REAL[:, _RR])[1:].tolist()
-
 
 def _real_parts(controls):
-    """Hr of (..., 7) control rows, a contiguous (..., 9, 9) float64 stack: the real part of
-    the contraction with ``OPERATORS`` in column order, bit for bit, for finite rows."""
+    """Hr of (..., 7) control rows, a (..., 9, 9) float64 stack, C-ordered for C-ordered rows:
+    their contraction with ``OPERATORS``, summed in column order from +0.0."""
     # Never in BLAS, unlike a matrix product, whose threaded gemm on a large stack
-    # leaves OpenBLAS worker threads spinning on the other CPUs. The rows are
-    # flattened to 2-D so that the |rr> adds run on one strided column, which NumPy
-    # starts faster than a strided 2-D block.
-    rows = controls.reshape(-1, 7)
-    entries = np.take(rows, _COLUMN, axis=-1)
-    entries *= _COEFFICIENT
-    rr = entries[:, _RR]
-    for column in _RR_ADDED:
-        rr += rows[:, column]
-    entries += 0.0  # the contraction's sums start at +0.0, so a -0.0 product reads 0.0
-    return entries.reshape(controls.shape[:-1] + (9, 9))
+    # leaves OpenBLAS worker threads spinning on the other CPUs.
+    return np.einsum("...c,cij->...ij", controls, OPERATORS)
 
 
-#: Gates per kernel call in ``batch_unitaries``. The call and the characterization of its
-#: stack pay a fixed dispatch cost: a 2,000-gate Monte-Carlo run makes 66 calls at 32, 252
-#: at 8, for the same matrices. 256 ran slower than 64: a fidelity-grid temporary is 1 MB.
+#: Gates per kernel call in ``batch_unitaries``, each call paying a fixed dispatch cost (a 2,000-gate
+#: Monte-Carlo run makes 64 calls at 32, 251 at 8). At 32 the kernel's per-chunk (32, 2, 9, 9)
+#: complex stacks are 83 KB, under glibc's 128 KiB mmap threshold, which 64 crosses.
 CHUNK = 32
 
 

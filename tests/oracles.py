@@ -161,12 +161,14 @@ def h_full(drive1, drive2, v):
     return h
 
 
-def real_parts_by_einsum(controls):
-    """(..., 9, 9) real parts of (..., 7) control rows contracted with all seven
-    ``OPERATORS`` in column order on real views: the reference ``_real_parts``'
-    gather must match bit for bit."""
-    full = np.einsum("...c,cij->...ij", controls, OPERATORS.view(np.float64), order="C")
-    return full[..., ::2]
+def real_parts_by_columns(controls):
+    """(..., 9, 9) Hr of (..., 7) control rows, each column times its ``OPERATORS`` entry,
+    summed one column at a time in column order from +0.0: the package's one contraction,
+    ``_real_parts``, must match bit for bit."""
+    total = np.zeros(controls.shape[:-1] + (9, 9))
+    for column in range(7):
+        total = total + controls[..., column, None, None] * OPERATORS[column]
+    return total
 
 
 def pulse_area_by_segments(sequence):

@@ -1,5 +1,5 @@
-"""Tests for the two-atom basis, the Hamiltonian builder against reference blocks and couplings,
-and the Hermitian exponential oracle."""
+"""Tests for the two-atom basis, the control-row operators and the Hamiltonians they build
+against reference blocks and couplings, and the Hermitian exponential oracle."""
 
 import math
 
@@ -16,7 +16,7 @@ from oracles import (
     h_full,
     hermiticity_defect,
     random_hermitian,
-    real_parts_by_einsum,
+    real_parts_by_columns,
     rk4_unitary,
     symmetric_block_projectors,
     symmetric_rr_state,
@@ -219,12 +219,12 @@ def _extreme_rows(rng, shape):
     return rows
 
 
-class TestGather:
-    """``_real_parts`` gathers its entries with the bits of the full contraction's real parts."""
+class TestContraction:
+    """``_real_parts``, one contraction, has the bits of the column-by-column sum."""
 
     @pytest.mark.parametrize("shape", [(7,), (1, 7), (3, 7), (40, 7), (1, 2, 7), (5, 3, 7), (64, 2, 7)])
-    def test_bit_equal_to_the_contraction(self, rng, shape):
-        # 81 floats a matrix, one contiguous stack, with the contraction's signed-zero rule
+    def test_bit_equal_to_the_column_sum(self, rng, shape):
+        # 81 floats a matrix, one contiguous stack, with the column sum's signed-zero rule
         # and |rr> sums, on rows with and without phases: the phase columns feed no entry.
         phase = np.isin(np.arange(7), (1, 4))
         for _ in range(20):
@@ -233,14 +233,14 @@ class TestGather:
             for stack in (rows, np.where(phase, -0.0, rows)):
                 real = _real_parts(stack)
                 assert real.shape == shape[:-1] + (9, 9) and real.dtype == np.float64 and real.flags.c_contiguous
-                assert np.array_equal(real.view(np.uint64), real_parts_by_einsum(stack).view(np.uint64))
+                assert np.array_equal(real.view(np.uint64), real_parts_by_columns(stack).view(np.uint64))
                 assert np.array_equal(real.view(np.uint64), want.view(np.uint64))
 
     def test_strided_and_padded_stacks(self, rng):
         d = random_drive(rng)
         rows = np.array([[d.rabi, d.phase, d.detuning, -0.0, d.rabi, -d.detuning, 2.5]] * 4)
         for stack in (rows, rows[::2], rows.T.copy().T, rows[None, :, None]):
-            want = real_parts_by_einsum(stack)
+            want = real_parts_by_columns(stack)
             assert np.array_equal(_real_parts(stack).view(np.uint64), want.view(np.uint64))
 
     def test_rows_are_not_modified(self, rng):
@@ -265,8 +265,12 @@ class TestColumnNames:
             drives[k] = (1.0, 0.0, 0.0)
             assert np.array_equal(OPERATORS[column], two_atom_hamiltonian_by_rules(*drives, 0.0))
 
-    def test_phase_columns_have_no_real_part(self):
-        assert not OPERATORS[PHASE_COLUMNS].real.any() and OPERATORS[PHASE_COLUMNS].imag.any(axis=(1, 2)).all()
+    def test_phase_columns_are_zero(self):
+        # The phases enter only through the gauge D, never through Hr.
+        assert not OPERATORS[PHASE_COLUMNS].any()
+
+    def test_operators_are_read_only_float64(self):
+        assert OPERATORS.dtype == np.float64 and not OPERATORS.flags.writeable
 
     def test_detuning_columns_are_the_excited_diagonals(self):
         for k, column in enumerate(DETUNING_COLUMNS):

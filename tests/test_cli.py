@@ -545,6 +545,13 @@ class TestConfigFile:
         assert code == 2
         assert "kapa" in err
 
+    def test_repeated_config_key_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("protocol = geometric\nkappa = 1.65\nomega = 1\nkappa = 2.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}:4: config key kappa already given on line 2\n"
+
     def test_output_file_written_with_lf_endings(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, out, _ = run_cli(
