@@ -5,6 +5,8 @@ the eigensystems ``(w, v)`` of one broadcast ``np.linalg.eigh``, which callers m
 share: neither writes into ``v``.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -22,32 +24,39 @@ def _eigenphases(w, t):
 
 
 def _steps(w, v, t):
-    """exp(-i*h*t) of (..., n, n) matrices h = v diag(w) v^dag; ``t`` broadcasts over ``w.shape[:-1]``."""
-    v_dagger = v.conj().swapaxes(-1, -2)
-    return (v * np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))[..., None, :]) @ v_dagger
+    """exp(-i*h*t) of real symmetric (..., n, n) h = v diag(w) v^T; ``t`` broadcasts over ``w.shape[:-1]``.
+    Its floats are one real product, v @ floats(v^T e), e = exp(-i*w*t) giving cos and -sin alike on every
+    lane; the product sums from +0.0, so its zeros are +0.0 and a factor of exactly 1 + 0j keeps its bits."""
+    e = np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))
+    return (v @ np.multiply(v.swapaxes(-1, -2), e[..., :, None], order="C").view(np.float64)).view(np.complex128)
 
 
-def sequence_product(w, v, durations, order, partials=False):
-    """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1).
+def _product(steps, order):
+    """steps[order[-1]] @ ... @ steps[order[0]], its second half's product times its first's, each half
+    likewise and taken once when the halves are equal: a period repeated 2**m times is multiplied out
+    once and squared m times. The association depends only on len(order)."""
+    if len(order) == 1:
+        return steps[order[0]]
+    half = (len(order) + 1) // 2
+    first = _product(steps, order[:half])
+    return (first if order[half:] == order[:half] else _product(steps, order[half:])) @ first
 
-    ``w`` (..., d, n) and ``v`` (..., d, n, n) hold the eigensystems of each gate's
-    distinct segment generators, ``durations`` (..., d) their durations, broadcast
-    against ``w.shape[:-1]``, and ``order`` each segment's index into them, first
-    segment first. Returns the (..., n, n) propagators, a new array: the product
-    starts from the first segment's step, not from the identity. With ``partials``,
-    returns the (k, ..., n, n) running products U_1, U_2 U_1, ..., U instead.
+
+def sequence_product(w, v, durations, order, segments, partials=False):
+    """Time-ordered propagators U = exp(-i*h_k*t_k) ... exp(-i*h_1*t_1), a new (..., n, n) array.
+
+    ``w`` (..., e, n), ``v`` (..., e, n, n) and ``durations`` (..., e) give each gate's e distinct real
+    steps; ``segments`` the distinct segments as (step, pattern) pairs, the step times a (..., n, n)
+    pattern elementwise unless it is None; ``order`` each segment's, first first. With ``partials``,
+    (k, ..., n, n): U_1, U_2 U_1, ..., one step at a time, and U.
     """
-    steps = _steps(w, v, durations)
-    first, *rest = order
-    u = steps[..., first, :, :]
-    products = [u]
-    for j in rest:
-        u = steps[..., j, :, :] @ u
-        if partials:
-            products.append(u)
-    if partials:
-        return np.array(products)
-    return u if rest else u.copy()
+    real = _steps(w, v, durations)
+    steps = [real[..., i, :, :] if p is None else real[..., i, :, :] * p for i, p in segments]
+    if not partials:
+        u = _product(steps, order)
+        return u if len(order) > 1 else u.copy()
+    running = itertools.accumulate((steps[j] for j in order[:-1]), lambda u, step: step @ u)
+    return np.array([*running, _product(steps, order)])
 
 
 def _trapezoid_factor(w, h, n):

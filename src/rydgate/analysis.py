@@ -281,7 +281,7 @@ def rydberg_time(sequence):
     from the states at each segment's start, read off the sequence's running products.
     """
     totals = _kernels.weighted_population_integral(
-        *sequence._eigensystem, sequence._partials, _COMPUTATIONAL_STATES, EXCITATIONS, RYDBERG_TIME_SAMPLES
+        *sequence._eigensystem[1], sequence._partials, _COMPUTATIONAL_STATES, EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     with np.errstate(over="ignore"):
         mean = totals.sum() / len(totals)  # np.mean's reduction

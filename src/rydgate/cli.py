@@ -58,9 +58,9 @@ def _parse_config_file(path):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, equals, raw = (part.strip() for part in line.partition("="))
+                if not (equals and key):
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, raw = (part.strip() for part in line.split("=", 1))
                 if key in first_line:
                     raise ValueError(f"{path}:{lineno}: config key {key} already given on line {first_line[key]}")
                 first_line[key], values[key] = lineno, raw

@@ -32,17 +32,16 @@ the dark state (|1r>-|r1>)/sqrt(2), where |B> = (|1r>+|r1>)/sqrt(2). Atom k's ph
 phi_k sits on its one |1>-|r> link, and the one cycle of the coupling graph,
 |11> -> |1r> -> |rr> -> |r1> -> |11>, carries phi1 + phi2 - phi1 - phi2 = 0. So
 H = D Hr D^dag, with Hr real symmetric and D = exp(-i(phi1 n1 + phi2 n2)), n_k
-(``EXCITED``) marking the states with atom k in |r>. The eigenvectors are D times Hr's,
-D read off the phase columns, and a batch's segments that differ only in laser phase
-share one eigh of Hr. Hr is the rows contracted with ``OPERATORS``, seven real
+(``EXCITED``) marking the states with atom k in |r>, and a step exp(-iHt) is exp(-i Hr t)
+times a phase pattern. Hr is the rows contracted with ``OPERATORS``, seven real
 symmetric operators; a phase column's is zero.
 
-A segment that repeats an earlier one (geometric A B A B, blockade A B A) is
-diagonalised once. A sequence diagonalises its distinct segments on first use and keeps
-the running products U_j ... U_1 of its one product loop, which ``sequence_unitary`` and
-``analysis.rydberg_time`` read; ``batch_unitaries`` works per ``CHUNK`` gates and keeps
-only the running product, so memory stays bounded. Either route gives a gate the same
-bits, whatever batch it is in.
+A segment that repeats an earlier one (geometric A B A B, blockade A B A) is stepped once,
+and in a batch one that differs from it only in laser phase (geometric A and B) shares its
+eigh and real step. The steps are multiplied by halves: the geometric gate is (B A)^2. A
+sequence keeps its eigensystem and running products U_j ... U_1, the gate last, which
+``sequence_unitary`` and ``analysis.rydberg_time`` read; ``batch_unitaries`` works per
+``CHUNK`` gates and keeps only the gates. Either route gives a gate the same bits.
 """
 
 import functools
@@ -90,8 +89,8 @@ def _real_parts(controls):
 
 
 #: Gates per kernel call in ``batch_unitaries``, each call paying a fixed dispatch cost (a 2,000-gate
-#: Monte-Carlo run makes 64 calls at 32, 251 at 8). At 32 the kernel's per-chunk (32, 2, 9, 9)
-#: complex stacks are 83 KB, under glibc's 128 KiB mmap threshold, which 64 crosses.
+#: Monte-Carlo run makes 64 calls at 32, 250 at 8). At 32 the kernel's largest per-chunk temporaries, a
+#: blockade chunk's (32, 2, 9, 9) complex steps, are 83 KB, under glibc's 128 KiB mmap threshold, which 64 crosses.
 CHUNK = 32
 
 
@@ -178,28 +177,25 @@ class PulseSequence:
 
     @functools.cached_property
     def _eigensystem(self):
-        """Read-only (w, v, durations, order) of the distinct segments, h = v diag(w) v^dag."""
+        """Read-only arguments of ``_kernels.sequence_product`` and of ``weighted_population_integral`` (D vr)."""
         rows, durations, order = distinct_segments(self.controls, self.durations)
         w, v = np.linalg.eigh(_real_parts(rows))
-        v = _gauged(v, rows[:, PHASE_COLUMNS])
-        w.flags.writeable = v.flags.writeable = durations.flags.writeable = False
-        return w, v, durations, order
+        segments, gauges = _segments(range(len(rows)), rows[:, PHASE_COLUMNS])
+        gauged = v.astype(np.complex128) if gauges is None else gauges[..., None] * v
+        w.flags.writeable = v.flags.writeable = durations.flags.writeable = gauged.flags.writeable = False
+        return (w, v, durations, order, segments), (w, gauged, durations, order)
 
     @functools.cached_property
     def _partials(self):
         """Read-only (k, 9, 9) running products U_j ... U_1 of ``_eigensystem``; the last is the gate."""
-        partials = _kernels.sequence_product(*self._eigensystem, partials=True)
+        partials = _kernels.sequence_product(*self._eigensystem[0], partials=True)
         partials.flags.writeable = False
         return partials
 
 
-def _gauged(vr, phases):
-    """D vr, D = exp(-i(phi1 n1 + phi2 n2)), from (..., 9, 9) real eigenvectors and the (..., 2)
-    laser phases of their rows; vr as complex when every phase is zero. exp(1j * -x), unlike
-    exp(-1j * x), is exactly 1 + 0j at x = 0, so a phase-free row keeps its bits either way."""
-    if not np.count_nonzero(phases):
-        return vr.astype(np.complex128)
-    return np.exp(1j * -(phases @ EXCITED))[..., None] * vr
+def _gauge(phases):
+    """The (..., 9) diagonal of D = exp(-i(phi1 n1 + phi2 n2)) of (..., 2) phases; exp(1j * -0.0) is 1 + 0j."""
+    return np.exp(1j * -(phases @ EXCITED))
 
 
 def distinct_segments(controls, durations):
@@ -216,18 +212,33 @@ def distinct_segments(controls, durations):
     return controls[..., keep, :], durations[..., keep], tuple(order)
 
 
+def _segments(steps, phases):
+    """Each distinct segment's (step, pattern d d^dag), which turns exp(-i Hr t) into the step of D Hr D^dag, and
+    the (..., d, 9) diagonals d of D, from the (..., d, 2) phases; None for zero phases, and for d if all are."""
+    if not np.count_nonzero(phases):
+        return tuple((step, None) for step in steps), None
+    gauges = _gauge(phases)
+    patterns = gauges[..., :, None] * gauges[..., None, :].conj()
+    patterns.flags.writeable = False
+    phased = phases.reshape(-1, *phases.shape[-2:]).any(axis=(0, 2))
+    return tuple((step, patterns[..., j, :, :] if phased[j] else None) for j, step in enumerate(steps)), gauges
+
+
 def batch_unitaries(controls, durations):
-    """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as
-    (n, k, 7) control rows and (n, k) segment durations, or (k,) shared by all."""
-    controls, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
-    phases, real = controls[..., PHASE_COLUMNS], controls.copy()
+    """Yield in order the (<= CHUNK, 9, 9) propagator stacks of n gates given as (n, k, 7) control
+    rows and (n, k) segment durations, or (k,) shared by all. The phase patterns are taken once if
+    every gate has the same phase bytes (Monte-Carlo blocks, sweeps), else per gate, chunk by chunk."""
+    rows, durations, order = distinct_segments(controls, np.broadcast_to(durations, controls.shape[:-1]))
+    phases, real = rows[..., PHASE_COLUMNS], rows.copy()
     real[..., PHASE_COLUMNS] = 0.0
-    real, _, shared = distinct_segments(real, np.zeros_like(durations))  # eigh needs no durations
-    for start in range(0, len(controls), CHUNK):
+    real, durations, steps = distinct_segments(real, durations)
+    gates = phases.reshape(-1, *phases.shape[-2:])
+    shared = len(gates) and (gates.view(np.uint64) == gates[0].view(np.uint64)).all()
+    segments = _segments(steps, gates[0])[0] if shared else None
+    for start in range(0, len(real), CHUNK):
         chunk = slice(start, start + CHUNK)
         w, v = np.linalg.eigh(_real_parts(real[chunk]))
-        v = _gauged(v[:, shared], phases[chunk])
-        yield _kernels.sequence_product(w[:, shared], v, durations[chunk], order)
+        yield _kernels.sequence_product(w, v, durations[chunk], order, segments or _segments(steps, phases[chunk])[0])
 
 
 def sequence_unitary(sequence):

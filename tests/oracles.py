@@ -12,16 +12,18 @@ Hamiltonian of control rows, D Hr D^dag from the real parts the package
 diagonalises and the laser-phase gauge it puts back, kept here because only the
 tests call it and check it against the oracles; ``h_full`` applies it to one
 segment, lowered by ``PulseSequence``.
-``expm_hermitian`` is another: it is the package's exponential step
-(``_kernels.pure._steps``) of one ``eigh``, kept here because only the tests call
-it. ``sequence_product_from_identity`` exponentiates with it and checks only how
-the steps are multiplied. So
-is ``quadrature_fidelity_moments``, which propagates and scores the gates of
-its own noise rows with the package and checks the noise model and statistics,
-and so is ``hermite_fidelity_moments``, its rule with fewer gates.
-``two_pass_gate_report`` assembles a report from the package's Hamiltonians,
-laser-phase gauge, integral and characterization, and checks only that one
-diagonalisation shared by the propagator and the Rydberg time gives the bits of two.
+``expm_hermitian`` is the complex exponential step v e^{-iwt} v^dag of one ``eigh``,
+as the package formed its steps before it took real steps and phase patterns; it
+shares only the package's range check (``_kernels.pure._eigenphases``).
+``running_products_from_identity`` multiplies those steps from the identity one at a
+time: the reference the package's product must match to rounding.
+``quadrature_fidelity_moments`` is another exception: it propagates and scores the
+gates of its own noise rows with the package and checks the noise model and
+statistics, and so is ``hermite_fidelity_moments``, its rule with fewer gates.
+``two_pass_gate_report`` assembles a report from the package's real steps,
+phase patterns, product, laser-phase gauge, integral and characterization, and
+checks only that one diagonalisation shared by the propagator and the Rydberg time
+gives the bits of two.
 ``sequential_population_integral`` is the package's trapezoid integral as it was
 before it read the running products: it keeps the package's closed-form beat weights
 (``_kernels.pure._trapezoid_factor``) and checks only that starting each segment from
@@ -44,8 +46,8 @@ import math
 
 import numpy as np
 
-from rydgate._kernels import weighted_population_integral
-from rydgate._kernels.pure import _steps, _trapezoid_factor
+from rydgate._kernels import sequence_product, weighted_population_integral
+from rydgate._kernels.pure import _eigenphases, _trapezoid_factor
 from rydgate import calibration, robustness
 from rydgate.analysis import (
     RYDBERG_TIME_SAMPLES,
@@ -61,9 +63,11 @@ from rydgate.propagation import (
     COMPUTATIONAL_INDICES,
     EXCITATIONS,
     OPERATORS,
+    PHASE_COLUMNS,
     PulseSegment,
     PulseSequence,
-    _gauged,
+    _gauge,
+    _segments,
     _real_parts,
     batch_unitaries,
     distinct_segments,
@@ -149,8 +153,8 @@ def two_atom_hamiltonian_by_rules(drive1, drive2, v):
 def gauged_hamiltonians(controls):
     """(..., 9, 9) Hamiltonians D Hr D^dag of (..., 7) control rows (Omega1, phi1, Delta1,
     Omega2, phi2, Delta2, V), from the package: Hr from ``_real_parts`` and the diagonal
-    D = exp(-i(phi1 n1 + phi2 n2)) from ``_gauged`` of the identity."""
-    d = _gauged(np.eye(9), controls[..., 1::3])
+    D = exp(-i(phi1 n1 + phi2 n2)) from ``_gauge``."""
+    d = _gauge(controls[..., 1::3])[..., None] * np.eye(9)
     return d @ _real_parts(controls) @ d.conj().swapaxes(-1, -2)
 
 
@@ -184,42 +188,43 @@ def pulse_area_by_segments(sequence):
 
 def expm_hermitian(h, t):
     """exp(-i*h*t) of (..., n, n) Hermitian matrices; ``t`` broadcasts over ``h.shape[:-2]``."""
-    return _steps(*np.linalg.eigh(h), t)
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * _eigenphases(w, np.asarray(t)[..., None]))
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def running_products_from_identity(hams, durations, order):
+    """The (k, ..., n, n) running products U_j ... U_1 of the steps exp(-i*h*t) of the
+    (..., d, n, n) ``hams`` and (..., d) ``durations`` in ``order``, first segment first,
+    each multiplied onto the last from the identity."""
+    steps = expm_hermitian(hams, durations)
+    u, products = np.eye(hams.shape[-1], dtype=np.complex128), []
+    for j in order:
+        u = steps[..., j, :, :] @ u
+        products.append(u)
+    return np.array(products)
 
 
 def sequence_product_from_identity(hams, durations, order):
-    """The identity times each step exp(-i*h_j*t_j) in ``order``, first segment
-    first: the reference ``sequence_product``, which starts from the first step,
-    must match bit for bit."""
-    steps = expm_hermitian(hams, durations)
-    u = np.eye(hams.shape[-1], dtype=np.complex128)
-    for j in order:
-        u = steps[..., j, :, :] @ u
-    return u
+    """The last of ``running_products_from_identity``: the gate."""
+    return running_products_from_identity(hams, durations, order)[-1]
 
 
 def two_pass_gate_report(sequence, target_phi=math.pi):
-    """``analyze_gate`` as it was composed before a sequence kept its eigensystem:
-    the propagator from one diagonalisation of the distinct segments' real gauged
-    Hamiltonians, exponentiated in place and multiplied from the identity, and the
-    Rydberg time from a second diagonalisation of the same matrices and the running
-    products of that loop. ``analyze_gate`` must give an equal report."""
+    """``analyze_gate`` as it was composed before a sequence kept its eigensystem: the
+    propagator and its running products from one diagonalisation of the distinct segments'
+    real parts, and the Rydberg time from a second diagonalisation of the same matrices,
+    gauged per distinct segment. ``analyze_gate`` must give an equal report."""
     rows, durations, order = distinct_segments(sequence.controls, sequence.durations)
-    hams, phases = _real_parts(rows), rows[:, 1::3]
-    w, v = np.linalg.eigh(hams)
-    v = _gauged(v, phases)
-    v_dagger = v.conj().swapaxes(-1, -2)
-    v *= np.exp(-1j * (w * durations[:, None]))[:, None, :]
-    steps = v @ v_dagger
-    u, partials = np.eye(9, dtype=np.complex128), []
-    for j in order:
-        u = steps[j] @ u
-        partials.append(u)
+    w, v = np.linalg.eigh(_real_parts(rows))
+    segments, gauges = _segments(range(len(rows)), rows[:, PHASE_COLUMNS])
+    partials = sequence_product(w, v, durations, order, segments, partials=True)
+    u = partials[-1]
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
-    w, v = np.linalg.eigh(hams)
+    w, v = np.linalg.eigh(_real_parts(rows))
     totals = weighted_population_integral(
-        w, _gauged(v, phases), durations, order, np.array(partials), states, EXCITATIONS,
-        RYDBERG_TIME_SAMPLES,
+        w, v.astype(np.complex128) if gauges is None else gauges[..., None] * v, durations, order, partials, states,
+        EXCITATIONS, RYDBERG_TIME_SAMPLES,
     )
     extraction = phases_and_leakage(u)
     unwrapped = phase_combination(extraction.phases)

@@ -13,6 +13,7 @@ from oracles import (
     grid_argmax,
     h_direct,
     pulse_area_by_segments,
+    running_products_from_identity,
     sampled_population_integral,
     sequential_population_integral,
     two_pass_gate_report,
@@ -612,9 +613,10 @@ class TestActuationMetrics:
         omega, pi_time = 4.5e-308, math.pi / 4.5e-308
         rows = np.zeros((2, 7))
         rows[0, [0, 6]] = rows[1, [3, 6]] = omega, 100 * omega
-        w, v = np.linalg.eigh(gauged_hamiltonians(rows))
+        hams = gauged_hamiltonians(rows)
+        w, v = np.linalg.eigh(hams)
         durations, order = np.array([pi_time, 2 * pi_time]), (0, 1, 0)
-        partials = _kernels.sequence_product(w, v, durations, order, partials=True)
+        partials = running_products_from_identity(hams, durations, order)
         with pytest.raises(ValueError, match="^a population integral overflows"):
             _kernels.weighted_population_integral(
                 w, v, durations, order, partials, np.eye(9)[list(COMPUTATIONAL_INDICES)],
@@ -623,12 +625,13 @@ class TestActuationMetrics:
 
     def test_population_integral_per_state_and_input_untouched(self):
         seq = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
-        (w, v), durations = np.linalg.eigh(gauged_hamiltonians(seq.controls)), seq.durations
+        hams, durations = gauged_hamiltonians(seq.controls), seq.durations
+        w, v = np.linalg.eigh(hams)
         psi0 = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
         before = psi0.copy()
         weights = EXCITATIONS
         order = range(len(durations))
-        partials = _kernels.sequence_product(w, v, durations, order, partials=True)
+        partials = running_products_from_identity(hams, durations, order)
         kept = partials.copy()
         totals = _kernels.weighted_population_integral(w, v, durations, order, partials, psi0, weights, 16)
         assert np.array_equal(psi0, before) and np.array_equal(partials, kept)
@@ -657,7 +660,7 @@ def _integrals(segments, samples):
     seq = PulseSequence(tuple(segments))
     hams, durations = gauged_hamiltonians(seq.controls), seq.durations
     (w, v), order = np.linalg.eigh(hams), range(len(durations))
-    partials = _kernels.sequence_product(w, v, durations, order, partials=True)
+    partials = running_products_from_identity(hams, durations, order)
     states = (np.eye(9)[list(COMPUTATIONAL_INDICES)], EXCITATIONS, samples)
     got = _kernels.weighted_population_integral(w, v, durations, order, partials, *states)
     return got, sampled_population_integral(hams, durations, *states)
@@ -790,7 +793,7 @@ def _sequential_rydberg_time(sequence):
     """``rydberg_time`` with each state propagated again through the segments."""
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = sequential_population_integral(
-        *sequence._eigensystem, states, EXCITATIONS, RYDBERG_TIME_SAMPLES
+        *sequence._eigensystem[1], states, EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
     return float(np.mean(totals))
 

@@ -552,6 +552,14 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err == f"error: {config}:4: config key kappa already given on line 2\n"
 
+    @pytest.mark.parametrize("line", ["= 1.65", " =", "kappa 1.65"])
+    def test_line_without_a_key_rejected(self, capsys, tmp_path, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"protocol = geometric\n{line}\nomega = 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}:2: expected 'key = value', got {line.strip()!r}\n"
+
     def test_output_file_written_with_lf_endings(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, out, _ = run_cli(

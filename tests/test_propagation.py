@@ -12,7 +12,6 @@ from oracles import (
     expm_hermitian,
     gauged_hamiltonians,
     h_full,
-    random_hermitian,
     rk4_unitary,
     sequence_product_from_identity,
     symmetric_block_projectors,
@@ -20,7 +19,8 @@ from oracles import (
     unitarity_defect,
 )
 
-from rydgate import _kernels
+from rydgate import _kernels, propagation
+from rydgate._kernels import pure
 from rydgate.analysis import RYDBERG_TIME_SAMPLES, rydberg_time
 from rydgate.propagation import (
     CHUNK,
@@ -33,7 +33,8 @@ from rydgate.propagation import (
     DriveParams,
     PulseSegment,
     PulseSequence,
-    _gauged,
+    _gauge,
+    _segments,
     _real_parts,
     batch_unitaries,
     distinct_segments,
@@ -43,6 +44,7 @@ from rydgate.protocols import (
     BlockadeProtocolParams,
     GeometricProtocolParams,
     blockade_pdp_sequence,
+    geometric_controls,
     geometric_sequence,
 )
 from rydgate.robustness import _perturbed_controls
@@ -345,6 +347,51 @@ class TestTwoRoutes:
         assert stacks == chunks + [(float64, (2, 9, 9))]
 
 
+def _error_scale(rows, durations):
+    """eps * the sum over segments of (n + max|w*t|): the rounding a step carries, whether formed
+    from real or complex eigenvectors, which are orthonormal to about n*eps and give each
+    eigenphase w*t to about eps*|w|*t; the steps' errors add up along the product."""
+    w = np.linalg.eigvalsh(_real_parts(rows))
+    return np.finfo(float).eps * (9 + np.abs(w * durations[..., None]).max(axis=-1)).sum(axis=-1)
+
+
+class TestAccuracy:
+    """Real steps, phase patterns and products by halves against complex steps multiplied from
+    the identity, each from its own ``eigh``: within the rounding both carry. Measured, the
+    geometric gates reach 0.48 of the bound (29 eps)."""
+
+    def _check(self, rows, durations):
+        batch = np.concatenate(list(batch_unitaries(rows, durations)))
+        for u, gate_rows, t in zip(batch, rows, durations, strict=True):
+            want = sequence_product_from_identity(gauged_hamiltonians(gate_rows), t, range(len(t)))
+            assert np.abs(u - want).max() <= _error_scale(gate_rows, t)
+
+    def test_geometric_gates(self):
+        self._check(*geometric_controls(np.linspace(0.05, 2.5, 40), 1.0))
+
+    def test_blockade_ladder(self):
+        # The 2pi pulse's eigenphases reach 2 pi V/Omega, so the bound grows with V*t.
+        sequences = [blockade_pdp_sequence(BlockadeProtocolParams(1.0, v)) for v in np.geomspace(1.0, 1e6, 40)]
+        self._check(np.array([seq.controls for seq in sequences]), np.array([seq.durations for seq in sequences]))
+
+    def test_random_phase_rows(self, rng):
+        for k in range(1, 7):
+            sequences = [PulseSequence(tuple(random_segment(rng) for _ in range(k))) for _ in range(20)]
+            self._check(np.array([seq.controls for seq in sequences]), np.array([seq.durations for seq in sequences]))
+
+    def test_gates_with_different_phase_jumps_keep_their_bits(self, rng):
+        # Every gate toggles its own random phase, so each pattern is taken per gate.
+        rows, durations = geometric_controls(np.linspace(0.3, 2.5, 2 * CHUNK + 5), 1.0)
+        jumps = rng.uniform(-np.pi, np.pi, size=len(rows))
+        rows[:, 1::2, PHASE_COLUMNS] = jumps[:, None, None]
+        rows[::7, 1::2, PHASE_COLUMNS] = 0.0  # some gates have no phase at all
+        batch = np.concatenate(list(batch_unitaries(rows, durations)))
+        for u, gate_rows, t in zip(batch, rows, durations, strict=True):
+            ((alone,),) = batch_unitaries(gate_rows[None], t)
+            assert np.array_equal(u.view(np.uint64), alone.view(np.uint64))
+        self._check(rows, durations)
+
+
 def _gauge_rows(rng, n=600):
     """(n, 7) rows with Omega = 0 drives, phi = pi, -pi/2, 0.0 and -0.0, -0.0 entries and
     huge finite Omega among random ones."""
@@ -363,54 +410,69 @@ def _gauge_rows(rng, n=600):
 
 
 class TestGauge:
-    """H = D Hr D^dag with Hr real symmetric; rows whose phases are all zero take no gauge."""
+    """H = D Hr D^dag with Hr real symmetric; segments whose phases are all zero take no phase pattern."""
 
     def test_gauge_rebuilds_the_hamiltonians(self, rng):
         rows = _gauge_rows(rng)
         hr = _real_parts(rows)
         assert np.array_equal(hr, hr.swapaxes(-1, -2))
-        gauge = _gauged(np.eye(9), rows[:, 1::3])  # D as (n, 9, 9) diagonal matrices
+        gauge = _gauge(rows[:, 1::3])[..., None] * np.eye(9)  # D as (n, 9, 9) diagonal matrices
         assert np.array_equal(gauge, gauge * np.eye(9))
         for h, row in zip(gauged_hamiltonians(rows), rows):
             want = two_atom_hamiltonian_by_rules(row[[0, 2, 1]], row[[3, 5, 4]], row[6])
             assert np.all(np.abs(h - want) <= 4 * np.finfo(float).eps * np.abs(want))
 
     def test_gauge_is_skipped_exactly_when_every_phase_is_zero(self, monkeypatch, rng):
+        # A distinct segment whose phases are zero (or -0.0) in every gate takes no phase pattern,
+        # and a batch whose phases are all zero (every blockade gate) takes no exp at all.
         rows = _gauge_rows(rng)
-        vr = rng.normal(size=(9, 9))
         exp, calls = np.exp, []
         monkeypatch.setattr(np, "exp", lambda x: calls.append(x.shape) or exp(x))
         for row in rows:
             before = len(calls)
-            _gauged(vr, row[1::3])
+            ((_, pattern),), gauges = _segments((0,), row[None, PHASE_COLUMNS])
             assert len(calls) - before == (1 if row[[1, 4]].any() else 0)
-        free = np.where(rng.uniform(size=(len(rows), 2)) < 0.5, 0.0, -0.0)
+            assert (pattern is None) == (gauges is None) == (not row[[1, 4]].any())
+        free = np.where(rng.uniform(size=(len(rows), 1, 2)) < 0.5, 0.0, -0.0)
         before = len(calls)
-        _gauged(rng.normal(size=(len(rows), 9, 9)), free)
+        assert _segments((0,), free) == (((0, None),), None)
         assert len(calls) == before
-        free[17, 1] = 1e-300
-        _gauged(rng.normal(size=(len(rows), 9, 9)), free)
-        assert calls[before:] == [(len(rows), 9)]
+        free[17, 0, 1] = 1e-300  # one phased gate: one exp, and a pattern per gate
+        ((_, pattern),), _ = _segments((0,), free)
+        assert calls[before:] == [(len(rows), 1, 9)]
+        assert pattern.shape == (len(rows), 9, 9)
+
+    def test_a_batch_sharing_its_phases_takes_each_pattern_once(self, monkeypatch):
+        calls, segments = [], propagation._segments
+        monkeypatch.setattr(propagation, "_segments", lambda steps, phases: calls.append(phases.shape) or segments(steps, phases))
+        rows, durations = geometric_controls(np.linspace(0.3, 2.5, 3 * CHUNK), 1.0)
+        list(batch_unitaries(rows, durations))
+        rows[5, 1::2, 1] = 0.5  # one gate with its own phase jump: patterns per gate, chunk by chunk
+        list(batch_unitaries(rows, durations))
+        assert calls == [(2, 2)] + [(CHUNK, 2, 2)] * 3
 
     def test_phase_free_rows_keep_their_bits_through_the_gauge(self, rng):
-        # D = 1 + 0j exactly, so signed zeros in vr survive too.
+        # D = 1 + 0j exactly, so signed zeros in vr survive the multiply too.
         vr = rng.normal(size=(6, 9, 9))
         vr[..., ::4], vr[..., 1::4] = -0.0, 0.0
-        plain = _gauged(vr, np.zeros((6, 2)))
-        assert plain.dtype == np.complex128
-        assert np.array_equal(plain.view(np.uint64), vr.astype(np.complex128).view(np.uint64))
         phases = np.zeros((7, 2))
-        phases[6] = 0.5, -0.0  # one phased row beside them forces the multiply
-        through = _gauged(np.concatenate([vr, rng.normal(size=(1, 9, 9))]), phases)
-        assert np.array_equal(through[:6].view(np.uint64), plain.view(np.uint64))
-        # A blockade gate forced through the gauge by a phased row beside it.
+        phases[::2] = -0.0
+        phases[6] = 0.5, -0.0  # a phased row beside them
+        gauged = _gauge(phases)[..., None] * np.concatenate([vr, rng.normal(size=(1, 9, 9))])
+        assert gauged.dtype == np.complex128
+        assert np.array_equal(gauged[:6].view(np.uint64), vr.astype(np.complex128).view(np.uint64))
+        # A blockade gate beside a phased one takes the exact unit pattern of its zero phases, and
+        # every zero of its steps is +0.0, so no bit moves.
         seq = blockade_pdp_sequence(BlockadeProtocolParams(1.0, 100.0))
-        rows, durations, order = distinct_segments(seq.controls, seq.durations)
-        phased = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls[1:2]
-        both = np.concatenate([rows, phased])
-        w, vr = np.linalg.eigh(_real_parts(both))
-        through = _kernels.sequence_product(w[:2], _gauged(vr, both[:, 1::3])[:2], durations, order)
-        assert np.array_equal(through.view(np.uint64), sequence_unitary(seq).view(np.uint64))
+        phased = seq.controls.copy()
+        phased[:, PHASE_COLUMNS] = (-np.pi / 2, 0.3), (0.1, 0.0), (-np.pi / 2, 0.3)
+        rows, durations = np.stack([seq.controls, phased]), np.stack([seq.durations] * 2)
+        units, _ = _segments((0, 1), rows[:, :2, PHASE_COLUMNS])
+        assert all(np.array_equal(p[0].view(np.uint64), np.ones((9, 9), complex).view(np.uint64)) for _, p in units)
+        ((gate, _),) = batch_unitaries(rows, durations)
+        assert np.array_equal(gate.view(np.uint64), sequence_unitary(seq).view(np.uint64))
+        floats = pure._steps(*np.linalg.eigh(_real_parts(rows[:, :2])), durations[:, :2]).view(np.float64)
+        assert (floats == 0).any() and not np.signbit(floats[floats == 0]).any()
 
     def test_the_largest_finite_rabi_frequency_propagates(self):
         # The row holds Omega itself, so nothing overflows before eigh, on either route. The
@@ -442,9 +504,14 @@ class TestEigensystemCache:
         return geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0))
 
     def test_cached_arrays_are_read_only(self):
-        w, v, durations, order = self._sequence()._eigensystem
+        (w, v, durations, order, segments), integral = self._sequence()._eigensystem
         assert (w.shape, v.shape, durations.shape, order) == ((2, 9), (2, 9, 9), (2,), (0, 1, 0, 1))
-        for array in (w, v, durations):
+        (plain, none), (phased, pattern) = segments
+        assert (plain, none, phased, pattern.shape) == (0, None, 1, (9, 9))
+        # The Rydberg-time integral reads the gauged eigenvectors D vr.
+        wd, vd, td, order_d = integral
+        assert (wd is w, vd.shape, vd.dtype, td is durations, order_d) == (True, (2, 9, 9), np.complex128, True, order)
+        for array in (w, v, durations, pattern, vd):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -476,11 +543,11 @@ class TestEigensystemCache:
 
     def test_running_products_are_the_products_of_each_prefix(self):
         seq = self._sequence()
-        w, v, durations, order = seq._eigensystem
+        (w, v, durations, order, segments), _ = seq._eigensystem
         partials = seq._partials
         assert partials.shape == (4, 9, 9) and not partials.flags.writeable
         for j in range(1, len(order) + 1):
-            prefix = _kernels.sequence_product(w, v, durations, order[:j])
+            prefix = _kernels.sequence_product(w, v, durations, order[:j], segments)
             assert np.array_equal(partials[j - 1].view(np.uint64), prefix.view(np.uint64)), j
         assert np.array_equal(sequence_unitary(seq).view(np.uint64), partials[-1].view(np.uint64))
 
@@ -504,58 +571,135 @@ class TestEigensystemCache:
         replaced = dataclasses.replace(seq, segments=other.segments)
         assert "_eigensystem" not in vars(replaced)
         assert np.array_equal(sequence_unitary(replaced), sequence_unitary(other))
-        assert replaced._eigensystem[3] == (0, 1, 0)
+        assert replaced._eigensystem[0][3] == (0, 1, 0)
         assert dataclasses.replace(seq)._eigensystem is not seq._eigensystem
 
 
+class _Word:
+    """A product of named steps, as text, that counts the multiplications made."""
+
+    def __init__(self, text, counter):
+        self.text, self.counter = text, counter
+
+    def __matmul__(self, other):
+        self.counter.append(1)
+        return _Word(f"({self.text} {other.text})", self.counter)
+
+
+def _by_halves(steps, order):
+    """steps[order[-1]] ... steps[order[0]] as the second half's product times the first's,
+    each half likewise, every product taken anew."""
+    if len(order) == 1:
+        return steps[order[0]]
+    half = (len(order) + 1) // 2
+    return _by_halves(steps, order[half:]) @ _by_halves(steps, order[:half])
+
+
 class TestSequenceProduct:
-    """The product starts from the first segment's step, with the bits of one seeded
-    with the identity."""
+    """Real steps times their phase patterns, multiplied by halves: each index tuple's product is
+    taken once, so a repeated period is squared, and the gate agrees to rounding with the
+    complex steps multiplied from the identity."""
 
     def _stack(self, rng, shape):
-        hams = np.array([random_hermitian(rng, scale=3.0) for _ in range(math.prod(shape))])
-        return hams.reshape(shape + (9, 9)), rng.uniform(0.1, 2.0, size=shape)
+        """Real symmetric generators, durations, and the phase patterns d d^dag of random unit d."""
+        h = rng.normal(scale=3.0, size=shape + (9, 9))
+        h = (h + h.swapaxes(-1, -2)) / 2.0
+        d = np.exp(1j * rng.uniform(-np.pi, np.pi, size=shape + (9,)))
+        patterns = d[..., :, None] * d[..., None, :].conj()
+        return h, rng.uniform(0.1, 2.0, size=shape), patterns, d[..., :, None] * h * d[..., None, :].conj()
+
+    @pytest.mark.parametrize(
+        "order, products, word",
+        [
+            ((0, 1, 0, 1), 2, "((1 0) (1 0))"),
+            ((0, 1, 0), 2, "(0 (1 0))"),
+            ((0,), 0, "0"),
+            ((0, 0, 0, 0), 2, "((0 0) (0 0))"),
+            ((0, 1, 2, 0, 1, 2), 3, "((2 (1 0)) (2 (1 0)))"),
+            ((0, 1, 1, 0), 3, "((0 1) (1 0))"),
+        ],
+    )
+    def test_a_repeated_period_is_multiplied_out_once(self, order, products, word):
+        counter = []
+        got = pure._product([_Word(str(j), counter) for j in range(3)], order)
+        assert (got.text, len(counter)) == (word, products)
 
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 3)])
-    def test_bit_equal_to_the_identity_seeded_loop(self, rng, shape):
-        hams, durations = self._stack(rng, shape)
-        for length in range(1, 7):
-            for _ in range(4):
+    def test_bits_are_the_halves_of_each_step(self, rng, shape):
+        h, durations, patterns, _ = self._stack(rng, shape)
+        w, v = np.linalg.eigh(h)
+        plain = [(j, None) for j in range(shape[-1])]
+        phased = [(j, patterns[..., j, :, :]) for j in range(shape[-1])]
+        shared = [(j, patterns[(0,) * (len(shape) - 1) + (j,)]) for j in range(shape[-1])]
+        for segments in (plain, phased, shared):
+            steps = [_kernels.sequence_product(w, v, durations, (j,), segments) for j in range(shape[-1])]
+            for length in range(1, 9):
                 order = tuple(rng.integers(0, shape[-1], size=length).tolist())
-                got = _kernels.sequence_product(*np.linalg.eigh(hams), durations, order)
-                want = sequence_product_from_identity(hams, durations, order)
+                got = _kernels.sequence_product(w, v, durations, order, segments)
+                want = _by_halves(steps, order)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
 
+    @pytest.mark.parametrize("shape", [(4,), (7, 3)])
+    def test_the_gate_keeps_its_bits_with_partials(self, rng, shape):
+        h, durations, patterns, _ = self._stack(rng, shape)
+        w, v = np.linalg.eigh(h)
+        segments = [(j, patterns[..., j, :, :] if j % 2 else None) for j in range(shape[-1])]
+        steps = [_kernels.sequence_product(w, v, durations, (j,), segments) for j in range(shape[-1])]
+        for order in [(0, 1, 0, 1), (0, 1, 0), (1,), (0, 0), *(tuple(rng.integers(0, 3, size=8)) for _ in range(6))]:
+            gate = _kernels.sequence_product(w, v, durations, order, segments)
+            partials = _kernels.sequence_product(w, v, durations, order, segments, partials=True)
+            assert partials.shape == (len(order), *gate.shape)
+            assert np.array_equal(partials[-1].view(np.uint64), gate.view(np.uint64)), order
+            # The running products the Rydberg time reads are taken one step at a time.
+            running = steps[order[0]]
+            for j, partial in zip(order[1:], partials[:-1]):
+                assert np.array_equal(partial.view(np.uint64), running.view(np.uint64)), order
+                running = steps[j] @ running
+
+    @pytest.mark.parametrize("shape", [(4,), (7, 3)])
+    def test_matches_complex_steps_from_the_identity(self, rng, shape):
+        # Both products start from an eigh good to about eps*|h| per eigenvalue, which moves
+        # each eigenphase by about eps*|w|*t, and from eigenvectors unitary to about n*eps:
+        # a step is good to c*eps*(n + max|w*t|), and k steps add up.
+        h, durations, patterns, hams = self._stack(rng, shape)
+        w, v = np.linalg.eigh(h)
+        segments = [(j, patterns[..., j, :, :]) for j in range(shape[-1])]
+        per_step = 9 + np.abs(w * durations[..., None]).max()
+        for length in range(1, 9):
+            order = tuple(rng.integers(0, shape[-1], size=length).tolist())
+            got = _kernels.sequence_product(w, v, durations, order, segments)
+            want = sequence_product_from_identity(hams, durations, order)
+            assert np.abs(got - want).max() <= 2 * length * per_step * np.finfo(float).eps, order
+
     def test_one_segment_gives_a_new_array(self, rng):
-        hams, durations = self._stack(rng, (5, 2))
-        u = _kernels.sequence_product(*np.linalg.eigh(hams), durations, (1,))
+        h, durations, _, _ = self._stack(rng, (5, 2))
+        u = _kernels.sequence_product(*np.linalg.eigh(h), durations, (1,), ((0, None), (1, None)))
         assert u.flags.owndata and u.flags.c_contiguous
-        assert np.array_equal(u, expm_hermitian(hams[:, 1], durations[:, 1]))
+        assert np.abs(u - expm_hermitian(h[:, 1], durations[:, 1])).max() < 1e-13
 
 
-def _eigensystems(rows):
-    """(w, v) of each row's Hamiltonian, one real ``eigh`` per row through the laser-phase gauge."""
-    w, v = np.linalg.eigh(_real_parts(rows))
-    return w, _gauged(v, rows[..., 1::3])
+def _step(row, t):
+    """One segment's step from its own real diagonalisation and phase pattern, nothing shared."""
+    segments, _ = _segments((0,), row[None, PHASE_COLUMNS])
+    return _kernels.sequence_product(*np.linalg.eigh(_real_parts(row[None])), t[None], (0,), segments)
 
 
 def _product_per_segment(rows, durations):
-    """U_k ... U_1 from one diagonalisation per segment, each gauged on its own, nothing shared."""
-    u = np.eye(9, dtype=np.complex128)
-    for row, t in zip(rows, durations):
-        u = _kernels.sequence_product(*_eigensystems(row[None]), t[None], (0,)) @ u
-    return u
+    """U_k ... U_1 from each segment's own step, multiplied by halves, nothing shared."""
+    return _by_halves([_step(row, t) for row, t in zip(rows, durations)], range(len(rows)))
 
 
 def _rydberg_time_per_segment(sequence):
-    """``rydberg_time`` with every segment diagonalised on its own."""
-    rows, durations = sequence.controls, sequence.durations
-    (w, v), order = _eigensystems(rows), range(len(durations))
-    partials = _kernels.sequence_product(w, v, durations, order, partials=True)
+    """``rydberg_time`` with every segment diagonalised and gauged on its own."""
+    rows, durations, order = sequence.controls, sequence.durations, range(len(sequence.durations))
+    w, v = np.linalg.eigh(_real_parts(rows))
+    segments, gauges = _segments(order, rows[:, PHASE_COLUMNS])
+    partials = _kernels.sequence_product(w, v, durations, order, segments, partials=True)
     states = np.eye(9, dtype=np.complex128)[list(COMPUTATIONAL_INDICES)]
     totals = _kernels.weighted_population_integral(
-        w, v, durations, order, partials, states, EXCITATIONS, RYDBERG_TIME_SAMPLES
+        w, v.astype(np.complex128) if gauges is None else gauges[..., None] * v, durations, order, partials, states,
+        EXCITATIONS, RYDBERG_TIME_SAMPLES,
     )
     return float(np.mean(totals))
 
