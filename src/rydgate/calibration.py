@@ -8,7 +8,8 @@ batch rows from ``geometric_controls`` and keep only what each propagator stack'
 columns read: its raw diagonal U_bb, and for sweeps Tr(M M^dag) and the largest
 leakage. Phases, and a sweep's fidelities, are computed once per batch with the bits
 of one call per stack. A failed calibration completes and reports its controlled-phase
-column; each solver step builds one ``geometric_sequence``.
+column; each solver step builds one ``geometric_sequence``, and the report reuses the
+best step's propagation (a kappa* on a scan point builds its own).
 Identical inputs give bit-identical tables.
 """
 
@@ -155,7 +156,9 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     ``ROOT_ERROR_STOP`` (4 ulp of pi) or the bracket is at most
     ``ROOT_WIDTH_STOP`` (1e-10) wide, and returns the evaluated kappa of
     smallest |error|. That takes 2 to 5 single-gate propagations where bisection
-    took 27. A scan point exactly on target is returned as it is.
+    took 27. A scan point exactly on target is returned as it is. The report
+    reads the solver step's propagation of kappa* and propagates again only
+    for a scan point.
 
     Raises
     ------
@@ -173,8 +176,10 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
 
     target = math.remainder(target_phi, 2 * math.pi)
 
+    solved = {}  # each solver step's sequence, which keeps its eigensystem and running products
     def error_at(kappa):
-        return wrap_angle(wrap_angle(_phase_sum(_diagonals(sequence_unitary(_geometric(kappa, omega))))) - target)
+        sequence = solved[kappa] = _geometric(kappa, omega)
+        return wrap_angle(wrap_angle(_phase_sum(_diagonals(sequence_unitary(sequence)))) - target)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
     with np.errstate(over="ignore"):  # a distance that overflows is inf
@@ -226,7 +231,8 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     if lo != hi:
         kappa_star = _anderson_bjorck(error_at, lo, hi, float(errors[i]), float(errors[j]))
 
-    report = analyze_gate(_geometric(kappa_star, omega), target_phi=target)
+    sequence = solved[kappa_star] if kappa_star in solved else _geometric(kappa_star, omega)
+    report = analyze_gate(sequence, target_phi=target)
     residual = wrap_angle(report.controlled_phase - target)
     if abs(residual) > CALIBRATION_TOLERANCE:
         raise failure(

@@ -7,7 +7,10 @@ or to ``--output``, and alone maps each outcome to an exit code: 0 success,
 2 configuration error, unallocatable count or out-of-range result, 3 numerical
 non-convergence. Identical configurations produce byte-identical output. CSV
 numbers carry 12 significant digits and lines end in LF; JSON never holds NaN
-or Infinity.
+or Infinity. A command loads only the modules it runs: ``sweep`` and
+``calibrate`` import ``calibration`` in their handlers, ``robustness`` imports
+``robustness``, and ``main`` imports ``CalibrationError`` only to map a
+``RuntimeError``.
 """
 
 import argparse
@@ -18,14 +21,12 @@ import re
 import sys
 
 from rydgate.analysis import analyze_gate
-from rydgate.calibration import CalibrationError, calibrate_kappa, sweep_kappa
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     BlockadeProtocolParams,
     GeometricProtocolParams,
     protocol_sequence,
 )
-from rydgate.robustness import NoiseModel, monte_carlo_fidelity
 
 SWEEP_HEADER = (
     "kappa,v_over_omega,gate_time_omega_over_pi,"
@@ -172,12 +173,16 @@ def cmd_simulate(cfg):
 
 def cmd_sweep(cfg):
     """characterize the geometric protocol over a kappa range"""
+    from rydgate.calibration import sweep_kappa
+
     records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"])
     return _csv(SWEEP_HEADER, map(dataclasses.astuple, records))
 
 
 def cmd_calibrate(cfg):
     """find kappa giving a target controlled phase"""
+    from rydgate.calibration import calibrate_kappa
+
     omega = _positive(cfg["omega"], "omega")
     result = calibrate_kappa(cfg["target_phi"], tuple(cfg["bracket"]), omega=omega, seed_kappa=cfg["seed_kappa"])
     report = _report_payload(result.report, omega)
@@ -198,6 +203,8 @@ def cmd_compare(cfg):
 
 def cmd_robustness(cfg):
     """Monte-Carlo fidelity under parameter noise"""
+    from rydgate.robustness import NoiseModel, monte_carlo_fidelity
+
     protocol, _ = _protocol(cfg)
     # Spacing noise is relative, so the nominal spacing only sets C6: any r0 gives
     # the same V = C6 / (r0 (1 + eps_R))**6, and at r0 = 1, C6 = V exactly.
@@ -277,7 +284,11 @@ def main(argv=None):
     try:
         cfg = _merge(args, options)
         _write(handler(cfg), cfg["output"])
-    except CalibrationError as exc:
+    except RuntimeError as exc:  # a CalibrationError, imported only when one may have been raised
+        from rydgate.calibration import CalibrationError
+
+        if not isinstance(exc, CalibrationError):
+            raise
         sys.stderr.write(f"calibration failed: {exc}\n" + _csv("kappa,phi_c_wrapped_rad", exc.scan))
         return 3
     except (ValueError, MemoryError) as exc:  # a rejected value, or a count too large to allocate

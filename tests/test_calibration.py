@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import bisect_root, full_scan_calibration, per_stack_scan_phases, per_stack_sweep
 
-from rydgate import calibration, robustness
+from rydgate import _kernels, calibration, robustness
 from rydgate.calibration import (
     CalibrationError,
     calibrate_kappa,
@@ -193,10 +193,43 @@ class TestCalibrateKappa:
     def test_scan_builds_no_pulse_sequence_per_kappa(self, sequences_built):
         calibrate_kappa(-math.pi, (1.0, 2.5))
         # The root solver takes 4 steps from the 1/199-wide interval here
-        # (bisection took 27); with the report, whose phase is the residual,
-        # that is 5 sequences, none for the 200 scan points or the scanned
-        # interval ends.
-        assert len(sequences_built) <= 5
+        # (bisection took 27), one sequence each; the report, whose phase is the
+        # residual, reuses the best step's, and none is built for the 200 scan
+        # points or the scanned interval ends.
+        assert len(sequences_built) <= 4
+
+    @pytest.fixture
+    def propagations(self, monkeypatch):
+        """The kappas the root solver evaluates, and the single-route propagations
+        (``_kernels.sequence_product(..., partials=True)``) made while the test runs."""
+        steps, single = [], []
+        product, solver = _kernels.sequence_product, calibration._anderson_bjorck
+
+        def counted_product(*args, partials=False):
+            single.append(partials)
+            return product(*args, partials=partials)
+
+        def counted_solver(f, *args):
+            return solver(lambda kappa: steps.append(kappa) or f(kappa), *args)
+
+        monkeypatch.setattr(_kernels, "sequence_product", counted_product)
+        monkeypatch.setattr(calibration, "_anderson_bjorck", counted_solver)
+        return steps, single
+
+    def test_report_reuses_the_solver_propagation(self, propagations):
+        steps, single = propagations
+        result = calibrate_kappa(-3.14159265358979, (1.0, 2.5))
+        assert len(steps) >= 2 and result.kappa_star in steps
+        assert single.count(True) == len(steps)  # one per solver step, none for the report
+
+    def test_target_on_a_scan_point_propagates_once_for_the_report(self, propagations):
+        steps, single = propagations
+        kappas = np.linspace(1.0, 2.5, calibration.CALIBRATION_SCAN_POINTS)
+        k = int(np.argmin(np.abs(kappas - 1.65)))
+        target = sweep_kappa(1.0, 2.5, calibration.CALIBRATION_SCAN_POINTS)[k].phi_c_wrapped
+        result = calibrate_kappa(target, (1.0, 2.5), seed_kappa=1.65)
+        assert result.kappa_star == kappas[k] and result.report.controlled_phase == target
+        assert steps == [] and single.count(True) == 1
 
     def test_residual_above_tolerance_is_reported(self, monkeypatch, scanned_gates):
         monkeypatch.setattr(calibration, "CALIBRATION_TOLERANCE", -1.0)

@@ -247,6 +247,16 @@ class TestCalibrate:
         assert (code, out) == (3, "")
         assert err == (GOLDEN / "calibrate_no_sign_change.stderr").read_text(encoding="utf-8")
 
+    def test_other_runtime_errors_are_not_mapped(self, capsys, monkeypatch):
+        # main maps CalibrationError, a RuntimeError, to 3 and re-raises any other one.
+        def stalls(*args, **kwargs):
+            raise RuntimeError("not a calibration failure")
+
+        monkeypatch.setattr("rydgate.calibration.calibrate_kappa", stalls)
+        with pytest.raises(RuntimeError, match="^not a calibration failure$"):
+            main(["calibrate", "--target-phi", "1", "--bracket", "1.0", "2.5"])
+        assert capsys.readouterr() == ("", "")
+
     def test_negative_omega_is_checked_like_every_command(self, capsys):
         code, out, err = run_cli(capsys, "calibrate", "--target-phi", "1", "--bracket", "1.0", "2.5", "--omega", "-1")
         assert (code, out, err) == (2, "", "error: omega must be positive and finite, got -1.0\n")

@@ -1,13 +1,18 @@
 """Packaging contract: NumPy is the only runtime dependency, the public names
-are a fixed list, and the README's library example runs."""
+are a fixed list that resolves on first use, a command loads only the modules
+it runs, and the README's library example runs."""
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from test_golden import COMMANDS, FAILING
 
 import rydgate
 
@@ -50,13 +55,48 @@ PUBLIC_NAMES = [
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _fresh_interpreter(code):
+SUBMODULES = ["_kernels", "analysis", "calibration", "propagation", "protocols", "robustness"]
+
+#: Each public name, BACKEND and each submodule is listed by dir() before first use, resolves to the
+#: object its submodule defines, and is then kept in the package namespace.
+RESOLVE = f"""
+import rydgate
+names = [*rydgate.__all__, "BACKEND", *{SUBMODULES}]
+listed = set(dir(rydgate)) >= set(names)
+kept = all(getattr(rydgate, name) is vars(rydgate)[name] for name in names)
+homes = all(getattr(rydgate, n) is getattr(getattr(rydgate, m), n) for n, m in rydgate._HOMES.items())
+print(listed, kept, homes, rydgate.robustness.SAMPLE_BLOCK)
+"""
+
+#: Run one command line (JSON argv) through ``rydgate.cli.main``; print its exit code and the rydgate modules loaded.
+RUN_MAIN = """
+import contextlib, io, json, sys
+import rydgate.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = rydgate.cli.main(json.loads(sys.argv[1]))
+print(code, *sorted(name for name in sys.modules if name.split(".")[0] == "rydgate"))
+"""
+#: What every command loads, and what each command loads beyond it.
+CLI_CORE = {
+    "rydgate", "rydgate.cli", "rydgate._kernels", "rydgate._kernels.pure",
+    "rydgate.analysis", "rydgate.propagation", "rydgate.protocols",
+}
+COMMAND_MODULES = {
+    "simulate": set(),
+    "compare": set(),
+    "sweep": {"rydgate.calibration"},
+    "calibrate": {"rydgate.calibration"},
+    "robustness": {"rydgate.robustness", "rydgate._ziggurat"},
+}
+
+
+def _fresh_interpreter(code, *args):
     """stdout of ``code`` run in a fresh interpreter, because this test session has loaded more modules."""
     src = os.path.dirname(os.path.dirname(rydgate.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
@@ -74,6 +114,33 @@ def test_cli_import_leaves_numpy_random_unloaded():
 def test_cli_import_leaves_the_ziggurat_tables_unloaded():
     # Only the Monte-Carlo draws read them; the other commands do not compile the module.
     assert _fresh_interpreter("import sys, rydgate.cli; print('rydgate._ziggurat' in sys.modules)") == "False"
+
+
+def test_bare_import_loads_no_submodule_and_not_numpy():
+    probe = "import sys, rydgate; print(*sorted(n for n in sys.modules if n.startswith(('rydgate.', 'numpy'))))"
+    assert _fresh_interpreter(probe) == ""
+
+
+def test_names_resolve_on_first_use_and_are_kept():
+    assert _fresh_interpreter(RESOLVE) == "True True True 4096"
+
+
+def test_all_is_the_table_without_backend():
+    assert rydgate.__all__ == sorted(rydgate._HOMES.keys() - {"BACKEND"})
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="^module 'rydgate' has no attribute 'nope'$"):
+        rydgate.nope
+    with pytest.raises(ImportError, match="^cannot import name 'nope' from 'rydgate'"):
+        from rydgate import nope  # noqa: F401
+
+
+@pytest.mark.parametrize("name, argv", [*sorted(COMMANDS.items()), FAILING], ids=[*sorted(COMMANDS), FAILING[0]])
+def test_each_command_loads_only_the_modules_it_runs(name, argv):
+    code, *loaded = _fresh_interpreter(RUN_MAIN, json.dumps(argv)).split()
+    assert int(code) == (3 if (name, argv) == FAILING else 0)
+    assert set(loaded) == CLI_CORE | COMMAND_MODULES[argv[0]]
 
 
 def test_public_names_are_pinned_and_resolve():
