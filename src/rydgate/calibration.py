@@ -177,6 +177,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     target = math.remainder(target_phi, 2 * math.pi)
 
     solved = {}  # each solver step's sequence, which keeps its eigensystem and running products
+
     def error_at(kappa):
         sequence = solved[kappa] = _geometric(kappa, omega)
         return wrap_angle(wrap_angle(_phase_sum(_diagonals(sequence_unitary(sequence)))) - target)

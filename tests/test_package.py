@@ -20,6 +20,8 @@ PROBE = """
 import sys
 before = set(sys.modules)
 import rydgate
+for name in dir(rydgate):  # resolve every name, loading each submodule
+    getattr(rydgate, name)
 loaded = {name.split(".")[0] for name in set(sys.modules) - before}
 print(rydgate.BACKEND, sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "rydgate"}))
 """
