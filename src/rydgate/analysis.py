@@ -258,8 +258,8 @@ def fidelity_cphase(u, target_phi, compensate=True):
     (a 256-point grid, then two Newton steps). For a stack of gates,
     ``target_phi`` broadcasts over its leading axes.
     """
-    if not np.isfinite(target_phi).all():
-        raise ValueError(f"target_phi must be finite, got {target_phi}")
+    for phi in np.ravel(target_phi).tolist():
+        _require_finite(phi, "target_phi")
     return _unstack(_fidelity_functional(*_fidelity_terms(_stack(u)), target_phi, compensate))
 
 

@@ -4,13 +4,15 @@ The controlled phase is not assumed monotone in kappa: calibration scans a
 fixed 200-point grid over the bracket, the points around the seed first, for
 the sign-change interval of the wrapped phase error nearest the seed, and
 solves for the root there by Anderson-Bjorck regula falsi. Sweeps and the scan
-batch rows from ``geometric_controls`` and keep only what each propagator stack's
-columns read: its raw diagonal U_bb, and for sweeps Tr(M M^dag) and the largest
-leakage. Phases, and a sweep's fidelities, are computed once per batch with the bits
-of one call per stack. A failed calibration completes and reports its controlled-phase
-column; each solver step builds one ``geometric_sequence``, and the report reuses the
-best step's propagation (a kappa* on a scan point builds its own).
-Identical inputs give bit-identical tables.
+batch rows from ``geometric_controls``; a calibration lowers its whole grid once,
+so a bad kappa fails before any gate is propagated, and propagates only the rows
+of the points it scans. Both keep only what each propagator stack's columns read:
+its raw diagonal U_bb, and for sweeps Tr(M M^dag) and the largest leakage. Phases,
+and a sweep's fidelities, are computed once per batch with the bits of one call per
+stack. A failed calibration completes and reports its controlled-phase column; each
+solver step builds one ``geometric_sequence``, and the report reuses the best step's
+propagation (a kappa* on a scan point builds its own). Identical inputs give
+bit-identical tables.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate.analysis import _diagonals, _fidelity_functional, _fidelity_terms, _leakage, _phase_sum, analyze_gate
-from rydgate.propagation import batch_unitaries, sequence_unitary, wrap_angle
+from rydgate.propagation import _require_finite, batch_unitaries, sequence_unitary, wrap_angle
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     GeometricProtocolParams,
@@ -146,9 +148,10 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     not round the scanned phases away. A 200-point scan over ``bracket`` locates
     sign changes of the wrapped error wrap(phi_c(kappa) - target); intervals
     whose endpoints differ by more than pi are branch-cut jumps and are skipped.
-    The scan propagates the ``SEED_PROBE_POINTS`` kappas nearest ``seed_kappa``,
-    then the rest unless no kappa left could give an admissible interval as near
-    as the nearest found. In that interval, Anderson-Bjorck regula falsi
+    The grid is lowered to control rows once, which raises the dataclass error
+    of its first bad kappa in grid order. The scan propagates the
+    ``SEED_PROBE_POINTS`` kappas nearest ``seed_kappa``, then the rest unless no
+    kappa left could give an admissible interval as near as the nearest found. In that interval, Anderson-Bjorck regula falsi
     (Anderson & Bjorck, BIT 12, 503 (1972)) evaluates the error where the chord
     through the bracket ends crosses zero, and falls back to the midpoint
     whenever that point is not strictly inside, so every step keeps a sign
@@ -167,9 +170,8 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         error at kappa* exceeds ``CALIBRATION_TOLERANCE``; the scan is completed
         and its (kappa, wrapped phi_c) pairs are attached for diagnosis.
     """
-    for name, value in (("target_phi", target_phi), ("seed_kappa", seed_kappa)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(target_phi, "target_phi")
+    _require_finite(seed_kappa, "seed_kappa")
     k_lo, k_hi = bracket
     if not (0 < k_lo < k_hi < math.inf):
         raise ValueError(f"need finite 0 < k_lo < k_hi, got {bracket}")
@@ -183,6 +185,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         return wrap_angle(wrap_angle(_phase_sum(_diagonals(sequence_unitary(sequence)))) - target)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
+    rows, durations = geometric_controls(kappas, omega)  # raises for the first bad kappa in grid order
     with np.errstate(over="ignore"):  # a distance that overflows is inf
         # distance[i + j]: of candidate (i, j), a scan point on target (i, i) or a sign change (i, i + 1)
         ends_kappa = np.repeat(kappas, 2)
@@ -190,15 +193,10 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     point_distance = distance[::2].tolist()
     nearest = sorted(range(len(kappas)), key=point_distance.__getitem__)
     phases, errors = np.full_like(kappas, np.nan), np.full_like(kappas, np.nan)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = omega / kappas
-        t = math.pi / np.hypot(kappas * v, v / 4)  # segment durations, to within rounding
-    if not ((v > 0) & (1e-300 < t) & (t < 1e300)).all():
-        geometric_controls(kappas, omega)  # raises for the first bad kappa in grid order
 
     def scan(points):
         diagonals, stop = np.empty((len(points), 4), dtype=complex), 0
-        for u in batch_unitaries(*geometric_controls(kappas[points], omega)):
+        for u in batch_unitaries(rows[points], durations[points]):
             start, stop = stop, stop + len(u)
             diagonals[start:stop] = _diagonals(u)
         phases[points] = wrap_angle(_phase_sum(diagonals))

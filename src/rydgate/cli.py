@@ -14,13 +14,13 @@ or Infinity. A command loads only the modules it runs: ``sweep`` and
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
 
 from rydgate.analysis import analyze_gate
+from rydgate.propagation import _require_finite
 from rydgate.protocols import (
     CZ_KAPPA_SEED,
     BlockadeProtocolParams,
@@ -54,7 +54,7 @@ def _positive(value, name):
 def _parse_config_file(path):
     values, first_line = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the first key
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -147,8 +147,7 @@ def _protocol(cfg, v_flag="v"):
         omega = _positive(omega, "omega")
         if v is None:
             raise ValueError(f"blockade protocol needs {v_flag}")
-        if not math.isfinite(v):
-            raise ValueError(f"{v_flag} must be finite, got {v}")
+        _require_finite(v, v_flag)
         return BlockadeProtocolParams(rabi=omega, v=v), omega
     if cfg["protocol"] != "geometric":
         raise ValueError(f"unknown protocol: {cfg['protocol']!r}")
@@ -176,7 +175,7 @@ def cmd_sweep(cfg):
     from rydgate.calibration import sweep_kappa
 
     records = sweep_kappa(cfg["kappa_min"], cfg["kappa_max"], cfg["n"])
-    return _csv(SWEEP_HEADER, map(dataclasses.astuple, records))
+    return _csv(SWEEP_HEADER, (vars(record).values() for record in records))  # fields in column order
 
 
 def cmd_calibrate(cfg):
@@ -216,7 +215,7 @@ def cmd_robustness(cfg):
     return _json({
         "protocol": cfg["protocol"],
         "seed": cfg["seed"],
-        **dataclasses.asdict(stats),
+        **vars(stats),
         "percentiles": dict(zip(("p1", "p5", "p50", "p95", "p99"), stats.percentiles)),
     })
 

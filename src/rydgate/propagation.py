@@ -46,6 +46,7 @@ sequence keeps its eigensystem and running products U_j ... U_1, the gate last, 
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,11 @@ def wrap_angle(x):
 def _require_finite(value, name):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(value, name):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -163,14 +169,16 @@ class PulseSequence:
         if not segments:
             raise ValueError("a pulse sequence needs at least one segment")
         object.__setattr__(self, "segments", segments)
-        _require_finite(self.total_duration, "total duration")
         controls, durations = _lower(segments)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "durations", durations)
+        _require_finite(self.total_duration, "total duration")
 
     @property
     def total_duration(self):
-        return sum(seg.duration for seg in self.segments)
+        # Added left to right without compensation, as ``analysis.pulse_area`` adds, on every
+        # Python: 3.12's sum() of floats compensates. A float + that overflows gives inf, no warning.
+        return functools.reduce(operator.add, self.durations.tolist())
 
     def __reduce__(self):
         return PulseSequence, (self.segments,)

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rydgate.propagation import DETUNING_COLUMNS, RABI_COLUMNS, V_COLUMN, DriveParams, PulseSegment, PulseSequence
+from rydgate.propagation import (
+    DETUNING_COLUMNS, RABI_COLUMNS, V_COLUMN, DriveParams, PulseSegment, PulseSequence, _require_finite, _require_positive,
+)
 
 #: Default calibration seed: ratio Omega/V at which the geometric protocol
 #: realizes a controlled phase of magnitude pi.
@@ -27,11 +29,6 @@ CZ_KAPPA_SEED = 1.65
 
 #: Laser phases of the four geometric-protocol segments.
 GEOMETRIC_SEGMENT_PHASES = (0.0, -math.pi / 2, 0.0, -math.pi / 2)
-
-
-def _require_positive(value, name):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _segment_duration(omega, v):
@@ -79,8 +76,7 @@ class BlockadeProtocolParams:
 
     def __post_init__(self):
         _require_positive(self.rabi, "rabi")
-        if not math.isfinite(self.v):
-            raise ValueError(f"v must be finite, got {self.v}")
+        _require_finite(self.v, "v")
 
 
 def geometric_sequence(params):

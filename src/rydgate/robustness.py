@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from rydgate.analysis import _diagonals, _fidelity_functional, _fidelity_terms, _phase_sum
-from rydgate.propagation import RABI_COLUMNS, V_COLUMN, batch_unitaries, sequence_unitary, wrap_angle
+from rydgate.propagation import (
+    RABI_COLUMNS, V_COLUMN, _require_finite, _require_positive, batch_unitaries, sequence_unitary, wrap_angle,
+)
 from rydgate.protocols import protocol_sequence
 
 
@@ -48,10 +50,8 @@ class NoiseModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (math.isfinite(self.r0) and self.r0 > 0):
-            raise ValueError(f"r0 must be positive, got {self.r0}")
-        if not math.isfinite(self.c6):
-            raise ValueError(f"c6 must be finite, got {self.c6}")
+        _require_positive(self.r0, "r0")
+        _require_finite(self.c6, "c6")
         if isinstance(self.seed, bool):
             raise TypeError(f"seed must be an integer, got {self.seed}")
         if not 0 <= operator.index(self.seed) < 2**64:
@@ -89,11 +89,9 @@ SAMPLE_BLOCK = 4096
 
 
 def _v_of_spacing(c6, r):
-    """Van der Waals interaction V = C6 / r^6."""
+    """Van der Waals interaction V = C6 / r^6 of a ``NoiseModel``'s finite C6."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"spacing must be positive and finite, got {r}")
-    if not math.isfinite(c6):
-        raise ValueError(f"c6 must be finite, got {c6}")
     try:
         v = c6 / r**6
     except (OverflowError, ZeroDivisionError):

@@ -214,10 +214,12 @@ class TestFidelity:
         )
         assert np.max(np.abs(u - expected)) < 1e-10
 
-    @pytest.mark.parametrize("target_phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("target_phi", [math.nan, math.inf, -math.inf, [0.0, -math.inf]])
     def test_non_finite_target_rejected(self, target_phi):
-        with pytest.raises(ValueError, match="finite"):
-            fidelity_cphase(np.eye(9, dtype=complex), target_phi)
+        # A stack's targets are checked one by one; the message names the first bad one.
+        bad = np.ravel(target_phi)[-1]
+        with pytest.raises(ValueError, match=f"^target_phi must be finite, got {bad}$"):
+            fidelity_cphase(np.stack([np.eye(9, dtype=complex)] * 2), target_phi)
 
     def test_non_finite_unitary_rejected(self):
         # min(1, nan) is 1: without the check a NaN gate reads as perfect.
@@ -568,6 +570,12 @@ class TestActuationMetrics:
             area = pulse_area(seq)
             assert type(area) is float
             assert np.float64(area).tobytes() == np.float64(pulse_area_by_segments(seq)).tobytes()
+
+    def test_gate_time_adds_the_durations_in_time_order(self):
+        # At Omega = 1 the area is the gate time. Python 3.12's sum() compensates, giving 1.0.
+        seq = PulseSequence(tuple(PulseSegment(0.1, DriveParams(1.0), None, 0.0) for _ in range(10)))
+        report = analyze_gate(seq)
+        assert report.gate_time == report.pulse_area == 0.9999999999999999
 
     def test_rydberg_time_zero_without_drive(self):
         seq = PulseSequence(

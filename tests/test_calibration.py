@@ -190,6 +190,13 @@ class TestCalibrateKappa:
         with pytest.raises(ValueError, match=r"^need finite 0 < k_lo < k_hi, got \(1\.0, "):
             calibrate_kappa(-math.pi, bracket)
 
+    @pytest.mark.parametrize("name", ["target_phi", "seed_kappa"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_target_and_seed_must_be_finite(self, name, value):
+        kwargs = {"target_phi": -math.pi, "bracket": (1.0, 2.5), name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            calibrate_kappa(**kwargs)
+
     def test_scan_builds_no_pulse_sequence_per_kappa(self, sequences_built):
         calibrate_kappa(-math.pi, (1.0, 2.5))
         # The root solver takes 4 steps from the 1/199-wide interval here
@@ -393,19 +400,18 @@ class TestNearestFirstScan:
         calibrate_kappa(-math.pi, (1.0, 2.5))
         assert scanned_gates == [calibration.SEED_PROBE_POINTS]
 
-    def test_rows_are_built_for_the_scanned_points_only(self, monkeypatch):
+    @pytest.mark.parametrize("target", [-math.pi, -2.219])  # scans the probe, and the whole grid
+    def test_rows_are_built_once_for_the_whole_grid(self, monkeypatch, target):
         built, controls = [], calibration.geometric_controls
 
         def counted(kappas, omega):
-            built.append(len(kappas))
+            built.append(np.array(kappas))
             return controls(kappas, omega)
 
         monkeypatch.setattr(calibration, "geometric_controls", counted)
-        calibrate_kappa(-math.pi, (1.0, 2.5))
-        assert built == [calibration.SEED_PROBE_POINTS]
-        built.clear()
-        calibrate_kappa(-2.219, (1.0, 2.5))
-        assert built[0] == calibration.SEED_PROBE_POINTS and sum(built) == calibration.CALIBRATION_SCAN_POINTS
+        calibrate_kappa(target, (1.0, 2.5))
+        assert len(built) == 1
+        assert built[0].tobytes() == np.linspace(1.0, 2.5, calibration.CALIBRATION_SCAN_POINTS).tobytes()
 
     @pytest.mark.parametrize(
         "bracket, omega, bad",

@@ -555,6 +555,13 @@ class TestConfigFile:
         assert code == 2
         assert "kapa" in err
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("protocol = geometric\nkappa = 1.65\nomega = 1\n", encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+        argv = ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1")
+        assert run_cli(capsys, "simulate", "--config", str(config)) == run_cli(capsys, *argv)
+
     def test_repeated_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("protocol = geometric\nkappa = 1.65\nomega = 1\nkappa = 2.0\n", encoding="utf-8")

@@ -46,8 +46,6 @@ class TestVOfSpacing:
         # 0.01**6 is finite; c6 / 1e-12 is not.
         with pytest.raises(ValueError, match="^spacing 0.01 is out of range"):
             _v_of_spacing(1e300, 0.01)
-        with pytest.raises(ValueError, match="^c6 must be finite"):
-            _v_of_spacing(math.inf, 1.0)
 
 
 class TestNoiseModel:
@@ -62,6 +60,15 @@ class TestNoiseModel:
             NoiseModel(0.0, 0.0, 1.0, 0.0, 0)
         with pytest.raises(ValueError):
             NoiseModel(0.0, 0.0, 1.0, 1.0, -1)
+
+    def test_c6_must_be_finite(self):
+        with pytest.raises(ValueError, match="^c6 must be finite, got inf$"):
+            NoiseModel(0.0, 0.0, math.inf, 1.0, 0)
+
+    @pytest.mark.parametrize("r0", [0.0, -1.0, math.inf, math.nan])
+    def test_r0_must_be_positive(self, r0):
+        with pytest.raises(ValueError, match=f"^r0 must be positive, got {r0}$"):
+            NoiseModel(0.0, 0.0, 1.0, r0, 0)
 
     def test_c6_overflow_is_rejected(self):
         with pytest.raises(ValueError, match="c6"):
