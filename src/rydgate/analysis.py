@@ -258,8 +258,8 @@ def fidelity_cphase(u, target_phi, compensate=True):
     (a 256-point grid, then two Newton steps). For a stack of gates,
     ``target_phi`` broadcasts over its leading axes.
     """
-    for phi in np.ravel(target_phi).tolist():
-        _require_finite(phi, "target_phi")
+    checked = [_require_finite(phi, "target_phi") for phi in np.ravel(target_phi).tolist()]
+    target_phi = np.reshape(checked, np.shape(target_phi))
     return _unstack(_fidelity_functional(*_fidelity_terms(_stack(u)), target_phi, compensate))
 
 
@@ -317,7 +317,7 @@ def analyze_gate(sequence, target_phi=math.pi):
     ``target_phi`` sets the controlled-phase target for the fidelity figure
     (pi, i.e. a CZ gate, by default), reduced exactly mod 2*pi by ``math.remainder``.
     """
-    _require_finite(target_phi, "target_phi")
+    target_phi = _require_finite(target_phi, "target_phi")
     u = sequence_unitary(sequence)
     diagonal, tr_mm = _fidelity_terms(u)
     leakage = _leakage(u)

@@ -16,19 +16,13 @@ bit-identical tables.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from rydgate.analysis import _diagonals, _fidelity_functional, _fidelity_terms, _leakage, _phase_sum, analyze_gate
-from rydgate.propagation import _require_finite, batch_unitaries, sequence_unitary, wrap_angle
-from rydgate.protocols import (
-    CZ_KAPPA_SEED,
-    GeometricProtocolParams,
-    geometric_controls,
-    geometric_sequence,
-)
+from rydgate.propagation import _count, _float, _require_finite, batch_unitaries, sequence_unitary, wrap_angle
+from rydgate.protocols import CZ_KAPPA_SEED, GeometricProtocolParams, geometric_controls, geometric_sequence
 
 #: Grid size of calibrate_kappa's pre-scan, and the largest
 #: |wrapped phase error| it accepts at kappa*.
@@ -79,11 +73,11 @@ def sweep_kappa(k_min, k_max, n):
     are built at Omega = 1. Fidelity is measured against a CZ gate (target phase
     pi). Records come back ordered by kappa.
     """
+    k_min = _float(k_min, "k_min")
+    k_max = _float(k_max, "k_max")
     if not (0 < k_min < k_max < math.inf):
         raise ValueError(f"need finite 0 < k_min < k_max, got ({k_min}, {k_max})")
-    n = operator.index(n)
-    if n < 2:
-        raise ValueError(f"need at least 2 sweep points, got {n}")
+    n = _count(n, "n", 2, 63)
     kappas = np.linspace(k_min, k_max, n)
     rows, durations = geometric_controls(kappas, 1.0)
     gate_times = durations.sum(axis=-1)
@@ -170,11 +164,13 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         error at kappa* exceeds ``CALIBRATION_TOLERANCE``; the scan is completed
         and its (kappa, wrapped phi_c) pairs are attached for diagnosis.
     """
-    _require_finite(target_phi, "target_phi")
-    _require_finite(seed_kappa, "seed_kappa")
+    target_phi = _require_finite(target_phi, "target_phi")
+    seed_kappa = _require_finite(seed_kappa, "seed_kappa")
     k_lo, k_hi = bracket
+    k_lo = _float(k_lo, "k_lo")
+    k_hi = _float(k_hi, "k_hi")
     if not (0 < k_lo < k_hi < math.inf):
-        raise ValueError(f"need finite 0 < k_lo < k_hi, got {bracket}")
+        raise ValueError(f"need finite 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
 
     target = math.remainder(target_phi, 2 * math.pi)
 
@@ -185,7 +181,7 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
         return wrap_angle(wrap_angle(_phase_sum(_diagonals(sequence_unitary(sequence)))) - target)
 
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
-    rows, durations = geometric_controls(kappas, omega)  # raises for the first bad kappa in grid order
+    rows, durations = geometric_controls(kappas, omega)  # raises for omega, or the first bad kappa in grid order
     with np.errstate(over="ignore"):  # a distance that overflows is inf
         # distance[i + j]: of candidate (i, j), a scan point on target (i, i) or a sign change (i, i + 1)
         ends_kappa = np.repeat(kappas, 2)

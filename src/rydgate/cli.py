@@ -20,13 +20,8 @@ import re
 import sys
 
 from rydgate.analysis import analyze_gate
-from rydgate.propagation import _require_finite
-from rydgate.protocols import (
-    CZ_KAPPA_SEED,
-    BlockadeProtocolParams,
-    GeometricProtocolParams,
-    protocol_sequence,
-)
+from rydgate.propagation import _require_finite, _require_positive
+from rydgate.protocols import CZ_KAPPA_SEED, BlockadeProtocolParams, GeometricProtocolParams, protocol_sequence
 
 SWEEP_HEADER = (
     "kappa,v_over_omega,gate_time_omega_over_pi,"
@@ -46,9 +41,7 @@ REQUIRED = object()
 def _positive(value, name):
     if value is None:
         raise ValueError(f"missing required option: {name}")
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+    return _require_positive(value, name)
 
 
 def _parse_config_file(path):
@@ -155,9 +148,9 @@ def _protocol(cfg, v_flag="v"):
     if omega is not None and v is not None:
         raise ValueError("give either omega or v for the geometric protocol, not both")
     if omega is not None:
-        params = GeometricProtocolParams.from_omega(kappa, _positive(omega, "omega"))
+        params = GeometricProtocolParams.from_omega(kappa, omega)
     elif v is not None:
-        params = GeometricProtocolParams(kappa=kappa, v=_positive(v, "v"))
+        params = GeometricProtocolParams(kappa=kappa, v=v)
     else:
         raise ValueError("geometric protocol needs omega or v")
     return params, params.omega
@@ -182,9 +175,8 @@ def cmd_calibrate(cfg):
     """find kappa giving a target controlled phase"""
     from rydgate.calibration import calibrate_kappa
 
-    omega = _positive(cfg["omega"], "omega")
-    result = calibrate_kappa(cfg["target_phi"], tuple(cfg["bracket"]), omega=omega, seed_kappa=cfg["seed_kappa"])
-    report = _report_payload(result.report, omega)
+    result = calibrate_kappa(cfg["target_phi"], tuple(cfg["bracket"]), omega=cfg["omega"], seed_kappa=cfg["seed_kappa"])
+    report = _report_payload(result.report, cfg["omega"])
     return _json({"kappa_star": result.kappa_star, "target_phi": cfg["target_phi"], "report": report})
 
 

@@ -46,6 +46,7 @@ sequence keeps its eigensystem and running products U_j ... U_1, the gate last, 
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -100,14 +101,49 @@ def wrap_angle(x):
     return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
+def _float(value, name):
+    """``value`` as a float: TypeError for a bool (NumPy's too), a str or an array; an int beyond float range is +-inf."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # a float skips the ABC check
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require_finite(value, name):
+    if type(value) is not float:
+        value = _float(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _require_positive(value, name):
-    if not (math.isfinite(value) and value > 0):
+    if type(value) is not float:
+        value = _float(value, name)
+    if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _require_nonnegative(value, name):
+    if type(value) is not float:
+        value = _float(value, name)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
+def _count(value, name, low, bits):
+    """``value`` as an int in [low, 2**bits); a bool or a non-integer raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    value = operator.index(value)
+    if not low <= value < 2**bits:
+        shown = value if value.bit_length() <= 64 else f"an integer of {value.bit_length()} bits"
+        raise ValueError(f"{name} must be in [{low}, 2**{bits}), got {shown}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -119,12 +155,9 @@ class DriveParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self.rabi, "rabi")
-        _require_finite(self.detuning, "detuning")
-        _require_finite(self.phase, "phase")
-        if self.rabi < 0:
-            raise ValueError(f"rabi must be >= 0, got {self.rabi}")
-        object.__setattr__(self, "phase", wrap_angle(self.phase))
+        object.__setattr__(self, "rabi", _require_nonnegative(self.rabi, "rabi"))
+        object.__setattr__(self, "detuning", _require_finite(self.detuning, "detuning"))
+        object.__setattr__(self, "phase", wrap_angle(_require_finite(self.phase, "phase")))
 
 
 @dataclass(frozen=True)
@@ -137,9 +170,8 @@ class PulseSegment:
     v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        _require_finite(self.v, "v")
+        object.__setattr__(self, "duration", _require_positive(self.duration, "duration"))
+        object.__setattr__(self, "v", _require_finite(self.v, "v"))
 
 
 def _drive_columns(drive):

@@ -44,14 +44,14 @@ class GeometricProtocolParams:
     v: float
 
     def __post_init__(self):
-        _require_positive(self.kappa, "kappa")
-        _require_positive(self.v, "v")
+        object.__setattr__(self, "kappa", _require_positive(self.kappa, "kappa"))
+        object.__setattr__(self, "v", _require_positive(self.v, "v"))
 
     @classmethod
     def from_omega(cls, kappa, omega):
         """Build from (kappa, Omega) instead of (kappa, V)."""
-        _require_positive(kappa, "kappa")
-        _require_positive(omega, "omega")
+        kappa = _require_positive(kappa, "kappa")
+        omega = _require_positive(omega, "omega")
         v = omega / kappa
         if not math.isfinite(v):
             raise ValueError(f"v = omega/kappa overflows: omega {omega}, kappa {kappa}")
@@ -75,8 +75,8 @@ class BlockadeProtocolParams:
     v: float
 
     def __post_init__(self):
-        _require_positive(self.rabi, "rabi")
-        _require_finite(self.v, "v")
+        object.__setattr__(self, "rabi", _require_positive(self.rabi, "rabi"))
+        object.__setattr__(self, "v", _require_finite(self.v, "v"))
 
 
 def geometric_sequence(params):
@@ -96,13 +96,11 @@ def blockade_pdp_sequence(params):
     """
     drive = DriveParams(params.rabi, 0.0, 0.0)
     pi_time = math.pi / params.rabi
-    return PulseSequence(
-        (
-            PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
-            PulseSegment(duration=2 * pi_time, drive1=None, drive2=drive, v=params.v),
-            PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
-        )
-    )
+    return PulseSequence((
+        PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
+        PulseSegment(duration=2 * pi_time, drive1=None, drive2=drive, v=params.v),
+        PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
+    ))
 
 
 def protocol_sequence(params):
@@ -128,12 +126,12 @@ def geometric_controls(kappas, omega):
     V = Omega/kappa and Omega = kappa*V round as in the dataclass; a duration takes
     ``math.hypot`` per gate, because ``np.hypot`` can differ in the last bit.
     """
+    omega = _require_positive(omega, "omega")
     kappas = np.asarray(kappas, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = omega / kappas
     valid = np.isfinite(kappas) & (kappas > 0) & np.isfinite(v) & (v > 0)
-    if not valid.all():
-        # A bad omega fails the first kappa; the dataclass raises its own error.
+    if not valid.all():  # the dataclass raises its own error for the first bad kappa
         GeometricProtocolParams.from_omega(float(kappas[np.argmin(valid)]), omega)
     omegas = kappas * v
     rows = np.repeat(_UNIT_ROWS[None], len(kappas), axis=0)
@@ -155,18 +153,12 @@ def gate_time_geometric(kappa, omega):
     kappa = 1/sqrt(48) up to 4*pi/Omega as kappa -> infinity (V -> 0).
     The root is taken as ``hypot(2, 1/(2*kappa))``, so no square underflows.
     """
-    _require_positive(kappa, "kappa")
-    _require_positive(omega, "omega")
-    return _gate_time(8 * math.pi / omega / math.hypot(2.0, 0.5 / kappa))
+    kappa = _require_positive(kappa, "kappa")
+    omega = _require_positive(omega, "omega")
+    return _require_positive(8 * math.pi / omega / math.hypot(2.0, 0.5 / kappa), "gate time")
 
 
 def gate_time_blockade(omega):
     """Total blockade-protocol duration 4*pi/Omega, independent of V."""
-    _require_positive(omega, "omega")
-    return _gate_time(4 * math.pi / omega)
-
-
-def _gate_time(t):
-    if not 0 < t < math.inf:
-        raise ValueError(f"gate time must be positive and finite, got {t}")
-    return t
+    omega = _require_positive(omega, "omega")
+    return _require_positive(4 * math.pi / omega, "gate time")

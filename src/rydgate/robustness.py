@@ -23,14 +23,14 @@ error (16 B) outlive its block.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from rydgate.analysis import _diagonals, _fidelity_functional, _fidelity_terms, _phase_sum
 from rydgate.propagation import (
-    RABI_COLUMNS, V_COLUMN, _require_finite, _require_positive, batch_unitaries, sequence_unitary, wrap_angle,
+    RABI_COLUMNS, V_COLUMN, _count, _require_finite, _require_nonnegative, _require_positive, batch_unitaries,
+    sequence_unitary, wrap_angle,
 )
 from rydgate.protocols import protocol_sequence
 
@@ -46,31 +46,22 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        for name in ("sigma_omega_rel", "sigma_r_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        _require_positive(self.r0, "r0")
-        _require_finite(self.c6, "c6")
-        if isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an integer, got {self.seed}")
-        if not 0 <= operator.index(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        object.__setattr__(self, "sigma_omega_rel", _require_nonnegative(self.sigma_omega_rel, "sigma_omega_rel"))
+        object.__setattr__(self, "sigma_r_rel", _require_nonnegative(self.sigma_r_rel, "sigma_r_rel"))
+        object.__setattr__(self, "r0", _require_positive(self.r0, "r0"))
+        object.__setattr__(self, "c6", _require_finite(self.c6, "c6"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0, 64))
 
     @classmethod
     def for_interaction(cls, v, r0, sigma_omega_rel, sigma_r_rel, seed):
         """Choose C6 so the nominal spacing r0 reproduces interaction v."""
+        v = _require_finite(v, "v")
+        r0 = _require_positive(r0, "r0")
         try:
             c6 = v * r0**6
         except OverflowError:
             raise ValueError(f"c6 = v * r0**6 must be finite, got an overflow at r0 = {r0}") from None
-        return cls(
-            sigma_omega_rel=sigma_omega_rel,
-            sigma_r_rel=sigma_r_rel,
-            c6=c6,
-            r0=r0,
-            seed=seed,
-        )
+        return cls(sigma_omega_rel, sigma_r_rel, c6, r0, seed)
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,7 @@ SAMPLE_BLOCK = 4096
 
 def _v_of_spacing(c6, r):
     """Van der Waals interaction V = C6 / r^6 of a ``NoiseModel``'s finite C6."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"spacing must be positive and finite, got {r}")
+    r = _require_positive(r, "spacing")
     try:
         v = c6 / r**6
     except (OverflowError, ZeroDivisionError):
@@ -198,7 +188,7 @@ def _noise_draws(seed, indices):
     two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
     from rydgate._ziggurat import MULTIPLIER
 
-    words = _seed_states(operator.index(seed), indices)
+    words = _seed_states(seed, indices)
     draws, fast = _ziggurat_fast_path(_pcg_outputs(words, MULTIPLIER))
     fast = fast.all(axis=1)
     # Samples off the fast path, and the first on it as a check of the tables, come from Generator.
@@ -283,11 +273,7 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     FidelityStats
         Deterministic for a given (protocol, noise, n_samples).
     """
-    if isinstance(n_samples, bool):
-        raise TypeError(f"n_samples must be an integer, got {n_samples}")
-    n_samples = operator.index(n_samples)
-    if not 1 <= n_samples < 2**32:
-        raise ValueError(f"n_samples must be in [1, 2**32), got {n_samples}")
+    n_samples = _count(n_samples, "n_samples", 1, 32)
     v_nom, v_noise = protocol.v, _v_of_spacing(noise.c6, noise.r0)
     if abs(v_noise - v_nom) > 1e-9 * max(1.0, abs(v_nom)):
         raise ValueError(

@@ -179,6 +179,11 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_count_past_intp_exits_two(self, capsys):
+        # np.linspace raises IndexError for 2**63 points, which no exit code maps.
+        code, out, err = run_cli(capsys, "sweep", "--kappa-min", "0.2", "--kappa-max", "2.5", "--n", str(2**63))
+        assert (code, out, err) == (2, "", "error: n must be in [2, 2**63), got 9223372036854775808\n")
+
     def test_invalid_range_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--kappa-min", "2.0", "--kappa-max", "1.0", "--n", "5"
@@ -259,7 +264,7 @@ class TestCalibrate:
 
     def test_negative_omega_is_checked_like_every_command(self, capsys):
         code, out, err = run_cli(capsys, "calibrate", "--target-phi", "1", "--bracket", "1.0", "2.5", "--omega", "-1")
-        assert (code, out, err) == (2, "", "error: omega must be positive and finite, got -1.0\n")
+        assert (code, out, err) == (2, "", "error: omega must be positive, got -1.0\n")
 
 
 class TestCompare:

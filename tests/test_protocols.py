@@ -127,6 +127,11 @@ class TestGeometricControls:
         with pytest.raises(ValueError, match="^kappa must be positive"):
             geometric_controls(kappas, 1.0)
 
+    @pytest.mark.parametrize("omega", [True, "1", 10**400, -1.0])
+    def test_omega_is_checked_before_any_kappa(self, omega):
+        with pytest.raises((TypeError, ValueError), match="^omega must be "):
+            geometric_controls([], omega)
+
     def test_out_of_range_gate_time_rejected_as_the_sequence_rejects_it(self):
         # Each segment lasts about 1e308: finite, but four of them are not.
         message = "^total duration must be finite, got inf$"
@@ -134,6 +139,13 @@ class TestGeometricControls:
             geometric_sequence(GeometricProtocolParams.from_omega(1.6, 3.1e-308))
         with pytest.raises(ValueError, match=message):
             geometric_controls([1.0, 1.6, 1.7], 3.1e-308)
+
+    def test_int_parameters_whose_product_overflows_are_rejected(self):
+        # kappa * V stayed an exact 601-digit int, and math.hypot of it raised OverflowError.
+        params = GeometricProtocolParams(kappa=10**300, v=10**300)
+        assert params.omega == math.inf
+        with pytest.raises(ValueError, match="^rabi must be finite and >= 0, got inf$"):
+            geometric_sequence(params)
 
     def test_largest_omega_builds_the_closed_form_gate_time(self):
         # 2*Omega would overflow here; pi/hypot(Omega, V/4) does not.
@@ -281,5 +293,5 @@ class TestGateTimes:
     )
     def test_overflowing_gate_time_is_rejected(self, gate_time):
         # The schedule of either gate at this Omega raises too.
-        with pytest.raises(ValueError, match="^gate time must be positive and finite, got inf$"):
+        with pytest.raises(ValueError, match="^gate time must be positive, got inf$"):
             gate_time()

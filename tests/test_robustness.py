@@ -70,6 +70,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match=f"^r0 must be positive, got {r0}$"):
             NoiseModel(0.0, 0.0, 1.0, r0, 0)
 
+    def test_an_interaction_beyond_float_range_is_blamed_on_v(self):
+        # v * r0**6 was formed from the int first, and its OverflowError was put down to r0.
+        with pytest.raises(ValueError, match="^v must be finite, got inf$"):
+            NoiseModel.for_interaction(v=10**400, r0=1.0, sigma_omega_rel=0.0, sigma_r_rel=0.0, seed=1)
+
     def test_c6_overflow_is_rejected(self):
         with pytest.raises(ValueError, match="c6"):
             _noise(v=1.0, r0=1e100)
@@ -89,7 +94,7 @@ class TestNoiseModel:
             _perturbed_controls(rows * 1e10, np.array([1e300]), np.array([1.0]))
         with pytest.raises(ValueError, match="finite"):
             _perturbed_controls(rows, np.array([1.0]), np.array([math.inf]))
-        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        with pytest.raises(ValueError, match="^spacing must be positive, got inf$"):
             _v_of_spacing(1.0, math.inf)
 
     def test_spacing_underflow_is_rejected(self):
@@ -104,7 +109,7 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_rejected(self, seed):
-        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got "):
             _noise(v=1.0, seed=seed)
 
     def test_seed_accepts_numpy_integers(self):
