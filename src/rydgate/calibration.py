@@ -66,6 +66,14 @@ def _geometric(kappa, omega):
     return geometric_sequence(GeometricProtocolParams.from_omega(float(kappa), omega))
 
 
+def _interval(lo, hi, lo_name, hi_name):
+    """The ends of a kappa range or bracket as floats, with finite 0 < lo < hi."""
+    lo, hi = _float(lo, lo_name), _float(hi, hi_name)
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"need finite 0 < {lo_name} < {hi_name}, got ({lo}, {hi})")
+    return lo, hi
+
+
 def sweep_kappa(k_min, k_max, n):
     """Characterize the geometric protocol on n uniformly spaced kappa values.
 
@@ -73,26 +81,18 @@ def sweep_kappa(k_min, k_max, n):
     are built at Omega = 1. Fidelity is measured against a CZ gate (target phase
     pi). Records come back ordered by kappa.
     """
-    k_min = _float(k_min, "k_min")
-    k_max = _float(k_max, "k_max")
-    if not (0 < k_min < k_max < math.inf):
-        raise ValueError(f"need finite 0 < k_min < k_max, got ({k_min}, {k_max})")
+    k_min, k_max = _interval(k_min, k_max, "k_min", "k_max")
     n = _count(n, "n", 2, 63)
     kappas = np.linspace(k_min, k_max, n)
     rows, durations = geometric_controls(kappas, 1.0)
-    gate_times = durations.sum(axis=-1)
-    diagonals, tr_mm, leakage = np.empty((n, 4), dtype=complex), np.empty(n), np.empty(n)
-    stop = 0
-    for u in batch_unitaries(rows, durations):
-        start, stop = stop, stop + len(u)
-        diagonals[start:stop], tr_mm[start:stop] = _fidelity_terms(u)
-        leakage[start:stop] = _leakage(u).max(axis=-1)
+    stacks = [(*_fidelity_terms(u), _leakage(u).max(axis=-1)) for u in batch_unitaries(rows, durations)]
+    diagonals, tr_mm, leakage = (np.concatenate(column) for column in zip(*stacks))
     unwrapped = _phase_sum(diagonals)
     fidelity = _fidelity_functional(diagonals, tr_mm, math.pi)
     columns = (c.tolist() for c in (wrap_angle(unwrapped), unwrapped, leakage, fidelity))
     return [
         SweepRecord(kappa, 1.0 / kappa, gate_time / math.pi, *values)
-        for kappa, gate_time, *values in zip(kappas.tolist(), gate_times.tolist(), *columns)
+        for kappa, gate_time, *values in zip(kappas.tolist(), durations.sum(axis=-1).tolist(), *columns)
     ]
 
 
@@ -166,11 +166,11 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     """
     target_phi = _require_finite(target_phi, "target_phi")
     seed_kappa = _require_finite(seed_kappa, "seed_kappa")
-    k_lo, k_hi = bracket
-    k_lo = _float(k_lo, "k_lo")
-    k_hi = _float(k_hi, "k_hi")
-    if not (0 < k_lo < k_hi < math.inf):
-        raise ValueError(f"need finite 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
+    try:
+        k_lo, k_hi = bracket
+    except (TypeError, ValueError) as exc:  # as unpacking classes it: not iterable, or not two values
+        raise type(exc)(f"bracket must be a pair (k_lo, k_hi), got {bracket!r}") from None
+    k_lo, k_hi = _interval(k_lo, k_hi, "k_lo", "k_hi")
 
     target = math.remainder(target_phi, 2 * math.pi)
 
@@ -183,48 +183,42 @@ def calibrate_kappa(target_phi, bracket, omega=1.0, seed_kappa=CZ_KAPPA_SEED):
     kappas = np.linspace(k_lo, k_hi, CALIBRATION_SCAN_POINTS)
     rows, durations = geometric_controls(kappas, omega)  # raises for omega, or the first bad kappa in grid order
     with np.errstate(over="ignore"):  # a distance that overflows is inf
-        # distance[i + j]: of candidate (i, j), a scan point on target (i, i) or a sign change (i, i + 1)
+        # distance[s]: of slot s, scan point i on target (s = 2i) or a sign change from point i to i + 1 (s = 2i + 1)
         ends_kappa = np.repeat(kappas, 2)
         distance = np.abs(0.5 * (ends_kappa[:-1] + ends_kappa[1:]) - seed_kappa)
-    point_distance = distance[::2].tolist()
-    nearest = sorted(range(len(kappas)), key=point_distance.__getitem__)
-    phases, errors = np.full_like(kappas, np.nan), np.full_like(kappas, np.nan)
+    nearest = np.argsort(distance[::2], kind="stable")
+    phases = np.full_like(kappas, np.nan)
 
     def scan(points):
-        diagonals, stop = np.empty((len(points), 4), dtype=complex), 0
-        for u in batch_unitaries(rows[points], durations[points]):
-            start, stop = stop, stop + len(u)
-            diagonals[start:stop] = _diagonals(u)
-        phases[points] = wrap_angle(_phase_sum(diagonals))
-        errors[points] = wrap_angle(phases[points] - target)
+        stacks = batch_unitaries(rows[points], durations[points])
+        phases[points] = wrap_angle(_phase_sum(np.concatenate([_diagonals(u) for u in stacks])))
 
     def failure(message):
-        scan(np.flatnonzero(np.isnan(phases)))  # the table has every point
+        if np.isnan(phases).any():  # the table has every point
+            scan(np.flatnonzero(np.isnan(phases)))
         return CalibrationError(message, scan=zip(kappas.tolist(), phases.tolist()))
 
     for points in (nearest[:SEED_PROBE_POINTS], nearest[SEED_PROBE_POINTS:]):
         scan(points)
-        # Scan points on target, and sign changes that do not jump the branch cut,
-        # in scan order; a point not yet scanned is NaN and is neither.
-        crossing = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
-        ends = [(i, i) for i in np.flatnonzero(errors == 0.0)]
-        ends = sorted(ends + [(i, i + 1) for i in np.flatnonzero(crossing)])
-        if ends:  # done once every candidate with a point not yet scanned is farther out
-            pending = np.repeat(np.isnan(errors), 2)
-            unresolved = distance[pending[:-1] | pending[1:]]
-            if min(distance[i + j] for i, j in ends) < unresolved.min(initial=math.inf):
-                break
-    if not ends:
+        errors = wrap_angle(phases - target)
+        # Candidates: points on target, sign changes that do not jump the branch cut; an unscanned NaN is neither.
+        candidate = np.empty_like(distance, dtype=bool)
+        candidate[::2] = errors == 0.0
+        candidate[1::2] = (errors[:-1] * errors[1:] < 0) & (np.abs(np.diff(errors)) < math.pi)
+        slots, pending = np.flatnonzero(candidate), np.repeat(np.isnan(errors), 2)
+        unresolved = distance[pending[:-1] | pending[1:]]
+        if distance[slots].min(initial=math.inf) < unresolved.min(initial=math.inf):  # every slot left is farther
+            break
+    if not len(slots):
         raise failure(
             f"no sign change of the wrapped phase error in bracket ({k_lo}, {k_hi}) "
             f"for target {target_phi:.6f} rad"
         )
-    i, j = min(ends, key=lambda e: distance[e[0] + e[1]])
+    slot = slots[np.argmin(distance[slots])]  # the first of the nearest, as the slots are in kappa order
+    i, j = slot // 2, (slot + 1) // 2
     lo, hi = float(kappas[i]), float(kappas[j])
 
-    kappa_star = lo
-    if lo != hi:
-        kappa_star = _anderson_bjorck(error_at, lo, hi, float(errors[i]), float(errors[j]))
+    kappa_star = lo if lo == hi else _anderson_bjorck(error_at, lo, hi, float(errors[i]), float(errors[j]))
 
     sequence = solved[kappa_star] if kappa_star in solved else _geometric(kappa_star, omega)
     report = analyze_gate(sequence, target_phi=target)

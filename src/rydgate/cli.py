@@ -131,16 +131,15 @@ def _report_payload(report, omega):
     }
 
 
-def _protocol(cfg, v_flag="v"):
-    """Protocol parameters and Rabi frequency of ``cfg``; ``v_flag`` names the option that set ``cfg["v"]``."""
+def _protocol(cfg):
+    """Protocol parameters and Rabi frequency of ``cfg``."""
     omega, v = cfg["omega"], cfg["v"]
     if cfg["protocol"] == "blockade":
         if cfg["kappa"] is not None:
             raise ValueError("blockade protocol takes no kappa")
         omega = _positive(omega, "omega")
         if v is None:
-            raise ValueError(f"blockade protocol needs {v_flag}")
-        _require_finite(v, v_flag)
+            raise ValueError("blockade protocol needs v")
         return BlockadeProtocolParams(rabi=omega, v=v), omega
     if cfg["protocol"] != "geometric":
         raise ValueError(f"unknown protocol: {cfg['protocol']!r}")
@@ -183,8 +182,8 @@ def cmd_calibrate(cfg):
 def cmd_compare(cfg):
     """blockade vs geometric protocol at equal Rabi frequency"""
     omega = cfg["omega"]
-    geo, _ = _protocol({"protocol": "geometric", "kappa": cfg["kappa"], "omega": omega, "v": None})
-    blk, _ = _protocol({"protocol": "blockade", "kappa": None, "omega": omega, "v": cfg["blockade_v"]}, "blockade-v")
+    geo = GeometricProtocolParams.from_omega(cfg["kappa"], omega)
+    blk = BlockadeProtocolParams(rabi=omega, v=_require_finite(cfg["blockade_v"], "blockade-v"))
     rows = []
     for name, params in (("blockade", blk), ("geometric", geo)):
         payload = _report_payload(analyze_gate(protocol_sequence(params), target_phi=cfg["target_phi"]), omega)

@@ -171,6 +171,9 @@ class PulseSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "duration", _require_positive(self.duration, "duration"))
+        for name in ("drive1", "drive2"):
+            if not isinstance(getattr(self, name), (DriveParams, type(None))):
+                raise TypeError(f"{name} must be DriveParams or None, got {type(getattr(self, name)).__name__}")
         object.__setattr__(self, "v", _require_finite(self.v, "v"))
 
 
@@ -200,6 +203,8 @@ class PulseSequence:
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("a pulse sequence needs at least one segment")
+        if not all(isinstance(segment, PulseSegment) for segment in segments):
+            raise TypeError(f"segments must be PulseSegments, got {[type(s).__name__ for s in segments]}")
         object.__setattr__(self, "segments", segments)
         controls, durations = _lower(segments)
         object.__setattr__(self, "controls", controls)

@@ -79,14 +79,15 @@ class FidelityStats:
 SAMPLE_BLOCK = 4096
 
 
-def _v_of_spacing(c6, r):
-    """Van der Waals interaction V = C6 / r^6 of a ``NoiseModel``'s finite C6."""
-    r = _require_positive(r, "spacing")
-    try:
-        v = c6 / r**6
-    except (OverflowError, ZeroDivisionError):
-        v = math.nan
-    if not math.isfinite(v):
+def _v_of_spacing(c6, spacings):
+    """V = C6 / r^6 of a ``NoiseModel``'s finite C6 at each spacing r, with the bits of Python's ``c6 / r**6``:
+    ``np.float_power`` calls libm's ``pow`` as ``**`` does (``np.power`` may not). The first bad spacing raises."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a bad spacing raises below
+        r6 = np.float_power(spacings, 6)
+        v = c6 / r6
+    bad = ~((spacings > 0) & np.isfinite(r6) & np.isfinite(v))
+    if bad.any():
+        r = _require_positive(np.ravel(spacings)[np.argmax(bad)], "spacing")
         raise ValueError(f"spacing {r} is out of range: r**6 or c6 / r**6 over- or underflows")
     return v
 
@@ -221,8 +222,7 @@ def _noisy_controls(rows, noise, indices):
     with np.errstate(over="ignore"):  # an infinite factor or spacing is rejected below
         omega_factors = 1.0 + noise.sigma_omega_rel * eps[:, 0]
         spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
-    v = [_v_of_spacing(noise.c6, r) for r in spacings.tolist()]
-    return _perturbed_controls(rows, omega_factors, np.array(v))
+    return _perturbed_controls(rows, omega_factors, _v_of_spacing(noise.c6, spacings))
 
 
 def _block_statistics(diagonals, tr_mm, target):
@@ -274,13 +274,15 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
         Deterministic for a given (protocol, noise, n_samples).
     """
     n_samples = _count(n_samples, "n_samples", 1, 32)
+    nominal = protocol_sequence(protocol)  # raises for anything but protocol parameters
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
     v_nom, v_noise = protocol.v, _v_of_spacing(noise.c6, noise.r0)
     if abs(v_noise - v_nom) > 1e-9 * max(1.0, abs(v_nom)):
         raise ValueError(
             f"noise model interaction c6/r0^6 = {v_noise} does not match "
             f"the protocol's nominal V = {v_nom}"
         )
-    nominal = protocol_sequence(protocol)
     target = wrap_angle(_phase_sum(_diagonals(sequence_unitary(nominal))))
 
     fidelities, phase_errors = np.empty(n_samples), np.empty(n_samples)

@@ -32,9 +32,13 @@ but rounding.
 ``full_scan_calibration`` calibrates with the package's propagation, root
 solver and report, and checks only that scanning nearest the seed first, and
 stopping early, picks the interval a scan of the whole grid picks.
-``per_chunk_monte_carlo`` scores each propagator stack as it comes, with the
-package's draws, propagation, fidelity and statistics, and checks only that
-scoring a whole block of samples at once keeps every bit. ``per_stack_sweep``
+``per_sample_v`` is V = C6 / r**6 of one spacing as a Python division, as the
+package took it, sample by sample, before it took a block's V in one array
+expression. ``per_sample_controls`` perturbs the nominal rows with the package's
+draws and ``_perturbed_controls``, but with ``per_sample_v`` in sample order.
+``per_chunk_monte_carlo`` scores each propagator stack as it comes, with those
+controls and the package's propagation, fidelity and statistics, and checks only
+that scoring a whole block of samples at once keeps every bit. ``per_stack_sweep``
 and ``per_stack_scan_phases`` score each stack of a sweep or calibration scan
 with the public ``phases_and_leakage`` and ``fidelity_cphase``, and check only
 that the private terms the package reads keep every bit.
@@ -490,6 +494,29 @@ def hermite_fidelity_moments(protocol, sigma_omega, sigma_r, nodes, r0=1.0):
     return _rule_moments(protocol, sigma_omega, sigma_r, r0, x, weights, x, weights)
 
 
+def per_sample_v(c6, r):
+    """V = c6 / r**6 of one float spacing r, or the package's ValueError for a bad one."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"spacing must be positive, got {r}")
+    try:
+        v = c6 / r**6
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"spacing {r} is out of range: r**6 or c6 / r**6 over- or underflows")
+    return v
+
+
+def per_sample_controls(rows, noise, indices):
+    """The (n, k, 7) noisy control rows of the Monte-Carlo samples ``indices``, V from ``per_sample_v``."""
+    eps = robustness._noise_draws(noise.seed, indices)
+    with np.errstate(over="ignore"):
+        omega_factors = 1.0 + noise.sigma_omega_rel * eps[:, 0]
+        spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
+    v = np.array([per_sample_v(noise.c6, r) for r in spacings.tolist()])
+    return robustness._perturbed_controls(rows, omega_factors, v)
+
+
 def per_chunk_monte_carlo(protocol, noise, n_samples):
     """``monte_carlo_fidelity``'s statistics with each ``batch_unitaries`` stack scored
     on its own: ``fidelity_cphase`` and the phase error per stack, as it is yielded."""
@@ -498,8 +525,7 @@ def per_chunk_monte_carlo(protocol, noise, n_samples):
     fidelities, phase_errors = [], []
     for block in range(0, n_samples, robustness.SAMPLE_BLOCK):
         indices = np.arange(block, min(block + robustness.SAMPLE_BLOCK, n_samples))
-        controls = robustness._noisy_controls(nominal.controls, noise, indices)
-        for u in batch_unitaries(controls, nominal.durations):
+        for u in batch_unitaries(per_sample_controls(nominal.controls, noise, indices), nominal.durations):
             fidelities.append(fidelity_cphase(u, target))
             phase_errors.append(np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)))
     return robustness._summary(np.concatenate(fidelities), np.concatenate(phase_errors))

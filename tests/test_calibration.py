@@ -190,6 +190,15 @@ class TestCalibrateKappa:
         with pytest.raises(ValueError, match=r"^need finite 0 < k_lo < k_hi, got \(1\.0, "):
             calibrate_kappa(-math.pi, bracket)
 
+    @pytest.mark.parametrize(
+        "bracket, error",
+        [((1.0, 2.0, 3.0), ValueError), ((1.0,), ValueError), ((), ValueError), (2.0, TypeError), (None, TypeError)],
+    )
+    def test_bracket_must_be_a_pair(self, bracket, error):
+        # Unpacking raised "too many values to unpack" or "cannot unpack non-iterable float object".
+        with pytest.raises(error, match=r"^bracket must be a pair \(k_lo, k_hi\), got "):
+            calibrate_kappa(math.pi, bracket)
+
     @pytest.mark.parametrize("name", ["target_phi", "seed_kappa"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_target_and_seed_must_be_finite(self, name, value):

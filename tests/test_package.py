@@ -1,7 +1,8 @@
 """Packaging contract: NumPy is the only runtime dependency, the public names
 are a fixed list that resolves on first use, a command loads only the modules
-it runs, and the README's library example runs."""
+it runs, every import in the source is used, and the README's library example runs."""
 
+import ast
 import contextlib
 import io
 import json
@@ -55,6 +56,7 @@ PUBLIC_NAMES = [
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "rydgate"
 
 
 SUBMODULES = ["_kernels", "analysis", "calibration", "propagation", "protocols", "robustness"]
@@ -150,6 +152,23 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(rydgate.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(rydgate, name) is not None, name
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # perfbench wraps ``sequence_unitary`` where calibration and robustness import it: each of
+    # those imports must stay a name the module calls, not one kept only for the benchmark.
+    unused = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(SOURCE)}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_readme_library_example_runs():

@@ -6,7 +6,14 @@ import tracemalloc
 import make_ziggurat_tables
 import numpy as np
 import pytest
-from oracles import hermite_fidelity_moments, per_chunk_monte_carlo, quadrature_fidelity_moments, sample_eps
+from oracles import (
+    hermite_fidelity_moments,
+    per_chunk_monte_carlo,
+    per_sample_controls,
+    per_sample_v,
+    quadrature_fidelity_moments,
+    sample_eps,
+)
 
 from rydgate import _ziggurat, propagation, robustness
 from rydgate.calibration import sweep_kappa
@@ -46,6 +53,90 @@ class TestVOfSpacing:
         # 0.01**6 is finite; c6 / 1e-12 is not.
         with pytest.raises(ValueError, match="^spacing 0.01 is out of range"):
             _v_of_spacing(1e300, 0.01)
+
+
+def _outcome(f, *args):
+    """The bits of f(*args), or the class and message of its ValueError."""
+    try:
+        return np.asarray(f(*args)).view(np.uint64).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _per_sample_outcome(c6, spacings):
+    """V of each spacing by ``per_sample_v`` in order, or the first bad spacing's ValueError."""
+    return _outcome(lambda: np.array([per_sample_v(c6, r) for r in spacings.tolist()]))
+
+
+def _accepted(c6, spacings):
+    """Whether ``per_sample_v`` takes each spacing."""
+
+    def takes(r):
+        try:
+            per_sample_v(c6, r)
+        except ValueError:
+            return False
+        return True
+
+    return np.array([takes(r) for r in spacings.tolist()], dtype=bool)
+
+
+class TestVAgainstPerSampleRule:
+    """A block's V in one ``np.float_power`` keeps the bits and the errors of one Python
+    ``c6 / r**6`` per sample, in sample order (``oracles.per_sample_v``)."""
+
+    @pytest.mark.parametrize(
+        "c6, spread",
+        [
+            (0.606, lambda rng, n: 1.0 + 0.005 * rng.standard_normal(n)),  # the README's sigma_R
+            (0.606, lambda rng, n: 1.0 + 0.3 * rng.standard_normal(n)),
+            (1.0, lambda rng, n: 10.0 ** rng.uniform(-50.0, 50.0, n)),
+            (1e-20, lambda rng, n: 10.0 ** rng.uniform(-55.0, -49.0, n)),  # r**6 subnormal or 0
+            (1.0, lambda rng, n: 10.0 ** rng.uniform(-55.0, -49.0, n)),  # c6 / r**6 overflows
+        ],
+        ids=["readme", "sigma-0.3", "log-uniform-1e-50-1e50", "log-uniform-1e-55-1e-49", "overflow"],
+    )
+    def test_v_of_spacing_has_the_per_sample_bits(self, c6, spread):
+        spacings = spread(np.random.default_rng(37), 100_000)
+        accepted = spacings[_accepted(c6, spacings)]
+        assert len(accepted) > 20_000
+        assert _outcome(_v_of_spacing, c6, accepted) == _per_sample_outcome(c6, accepted)
+        assert _outcome(_v_of_spacing, c6, spacings) == _per_sample_outcome(c6, spacings)
+
+    @pytest.mark.parametrize(
+        "v, r0, sigma_r",
+        [(0.606, 1.0, 0.005), (0.606, 1.0, 0.3), (2.0, 1e-50, 0.3), (0.5, 3e-52, 0.3), (1e-5, 1e50, 0.3)],
+        ids=["readme", "sigma-0.3", "r0-1e-50", "r0-3e-52-subnormal", "r0-1e50"],
+    )
+    def test_noisy_controls_have_the_per_sample_bits(self, v, r0, sigma_r):
+        noise = NoiseModel.for_interaction(v, r0, 0.01, sigma_r, seed=11)
+        rows = geometric_sequence(GeometricProtocolParams.from_omega(1.65, 1.0)).controls[:1]
+        indices = np.arange(25_000)
+        spacings = noise.r0 * (1.0 + noise.sigma_r_rel * _noise_draws(noise.seed, indices)[:, 1])
+        kept = indices[_accepted(noise.c6, spacings)]
+        want = per_sample_controls(rows, noise, kept)
+        assert np.array_equal(robustness._noisy_controls(rows, noise, kept).view(np.uint64), want.view(np.uint64))
+        # Where a spacing is bad, the first in sample order names the error.
+        assert _outcome(robustness._noisy_controls, rows, noise, indices) == _outcome(
+            per_sample_controls, rows, noise, indices
+        )
+
+    @pytest.mark.parametrize(
+        "c6, bad",
+        [
+            (1.0, 0.0), (1.0, -0.0), (1.0, -2.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+            (1.0, 1e60),  # r**6 overflows
+            (1.0, 1e-60),  # r**6 underflows to 0
+            (1e300, 0.01),  # c6 / r**6 overflows
+            (0.0, 1e-60),  # 0 / 0
+        ],
+    )
+    def test_the_first_bad_spacing_in_sample_order_raises(self, c6, bad):
+        for later in (-1.0, 1e60):  # a bad spacing after it, of either message
+            spacings = np.array([1.0, 1.5, bad, 2.0, later, 0.5])
+            outcome = _outcome(_v_of_spacing, c6, spacings)
+            assert outcome == _per_sample_outcome(c6, spacings) == _outcome(per_sample_v, c6, bad)
+            assert outcome[0] is ValueError
 
 
 class TestNoiseModel:

@@ -15,6 +15,7 @@ from rydgate import (
     GeometricProtocolParams,
     NoiseModel,
     PulseSegment,
+    PulseSequence,
     analyze_gate,
     calibrate_kappa,
     fidelity_cphase,
@@ -113,6 +114,27 @@ def test_bad_scalar_raises_an_error_naming_its_field(call, field, value):
     message = str(error)
     prefix = RANGE_MESSAGES.get(field) if type(error) is ValueError else None
     assert message.startswith(prefix or f"{field} must be "), message
+
+
+#: (argument named, call with an object of the wrong type there). Each failed late with an AttributeError.
+WRONG_OBJECTS = [
+    ("drive1", lambda: PulseSegment(1.0, 3.0, None, 0.0)),
+    ("drive2", lambda: PulseSegment(1.0, None, "x", 0.0)),
+    ("segments", lambda: PulseSequence(("ab",))),
+    ("segments", lambda: PulseSequence((*_SEQUENCE.segments, DriveParams(1.0)))),
+    ("noise", lambda: monte_carlo_fidelity(_PROTOCOL, None, 2)),
+    ("noise", lambda: monte_carlo_fidelity(_PROTOCOL, "x", 2)),
+    # The protocol is lowered before the noise or its V is read.
+    ("unsupported protocol parameters", lambda: monte_carlo_fidelity("x", _NOISE, 2)),
+    ("unsupported protocol parameters", lambda: monte_carlo_fidelity("x", None, 2)),
+]
+
+
+@pytest.mark.parametrize("name, call", WRONG_OBJECTS, ids=[f"{name}-{i}" for i, (name, _) in enumerate(WRONG_OBJECTS)])
+def test_a_wrong_type_object_is_a_type_error_naming_its_argument(name, call):
+    with pytest.raises(TypeError) as excinfo:
+        call()
+    assert type(excinfo.value) is TypeError and str(excinfo.value).startswith(name), excinfo.value
 
 
 @pytest.mark.parametrize("value", [True, np.True_, "1.0", np.array(1.0)], ids=["bool", "numpy-bool", "str", "array"])
