@@ -2,6 +2,7 @@
 
 A real field stores a Python float; a bool, a str or an array is a ``TypeError``; NaN, an infinity,
 or an int beyond float range is a ``ValueError``; each error's message starts with the field's name.
+An object argument of the wrong type is a ``TypeError`` naming it when the object is built.
 """
 
 import math
@@ -116,21 +117,22 @@ def test_bad_scalar_raises_an_error_naming_its_field(call, field, value):
     assert message.startswith(prefix or f"{field} must be "), message
 
 
-#: (argument named, call with an object of the wrong type there). Each failed late with an AttributeError.
+#: An object of the wrong type where a schedule or a Monte-Carlo run takes one: (what the error
+#: message starts with, the call). Each failed late with an AttributeError.
 WRONG_OBJECTS = [
-    ("drive1", lambda: PulseSegment(1.0, 3.0, None, 0.0)),
-    ("drive2", lambda: PulseSegment(1.0, None, "x", 0.0)),
-    ("segments", lambda: PulseSequence(("ab",))),
-    ("segments", lambda: PulseSequence((*_SEQUENCE.segments, DriveParams(1.0)))),
-    ("noise", lambda: monte_carlo_fidelity(_PROTOCOL, None, 2)),
-    ("noise", lambda: monte_carlo_fidelity(_PROTOCOL, "x", 2)),
+    pytest.param("drive1", lambda: PulseSegment(1.0, 3.0, None, 0.0), id="drive1-float"),
+    pytest.param("drive2", lambda: PulseSegment(1.0, None, "x", 0.0), id="drive2-str"),
+    pytest.param("segments", lambda: PulseSequence(("ab",)), id="segments-str"),
+    pytest.param("segments", lambda: PulseSequence((*_SEQUENCE.segments, DriveParams(1.0))), id="segments-drive"),
+    pytest.param("noise", lambda: monte_carlo_fidelity(_PROTOCOL, None, 2), id="noise-none"),
+    pytest.param("noise", lambda: monte_carlo_fidelity(_PROTOCOL, "x", 2), id="noise-str"),
     # The protocol is lowered before the noise or its V is read.
-    ("unsupported protocol parameters", lambda: monte_carlo_fidelity("x", _NOISE, 2)),
-    ("unsupported protocol parameters", lambda: monte_carlo_fidelity("x", None, 2)),
+    pytest.param("unsupported protocol", lambda: monte_carlo_fidelity("x", _NOISE, 2), id="protocol-str"),
+    pytest.param("unsupported protocol", lambda: monte_carlo_fidelity("x", None, 2), id="protocol-before-noise"),
 ]
 
 
-@pytest.mark.parametrize("name, call", WRONG_OBJECTS, ids=[f"{name}-{i}" for i, (name, _) in enumerate(WRONG_OBJECTS)])
+@pytest.mark.parametrize("name, call", WRONG_OBJECTS)
 def test_a_wrong_type_object_is_a_type_error_naming_its_argument(name, call):
     with pytest.raises(TypeError) as excinfo:
         call()
