@@ -5,6 +5,7 @@ functions, which take stacks (leading axes index gates or segments):
 
 - ``sequence_product(w, v, durations, order, segments, partials=False)``: (..., e, n), (..., e, n, n)
   real, (..., e), (k,), d (step, pattern) -> (..., n, n), or with ``partials`` (k, ..., n, n) U_j ... U_1
+  one step at a time, the last the gate by halves with the same bits, its first half read off them
 - ``weighted_population_integral(w, v, durations, order, partials, psi0, weights, samples_per_segment)``:
   (d, n), (d, n, n), (d,), (k,), (k, n, n) running products, (m, n) initial states, (n,) -> (m,)
   integrals by the trapezoid rule on ``samples_per_segment`` intervals per segment, summed in

@@ -31,14 +31,15 @@ def _steps(w, v, t):
     return (v @ np.multiply(v.swapaxes(-1, -2), e[..., :, None], order="C").view(np.float64)).view(np.complex128)
 
 
-def _product(steps, order):
+def _product(steps, order, running=()):
     """steps[order[-1]] @ ... @ steps[order[0]], its second half's product times its first's, each half
     likewise and taken once when the halves are equal: a period repeated 2**m times is multiplied out
-    once and squared m times. The association depends only on len(order)."""
+    once and squared m times. The association depends only on len(order); a first half of at most 3
+    steps has that of its running product, read from ``running`` where that holds it."""
     if len(order) == 1:
         return steps[order[0]]
     half = (len(order) + 1) // 2
-    first = _product(steps, order[:half])
+    first = running[half - 1] if half <= min(3, len(running)) else _product(steps, order[:half], running)
     return (first if order[half:] == order[:half] else _product(steps, order[half:])) @ first
 
 
@@ -48,15 +49,15 @@ def sequence_product(w, v, durations, order, segments, partials=False):
     ``w`` (..., e, n), ``v`` (..., e, n, n) and ``durations`` (..., e) give each gate's e distinct real
     steps; ``segments`` the distinct segments as (step, pattern) pairs, the step times a (..., n, n)
     pattern elementwise unless it is None; ``order`` each segment's, first first. With ``partials``,
-    (k, ..., n, n): U_1, U_2 U_1, ..., one step at a time, and U.
+    (k, ..., n, n): U_1, U_2 U_1, ..., one step at a time, and U, with the bits it has without them.
     """
     real = _steps(w, v, durations)
     steps = [real[..., i, :, :] if p is None else real[..., i, :, :] * p for i, p in segments]
     if not partials:
         u = _product(steps, order)
         return u if len(order) > 1 else u.copy()
-    running = itertools.accumulate((steps[j] for j in order[:-1]), lambda u, step: step @ u)
-    return np.array([*running, _product(steps, order)])
+    running = [*itertools.accumulate((steps[j] for j in order[:-1]), lambda u, step: step @ u)]
+    return np.array([*running, _product(steps, order, running)])
 
 
 def _trapezoid_factor(w, h, n):
@@ -91,11 +92,11 @@ def weighted_population_integral(w, v, durations, order, partials, psi0, weights
     and G = V^dag diag(weights) V, the population is sum_jk conj(c_j) G_jk c_k
     e^{i(w_j - w_k)t}; the trapezoid rule weighs each beat by ``_trapezoid_factor``.
     """
-    psi, order = np.asarray(psi0, dtype=np.complex128), list(order)
+    psi, order, v_conj = np.asarray(psi0, dtype=np.complex128), list(order), v.conj()
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
         kernels = _trapezoid_factor(w, durations / samples_per_segment, samples_per_segment)
-        kernels *= v.conj().swapaxes(-1, -2) @ (weights[:, None] * v)
-        c = np.concatenate([psi[None], psi @ partials[:-1].swapaxes(-1, -2)]) @ v[order].conj()
+        kernels *= v_conj.swapaxes(-1, -2) @ (weights[:, None] * v)
+        c = np.concatenate([psi[None], psi @ partials[:-1].swapaxes(-1, -2)]) @ v_conj[order]
         total = ((c.conj() @ kernels[order]) * c).sum(axis=-1).real.sum(axis=0)
     if not np.isfinite(total).all():
         raise ValueError("a population integral overflows: the eigenvalue spread or the durations are out of range")

@@ -18,7 +18,9 @@ Python scalars, or a (..., 9, 9) stack, giving arrays with the bits of one call
 per gate.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,11 +212,10 @@ def _local_z_angle(c):
             w = z * np.exp(1j * alpha)[..., None]
             h = np.sqrt(big_a + 2.0 * w.real)
             q = w / h
+            curvature = q.real + q.imag * q.imag / h
             # f = sum h, with h^2 = |a + b e^{ia}|^2 = A + 2 Re(w), w = z e^{ia}:
-            # f' = -sum Im(w)/h and f'' = -sum (Re(w)/h + Im(w)^2/h^3).
-            d1 = q.imag.sum(axis=-1)
-            d2 = (q.real + q.imag * q.imag / h).sum(axis=-1)
-            alpha = alpha - d1 / d2
+            # f' = -sum Im(w)/h and f'' = -sum (Re(w)/h + Im(w)^2/h^3), each pair added as in the grid pass.
+            alpha = alpha - (q.imag[..., 0] + q.imag[..., 1]) / (curvature[..., 0] + curvature[..., 1])
     return np.where(np.abs(alpha - coarse) < _GRID[1], alpha, coarse)
 
 
@@ -265,10 +266,10 @@ def fidelity_cphase(u, target_phi, compensate=True):
 
 def pulse_area(sequence):
     """Total applied Rabi area: sum over segments and atoms of Omega*dt."""
-    # Summed from +0.0 in time order, atom 1 first, one term at a time: cumsum adds in
-    # sequence, where Python 3.12's sum() of floats compensates. An absent drive adds +0.0.
-    areas = sequence.controls[:, RABI_COLUMNS] * sequence.durations[:, None]
-    return float(areas.cumsum()[-1]) + 0.0
+    # Summed from +0.0 in time order, atom 1 first, one term at a time, as ``total_duration``
+    # adds: Python 3.12's sum() of floats compensates. An absent drive adds +0.0.
+    rows, durations = sequence.controls.tolist(), sequence.durations.tolist()
+    return functools.reduce(operator.add, (row[c] * t for row, t in zip(rows, durations) for c in RABI_COLUMNS), 0.0)
 
 
 def rydberg_time(sequence):
@@ -283,11 +284,10 @@ def rydberg_time(sequence):
     totals = _kernels.weighted_population_integral(
         *sequence._eigensystem[1], sequence._partials, _COMPUTATIONAL_STATES, EXCITATIONS, RYDBERG_TIME_SAMPLES
     )
-    with np.errstate(over="ignore"):
-        mean = totals.sum() / len(totals)  # np.mean's reduction
-    if not np.isfinite(mean):
+    mean = functools.reduce(operator.add, totals.tolist()) / len(totals)  # np.mean's sum, left to right
+    if not math.isfinite(mean):
         raise ValueError(f"rydberg_time overflows: the mean of the per-state integrals is {mean}")
-    return float(mean)
+    return mean
 
 
 @dataclass(frozen=True)
@@ -320,15 +320,15 @@ def analyze_gate(sequence, target_phi=math.pi):
     target_phi = _require_finite(target_phi, "target_phi")
     u = sequence_unitary(sequence)
     diagonal, tr_mm = _fidelity_terms(u)
-    leakage = _leakage(u)
+    leakages = tuple(_leakage(u).tolist())
     phases = tuple(np.arctan2(diagonal.imag, diagonal.real).tolist())
     unwrapped = phase_combination(phases)
     return GateReport(
         phases=phases,
         controlled_phase=wrap_angle(unwrapped),
         controlled_phase_unwrapped=unwrapped,
-        leakage=tuple(leakage.tolist()),
-        leakage_max=float(leakage.max()),
+        leakage=leakages,
+        leakage_max=max(leakages),
         fidelity=float(_fidelity_functional(diagonal, tr_mm, math.remainder(target_phi, 2 * math.pi))),
         gate_time=sequence.total_duration,
         pulse_area=pulse_area(sequence),

@@ -39,9 +39,10 @@ symmetric operators; a phase column's is zero.
 A segment that repeats an earlier one (geometric A B A B, blockade A B A) is stepped once,
 and in a batch one that differs from it only in laser phase (geometric A and B) shares its
 eigh and real step. The steps are multiplied by halves: the geometric gate is (B A)^2. A
-sequence keeps its eigensystem and running products U_j ... U_1, the gate last, which
-``sequence_unitary`` and ``analysis.rydberg_time`` read; ``batch_unitaries`` works per
-``CHUNK`` gates and keeps only the gates. Either route gives a gate the same bits.
+sequence keeps its eigensystem and running products U_j ... U_1, which ``sequence_unitary``
+and ``analysis.rydberg_time`` read, the gate last, its first half (B A) read off them: up to
+3 steps, by halves is step by step. ``batch_unitaries`` works per ``CHUNK`` gates and keeps
+only the gates. Either route gives a gate the same bits.
 """
 
 import functools
@@ -111,28 +112,22 @@ def _float(value, name):
         return math.inf if value > 0 else -math.inf
 
 
-def _require_finite(value, name):
-    if type(value) is not float:
-        value = _float(value, name)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+def _range_check(holds, wanted):
+    """A check that takes a value as a float and raises "<name> must be <wanted>, got <value>" unless ``holds``."""
+
+    def require(value, name):
+        if type(value) is not float:
+            value = _float(value, name)
+        if not holds(value):
+            raise ValueError(f"{name} must be {wanted}, got {value}")
+        return value
+
+    return require
 
 
-def _require_positive(value, name):
-    if type(value) is not float:
-        value = _float(value, name)
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _require_nonnegative(value, name):
-    if type(value) is not float:
-        value = _float(value, name)
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return value
+_require_finite = _range_check(math.isfinite, "finite")
+_require_positive = _range_check(lambda value: 0 < value < math.inf, "positive")
+_require_nonnegative = _range_check(lambda value: 0 <= value < math.inf, "finite and >= 0")
 
 
 def _count(value, name, low, bits):
@@ -234,7 +229,7 @@ class PulseSequence:
     def _partials(self):
         """Read-only (k, 9, 9) running products U_j ... U_1 of ``_eigensystem``; the last is the gate."""
         partials = _kernels.sequence_product(*self._eigensystem[0], partials=True)
-        partials.flags.writeable = False
+        partials.setflags(write=False)
         return partials
 
 
@@ -249,23 +244,27 @@ def distinct_segments(controls, durations):
     Segment j repeats an earlier one when its row and duration have the same
     bytes in every gate (-0.0 is not 0.0). Returns the (..., d, 7) rows and (..., d)
     durations of the d distinct segments, and the k-tuple ``order`` of each
-    segment's index into them."""
-    first, order = {}, []
-    for row, t in zip(controls.swapaxes(0, -2), durations.swapaxes(0, -1)):
-        order.append(first.setdefault(row.tobytes() + t.tobytes(), len(first)))
+    segment's index into them; views where the distinct segments come first."""
+    # Segment-major bytes, one copy of each, split into the k segments' keys.
+    rows, times = controls.swapaxes(0, -2).tobytes(), durations.swapaxes(0, -1).tobytes()
+    k, first, order = controls.shape[-2], {}, []
+    r, t = len(rows) // k, len(times) // k
+    for j in range(k):
+        order.append(first.setdefault((rows[j * r : (j + 1) * r], times[j * t : (j + 1) * t]), len(first)))
     keep = [order.index(i) for i in range(len(first))]
+    keep = slice(len(keep)) if keep[-1] < len(keep) else keep
     return controls[..., keep, :], durations[..., keep], tuple(order)
 
 
 def _segments(steps, phases):
     """Each distinct segment's (step, pattern d d^dag), which turns exp(-i Hr t) into the step of D Hr D^dag, and
     the (..., d, 9) diagonals d of D, from the (..., d, 2) phases; None for zero phases, and for d if all are."""
-    if not np.count_nonzero(phases):
+    phased = phases.reshape(-1, *phases.shape[-2:]).any(axis=(0, 2)).tolist()
+    if not any(phased):
         return tuple((step, None) for step in steps), None
     gauges = _gauge(phases)
     patterns = gauges[..., :, None] * gauges[..., None, :].conj()
-    patterns.flags.writeable = False
-    phased = phases.reshape(-1, *phases.shape[-2:]).any(axis=(0, 2))
+    patterns.setflags(write=False)
     return tuple((step, patterns[..., j, :, :] if phased[j] else None) for j, step in enumerate(steps)), gauges
 
 

@@ -80,12 +80,13 @@ class BlockadeProtocolParams:
 
 
 def geometric_sequence(params):
-    """Four-segment phase-toggled schedule of the geometric protocol: one drive per laser
-    phase, shared by both atoms and by the segments that repeat it."""
+    """Four-segment phase-toggled schedule of the geometric protocol: one segment per laser
+    phase, its drive shared by both atoms, and each segment shared by the segments that repeat it."""
     omega, v = params.omega, params.v
     t = _segment_duration(omega, v)
-    drives = {phase: DriveParams(omega, -v / 2, phase) for phase in GEOMETRIC_SEGMENT_PHASES}
-    return PulseSequence(tuple(PulseSegment(t, drives[phase], drives[phase], v) for phase in GEOMETRIC_SEGMENT_PHASES))
+    drives = {phase: DriveParams(omega, -v / 2, phase) for phase in set(GEOMETRIC_SEGMENT_PHASES)}
+    segments = {phase: PulseSegment(t, drive, drive, v) for phase, drive in drives.items()}
+    return PulseSequence(tuple(segments[phase] for phase in GEOMETRIC_SEGMENT_PHASES))
 
 
 def blockade_pdp_sequence(params):
@@ -96,11 +97,9 @@ def blockade_pdp_sequence(params):
     """
     drive = DriveParams(params.rabi, 0.0, 0.0)
     pi_time = math.pi / params.rabi
-    return PulseSequence((
-        PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
-        PulseSegment(duration=2 * pi_time, drive1=None, drive2=drive, v=params.v),
-        PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v),
-    ))
+    pi_pulse = PulseSegment(duration=pi_time, drive1=drive, drive2=None, v=params.v)
+    two_pi_pulse = PulseSegment(duration=2 * pi_time, drive1=None, drive2=drive, v=params.v)
+    return PulseSequence((pi_pulse, two_pi_pulse, pi_pulse))
 
 
 def protocol_sequence(params):
