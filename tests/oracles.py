@@ -6,6 +6,8 @@ is assembled element by element from selection rules instead of tensor
 products, and the invariant blocks and projectors of a symmetric drive are
 written out in the symmetric basis. Drives are read by attribute (``rabi``,
 ``detuning``, ``phase``), so the package's ``DriveParams`` can be passed in.
+``one_atom_drive_unitary`` exponentiates the 2x2 blocks of segments that each drive
+one atom, the blockade gate's, by formula, with no diagonalisation.
 
 ``gauged_hamiltonians`` is one exception: it is the package's own complex
 Hamiltonian of control rows, D Hr D^dag from the real parts the package
@@ -212,6 +214,39 @@ def running_products_from_identity(hams, durations, order):
 def sequence_product_from_identity(hams, durations, order):
     """The last of ``running_products_from_identity``: the gate."""
     return running_products_from_identity(hams, durations, order)[-1]
+
+
+def one_atom_drive_unitary(sequence):
+    """The propagator of a schedule whose segments each drive one atom, in closed form, from
+    ``cmath``/``math`` and no diagonalisation: the blockade pi - 2pi - pi gate is one.
+
+    With atom k driven, each level s of the other atom gives an invariant block. The pair
+    {|1>_k s, |r>_k s} has H = [[0, c], [conj(c), d]], c = (Omega/2) e^{i phi} and
+    d = Delta + V if s is |r>, else Delta; its step is e^{-idt/2} [cos(Wt) - i sin(Wt)/W (H - d/2)],
+    W = sqrt(|c|^2 + d^2/4), as (H - d/2)^2 = W^2. The state |0>_k s does not move. The steps
+    are multiplied from the identity, one at a time."""
+    u = np.eye(9, dtype=np.complex128)
+    for seg in sequence.segments:
+        drives = (seg.drive1, seg.drive2)
+        if drives.count(None) != 1:
+            raise ValueError("each segment must drive exactly one atom")
+        atom = 0 if drives[1] is None else 1
+        drive = drives[atom]
+        c = 0.5 * drive.rabi * cmath.exp(1j * drive.phase)
+        step = np.zeros((9, 9), dtype=np.complex128)
+        for spectator in range(3):
+            ground, one, rydberg = (3 * level + spectator if atom == 0 else 3 * spectator + level for level in range(3))
+            d = drive.detuning + (seg.v if spectator == 2 else 0.0)
+            w, t = math.hypot(abs(c), 0.5 * d), seg.duration
+            cos, sinc = math.cos(w * t), (math.sin(w * t) / w if w else t)
+            rotation = cmath.exp(-0.5j * d * t)
+            step[ground, ground] = 1.0
+            step[one, one] = rotation * complex(cos, 0.5 * d * sinc)
+            step[rydberg, rydberg] = rotation * complex(cos, -0.5 * d * sinc)
+            step[one, rydberg] = rotation * -1j * sinc * c
+            step[rydberg, one] = rotation * -1j * sinc * c.conjugate()
+        u = step @ u
+    return u
 
 
 def two_pass_gate_report(sequence, target_phi=math.pi):

@@ -726,13 +726,12 @@ class TestGateReport:
         params = GeometricProtocolParams.from_omega(1.65, 1.0)
         seq = geometric_sequence(params)
         report = analyze_gate(seq)
-        assert report.gate_time == pytest.approx(seq.total_duration)
-        assert report.controlled_phase == pytest.approx(
-            controlled_phase(report.phases)
-        )
+        # The report is built from these functions, so it has their bits.
+        assert report.gate_time == seq.total_duration
+        assert report.controlled_phase == controlled_phase(report.phases)
         assert 0.0 <= report.leakage_max <= 1.0
         assert 0.0 <= report.fidelity <= 1.0
-        assert report.pulse_area == pytest.approx(pulse_area(seq))
+        assert report.pulse_area == pulse_area(seq)
 
 
 class TestOneDiagonalisation:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     expm_hermitian,
     gauged_hamiltonians,
     h_full,
+    one_atom_drive_unitary,
     rk4_unitary,
     sequence_product_from_identity,
     symmetric_block_projectors,
@@ -372,7 +374,33 @@ class TestAccuracy:
     def test_blockade_ladder(self):
         # The 2pi pulse's eigenphases reach 2 pi V/Omega, so the bound grows with V*t.
         sequences = [blockade_pdp_sequence(BlockadeProtocolParams(1.0, v)) for v in np.geomspace(1.0, 1e6, 40)]
-        self._check(np.array([seq.controls for seq in sequences]), np.array([seq.durations for seq in sequences]))
+        rows, durations = np.array([seq.controls for seq in sequences]), np.array([seq.durations for seq in sequences])
+        self._check(rows, durations)
+        # The eigh oracle above rounds as the package does; the closed form shares no diagonalisation.
+        batch = np.concatenate(list(batch_unitaries(rows, durations)))
+        for u, seq in zip(batch, sequences, strict=True):
+            assert np.abs(u - one_atom_drive_unitary(seq)).max() <= _error_scale(seq.controls, seq.durations)
+            assert np.abs(sequence_unitary(seq) - one_atom_drive_unitary(seq)).max() <= _error_scale(
+                seq.controls, seq.durations
+            )
+
+    def test_closed_form_oracle_matches_rk4(self, rng):
+        # The closed form of the ladder check against RK4 on the rule-built Hamiltonian, for any
+        # drive on one atom: Rabi frequency, detuning, laser phase and V of either sign.
+        def rules(drive):
+            return None if drive is None else (drive.rabi, drive.detuning, drive.phase)
+
+        for _ in range(20):
+            segments = []
+            for _ in range(int(rng.integers(1, 4))):
+                drive = DriveParams(*rng.uniform((0.2, -1.0, -3.0), (2.0, 1.0, 3.0)).tolist())
+                drives = (drive, None) if rng.uniform() < 0.5 else (None, drive)
+                segments.append(PulseSegment(float(rng.uniform(0.1, 2.0)), *drives, float(rng.uniform(-3.0, 3.0))))
+            want = np.eye(9)
+            for seg in segments:
+                h = two_atom_hamiltonian_by_rules(rules(seg.drive1), rules(seg.drive2), seg.v)
+                want = rk4_unitary(h, seg.duration) @ want
+            assert np.abs(one_atom_drive_unitary(PulseSequence(tuple(segments))) - want).max() < 1e-8
 
     def test_random_phase_rows(self, rng):
         for k in range(1, 7):
@@ -677,6 +705,54 @@ class TestSequenceProduct:
         u = _kernels.sequence_product(*np.linalg.eigh(h), durations, (1,), ((0, None), (1, None)))
         assert u.flags.owndata and u.flags.c_contiguous
         assert np.abs(u - expm_hermitian(h[:, 1], durations[:, 1])).max() < 1e-13
+
+
+_PHASE_BOUND = 2.0**32
+_PAST_BOUND = math.nextafter(_PHASE_BOUND, math.inf)
+
+
+class TestEigenphases:
+    """The range check of every step and population integral, ``pure._eigenphases``: w*t with
+    |w*t| <= 2**32, else ValueError, and never a NumPy warning, overflow included."""
+
+    @pytest.mark.parametrize(
+        "w, t, ok",
+        [
+            ([_PHASE_BOUND], [1.0], True),
+            ([-_PHASE_BOUND, 3.0], [1.0], True),
+            ([2.0**31, -1.0], [2.0], True),
+            ([_PAST_BOUND], [1.0], False),
+            ([1.0, -_PAST_BOUND], [1.0], False),
+            ([1.0, math.nan], [1.0], False),
+            ([math.inf], [1.0], False),
+            ([0.5, -math.inf], [1.0], False),
+            ([1e300, 1.0], [1e10], False),
+            ([-1e300, 1.0], [1e300], False),
+        ],
+        ids=["at-bound", "minus-bound", "product-at-bound", "past-bound", "minus-past-bound", "nan", "inf",
+             "minus-inf", "overflow", "minus-overflow"],
+    )
+    def test_table(self, w, t, ok):
+        w, t = np.array(w), np.array(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if ok:
+                assert np.array_equal(pure._eigenphases(w, t).view(np.uint64), (w * t).view(np.uint64))
+            else:
+                with pytest.raises(ValueError, match=r"^an eigenphase w\*t overflows 2\*\*32 in magnitude"):
+                    pure._eigenphases(w, t)
+
+    def test_broadcast_stack(self, rng):
+        # (n, e, 9) eigenvalues times (n, e, 1) durations, as ``_steps`` passes them.
+        w, t = rng.normal(scale=1e3, size=(3, 2, 9)), rng.uniform(0.1, 2.0, size=(3, 2, 1))
+        got = pure._eigenphases(w, t)
+        assert got.shape == (3, 2, 9) and np.array_equal(got.view(np.uint64), (w * t).view(np.uint64))
+        for bad in (math.nan, _PAST_BOUND / t[2, 1, 0] * 2.0):
+            w[2, 1, 4] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^an eigenphase w\*t overflows"):
+                    pure._eigenphases(w, t)
 
 
 def _step(row, t):
