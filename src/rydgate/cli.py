@@ -58,7 +58,7 @@ def _parse_config_file(path):
                 if key in first_line:
                     raise ValueError(f"{path}:{lineno}: config key {key} already given on line {first_line[key]}")
                 first_line[key], values[key] = lineno, raw
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 

@@ -248,6 +248,8 @@ def distinct_segments(controls, durations):
     # Segment-major bytes, one copy of each, split into the k segments' keys.
     rows, times = controls.swapaxes(0, -2).tobytes(), durations.swapaxes(0, -1).tobytes()
     k, first, order = controls.shape[-2], {}, []
+    if not k:
+        raise ValueError("a pulse sequence needs at least one segment")
     r, t = len(rows) // k, len(times) // k
     for j in range(k):
         order.append(first.setdefault((rows[j * r : (j + 1) * r], times[j * t : (j + 1) * t]), len(first)))

@@ -7,14 +7,12 @@ spreads; the interaction follows exactly V = C6/R^6. The *programmed*
 schedule (durations, detunings, phases) always comes from the nominal
 parameters - control errors perturb the physics, not the program.
 
-Reproducibility: sample i draws from a PCG64 generator seeded with
-SeedSequence((seed, i)), taking eps_Omega then eps_R as standard normals.
-Per-sample substreams make results independent of evaluation order, so
-parallel execution cannot change them. ``_noise_draws`` gives these bits from
-array arithmetic: the SeedSequence hash, PCG64's first outputs and the fast path
-of NumPy's ziggurat, with tables probed from NumPy (``rydgate._ziggurat``). The
-~3 % of samples with a draw off that path, and one fast sample as a check, go
-through ``Generator``; a NumPy that draws otherwise raises ``RuntimeError``.
+Reproducibility: sample i takes eps_Omega then eps_R as the Box-Muller normals
+of words 0 and 1 of counter block i of NumPy's ``Philox(key=seed)``, a
+counter-based generator that addresses each block directly
+(``Philox(key=seed, counter=i).random_raw(2)`` gives the two words). The draws
+depend only on (seed, i), never on evaluation order, so parallel execution
+cannot change them, and ``_noise_draws`` forms a block's draws in one call.
 A ``SAMPLE_BLOCK``'s gates keep only their raw computational diagonal U_bb and
 Tr(M M^dag) (72 B); the phase errors and the fidelities run once per block, with
 the bits of one call per propagator stack. Only each sample's fidelity and phase
@@ -92,113 +90,16 @@ def _v_of_spacing(c6, spacings):
     return v
 
 
-#: SeedSequence's hash constants (numpy/random/bit_generator.pyx), as Python ints: NumPy scalars warn where they wrap.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 2**32 - 1
+def _noise_draws(seed, start, stop):
+    """(n, 2) draws (eps_Omega, eps_R) of the samples start <= i < stop <= 2**32: the Box-Muller normals
+    r cos(theta), r sin(theta) of words 0 and 1 of counter block i of ``Philox(key=seed)``, each word w
+    taken as u = ((w >> 11) + 1) / 2**53 in (0, 1], with r = sqrt(-2 ln u_0) and theta = 2 pi u_1."""
+    from numpy.random import Philox  # here: numpy.random adds ~20 ms to any start-up
 
-
-def _hasher(const, mult):
-    """NumPy SeedSequence's running hash: a call xors with the constant, steps it
-    (times ``mult`` mod 2**32), multiplies by it and xorshifts; uint32 arrays in."""
-
-    def hash_(value):
-        nonlocal const
-        value, const = value ^ const, const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    return hash_
-
-
-def _seed_states(seed, indices):
-    """(n, 4) native uint64 rows of ``SeedSequence((seed, i)).generate_state(4, np.uint64)``
-    for each index 0 <= i < 2**32: one 32-bit entropy word for i, one or two for seed."""
-    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
-    entropy = np.zeros((4, len(indices)), dtype=np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words)] = indices
-    hash_a = _hasher(_INIT_A, _MULT_A)
-    pool = [hash_a(word) for word in entropy]
-    for src, dst in itertools.permutations(range(4), 2):
-        mixed = _MIX_L * pool[dst] - _MIX_R * hash_a(pool[src])
-        pool[dst] = mixed ^ (mixed >> 16)
-    hash_b = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([hash_b(pool[k % 4]) for k in range(8)], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _generator_draws(words):
-    """(n, 2) first two standard normals of ``Generator(PCG64)`` seeded from each row of ``_seed_states``."""
-    from numpy.random import Generator, PCG64  # here: numpy.random adds ~20 ms to any start-up
-    from numpy.random.bit_generator import ISeedSequence
-
-    class HashedWords(ISeedSequence):
-        """One C-contiguous row of ``_seed_states``, whose memory PCG64 seeds from."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    draws = np.empty((len(words), 2))
-    for row, row_words in zip(draws, words):
-        Generator(PCG64(HashedWords(row_words))).standard_normal(out=row)
-    return draws
-
-
-def _pcg_outputs(words, multiplier):
-    """(n, 2) first two outputs of PCG64 seeded from (n, 4) ``_seed_states`` rows, as 128-bit LCG steps on uint64
-    (high, low) pairs, the product's high word from 32-bit limbs: inc = (w2:w3 << 1) | 1, state = inc + w0:w1,
-    one step; each output takes one more step and applies XSL-RR."""
-    m_hi, m_lo = np.uint64(multiplier >> 64), np.uint64(multiplier & 2**64 - 1)
-    m0, m1 = m_lo & _MASK32, m_lo >> 32
-    inc = (words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1
-
-    def add(hi, lo, b_hi, b_lo):
-        total = lo + b_lo
-        return hi + b_hi + (total < lo), total
-
-    def step(hi, lo):
-        l0, l1 = lo & _MASK32, lo >> 32
-        p01, p10 = l0 * m1, l1 * m0
-        mid = (l0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-        return add(l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * m_hi + hi * m_lo, lo * m_lo, *inc)
-
-    state, outputs = step(*add(*inc, words[:, 0], words[:, 1])), np.empty((len(words), 2), np.uint64)
-    for column in outputs.T:
-        state = step(*state)
-        x, rotation = state[0] ^ state[1], state[0] >> 58
-        column[:] = (x >> rotation) | (x << ((64 - rotation) & 63))
-    return outputs
-
-
-def _ziggurat_fast_path(r):
-    """NumPy's ziggurat fast path on raw PCG64 outputs ``r``: the draws rabs * WI[idx], negated
-    where the sign bit is set, and whether each output takes the path, rabs < KI[idx]."""
-    from rydgate._ziggurat import KI, WI  # here: only the Monte-Carlo draws need them
-
-    layer, rabs = r & 0xFF, (r >> 9) & (2**52 - 1)
-    draws = rabs * WI[layer]
-    np.negative(draws, out=draws, where=(r & 0x100).astype(bool))
-    return draws, rabs < KI[layer]
-
-
-def _noise_draws(seed, indices):
-    """(n, 2) draws (eps_Omega, eps_R): for each of the n ``indices`` i < 2**32, the first
-    two standard normals of ``Generator(PCG64(SeedSequence((seed, i))))``."""
-    from rydgate._ziggurat import MULTIPLIER
-
-    words = _seed_states(seed, indices)
-    draws, fast = _ziggurat_fast_path(_pcg_outputs(words, MULTIPLIER))
-    fast = fast.all(axis=1)
-    # Samples off the fast path, and the first on it as a check of the tables, come from Generator.
-    checked, slow = np.flatnonzero(fast)[:1], np.flatnonzero(~fast)
-    exact = _generator_draws(words[np.concatenate([checked, slow])])
-    if not np.array_equal(exact[: len(checked)].view(np.uint64), draws[checked].view(np.uint64)):
-        raise RuntimeError(f"NumPy {np.__version__} draws unlike rydgate._ziggurat: see tests/make_ziggurat_tables.py")
-    draws[slow] = exact[len(checked) :]
-    return draws
+    n = stop - start
+    u = ((Philox(key=seed, counter=start).random_raw(4 * n).reshape(n, 4)[:, :2] >> 11) + 1) * 2.0**-53
+    r, theta = np.sqrt(-2.0 * np.log(u[:, 0])), 2.0 * np.pi * u[:, 1]
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
 def _perturbed_controls(rows, omega_factors, v):
@@ -216,9 +117,8 @@ def _perturbed_controls(rows, omega_factors, v):
     return controls
 
 
-def _noisy_controls(rows, noise, indices):
-    """(n, k, 7) control rows of the Monte-Carlo samples ``indices`` of the nominal (k, 7) ``rows``."""
-    eps = _noise_draws(noise.seed, indices)
+def _noisy_controls(rows, noise, eps):
+    """(n, k, 7) control rows of the nominal (k, 7) ``rows`` under n samples' (n, 2) ``_noise_draws`` ``eps``."""
     with np.errstate(over="ignore"):  # an infinite factor or spacing is rejected below
         omega_factors = 1.0 + noise.sigma_omega_rel * eps[:, 0]
         spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
@@ -289,10 +189,10 @@ def monte_carlo_fidelity(protocol, noise, n_samples):
     size = min(SAMPLE_BLOCK, n_samples)  # what a block's gates are scored from, reused by each block
     diagonals, tr_mm = np.empty((size, 4), dtype=complex), np.empty(size)
     for block in range(0, n_samples, SAMPLE_BLOCK):
-        indices = np.arange(block, min(block + SAMPLE_BLOCK, n_samples))
+        eps = _noise_draws(noise.seed, block, min(block + SAMPLE_BLOCK, n_samples))
         stop = 0
         # A block's rows die with its generator, before the next block is drawn.
-        for u in batch_unitaries(_noisy_controls(nominal.controls, noise, indices), nominal.durations):
+        for u in batch_unitaries(_noisy_controls(nominal.controls, noise, eps), nominal.durations):
             start, stop = stop, stop + len(u)
             diagonals[start:stop], tr_mm[start:stop] = _fidelity_terms(u)
         kept = slice(block, block + stop)

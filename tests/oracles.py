@@ -36,11 +36,13 @@ solver and report, and checks only that scanning nearest the seed first, and
 stopping early, picks the interval a scan of the whole grid picks.
 ``per_sample_v`` is V = C6 / r**6 of one spacing as a Python division, as the
 package took it, sample by sample, before it took a block's V in one array
-expression. ``per_sample_controls`` perturbs the nominal rows with the package's
-draws and ``_perturbed_controls``, but with ``per_sample_v`` in sample order.
+expression. ``per_sample_controls`` perturbs the nominal rows by given draws with
+the package's ``_perturbed_controls``, but with ``per_sample_v`` in sample order.
 ``per_chunk_monte_carlo`` scores each propagator stack as it comes, with those
-controls and the package's propagation, fidelity and statistics, and checks only
-that scoring a whole block of samples at once keeps every bit. ``per_stack_sweep``
+controls of the package's draws and the package's propagation, fidelity and
+statistics, and checks only that scoring a whole block of samples at once keeps
+every bit. ``sample_eps`` draws one sample by the documented recipe, a fresh
+``Philox`` at the sample's counter, and takes Box-Muller with ``math``. ``per_stack_sweep``
 and ``per_stack_scan_phases`` score each stack of a sweep or calibration scan
 with the public ``phases_and_leakage`` and ``fidelity_cphase``, and check only
 that the private terms the package reads keep every bit.
@@ -542,9 +544,8 @@ def per_sample_v(c6, r):
     return v
 
 
-def per_sample_controls(rows, noise, indices):
-    """The (n, k, 7) noisy control rows of the Monte-Carlo samples ``indices``, V from ``per_sample_v``."""
-    eps = robustness._noise_draws(noise.seed, indices)
+def per_sample_controls(rows, noise, eps):
+    """The (n, k, 7) noisy control rows of n samples' (n, 2) draws ``eps``, V from ``per_sample_v``."""
     with np.errstate(over="ignore"):
         omega_factors = 1.0 + noise.sigma_omega_rel * eps[:, 0]
         spacings = noise.r0 * (1.0 + noise.sigma_r_rel * eps[:, 1])
@@ -559,18 +560,25 @@ def per_chunk_monte_carlo(protocol, noise, n_samples):
     target = controlled_phase(phases_and_leakage(sequence_unitary(nominal)).phases)
     fidelities, phase_errors = [], []
     for block in range(0, n_samples, robustness.SAMPLE_BLOCK):
-        indices = np.arange(block, min(block + robustness.SAMPLE_BLOCK, n_samples))
-        for u in batch_unitaries(per_sample_controls(nominal.controls, noise, indices), nominal.durations):
+        eps = robustness._noise_draws(noise.seed, block, min(block + robustness.SAMPLE_BLOCK, n_samples))
+        for u in batch_unitaries(per_sample_controls(nominal.controls, noise, eps), nominal.durations):
             fidelities.append(fidelity_cphase(u, target))
             phase_errors.append(np.abs(wrap_angle(controlled_phase(phases_and_leakage(u).phases) - target)))
     return robustness._summary(np.concatenate(fidelities), np.concatenate(phase_errors))
 
 
+def sample_words(seed, index):
+    """Words 0 and 1 of counter block ``index`` of ``Philox(key=seed)``, from a fresh generator at that counter."""
+    return tuple(np.random.Philox(key=seed, counter=index).random_raw(2).tolist())
+
+
 def sample_eps(seed, index):
-    """(eps_Omega, eps_R) of Monte-Carlo sample ``index``: the first two standard
-    normals of a fresh PCG64 generator seeded with ``SeedSequence((seed, index))``."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-    return rng.standard_normal(), rng.standard_normal()
+    """(eps_Omega, eps_R) of Monte-Carlo sample ``index``: r cos(theta), r sin(theta) of the
+    ``sample_words``, each word w as u = ((w >> 11) + 1) / 2**53, r = sqrt(-2 ln u_0) and
+    theta = 2 pi u_1, in Python floats and ``math``, none of NumPy's ufuncs."""
+    u0, u1 = (((w >> 11) + 1) * 2.0**-53 for w in sample_words(seed, index))
+    r, theta = math.sqrt(-2.0 * math.log(u0)), 2.0 * math.pi * u1
+    return r * math.cos(theta), r * math.sin(theta)
 
 
 def hermiticity_defect(m):

@@ -475,8 +475,9 @@ def test_non_finite_value_exits_two(capsys, argv):
          "--seed", "1", "--samples", "2"),
         ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
          "--sigma-r-rel", "1e60", "--seed", "1", "--samples", "2"),
+        # At seed 1 the first Rabi factor below zero is sample 3's.
         ("robustness", "--protocol", "geometric", "--kappa", "1.65", "--omega", "1",
-         "--sigma-omega-rel", "200", "--seed", "1", "--samples", "3"),
+         "--sigma-omega-rel", "200", "--seed", "1", "--samples", "4"),
         # Every segment is finite, but the gate time or the Rydberg time is not.
         ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "3.1e-308"),
         ("simulate", "--protocol", "geometric", "--kappa", "1.65", "--omega", "7e-308"),
@@ -573,6 +574,15 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "simulate", "--config", str(config))
         assert (code, out) == (2, "")
         assert err == f"error: {config}:4: config key kappa already given on line 2\n"
+
+    def test_config_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        # A UTF-16 byte-order mark: the decoder's message alone named no file.
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xff\xfeprotocol = geometric\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("line", ["= 1.65", " =", "kappa 1.65"])
     def test_line_without_a_key_rejected(self, capsys, tmp_path, line):

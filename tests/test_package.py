@@ -90,7 +90,7 @@ COMMAND_MODULES = {
     "compare": set(),
     "sweep": {"rydgate.calibration"},
     "calibrate": {"rydgate.calibration"},
-    "robustness": {"rydgate.robustness", "rydgate._ziggurat"},
+    "robustness": {"rydgate.robustness"},
 }
 
 
@@ -113,11 +113,6 @@ def test_import_loads_only_numpy():
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random adds about 20 ms to every command; only the Monte-Carlo draws import it.
     assert _fresh_interpreter("import sys, rydgate.cli; print('numpy.random' in sys.modules)") == "False"
-
-
-def test_cli_import_leaves_the_ziggurat_tables_unloaded():
-    # Only the Monte-Carlo draws read them; the other commands do not compile the module.
-    assert _fresh_interpreter("import sys, rydgate.cli; print('rydgate._ziggurat' in sys.modules)") == "False"
 
 
 def test_bare_import_loads_no_submodule_and_not_numpy():

@@ -265,6 +265,9 @@ class TestBatchUnitaries:
             ((alone,),) = batch_unitaries(controls[i : i + 1], durations)
             assert np.array_equal(u, alone), i
 
+    def test_a_batch_of_no_gates_yields_no_stack(self):
+        assert list(batch_unitaries(np.zeros((0, 4, 7)), np.ones(4))) == []
+
     def test_per_gate_durations(self, rng):
         segs = [random_segment(rng) for _ in range(6)]
         seqs = [PulseSequence(tuple(segs[:3])), PulseSequence(tuple(segs[3:]))]
@@ -808,6 +811,19 @@ class TestDistinctSegments:
         rows = sequence.controls
         assert np.array_equal(rows[0], rows[1]) and rows[0].tobytes() != rows[1].tobytes()
         self._check_sequence(sequence, (0, 1, 0))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: distinct_segments(np.zeros((0, 7)), np.zeros(0)),
+            lambda: list(batch_unitaries(np.zeros((3, 0, 7)), np.zeros(0))),
+        ],
+        ids=["distinct_segments", "batch_unitaries"],
+    )
+    def test_a_stack_with_no_segment_is_rejected(self, run):
+        # k = 0 divided the row bytes by zero.
+        with pytest.raises(ValueError, match="^a pulse sequence needs at least one segment$"):
+            run()
 
     def test_one_gate_breaking_the_pattern(self, rng):
         n, odd = 2 * CHUNK + 3, CHUNK + 1
